@@ -28,7 +28,6 @@ from .graphs import (
     laplacian,
     parse_graph,
     signless_laplacian,
-    sub_block,
     vertex_cap,
     vertex_index,
     vertex_label,
@@ -41,7 +40,6 @@ from .linalg import (
     kron,
     partial_transpose_matrix,
     spectral_decomposition,
-    spectral_radius_bound,
 )
 from .separability import (
     ConditionReport,
@@ -61,6 +59,7 @@ from .transforms import (
     is_degree_symmetric,
     is_partially_symmetric,
     swap_edge,
+    swap_edges,
 )
 
 __version__ = "0.1.0"
@@ -105,9 +104,8 @@ __all__ = [
     "ppt_check",
     "signless_laplacian",
     "spectral_decomposition",
-    "spectral_radius_bound",
-    "sub_block",
     "swap_edge",
+    "swap_edges",
     "theorem1_transfer",
     "verify_decomposition",
     "vertex_cap",

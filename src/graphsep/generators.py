@@ -22,7 +22,7 @@ from .errors import ConstructionError
 from .graphs import DimensionProfile, MultipartiteGraph
 from .linalg import kron
 from .separability import check_theorem_conditions
-from .transforms import swap_edge
+from .transforms import swap_edges
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -81,13 +81,9 @@ def gen_partially_symmetric(
     if edge_budget < 0:
         raise ValueError(f"edge budget must be >= 0, got {edge_budget}")
     rng = SplitMix64(seed)
-    total = profile.total
-    edges: set[tuple[int, int]] = set()
-    for _ in range(edge_budget):
-        edge = _random_distinct_pair(rng, total)
-        edges.add(edge)
-        edges.add(swap_edge(profile, edge, axis=1))
-    return MultipartiteGraph(profile, edges)
+    drawn = [_random_distinct_pair(rng, profile.total) for _ in range(edge_budget)]
+    partners = swap_edges(profile, drawn, axis=1)
+    return MultipartiteGraph(profile, drawn + list(map(tuple, partners.tolist())))
 
 
 def _random_top_pattern(rng: SplitMix64, order: int):
@@ -141,10 +137,8 @@ def gen_theorem_graph(profile: DimensionProfile, seed: int) -> MultipartiteGraph
         factors = [_random_top_pattern(rng, dims[0])]
         factors.extend(_random_regular_pattern(rng, d) for d in dims[1:])
         adjacency = kron(factors)
-        rows, cols = np.nonzero(np.triu(adjacency, k=1))
-        graph = MultipartiteGraph(
-            profile, [(int(r) + 1, int(c) + 1) for r, c in zip(rows, cols)]
-        )
+        edges = np.argwhere(np.triu(adjacency, k=1)) + 1
+        graph = MultipartiteGraph(profile, map(tuple, edges.tolist()))
         if graph.num_edges == 0:
             continue
         report = check_theorem_conditions(graph)

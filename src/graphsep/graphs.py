@@ -175,22 +175,24 @@ class MultipartiteGraph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
+    def edge_array(self) -> np.ndarray:
+        """Edges as a sorted (E, 2) integer array of rows ``a < b``."""
+        return np.array(self.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+
     def degree_sequence(self) -> np.ndarray:
         """Vertex degrees as an integer vector indexed by vertex-1."""
-        deg = np.zeros(self.num_vertices, dtype=np.int64)
-        for a, b in self.edges:
-            deg[a - 1] += 1
-            deg[b - 1] += 1
-        return deg
+        ends = self.edge_array().ravel() - 1
+        degrees = np.bincount(ends, minlength=self.num_vertices)
+        return degrees.astype(np.int64, copy=False)
 
 
 def adjacency_matrix(graph: MultipartiteGraph) -> np.ndarray:
     """0/1 symmetric adjacency matrix with zero diagonal (exact integers)."""
     total = graph.num_vertices
     mat = np.zeros((total, total), dtype=np.int64)
-    for a, b in graph.edges:
-        mat[a - 1, b - 1] = 1
-        mat[b - 1, a - 1] = 1
+    rows, cols = (graph.edge_array() - 1).T
+    mat[rows, cols] = 1
+    mat[cols, rows] = 1
     return mat
 
 
@@ -256,47 +258,6 @@ def density_matrix(graph: MultipartiteGraph, kind: str = COMBINATORIAL) -> Densi
     else:
         raise ValueError(f"unknown density matrix kind {kind!r}")
     return DensityMatrix(base / float(2 * graph.num_edges), graph.profile, kind)
-
-
-def sub_block(
-    matrix: np.ndarray,
-    profile: DimensionProfile,
-    row_prefix: Label,
-    col_prefix: Label,
-) -> np.ndarray:
-    """Innermost block addressed by two length-(n-1) label prefixes.
-
-    The returned N_n x N_n block collects the entries whose row label starts
-    with ``row_prefix`` and whose column label starts with ``col_prefix``.
-    """
-    matrix = np.asarray(matrix)
-    total = profile.total
-    if matrix.shape != (total, total):
-        raise ValueError(f"matrix order {matrix.shape} does not match {total}")
-    inner = profile.dims[-1]
-
-    def offset(prefix, which):
-        prefix = tuple(prefix)
-        if len(prefix) != profile.n - 1:
-            raise ValueError(
-                f"{which} prefix has {len(prefix)} coordinates,"
-                f" expected {profile.n - 1}"
-            )
-        start = 0
-        for axis, (coord, dim, stride) in enumerate(
-            zip(prefix, profile.dims, profile.strides), start=1
-        ):
-            if not 1 <= coord <= dim:
-                raise ValueError(
-                    f"{which} prefix axis {axis}: coordinate {coord}"
-                    f" out of range 1..{dim}"
-                )
-            start += (coord - 1) * stride
-        return start
-
-    r = offset(row_prefix, "row")
-    c = offset(col_prefix, "col")
-    return matrix[r : r + inner, c : c + inner].copy()
 
 
 def parse_graph(text: str) -> MultipartiteGraph:

@@ -182,11 +182,6 @@ def inf_norm(matrix) -> float:
     return float(np.max(np.sum(np.abs(mat), axis=1)))
 
 
-def spectral_radius_bound(matrix) -> float:
-    """Upper bound on the largest eigenvalue magnitude (the row-sum norm)."""
-    return inf_norm(matrix)
-
-
 def kron(factors) -> np.ndarray:
     """Kronecker product of the factors, left to right."""
     factors = list(factors)

@@ -36,7 +36,6 @@ from .graphs import (
     MultipartiteGraph,
     adjacency_matrix,
     density_matrix,
-    vertex_label,
 )
 from .linalg import (
     inf_norm,
@@ -71,9 +70,7 @@ class ConditionReport:
 
     ``overall`` is the conjunction of the three block/degree conditions;
     partial symmetry is reported alongside as a separate prerequisite.
-    ``layer_degree_sets`` lists the distinct degrees seen in each top layer,
-    and ``sublayer_degrees_uniform`` reports the same uniformity at the
-    finer two-coordinate granularity for reference.
+    ``layer_degree_sets`` lists the distinct degrees seen in each top layer.
     """
 
     profile: DimensionProfile
@@ -86,7 +83,6 @@ class ConditionReport:
     uniform_layer_degrees: bool
     layer_degree_sets: tuple[tuple[int, ...], ...]
     layer_degrees: tuple[int, ...] | None
-    sublayer_degrees_uniform: bool
     common_block: np.ndarray | None
     adjacency_factors: tuple[np.ndarray, ...] | None
 
@@ -191,13 +187,12 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
     dims = profile.dims
     n = profile.n
     total = profile.total
+    layer_size = total // dims[0]
 
     psym = is_partially_symmetric(graph, axis=1)
-    intra = tuple(
-        e
-        for e in graph.sorted_edges()
-        if vertex_label(e[0], profile)[0] == vertex_label(e[1], profile)[0]
-    )
+    edges = graph.edge_array()
+    layers = (edges - 1) // layer_size
+    intra = tuple(map(tuple, edges[layers[:, 0] == layers[:, 1]].tolist()))
 
     adjacency = adjacency_matrix(graph)
     levels = tuple(_block_level_report(adjacency, dims, z) for z in range(1, n))
@@ -205,7 +200,6 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
     common_block = levels[-1].common_block
 
     degrees = graph.degree_sequence()
-    layer_size = total // dims[0]
     degree_sets = tuple(
         tuple(sorted(set(degrees[t * layer_size : (t + 1) * layer_size].tolist())))
         for t in range(dims[0])
@@ -213,12 +207,6 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
     degrees_uniform = all(len(s) == 1 for s in degree_sets)
     layer_degrees = (
         tuple(int(s[0]) for s in degree_sets) if degrees_uniform else None
-    )
-
-    sub_size = total // (dims[0] * dims[1])
-    sub_uniform = all(
-        len(set(degrees[i : i + sub_size].tolist())) == 1
-        for i in range(0, total, sub_size)
     )
 
     factors = None
@@ -238,7 +226,6 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
         uniform_layer_degrees=degrees_uniform,
         layer_degree_sets=degree_sets,
         layer_degrees=layer_degrees,
-        sublayer_degrees_uniform=sub_uniform,
         common_block=common_block,
         adjacency_factors=factors,
     )
@@ -284,7 +271,7 @@ class SeparableDecomposition:
         return out
 
 
-def decompose(graph: MultipartiteGraph) -> SeparableDecomposition:
+def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposition:
     """Produce a certified fully separable decomposition of the signless
     density matrix of ``graph``.
 
@@ -294,9 +281,12 @@ def decompose(graph: MultipartiteGraph) -> SeparableDecomposition:
     choices, each with the uniform weight 1/(N_2*...*N_n); eigenvalues that
     are zero or repeated keep their own rank-one term.
 
-    Raises :class:`PreconditionError` when the hypotheses fail and
+    The result is verified once, by :func:`verify_decomposition` with the
+    relative reassembly tolerance ``tol``.  Raises
+    :class:`PreconditionError` when the hypotheses fail and
     :class:`ConstructionError` when any internal certificate fails (which
-    would mean a hypothesis gap or a bug, and is never silently returned).
+    would mean a hypothesis gap, a bug or a too tight ``tol``, and is never
+    silently returned).
     """
     report = check_theorem_conditions(graph)
     if graph.num_edges == 0:
@@ -387,7 +377,7 @@ def decompose(graph: MultipartiteGraph) -> SeparableDecomposition:
         adjacency_factors=factors,
     )
     rho = density_matrix(graph, SIGNLESS)
-    certificate = verify_decomposition(decomposition, rho)
+    certificate = verify_decomposition(decomposition, rho, tol)
     if not certificate.passed:
         raise ConstructionError(
             "decomposition failed verification: "
@@ -430,9 +420,11 @@ def verify_decomposition(
     """Check weights, per-factor properties, and the reassembly residual.
 
     Passes only when the weights form a probability vector (within 1e-10),
-    every factor is symmetric, unit trace and PSD, and the weighted sum of
-    Kronecker products matches ``rho`` within ``tol`` in relative Frobenius
-    norm.  Structural mismatches (wrong profile or factor orders) raise.
+    every factor is finite, symmetric, unit trace and PSD, and the weighted
+    sum of Kronecker products matches ``rho`` within ``tol`` in relative
+    Frobenius norm.  Every test is phrased as ``not (x <= bound)``, so NaN
+    anywhere (or a NaN ``tol``) fails instead of passing.  Structural
+    mismatches (wrong profile or factor orders) raise.
     """
     if decomposition.profile != rho.profile:
         raise ValueError(
@@ -446,10 +438,12 @@ def verify_decomposition(
     if not terms:
         failures.append("decomposition has no terms")
     weight_sum = float(sum(t.weight for t in terms))
-    if abs(weight_sum - 1.0) > 1e-10:
+    if not abs(weight_sum - 1.0) <= 1e-10:
         failures.append(f"weights sum to {weight_sum:.17g}, expected 1")
     for i, term in enumerate(terms, start=1):
-        if term.weight < -1e-12:
+        if not math.isfinite(term.weight):
+            failures.append(f"term {i}: non-finite weight {term.weight!r}")
+        elif term.weight < -1e-12:
             failures.append(f"term {i}: negative weight {term.weight:.17g}")
         if len(term.factors) != n:
             raise ValueError(
@@ -462,11 +456,14 @@ def verify_decomposition(
                 raise ValueError(
                     f"term {i} factor {k}: shape {mat.shape}, expected {expected}"
                 )
-            if np.max(np.abs(mat - mat.T)) > 1e-12:
+            if not np.isfinite(mat).all():
+                failures.append(f"term {i} factor {k}: non-finite entries")
+                continue
+            if not np.max(np.abs(mat - mat.T)) <= 1e-12:
                 failures.append(f"term {i} factor {k}: not symmetric")
                 continue
             trace = float(np.trace(mat))
-            if abs(trace - 1.0) > 1e-10:
+            if not abs(trace - 1.0) <= 1e-10:
                 failures.append(
                     f"term {i} factor {k}: trace {trace:.17g}, expected 1"
                 )
@@ -477,13 +474,15 @@ def verify_decomposition(
                     f" (min eigenvalue {psd.min_eigenvalue:.3e})"
                 )
     if terms:
-        assembled = decomposition.assemble()
+        # Non-finite inputs already failed above; their NaN residual fails too.
+        with np.errstate(invalid="ignore", over="ignore"):
+            assembled = decomposition.assemble()
         residual = float(np.linalg.norm(assembled - rho.matrix))
     else:
         residual = float(np.linalg.norm(rho.matrix))
     norm = float(np.linalg.norm(rho.matrix))
     relative = residual / norm
-    if relative > tol:
+    if not relative <= tol:
         failures.append(
             f"reassembly residual {residual:.3e}"
             f" is {relative:.3e} of the target norm (tolerance {tol:.1e})"

@@ -2,9 +2,12 @@
 
 The rewrite acts on one chosen axis: every edge whose endpoints disagree on
 that coordinate has the two coordinate values exchanged between endpoints,
-and all other edges stay put.  At the matrix level this is exactly the
-partial transpose of the adjacency matrix on that subsystem, which
-``gtpt_matrix_identity`` certifies entry by entry.
+and all other edges stay put.  It is a pure relabelling, so it runs on the
+whole (E, 2) edge array at once: vertex numbers become label coordinates
+(``np.unravel_index``), the axis column is exchanged between the endpoints,
+and the coordinates become vertex numbers again.  At the matrix level this
+is exactly the partial transpose of the adjacency matrix on that subsystem,
+which ``gtpt_matrix_identity`` certifies entry by entry.
 """
 
 from __future__ import annotations
@@ -14,34 +17,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
-from .graphs import (
-    DimensionProfile,
-    Edge,
-    MultipartiteGraph,
-    adjacency_matrix,
-    vertex_index,
-    vertex_label,
-)
+from .graphs import DimensionProfile, Edge, MultipartiteGraph, adjacency_matrix
 from .linalg import partial_transpose_matrix
+
+
+def swap_edges(profile: DimensionProfile, edges, axis: int = 1) -> np.ndarray:
+    """Images of an (E, 2) array of edges under the axis swap.
+
+    Row ``i`` of the result is the image of row ``i`` of ``edges``, written
+    with the smaller vertex number first; intra-layer edges map to
+    themselves.  Vertex numbers outside the profile raise ``ValueError``.
+    """
+    n = profile.n
+    if not 1 <= axis <= n:
+        raise ValueError(f"axis {axis} out of range 1..{n}")
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    coords = np.array(np.unravel_index(edges - 1, profile.dims))  # (n, E, 2)
+    coords[axis - 1] = coords[axis - 1, :, ::-1]
+    images = np.ravel_multi_index(tuple(coords), profile.dims) + 1
+    return np.sort(images, axis=1)
 
 
 def swap_edge(profile: DimensionProfile, edge: Edge, axis: int = 1) -> Edge:
     """Image of one edge under the axis swap (identity for intra-layer edges)."""
-    n = profile.n
-    if not 1 <= axis <= n:
-        raise ValueError(f"axis {axis} out of range 1..{n}")
-    a, b = edge
-    la = list(vertex_label(a, profile))
-    lb = list(vertex_label(b, profile))
-    if la[axis - 1] == lb[axis - 1]:
-        return (a, b) if a < b else (b, a)
-    la[axis - 1], lb[axis - 1] = lb[axis - 1], la[axis - 1]
-    na = vertex_index(tuple(la), profile)
-    nb = vertex_index(tuple(lb), profile)
-    if na == nb:
-        # Cannot happen: the swapped coordinates still differ.
-        raise ConstructionError(f"edge {edge} collapsed to a loop under the swap")
-    return (na, nb) if na < nb else (nb, na)
+    a, b = swap_edges(profile, [edge], axis)[0].tolist()
+    return (a, b)
 
 
 def gtpt(graph: MultipartiteGraph, axis: int = 1) -> MultipartiteGraph:
@@ -51,9 +51,8 @@ def gtpt(graph: MultipartiteGraph, axis: int = 1) -> MultipartiteGraph:
     landed on the same image the edge count would drop, which is flagged
     loudly instead of silently shrinking the graph.
     """
-    if not 1 <= axis <= graph.profile.n:
-        raise ValueError(f"axis {axis} out of range 1..{graph.profile.n}")
-    images = {swap_edge(graph.profile, edge, axis) for edge in graph.edges}
+    images = swap_edges(graph.profile, graph.edge_array(), axis)
+    images = set(map(tuple, images.tolist()))
     if len(images) != graph.num_edges:
         raise ConstructionError(
             f"axis-{axis} rewrite collapsed {graph.num_edges} edges"
@@ -77,7 +76,8 @@ class DegreeSymmetryReport:
 def is_degree_symmetric(graph: MultipartiteGraph, axis: int = 1) -> DegreeSymmetryReport:
     """Compare the degree sequence of the graph and of its rewrite, vertexwise."""
     before = graph.degree_sequence()
-    after = gtpt(graph, axis).degree_sequence()
+    images = swap_edges(graph.profile, graph.edge_array(), axis)
+    after = np.bincount(images.ravel() - 1, minlength=graph.num_vertices)
     changed = tuple(
         (int(v) + 1, int(before[v]), int(after[v]))
         for v in np.nonzero(before != after)[0]
@@ -103,11 +103,19 @@ def is_partially_symmetric(graph: MultipartiteGraph, axis: int = 1) -> PartialSy
 
     A graph passes exactly when it is a fixed point of the rewrite.
     """
-    for edge in graph.sorted_edges():
-        partner = swap_edge(graph.profile, edge, axis)
-        if partner not in graph.edges:
-            return PartialSymmetryReport(False, axis, edge, partner)
-    return PartialSymmetryReport(True, axis)
+    edges = graph.edge_array()
+    partners = swap_edges(graph.profile, edges, axis)
+    # Edge rows as scalar keys a*(V+1)+b, so set membership is one np.isin.
+    stride = graph.num_vertices + 1
+    missing = ~np.isin(
+        partners[:, 0] * stride + partners[:, 1], edges[:, 0] * stride + edges[:, 1]
+    )
+    if not missing.any():
+        return PartialSymmetryReport(True, axis)
+    first = int(np.argmax(missing))
+    return PartialSymmetryReport(
+        False, axis, tuple(edges[first].tolist()), tuple(partners[first].tolist())
+    )
 
 
 @dataclass(frozen=True, eq=False)

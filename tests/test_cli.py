@@ -90,6 +90,12 @@ class TestCheck:
     def test_usage_error_exit_4(self, workdir):
         assert main(["check", str(workdir / "m222.graph"), "no-such-property"]) == 4
 
+    def test_graph_not_utf8_exit_4(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.graph"
+        bad.write_bytes("dims 2 2\ne 1 2 # café\n".encode("latin-1"))
+        assert main(["check", str(bad), "partial-sym"]) == 4
+        assert "not UTF-8" in capsys.readouterr().err
+
 
 class TestDecomposeVerify:
     def test_round_trip(self, workdir, capsys):
@@ -125,6 +131,50 @@ class TestDecomposeVerify:
         bad = tmp_path / "bad.dec"
         bad.write_text("not-a-decomposition\n")
         assert main(["verify", str(workdir / "m222.graph"), str(bad)]) == 4
+
+    @pytest.mark.parametrize("field", ["weight", "factor entry"])
+    def test_non_finite_record_fails_verify(self, workdir, capsys, field):
+        dec_path = workdir / "out.dec"
+        assert main(["decompose", str(workdir / "m222.graph"), str(dec_path)]) == 0
+        capsys.readouterr()
+        lines = dec_path.read_text().splitlines()
+        if field == "weight":
+            lines = ["weight nan" if x.startswith("weight ") else x for x in lines]
+        else:
+            row = lines.index("factor 2 order 2") + 1
+            lines[row] = "inf " + lines[row].split()[1]
+        dec_path.write_text("\n".join(lines) + "\n")
+        code = main(["verify", str(workdir / "m222.graph"), str(dec_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "verified=fail" in captured.out
+        assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_exit_4(self, workdir, capsys, command, tol):
+        dec_path = workdir / "out.dec"
+        assert main(["decompose", str(workdir / "m222.graph"), str(dec_path)]) == 0
+        capsys.readouterr()
+        argv = [command, str(workdir / "m222.graph"), str(dec_path), f"--tol={tol}"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err
+        assert captured.out == ""
+
+    def test_tolerance_too_tight_exit_3(self, workdir, capsys):
+        dec_path = workdir / "out.dec"
+        graph = workdir / "t.graph"
+        assert main(["gen", "theorem", "--dims", "2,2,3", "--seed", "1", "-o", str(graph)]) == 0
+        assert main(["decompose", str(graph), str(dec_path), "--tol", "1e-300"]) == 3
+        assert "failed verification" in capsys.readouterr().err
+        assert not dec_path.exists()
+
+    def test_verify_record_not_utf8_exit_4(self, workdir, capsys):
+        bad = workdir / "bad.dec"
+        bad.write_bytes(b"graphsep-decomposition\n\xfe\xff\n")
+        assert main(["verify", str(workdir / "m222.graph"), str(bad)]) == 4
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_verify_profile_mismatch_exit_2(self, workdir, capsys):
         dec_path = workdir / "out.dec"

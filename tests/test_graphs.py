@@ -18,7 +18,6 @@ from graphsep import (
     laplacian,
     parse_graph,
     signless_laplacian,
-    sub_block,
     vertex_index,
     vertex_label,
 )
@@ -221,50 +220,6 @@ class TestDensityMatrix:
     def test_unit_trace(self, m222):
         for kind in ("combinatorial", "signless"):
             assert abs(np.trace(density_matrix(m222, kind).matrix) - 1) <= 1e-12
-
-
-class TestSubBlock:
-    def test_m222_examples(self, m222, profile222):
-        a = adjacency_matrix(m222)
-        assert np.array_equal(
-            sub_block(a, profile222, (1, 1), (2, 1)), np.eye(2, dtype=np.int64)
-        )
-        assert not sub_block(a, profile222, (1, 1), (2, 2)).any()
-
-    def test_diagonal_block_symmetry(self, m222, profile222):
-        a = adjacency_matrix(m222)
-        for prefix in product((1, 2), (1, 2)):
-            block = sub_block(a, profile222, prefix, prefix)
-            assert np.array_equal(block, block.T)
-
-    def test_transposition_identity(self, profile222):
-        g = MultipartiteGraph(profile222, [(1, 6), (2, 5), (1, 5), (3, 8)])
-        a = adjacency_matrix(g)
-        for rp in product((1, 2), (1, 2)):
-            for cp in product((1, 2), (1, 2)):
-                assert np.array_equal(
-                    sub_block(a, profile222, rp, cp).T,
-                    sub_block(a, profile222, cp, rp),
-                )
-
-    def test_reassembly_from_blocks(self, profile222):
-        g = MultipartiteGraph(profile222, [(1, 6), (2, 5), (4, 7), (3, 8)])
-        a = adjacency_matrix(g)
-        rebuilt = np.zeros_like(a)
-        prefixes = list(product((1, 2), (1, 2)))
-        for i, rp in enumerate(prefixes):
-            for j, cp in enumerate(prefixes):
-                rebuilt[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = sub_block(
-                    a, profile222, rp, cp
-                )
-        assert np.array_equal(rebuilt, a)
-
-    def test_invalid_prefix(self, m222, profile222):
-        a = adjacency_matrix(m222)
-        with pytest.raises(ValueError, match="row prefix axis 2"):
-            sub_block(a, profile222, (1, 3), (2, 1))
-        with pytest.raises(ValueError, match="col prefix"):
-            sub_block(a, profile222, (1, 1), (2,))
 
 
 class TestGraphFormat:

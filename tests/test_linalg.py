@@ -19,7 +19,6 @@ from graphsep import (
     laplacian,
     partial_transpose_matrix,
     spectral_decomposition,
-    spectral_radius_bound,
 )
 
 
@@ -162,7 +161,6 @@ class TestCertificates:
         assert inf_norm([[0, 1], [1, 0]]) == 1.0
         assert inf_norm(np.zeros((2, 2))) == 0.0
         assert inf_norm([[1, -2], [-2, 1]]) == 3.0
-        assert spectral_radius_bound([[0, 1], [1, 0]]) == 1.0
 
 
 class TestKron:

@@ -48,7 +48,6 @@ class TestConditionReport:
         assert report.uniform_layer_degrees
         assert report.layer_degrees == (1, 1)
         assert np.array_equal(report.common_block, np.eye(2, dtype=np.int64))
-        assert report.sublayer_degrees_uniform
 
     def test_intra_layer_edge_witness(self, profile222):
         report = check_theorem_conditions(
