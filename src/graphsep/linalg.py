@@ -1,9 +1,10 @@
 """Dense symmetric-matrix kernels.
 
 Covers what the rest of the package needs: a full eigendecomposition with
-orthonormal vectors (cyclic Jacobi), positivity and diagonal-dominance
-certificates, row-sum norms, Kronecker products, and the subsystem partial
-transpose.  Everything here is a pure function over immutable inputs.
+orthonormal vectors (LAPACK, through ``numpy.linalg.eigh``), positivity and
+diagonal-dominance certificates, row-sum norms, Kronecker products, and the
+subsystem partial transpose.  Everything here is a pure function over
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import numpy as np
 from .graphs import DimensionProfile
 
 SYMMETRY_ATOL = 1e-12
-
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFF_FRACTION = 1e-13
 
 
 def require_symmetric(matrix, atol: float = SYMMETRY_ATOL, name: str = "matrix") -> np.ndarray:
@@ -41,11 +39,6 @@ class Eigendecomposition:
     def order(self) -> int:
         return int(self.eigenvalues.shape[0])
 
-    def pairs(self):
-        """Iterate ``(eigenvalue, eigenvector)`` in stored order."""
-        for r in range(self.order):
-            yield float(self.eigenvalues[r]), self.eigenvectors[:, r]
-
     def reconstruct(self) -> np.ndarray:
         """Sum of rank-one terms; should reproduce the input matrix."""
         v = self.eigenvectors
@@ -53,64 +46,19 @@ class Eigendecomposition:
 
 
 def spectral_decomposition(matrix) -> Eigendecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``).
 
-    Rotations run in fixed (p, q) order until the off-diagonal Frobenius
-    mass drops below 1e-13 of the input norm, or 100 sweeps.  The rotation
-    product keeps the vectors orthonormal even for repeated eigenvalues.
     Output order is descending by eigenvalue (stable), and each vector is
     sign-normalised so its first non-negligible component is positive.
     """
-    a = require_symmetric(matrix).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if n > 1 and norm > 0.0:
-        stop = _JACOBI_OFF_FRACTION * norm
-        # Entries below `skip` cannot push the off-mass above `stop` even if
-        # every off-diagonal sits at that size.
-        skip = stop / (2.0 * n)
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            off = a - np.diag(np.diagonal(a))
-            if float(np.linalg.norm(off)) <= stop:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                    if tau == 0.0:
-                        t = 1.0
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    col_p = a[:, p].copy()
-                    col_q = a[:, q].copy()
-                    a[:, p] = c * col_p - s * col_q
-                    a[:, q] = s * col_p + c * col_q
-                    row_p = a[p, :].copy()
-                    row_q = a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s * row_p + c * row_q
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    vec_p = v[:, p].copy()
-                    vec_q = v[:, q].copy()
-                    v[:, p] = c * vec_p - s * vec_q
-                    v[:, q] = s * vec_p + c * vec_q
-    values = np.diagonal(a).copy()
+    values, vectors = np.linalg.eigh(require_symmetric(matrix))
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vectors = v[:, order].copy()
-    for r in range(n):
-        col = vectors[:, r]
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(col))))
-        for x in col:
-            if abs(x) > tol:
-                if x < 0.0:
-                    vectors[:, r] = -col
-                break
+    vectors = vectors[:, order]
+    # Columns are unit vectors, so "non-negligible" is an absolute 1e-12.
+    if vectors.size:
+        lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(len(values))]
+        vectors = vectors * np.where(lead < 0.0, -1.0, 1.0)
     return Eigendecomposition(values, vectors)
 
 

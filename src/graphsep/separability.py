@@ -8,9 +8,10 @@ one degree.  Together these say the adjacency matrix factors exactly as a
 Kronecker product of one 0/1 pattern per axis (the top pattern with zero
 diagonal).
 
-``decompose`` then walks an eigenvalue ladder down that factorisation: it
-eigendecomposes the innermost pattern, scales the next pattern by each
-eigenvalue in turn and eigendecomposes that, and so on outward.  Every leaf
+``decompose`` then walks an eigenvalue ladder down that factorisation.  It
+eigendecomposes each axis pattern F_2..F_n once; a ladder value is the
+product of one eigenvalue per axis, chosen from the innermost axis outward,
+and a pattern scaled by a ladder value keeps its own eigenvectors.  Every leaf
 of the recursion contributes one product term: the degree diagonal plus the
 scaled top pattern (normalised by the total layer degree) times rank-one
 projectors for the remaining subsystems.  Each step is certified (diagonal
@@ -279,7 +280,10 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     block/degree conditions (see :func:`check_theorem_conditions`).  The
     number of terms is always N_2*...*N_n, one per tuple of eigenvalue
     choices, each with the uniform weight 1/(N_2*...*N_n); eigenvalues that
-    are zero or repeated keep their own rank-one term.
+    are zero or repeated keep their own rank-one term.  The ladder needs one
+    eigendecomposition per axis pattern F_2..F_n: level s of a term holds the
+    product of the eigenvalues chosen for F_n, ..., F_{n-s+1}, and siblings
+    run in descending order of that product.
 
     The result is verified once, by :func:`verify_decomposition` with the
     relative reassembly tolerance ``tol``.  Raises
@@ -321,23 +325,32 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
         rest = math.prod(dims[1:m]) if m > 1 else 1
         diag_parts[m] = np.kron(delta, np.eye(rest))
         patterns[m] = kron(factors_float[:m])
+    # One eigendecomposition per axis pattern F_2..F_n: a ladder value times
+    # F_k has F_k's eigenvectors and that value times F_k's eigenvalues.
+    spectra = {m: spectral_decomposition(factors_float[m]) for m in range(1, n)}
+    row_sums = {m: inf_norm(factors_float[m]) for m in range(1, n)}
 
     terms: list[DecompositionTerm] = []
 
     def descend(ladder: list[float], projectors: list[np.ndarray], index: list[int]):
         step = len(ladder) + 1  # 1-based ladder level about to run
+        m = n - step  # this level diagonalises F_{m+1} and keeps m axes
         scale = ladder[-1] if ladder else 1.0
-        scaled = scale * factors_float[n - step]
-        eig = spectral_decomposition(scaled)
-        bound = inf_norm(scaled)
-        for r, (lam, vec) in enumerate(eig.pairs(), start=1):
+        eig = spectra[m]
+        bound = abs(scale) * row_sums[m]
+        # A negative scale reverses the order of the scaled eigenvalues;
+        # walking F's pairs backwards keeps every ladder level descending.
+        order = reversed(range(eig.order)) if scale < 0.0 else range(eig.order)
+        for r, j in enumerate(order, start=1):
+            lam = scale * float(eig.eigenvalues[j])
+            vec = eig.eigenvectors[:, j]
             if abs(lam) > bound + _CHAIN_SLACK * max(1.0, bound):
                 raise ConstructionError(
                     f"ladder level {step}: eigenvalue {lam!r} exceeds the"
                     f" row-sum bound {bound!r}",
-                    matrix=scaled,
+                    matrix=scale * factors_float[m],
                 )
-            mixing = diag_parts[n - step] + lam * patterns[n - step]
+            mixing = diag_parts[m] + lam * patterns[m]
             cert = is_diagonally_dominant(mixing)
             if not cert:
                 raise ConstructionError(

@@ -1,8 +1,13 @@
 """Condition checks, the certified decomposition, verification, PPT, transfer."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from graphsep import separability
 from graphsep import (
     ConstructionError,
     DecompositionTerm,
@@ -189,6 +194,52 @@ class TestDecompose:
                     assert abs(ladder[i]) <= bound + 1e-9 * max(1.0, bound)
                 assert is_diagonally_dominant(term.top_block)
 
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 4, 4), (2, 2, 2, 2)])
+    def test_ladder_order_follows_axis_spectra(self, dims):
+        profile = DimensionProfile(dims)
+        n = profile.n
+        for seed in range(8):
+            g = gen_theorem_graph(profile, seed)
+            if g.num_edges == 0:
+                continue
+            dec = decompose(g)
+            factors = dec.adjacency_factors
+            for term in dec.terms:
+                prev = 1.0
+                for s, value in enumerate(term.ladder):
+                    # Level s scales by an eigenvalue of F_{n-s}.
+                    spectrum = np.linalg.eigvalsh(factors[n - 1 - s].astype(float))
+                    gap = np.min(np.abs(value - prev * spectrum))
+                    assert gap <= 1e-12 * max(1.0, abs(prev))
+                    prev = value
+            # Siblings (same index prefix) descend in the next ladder value.
+            for level in range(n - 1):
+                groups = {}
+                for term in dec.terms:
+                    key = term.index[:level]
+                    groups.setdefault(key, []).append((term.index[level], term.ladder[level]))
+                for members in groups.values():
+                    values = [v for _, v in sorted(set(members))]
+                    assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("dims", [(2, 16, 16), (2, 2, 2, 2, 2)])
+    def test_one_eigendecomposition_per_axis(self, dims, monkeypatch):
+        calls = []
+        original = separability.spectral_decomposition
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(separability, "spectral_decomposition", counting)
+        profile = DimensionProfile(dims)
+        g = next(
+            g for g in (gen_theorem_graph(profile, seed) for seed in range(10))
+            if g.num_edges
+        )
+        decompose(g)
+        assert sorted(calls) == sorted((d, d) for d in dims[1:])
+
 
 class TestVerifyDecomposition:
     def test_exact_decomposition_passes(self, m222):
@@ -374,3 +425,62 @@ class TestDecompositionFormat:
             np.array_equal(a, b)
             for a, b in zip(back.terms[0].factors, factors)
         )
+
+
+# -- record parser fuzzing ---------------------------------------------------
+
+RECORD_PROFILES = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 4, 4), (2, 2, 2, 2)]
+RECORD_KEYWORDS = (
+    "graphsep-decomposition", "dims", "terms", "residual", "certificates",
+    "term", "index", "weight", "ladder", "factor", "order",
+)
+BAD_TOKENS = ("x", "nan", "-inf", "-1", "0", "1e999", "9" * 40, "=pass", "reassembly=maybe")
+
+
+def theorem_record(dims, seed):
+    """Record text of a generated theorem graph, or None for an empty draw."""
+    g = gen_theorem_graph(DimensionProfile(dims), seed)
+    return format_decomposition(decompose(g)) if g.num_edges else None
+
+
+@functools.cache
+def sample_records():
+    records = (theorem_record(dims, seed) for dims in RECORD_PROFILES[:3] for seed in range(3))
+    return tuple(r for r in records if r is not None)
+
+
+@st.composite
+def mutated_records(draw):
+    """A valid record with one line dropped, two lines swapped or one token replaced."""
+    lines = draw(st.sampled_from(sample_records())).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(("drop", "swap", "token")))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = lines[i].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from(RECORD_KEYWORDS + BAD_TOKENS)
+        )
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(RECORD_PROFILES), st.integers(0, 2**31 - 1))
+def test_theorem_record_round_trips(dims, seed):
+    text = theorem_record(dims, seed)
+    assume(text is not None)
+    assert format_decomposition(parse_decomposition(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_records())
+def test_mutated_record_parses_or_raises_format_error(text):
+    try:
+        parse_decomposition(text)
+    except GraphFormatError:
+        pass
