@@ -17,6 +17,15 @@ scaled top pattern (normalised by the total layer degree) times rank-one
 projectors for the remaining subsystems.  Each step is certified (diagonal
 dominance of every intermediate mixing matrix, eigenvalue versus row-sum
 bounds, final reassembly) and the routine refuses rather than approximates.
+
+``verify_decomposition`` works on per-axis factor stacks, one (B, d_k, d_k)
+array per axis for a block of B terms; blocks are capped in size so the
+stacks add bounded memory, and every benchmark-sized decomposition is one
+block.  The factor certificates take one batched eigenvalue call per axis
+and block, and the weighted sum of Kronecker products is reassembled as one
+matrix product of two per-term Kronecker tables per block
+(:meth:`SeparableDecomposition.assemble`), so no V x V matrix is built per
+term.
 """
 
 from __future__ import annotations
@@ -264,12 +273,79 @@ class SeparableDecomposition:
         return tuple(t.weight for t in self.terms)
 
     def assemble(self) -> np.ndarray:
-        """Sum of weighted Kronecker products."""
+        """Sum of weighted Kronecker products, as the dense V x V matrix.
+
+        The axes are split into a left group of order a and a right group
+        of order b = V / a, chosen to minimise a^2 + b^2.  For a block of B
+        terms (:func:`_stacked_blocks`), row t of L (B x a^2) is the
+        flattened Kronecker product of term t's left factors, row t of R
+        (B x b^2) that of its right factors, and the weights go into the
+        smaller of the two.  Then L^T R (or R^T L) is one matrix product
+        whose entry ((i, j), (k, l)) is entry ((i, k), (j, l)) of the
+        block's sum, so no V x V matrix is built per term.
+        """
+        dims = self.profile.dims
         total = self.profile.total
-        out = np.zeros((total, total))
-        for term in self.terms:
-            out += term.weight * kron(term.factors)
-        return out
+        split = _split_axes(dims)
+        a = math.prod(dims[:split])
+        b = total // a
+        weights = np.asarray(self.weights, dtype=float)[:, None]
+        summed = np.zeros((a * a, b * b))
+        for start, stacks in _stacked_blocks(self.terms, dims):
+            left = _term_products(stacks[:split])
+            right = _term_products(stacks[split:])
+            block_weights = weights[start : start + len(left)]
+            # The smaller table takes the weights and goes first: OpenBLAS
+            # then touches (and keeps resident) less of its packing workspace.
+            if a <= b:
+                summed += (left * block_weights).T @ right
+            else:
+                summed += ((right * block_weights).T @ left).T
+        return summed.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(total, total)
+
+
+# Terms are stacked in blocks of at most this many floats of factor stacks
+# and Kronecker tables (16 MB), so verification and reassembly add a bounded
+# amount of memory whatever the profile.  The benchmark profiles fit in one
+# block.
+_BLOCK_ENTRIES = 1 << 21
+
+
+def _split_axes(dims) -> int:
+    """Axes before the returned position form the left group: the split
+    that minimises a^2 + b^2 for a, b the orders of the two groups."""
+    return min(
+        range(1, len(dims)),
+        key=lambda s: math.prod(dims[:s]) ** 2 + math.prod(dims[s:]) ** 2,
+    )
+
+
+def _stacked_blocks(terms, dims):
+    """Yield ``(start, stacks)`` for consecutive blocks of ``terms``, where
+    ``stacks[k]`` is the float array of shape (B, d_k, d_k) holding the k-th
+    factors of terms ``start .. start + B - 1``."""
+    split = _split_axes(dims)
+    a = math.prod(dims[:split])
+    b = math.prod(dims[split:])
+    size = max(1, _BLOCK_ENTRIES // (sum(d * d for d in dims) + a * a + b * b))
+    for start in range(0, len(terms), size):
+        block = terms[start : start + size]
+        yield start, tuple(
+            np.array([term.factors[k] for term in block], dtype=float).reshape(-1, d, d)
+            for k, d in enumerate(dims)
+        )
+
+
+def _term_products(stacks) -> np.ndarray:
+    """Row t: the flattened Kronecker product of the stacks' t-th matrices,
+    left to right; shape (T, p^2) for p the product of the stacks' orders."""
+    out = stacks[0]
+    for stack in stacks[1:]:
+        count, p, q = len(out), out.shape[1], stack.shape[1]
+        out = (out[:, :, None, :, None] * stack[:, None, :, None, :]).reshape(
+            count, p * q, p * q
+        )
+    return out.reshape(len(out), -1)
 
 
 def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposition:
@@ -437,7 +513,14 @@ def verify_decomposition(
     sum of Kronecker products matches ``rho`` within ``tol`` in relative
     Frobenius norm.  Every test is phrased as ``not (x <= bound)``, so NaN
     anywhere (or a NaN ``tol``) fails instead of passing.  Structural
-    mismatches (wrong profile or factor orders) raise.
+    mismatches (wrong profile, factor count or factor orders) raise before
+    any numeric check.
+
+    The factor checks run on per-axis stacks of shape (B, d_k, d_k), one
+    batched symmetric eigenvalue call per axis and block of B terms (one
+    block for all but the largest factors), and the residual comes from
+    :meth:`SeparableDecomposition.assemble`.  Failures are listed term by
+    term, factors in axis order.
     """
     if decomposition.profile != rho.profile:
         raise ValueError(
@@ -446,53 +529,41 @@ def verify_decomposition(
         )
     dims = rho.profile.dims
     n = len(dims)
-    failures: list[str] = []
     terms = decomposition.terms
-    if not terms:
-        failures.append("decomposition has no terms")
-    weight_sum = float(sum(t.weight for t in terms))
-    if not abs(weight_sum - 1.0) <= 1e-10:
-        failures.append(f"weights sum to {weight_sum:.17g}, expected 1")
     for i, term in enumerate(terms, start=1):
-        if not math.isfinite(term.weight):
-            failures.append(f"term {i}: non-finite weight {term.weight!r}")
-        elif term.weight < -1e-12:
-            failures.append(f"term {i}: negative weight {term.weight:.17g}")
         if len(term.factors) != n:
             raise ValueError(
                 f"term {i} has {len(term.factors)} factors for {n} subsystems"
             )
         for k, factor in enumerate(term.factors, start=1):
-            mat = np.asarray(factor, dtype=float)
+            shape = np.asarray(factor, dtype=float).shape
             expected = (dims[k - 1], dims[k - 1])
-            if mat.shape != expected:
+            if shape != expected:
                 raise ValueError(
-                    f"term {i} factor {k}: shape {mat.shape}, expected {expected}"
+                    f"term {i} factor {k}: shape {shape}, expected {expected}"
                 )
-            if not np.isfinite(mat).all():
-                failures.append(f"term {i} factor {k}: non-finite entries")
-                continue
-            if not np.max(np.abs(mat - mat.T)) <= 1e-12:
-                failures.append(f"term {i} factor {k}: not symmetric")
-                continue
-            trace = float(np.trace(mat))
-            if not abs(trace - 1.0) <= 1e-10:
-                failures.append(
-                    f"term {i} factor {k}: trace {trace:.17g}, expected 1"
-                )
-            psd = is_psd(mat)
-            if not psd:
-                failures.append(
-                    f"term {i} factor {k}: not PSD"
-                    f" (min eigenvalue {psd.min_eigenvalue:.3e})"
-                )
-    if terms:
-        # Non-finite inputs already failed above; their NaN residual fails too.
-        with np.errstate(invalid="ignore", over="ignore"):
-            assembled = decomposition.assemble()
-        residual = float(np.linalg.norm(assembled - rho.matrix))
-    else:
-        residual = float(np.linalg.norm(rho.matrix))
+    failures: list[str] = []
+    if not terms:
+        failures.append("decomposition has no terms")
+    weight_sum = float(sum(t.weight for t in terms))
+    if not abs(weight_sum - 1.0) <= 1e-10:
+        failures.append(f"weights sum to {weight_sum:.17g}, expected 1")
+    found: dict[tuple[int, int], list[str]] = {}
+    for start, stacks in _stacked_blocks(terms, dims):
+        for k, stack in enumerate(stacks, start=1):
+            for t, texts in _factor_failures(stack).items():
+                found[start + t + 1, k] = texts
+    for i, term in enumerate(terms, start=1):
+        if not math.isfinite(term.weight):
+            failures.append(f"term {i}: non-finite weight {term.weight!r}")
+        elif term.weight < -1e-12:
+            failures.append(f"term {i}: negative weight {term.weight:.17g}")
+        for k in range(1, n + 1):
+            failures.extend(f"term {i} factor {k}: {text}" for text in found.get((i, k), ()))
+    # Non-finite inputs already failed above; their NaN residual fails too.
+    with np.errstate(invalid="ignore", over="ignore"):
+        assembled = decomposition.assemble()
+    residual = float(np.linalg.norm(assembled - rho.matrix))
     norm = float(np.linalg.norm(rho.matrix))
     relative = residual / norm
     if not relative <= tol:
@@ -503,6 +574,45 @@ def verify_decomposition(
     return VerificationCertificate(
         not failures, residual, relative, weight_sum, tuple(failures), tol
     )
+
+
+def _factor_failures(stack: np.ndarray) -> dict[int, list[str]]:
+    """Failed factor certificates in one (B, d, d) axis stack, by position in it.
+
+    A factor must be finite, then symmetric within 1e-12; only a factor
+    that is both is checked for unit trace (within 1e-10) and for
+    ``lambda_min >= -1e-9 * max(1, |lambda_max|)``, by one batched
+    ``eigvalsh`` over those factors.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        # One stack-sized temporary, made absolute in place.
+        asymmetry = stack - stack.transpose(0, 2, 1)
+        asymmetry = np.abs(asymmetry, out=asymmetry).max(axis=(1, 2))
+        traces = np.trace(stack, axis1=1, axis2=2)
+    checked = finite & (asymmetry <= 1e-12)
+    low = np.zeros(len(stack))
+    high = np.zeros(len(stack))
+    if checked.any():
+        # A masked copy only when some factor is excluded.
+        values = np.linalg.eigvalsh(stack if checked.all() else stack[checked])
+        low[checked] = values[:, 0]
+        high[checked] = values[:, -1]
+    psd = low >= -1e-9 * np.maximum(1.0, np.abs(high))
+    unit_trace = np.abs(traces - 1.0) <= 1e-10
+    found: dict[int, list[str]] = {}
+    for t in np.flatnonzero(~(checked & unit_trace & psd)).tolist():
+        if not finite[t]:
+            found[t] = ["non-finite entries"]
+        elif not checked[t]:
+            found[t] = ["not symmetric"]
+        else:
+            found[t] = []
+            if not unit_trace[t]:
+                found[t].append(f"trace {float(traces[t]):.17g}, expected 1")
+            if not psd[t]:
+                found[t].append(f"not PSD (min eigenvalue {float(low[t]):.3e})")
+    return found
 
 
 @dataclass(frozen=True)
@@ -682,14 +792,20 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
         tokens = line.split()
         if tokens[0] == "residual":
             try:
-                residual = float(tokens[1])
-            except (IndexError, ValueError):
-                raise GraphFormatError("bad residual line", line=lineno) from None
+                residual = float(tokens[1]) if len(tokens) == 2 else math.nan
+            except ValueError:
+                residual = math.nan
+            if not (math.isfinite(residual) and residual >= 0.0):
+                raise GraphFormatError(
+                    f"bad residual line {line!r}: expected 'residual x' with"
+                    " finite x >= 0",
+                    line=lineno,
+                )
         else:
             flags = []
             for tok in tokens[1:]:
                 name, _, value = tok.partition("=")
-                if value not in ("pass", "fail"):
+                if not name or value not in ("pass", "fail"):
                     raise GraphFormatError(
                         f"bad certificate flag {tok!r}", line=lineno
                     )

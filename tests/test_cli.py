@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graphsep import decompose, format_decomposition, parse_graph
+from graphsep import cli, decompose, format_decomposition, parse_graph, separability
 from graphsep.cli import main
 
 M222_TEXT = "dims 2 2 2\ne 1 5\ne 2 6\ne 3 7\ne 4 8\n"
@@ -106,6 +106,44 @@ class TestDecomposeVerify:
         assert "ppt_axis_3=pass" in out
         assert main(["verify", str(workdir / "m222.graph"), str(dec_path)]) == 0
         assert "verified=pass" in capsys.readouterr().out
+
+    def test_conforming_decompose_makes_one_dense_eigen_call(self, tmp_path, monkeypatch, capsys):
+        # Every partial transpose of a conforming graph's rho equals rho, so
+        # all five PPT verdicts come from one eigenvalue call on rho itself.
+        graph_path = tmp_path / "g.graph"
+        argv = ["gen", "theorem", "--dims", "2,4,4,4,4", "--seed", "0", "-o", str(graph_path)]
+        assert main(argv) == 0
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a)[-2:])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert main(["decompose", str(graph_path), str(tmp_path / "g.dec")]) == 0
+        out = capsys.readouterr().out
+        assert all(f"ppt_axis_{k}=pass" in out for k in range(1, 6))
+        assert shapes.count((512, 512)) == 1
+
+    def test_ppt_check_runs_where_transpose_changes_rho(self, workdir, monkeypatch, capsys):
+        original = cli.partial_transpose_matrix
+        checked = []
+
+        def moved_on_axis_2(matrix, profile, subsystem):
+            out = original(matrix, profile, subsystem)
+            return 2.0 * out if subsystem == 2 else out
+
+        def recording(rho, subsystem):
+            checked.append(subsystem)
+            return separability.ppt_check(rho, subsystem)
+
+        monkeypatch.setattr(cli, "partial_transpose_matrix", moved_on_axis_2)
+        monkeypatch.setattr(cli, "ppt_check", recording)
+        assert main(["decompose", str(workdir / "m222.graph"), str(workdir / "x.dec")]) == 0
+        assert checked == [2]
+        assert "ppt_axis_2=pass" in capsys.readouterr().out
 
     def test_precondition_exit_2(self, workdir, capsys):
         code = main(["decompose", str(workdir / "intra.graph"), str(workdir / "x.dec")])

@@ -1,6 +1,8 @@
 """Condition checks, the certified decomposition, verification, PPT, transfer."""
 
 import functools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from graphsep import (
     gen_theorem_graph,
     inf_norm,
     is_diagonally_dominant,
+    is_psd,
     kron,
     parse_decomposition,
     ppt_check,
@@ -294,6 +297,244 @@ class TestVerifyDecomposition:
             verify_decomposition(dec, other)
 
 
+# -- stacked verification against the per-term reference ---------------------
+
+
+def verify_by_terms(decomposition, rho, tol=1e-8):
+    """Reference verification: one eigenvalue call per factor and per-term
+    dense reassembly (``assemble_by_hand``), failures in term order."""
+    if decomposition.profile != rho.profile:
+        raise ValueError(
+            f"decomposition profile {decomposition.profile.dims} does not"
+            f" match density matrix profile {rho.profile.dims}"
+        )
+    dims = rho.profile.dims
+    n = len(dims)
+    failures = []
+    terms = decomposition.terms
+    if not terms:
+        failures.append("decomposition has no terms")
+    weight_sum = float(sum(t.weight for t in terms))
+    if not abs(weight_sum - 1.0) <= 1e-10:
+        failures.append(f"weights sum to {weight_sum:.17g}, expected 1")
+    for i, term in enumerate(terms, start=1):
+        if not math.isfinite(term.weight):
+            failures.append(f"term {i}: non-finite weight {term.weight!r}")
+        elif term.weight < -1e-12:
+            failures.append(f"term {i}: negative weight {term.weight:.17g}")
+        if len(term.factors) != n:
+            raise ValueError(
+                f"term {i} has {len(term.factors)} factors for {n} subsystems"
+            )
+        for k, factor in enumerate(term.factors, start=1):
+            mat = np.asarray(factor, dtype=float)
+            expected = (dims[k - 1], dims[k - 1])
+            if mat.shape != expected:
+                raise ValueError(
+                    f"term {i} factor {k}: shape {mat.shape}, expected {expected}"
+                )
+            if not np.isfinite(mat).all():
+                failures.append(f"term {i} factor {k}: non-finite entries")
+                continue
+            if not np.max(np.abs(mat - mat.T)) <= 1e-12:
+                failures.append(f"term {i} factor {k}: not symmetric")
+                continue
+            trace = float(np.trace(mat))
+            if not abs(trace - 1.0) <= 1e-10:
+                failures.append(
+                    f"term {i} factor {k}: trace {trace:.17g}, expected 1"
+                )
+            psd = is_psd(mat)
+            if not psd:
+                failures.append(
+                    f"term {i} factor {k}: not PSD"
+                    f" (min eigenvalue {psd.min_eigenvalue:.3e})"
+                )
+    if terms:
+        with np.errstate(invalid="ignore", over="ignore"):
+            assembled = assemble_by_hand(decomposition)
+        residual = float(np.linalg.norm(assembled - rho.matrix))
+    else:
+        residual = float(np.linalg.norm(rho.matrix))
+    norm = float(np.linalg.norm(rho.matrix))
+    relative = residual / norm
+    if not relative <= tol:
+        failures.append(
+            f"reassembly residual {residual:.3e}"
+            f" is {relative:.3e} of the target norm (tolerance {tol:.1e})"
+        )
+    return not failures, residual, relative, weight_sum, tuple(failures)
+
+
+FACTOR_DEFECTS = (
+    "nan", "inf", "asymmetric", "asymmetric within tolerance", "off-trace", "indefinite",
+)
+WEIGHT_DEFECTS = {"nan": lambda w: math.nan, "negative": lambda w: -0.25, "scaled": lambda w: 1.5 * w}
+
+
+def random_state(rng, d):
+    """Random exactly symmetric, unit-trace PSD matrix of random rank."""
+    v = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+    f = v @ v.T
+    f = (f + f.T) / 2
+    return f / np.trace(f)
+
+
+def damage(factor, kind, rng):
+    f = factor.copy()
+    i, j = rng.integers(0, len(f), size=2)
+    if kind == "nan":
+        f[i, j] = math.nan
+    elif kind == "inf":
+        f[i, j] = rng.choice([math.inf, -math.inf])
+    elif kind == "asymmetric":
+        f[0, 1] += 1e-3
+    elif kind == "asymmetric within tolerance":
+        f[0, 1] += 1e-13
+    elif kind == "off-trace":
+        f *= 1.5
+    else:  # indefinite, trace kept: f[1, 1] <= 1 for a unit-trace PSD f
+        f[0, 0] += 1.0
+        f[1, 1] -= 1.0
+    return f
+
+
+@st.composite
+def damaged_decompositions(draw):
+    """(decomposition, target): random product terms, a few damaged factors
+    and weights, against either the undamaged sum or the maximally mixed state."""
+    n = draw(st.integers(2, 5))
+    dims = []
+    for k in range(n):
+        # V <= 256 keeps the reference's dense per-term products small.
+        room = 256 // (math.prod(dims) * 2 ** (n - k - 1))
+        dims.append(draw(st.integers(2, min(5, room))))
+    profile = DimensionProfile(tuple(dims))
+    count = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clean = [tuple(random_state(rng, d) for d in dims) for _ in range(count)]
+    factors = [list(f) for f in clean]
+    weights = [1.0 / count] * count
+    for _ in range(draw(st.integers(0, 4))):
+        t, k = draw(st.integers(0, count - 1)), draw(st.integers(0, n - 1))
+        factors[t][k] = damage(factors[t][k], draw(st.sampled_from(FACTOR_DEFECTS)), rng)
+    for _ in range(draw(st.integers(0, 2))):
+        t = draw(st.integers(0, count - 1))
+        weights[t] = WEIGHT_DEFECTS[draw(st.sampled_from(sorted(WEIGHT_DEFECTS)))](weights[t])
+    if draw(st.booleans()):
+        clean_dec = SeparableDecomposition(
+            profile, tuple(DecompositionTerm(1.0 / count, f) for f in clean)
+        )
+        target = assemble_by_hand(clean_dec)
+    else:
+        target = np.eye(profile.total) / profile.total
+    dec = SeparableDecomposition(
+        profile, tuple(DecompositionTerm(w, tuple(f)) for w, f in zip(weights, factors))
+    )
+    return dec, DensityMatrix(target, profile, "signless")
+
+
+def assert_matches_reference(dec, rho):
+    passed, residual, relative, weight_sum, failures = verify_by_terms(dec, rho)
+    cert = verify_decomposition(dec, rho)
+    assert cert.failures == failures
+    assert cert.passed == passed
+    assert repr(cert.weight_sum) == repr(weight_sum)  # identical, nan included
+    if math.isfinite(residual):
+        assert abs(cert.residual - residual) <= 1e-12 * np.linalg.norm(rho.matrix)
+    else:  # nan or inf
+        assert repr(cert.residual) == repr(residual)
+    return cert
+
+
+@settings(max_examples=150, deadline=None)
+@given(damaged_decompositions())
+def test_stacked_verification_matches_per_term_reference(case):
+    assert_matches_reference(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(damaged_decompositions(), st.data())
+def test_structural_errors_match_per_term_reference(case, data):
+    dec, rho = case
+    terms = list(dec.terms)
+    t = data.draw(st.integers(0, len(terms) - 1))
+    factors = list(terms[t].factors)
+    k = data.draw(st.integers(0, len(factors) - 1))
+    d = len(factors[k])
+    kind = data.draw(st.sampled_from(("extra", "missing", "wrong order", "not square")))
+    if kind == "extra":
+        factors.append(np.eye(2) / 2)
+    elif kind == "missing":
+        del factors[k]
+    elif kind == "wrong order":
+        factors[k] = np.eye(d + 1) / (d + 1)
+    else:
+        factors[k] = np.ones((d, d + 1))
+    terms[t] = DecompositionTerm(terms[t].weight, tuple(factors))
+    broken = SeparableDecomposition(dec.profile, tuple(terms))
+    with pytest.raises(ValueError) as expected:
+        verify_by_terms(broken, rho)
+    with pytest.raises(ValueError) as got:
+        verify_decomposition(broken, rho)
+    assert str(got.value) == str(expected.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(damaged_decompositions())
+def test_assemble_matches_per_term_products(case):
+    dec, _ = case
+    assume(is_finite(dec))
+    assert_assembles_like_by_hand(dec)
+
+
+def is_finite(dec):
+    return all(
+        math.isfinite(t.weight) and all(np.isfinite(f).all() for f in t.factors)
+        for t in dec.terms
+    )
+
+
+def assert_assembles_like_by_hand(dec):
+    scale = sum(
+        abs(t.weight) * math.prod(np.linalg.norm(f) for f in t.factors) for t in dec.terms
+    )
+    error = np.linalg.norm(dec.assemble() - assemble_by_hand(dec))
+    assert error <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(damaged_decompositions(), st.integers(1, 3000))
+def test_blocked_verification_matches_per_term_reference(case, block_entries):
+    # Large factors are stacked a block of terms at a time; a small block
+    # cap splits these decompositions into blocks of 1 term and up.
+    dec, rho = case
+    with mock.patch.object(separability, "_BLOCK_ENTRIES", block_entries):
+        assert_matches_reference(dec, rho)
+        if is_finite(dec):
+            assert_assembles_like_by_hand(dec)
+
+
+@pytest.mark.parametrize("dims", [(2, 4, 16), (2, 16, 4)])
+def test_stacked_verification_matches_reference_on_larger_orders(dims):
+    # Orders of 9 and more switch numpy's sums to pairwise order; trace and
+    # eigenvalue texts must still match the per-factor calls exactly.
+    profile = DimensionProfile(dims)
+    g = next(g for g in (gen_theorem_graph(profile, s) for s in range(10)) if g.num_edges)
+    dec = decompose(g)
+    rho = density_matrix(g, "signless")
+    assert assert_matches_reference(dec, rho).passed
+    rng = np.random.default_rng(1)
+    terms = list(dec.terms)
+    for t, k, kind in [(0, 2, "off-trace"), (3, 1, "indefinite"), (3, 2, "off-trace"),
+                       (5, 0, "asymmetric"), (7, 1, "inf")]:
+        factors = list(terms[t].factors)
+        factors[k] = damage(factors[k], kind, rng)
+        terms[t] = DecompositionTerm(terms[t].weight, tuple(factors))
+    cert = assert_matches_reference(SeparableDecomposition(profile, tuple(terms)), rho)
+    assert len(cert.failures) == 6
+
+
 class TestPpt:
     def test_m222_every_axis(self, m222):
         rho = density_matrix(m222, "signless")
@@ -411,6 +652,24 @@ class TestDecompositionFormat:
         )
         text = format_decomposition(SeparableDecomposition(profile222, (term,)))
         assert "-0.0000000000000000e+00" not in text
+
+    @pytest.mark.parametrize(
+        "line",
+        ["residual -5 extra", "residual -5", "residual 1e-3 1e-3", "residual nan",
+         "residual inf", "residual", "residual x"],
+    )
+    def test_bad_residual_line_rejected(self, line):
+        text = f"graphsep-decomposition\ndims 2 2\nterms 0\n{line}\n"
+        with pytest.raises(GraphFormatError, match="^line 4: bad residual line"):
+            parse_decomposition(text)
+
+    @pytest.mark.parametrize(
+        "line", ["certificates =pass", "certificates dominance=pass =fail"]
+    )
+    def test_unnamed_certificate_flag_rejected(self, line):
+        text = f"graphsep-decomposition\ndims 2 2\nterms 0\n{line}\n"
+        with pytest.raises(GraphFormatError, match="^line 4: bad certificate flag '="):
+            parse_decomposition(text)
 
     def test_bare_decomposition_round_trip(self, profile222):
         # No index/ladder lines and no header extras.
