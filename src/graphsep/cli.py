@@ -41,7 +41,6 @@ from .separability import (
     decompose,
     format_decomposition,
     parse_decomposition,
-    ppt_check,
     verify_decomposition,
 )
 from .transforms import gtpt_matrix_identity, is_degree_symmetric, is_partially_symmetric
@@ -81,6 +80,17 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return tol
+
+
+def _budget(text: str) -> int:
+    """``--budget`` value: an integer >= 0 (anything else is a usage error)."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return budget
 
 
 def _parse_dims(text: str) -> DimensionProfile:
@@ -190,17 +200,14 @@ def cmd_decompose(args) -> int:
         print(f"precondition unmet: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     rho = density_matrix(graph, "signless")
-    # A partial transpose that leaves rho unchanged (every axis of a
-    # conforming graph) has rho's own PPT verdict, computed once here.  Any
-    # other axis still goes through ppt_check, so the printed verdicts stay
-    # those of the partial transposes even if a graph ever breaks that rule.
-    rho_psd = is_psd(rho.matrix).psd
-    ppt = [
-        rho_psd
-        if np.array_equal(partial_transpose_matrix(rho.matrix, rho.profile, axis), rho.matrix)
-        else ppt_check(rho, axis).passed
-        for axis in range(1, graph.profile.n + 1)
-    ]
+    # A conforming graph's axis patterns are symmetric, so every partial
+    # transpose of rho is rho and shares its PSD verdict; refuse otherwise.
+    for axis in range(1, graph.profile.n + 1):
+        if not np.array_equal(partial_transpose_matrix(rho.matrix, rho.profile, axis), rho.matrix):
+            raise ConstructionError(
+                f"partial transpose on axis {axis} changes the density matrix"
+            )
+    psd = is_psd(rho.matrix).psd
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(format_decomposition(decomposition))
     pairs = [
@@ -209,12 +216,12 @@ def cmd_decompose(args) -> int:
         ("verified", "pass"),
     ]
     pairs.extend(
-        (f"ppt_axis_{axis}", "pass" if passed else "fail")
-        for axis, passed in enumerate(ppt, start=1)
+        (f"ppt_axis_{axis}", "pass" if psd else "fail")
+        for axis in range(1, graph.profile.n + 1)
     )
     pairs.append(("out", args.out))
     print(_kv(pairs))
-    return EXIT_PASS if all(ppt) else EXIT_CONSTRUCTION
+    return EXIT_PASS if psd else EXIT_CONSTRUCTION
 
 
 def cmd_verify(args) -> int:
@@ -312,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--dims", required=True, help="comma-separated dimensions")
     p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
     p_gen.add_argument(
-        "--budget", type=int, default=8, help="edge draws for the psym family"
+        "--budget", type=_budget, default=8, help="edge draws for the psym family"
     )
     p_gen.add_argument("-o", "--out", help="output file (default stdout)")
     p_gen.set_defaults(handler=cmd_gen)

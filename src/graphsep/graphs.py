@@ -228,10 +228,12 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix order {mat.shape} does not match {total} vertices"
             )
-        if mat.size and np.max(np.abs(mat - mat.T)) > 1e-12:
-            raise ValueError("density matrix must be symmetric within 1e-12")
+        # Both tests are phrased as not (x <= bound), so NaN or inf fails.
+        with np.errstate(invalid="ignore"):
+            if mat.size and not np.max(np.abs(mat - mat.T)) <= 1e-12:
+                raise ValueError("density matrix must be finite and symmetric within 1e-12")
         trace = float(np.trace(mat))
-        if abs(trace - 1.0) > 1e-12:
+        if not abs(trace - 1.0) <= 1e-12:
             raise ValueError(f"density matrix trace is {trace!r}, not 1")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -277,6 +279,7 @@ def parse_graph(text: str) -> MultipartiteGraph:
                 profile = DimensionProfile(dims)
             except ValueError as exc:
                 raise GraphFormatError(str(exc), line=lineno) from None
+            total = profile.total
             continue
         if tokens[0] == "e":
             if len(tokens) != 3:
@@ -306,7 +309,6 @@ def parse_graph(text: str) -> MultipartiteGraph:
             raise GraphFormatError(
                 f"unknown directive {tokens[0]!r} (use 'e' or 'E')", line=lineno
             )
-        total = profile.total
         if a == b:
             raise GraphFormatError(f"loop at vertex {a}", line=lineno)
         if not (1 <= a <= total and 1 <= b <= total):

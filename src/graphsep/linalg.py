@@ -23,8 +23,10 @@ def require_symmetric(matrix, atol: float = SYMMETRY_ATOL, name: str = "matrix")
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    if mat.size and float(np.max(np.abs(mat - mat.T))) > atol:
-        raise ValueError(f"{name} is not symmetric within {atol}")
+    # Phrased as not (x <= atol), so a NaN or inf entry fails as well.
+    with np.errstate(invalid="ignore"):
+        if mat.size and not float(np.max(np.abs(mat - mat.T))) <= atol:
+            raise ValueError(f"{name} is not finite and symmetric within {atol}")
     return mat
 
 
@@ -131,13 +133,19 @@ def inf_norm(matrix) -> float:
 
 
 def kron(factors) -> np.ndarray:
-    """Kronecker product of the factors, left to right."""
-    factors = list(factors)
+    """Kronecker product of the factors, left to right.
+
+    Leading axes broadcast as a stack: (T, p, p) and (T, q, q) stacks give
+    the (T, pq, pq) stack of per-term products.
+    """
+    factors = [np.asarray(f) for f in factors]
     if not factors:
         raise ValueError("kron needs at least one factor")
-    out = np.asarray(factors[0])
-    for factor in factors[1:]:
-        out = np.kron(out, np.asarray(factor))
+    out = factors[0]
+    for b in factors[1:]:
+        product = out[..., :, None, :, None] * b[..., None, :, None, :]
+        *stack, p, q, r, s = product.shape
+        out = product.reshape(*stack, p * q, r * s)
     return out
 
 

@@ -6,7 +6,9 @@ top layer, at every prefix depth all nonzero blocks of the adjacency matrix
 coincide with a single common block, and all vertices of a top layer share
 one degree.  Together these say the adjacency matrix factors exactly as a
 Kronecker product of one 0/1 pattern per axis (the top pattern with zero
-diagonal).
+diagonal).  The block checks find the factors on the way, with no separate
+pass: F_1 is the top-level block pattern, F_k the block pattern of the
+common block one level up, and F_n the innermost common block.
 
 ``decompose`` then walks an eigenvalue ladder down that factorisation.  It
 eigendecomposes each axis pattern F_2..F_n once; a ladder value is the
@@ -93,7 +95,6 @@ class ConditionReport:
     uniform_layer_degrees: bool
     layer_degree_sets: tuple[tuple[int, ...], ...]
     layer_degrees: tuple[int, ...] | None
-    common_block: np.ndarray | None
     adjacency_factors: tuple[np.ndarray, ...] | None
 
     @property
@@ -153,42 +154,23 @@ def _block_level_report(adjacency: np.ndarray, dims: tuple[int, ...], level: int
     if index.size == 0:
         return BlockLevelReport(level, True)
     first = blocks[index[0][0], index[0][1]].copy()
-    selected = blocks[nonzero]
-    bad = np.nonzero((selected != first).any(axis=(1, 2)))[0]
-    if bad.size == 0:
+    mismatch = np.argwhere(nonzero & (blocks != first).any(axis=(2, 3)))
+    if mismatch.size == 0:
         return BlockLevelReport(level, True, common_block=first)
 
     def decode(flat: int) -> Label:
         return tuple(int(c) + 1 for c in np.unravel_index(flat, prefix_dims))
 
-    row, col = index[bad[0]]
+    row, col = mismatch[0]
     return BlockLevelReport(
         level, False, (decode(int(row)), decode(int(col))), first
     )
 
 
-def _extract_adjacency_factors(adjacency: np.ndarray, dims: tuple[int, ...]):
-    """Peel the exact Kronecker factorisation of a conforming adjacency matrix.
-
-    Repeatedly replaces the matrix by its nonzero-block indicator while
-    recording the common innermost block; returns one 0/1 factor per axis,
-    or None for the empty matrix.
-    """
-    current = adjacency
-    remaining = list(dims)
-    reversed_factors = []
-    while len(remaining) > 1:
-        inner = remaining.pop()
-        pp = current.shape[0] // inner
-        blocks = current.reshape(pp, inner, pp, inner).transpose(0, 2, 1, 3)
-        nonzero = blocks.any(axis=(2, 3))
-        index = np.argwhere(nonzero)
-        if index.size == 0:
-            return None
-        reversed_factors.append(blocks[index[0][0], index[0][1]].copy())
-        current = nonzero.astype(np.int64)
-    reversed_factors.append(current.copy())
-    return tuple(reversed(reversed_factors))
+def _block_pattern(matrix: np.ndarray, order: int) -> np.ndarray:
+    """0/1 pattern of the nonzero blocks of ``matrix`` in an order x order grid."""
+    size = matrix.shape[0] // order
+    return matrix.reshape(order, size, order, size).any(axis=(1, 3)).astype(np.int64)
 
 
 def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
@@ -207,7 +189,6 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
     adjacency = adjacency_matrix(graph)
     levels = tuple(_block_level_report(adjacency, dims, z) for z in range(1, n))
     uniform = all(lv.uniform for lv in levels)
-    common_block = levels[-1].common_block
 
     degrees = graph.degree_sequence()
     degree_sets = tuple(
@@ -221,9 +202,17 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
 
     factors = None
     if uniform and not intra and graph.num_edges > 0:
-        factors = _extract_adjacency_factors(adjacency, dims)
-        if factors is not None and not np.array_equal(kron(factors), adjacency):
-            factors = None  # defensive: the peel must reproduce the input
+        # Without intra-layer edges A is F_1 (x) C_1 for the level-1 common
+        # block C_1, and every nonzero block of C_{k-1} at level k is C_k, so
+        # C_{k-1} = F_k (x) C_k.  Checked exactly against A below.
+        common = [lv.common_block for lv in levels]
+        factors = (
+            (_block_pattern(adjacency, dims[0]),)
+            + tuple(_block_pattern(common[k - 1], dims[k]) for k in range(1, n - 1))
+            + (common[-1].copy(),)
+        )
+        if not np.array_equal(kron(factors), adjacency):
+            factors = None  # defensive: the factors must reproduce the input
 
     return ConditionReport(
         profile=profile,
@@ -236,7 +225,6 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
         uniform_layer_degrees=degrees_uniform,
         layer_degree_sets=degree_sets,
         layer_degrees=layer_degrees,
-        common_block=common_block,
         adjacency_factors=factors,
     )
 
@@ -292,8 +280,9 @@ class SeparableDecomposition:
         weights = np.asarray(self.weights, dtype=float)[:, None]
         summed = np.zeros((a * a, b * b))
         for start, stacks in _stacked_blocks(self.terms, dims):
-            left = _term_products(stacks[:split])
-            right = _term_products(stacks[split:])
+            count = len(stacks[0])
+            left = kron(stacks[:split]).reshape(count, -1)
+            right = kron(stacks[split:]).reshape(count, -1)
             block_weights = weights[start : start + len(left)]
             # The smaller table takes the weights and goes first: OpenBLAS
             # then touches (and keeps resident) less of its packing workspace.
@@ -334,18 +323,6 @@ def _stacked_blocks(terms, dims):
             np.array([term.factors[k] for term in block], dtype=float).reshape(-1, d, d)
             for k, d in enumerate(dims)
         )
-
-
-def _term_products(stacks) -> np.ndarray:
-    """Row t: the flattened Kronecker product of the stacks' t-th matrices,
-    left to right; shape (T, p^2) for p the product of the stacks' orders."""
-    out = stacks[0]
-    for stack in stacks[1:]:
-        count, p, q = len(out), out.shape[1], stack.shape[1]
-        out = (out[:, :, None, :, None] * stack[:, None, :, None, :]).reshape(
-            count, p * q, p * q
-        )
-    return out.reshape(len(out), -1)
 
 
 def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposition:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,19 @@ def rho_q_m222_expected():
     """Hand-expanded signless density matrix of the matching graph."""
     eye4 = np.eye(4)
     return np.block([[eye4, eye4], [eye4, eye4]]) / 8.0
+
+
+@pytest.fixture(
+    params=[(v, at) for v in (math.nan, math.inf, -math.inf) for at in ("above", "diagonal")],
+    ids=lambda p: f"{p[0]}-{p[1]}",
+)
+def non_finite(request):
+    """Copy a square matrix with one NaN or +-inf above the diagonal or on it."""
+    value, at = request.param
+
+    def spoil(matrix):
+        out = np.array(matrix, dtype=float)
+        out[(0, 1) if at == "above" else (1, 1)] = value
+        return out
+
+    return spoil

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graphsep import cli, decompose, format_decomposition, parse_graph, separability
+from graphsep import cli, decompose, format_decomposition, parse_graph
 from graphsep.cli import main
 
 M222_TEXT = "dims 2 2 2\ne 1 5\ne 2 6\ne 3 7\ne 4 8\n"
@@ -21,6 +21,38 @@ def workdir(tmp_path):
     (tmp_path / "intra.graph").write_text(INTRA_TEXT)
     (tmp_path / "edge16.graph").write_text(EDGE16_TEXT)
     return tmp_path
+
+
+# One row per input class: argv ({w} is the work directory, whose m222.dec
+# is a certified record of m222), exit code, and a fragment of stderr.  A
+# failing command prints nothing on stdout.
+EXIT_CODES = {
+    "build-empty-adjacency": (["build", "{w}/empty.graph", "--matrix", "A"], 0, ""),
+    "build-missing-file": (["build", "{w}/nope.graph"], 4, "No such file"),
+    "check-empty-conditions": (["check", "{w}/empty.graph", "theorem-conditions"], 0, ""),
+    "check-empty-partial-sym": (["check", "{w}/empty.graph", "partial-sym"], 0, ""),
+    "check-usage-error": (["check", "{w}/m222.graph", "no-such-property"], 4, "invalid choice"),
+    "decompose-empty": (["decompose", "{w}/empty.graph", "{w}/x.dec"], 2, "empty graph"),
+    "verify-empty": (["verify", "{w}/empty.graph", "{w}/m222.dec"], 2, "zero trace"),
+    "verify-unreadable-record": (["verify", "{w}/m222.graph", "{w}/bad.dec"], 4, "header"),
+    "gen-bad-dims": (["gen", "psym", "--dims", "2", "--seed", "0"], 4, "at least 2"),
+    "gen-dims-over-cap": (["gen", "theorem", "--dims", "2,1024"], 4, "exceeds the cap"),
+    "gen-negative-budget": (["gen", "psym", "--dims", "2,2,2", "--budget", "-1"], 4, "--budget"),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(EXIT_CODES))
+    def test_exit_code(self, workdir, capsys, case):
+        argv, code, err = EXIT_CODES[case]
+        (workdir / "m222.dec").write_text(format_decomposition(decompose(parse_graph(M222_TEXT))))
+        (workdir / "bad.dec").write_text("not-a-decomposition\n")
+        assert main([arg.format(w=workdir) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert err in captured.err
+        if code:
+            assert captured.out == ""
+        assert not (workdir / "x.dec").exists()
 
 
 class TestBuild:
@@ -54,9 +86,6 @@ class TestBuild:
         assert main(["build", str(bad)]) == 4
         assert "line 3" in capsys.readouterr().err
 
-    def test_missing_file_exit_4(self, tmp_path):
-        assert main(["build", str(tmp_path / "nope.graph")]) == 4
-
 
 class TestCheck:
     def test_partial_sym_true(self, workdir, capsys):
@@ -86,9 +115,6 @@ class TestCheck:
 
     def test_gtpt_identity(self, workdir):
         assert main(["check", str(workdir / "edge16.graph"), "gtpt-identity"]) == 0
-
-    def test_usage_error_exit_4(self, workdir):
-        assert main(["check", str(workdir / "m222.graph"), "no-such-property"]) == 4
 
     def test_graph_not_utf8_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "latin1.graph"
@@ -127,23 +153,22 @@ class TestDecomposeVerify:
         assert all(f"ppt_axis_{k}=pass" in out for k in range(1, 6))
         assert shapes.count((512, 512)) == 1
 
-    def test_ppt_check_runs_where_transpose_changes_rho(self, workdir, monkeypatch, capsys):
+    def test_decompose_fails_closed_where_transpose_changes_rho(self, workdir, monkeypatch, capsys):
+        # A conforming graph's partial transposes all equal rho; an axis
+        # where one does not is refused, with no record and no verdicts.
         original = cli.partial_transpose_matrix
-        checked = []
 
         def moved_on_axis_2(matrix, profile, subsystem):
             out = original(matrix, profile, subsystem)
             return 2.0 * out if subsystem == 2 else out
 
-        def recording(rho, subsystem):
-            checked.append(subsystem)
-            return separability.ppt_check(rho, subsystem)
-
         monkeypatch.setattr(cli, "partial_transpose_matrix", moved_on_axis_2)
-        monkeypatch.setattr(cli, "ppt_check", recording)
-        assert main(["decompose", str(workdir / "m222.graph"), str(workdir / "x.dec")]) == 0
-        assert checked == [2]
-        assert "ppt_axis_2=pass" in capsys.readouterr().out
+        dec_path = workdir / "x.dec"
+        assert main(["decompose", str(workdir / "m222.graph"), str(dec_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "partial transpose on axis 2 changes the density matrix" in captured.err
+        assert not dec_path.exists()
 
     def test_precondition_exit_2(self, workdir, capsys):
         code = main(["decompose", str(workdir / "intra.graph"), str(workdir / "x.dec")])
@@ -164,11 +189,6 @@ class TestDecomposeVerify:
         assert code == 1
         captured = capsys.readouterr()
         assert "verified=fail" in captured.out
-
-    def test_verify_unreadable_record_exit_4(self, workdir, tmp_path):
-        bad = tmp_path / "bad.dec"
-        bad.write_text("not-a-decomposition\n")
-        assert main(["verify", str(workdir / "m222.graph"), str(bad)]) == 4
 
     @pytest.mark.parametrize("field", ["weight", "factor entry"])
     def test_non_finite_record_fails_verify(self, workdir, capsys, field):
@@ -249,9 +269,6 @@ class TestGen:
         assert main(["gen", "theorem", "--dims", "2,2,2", "--seed", "2"]) == 0
         assert capsys.readouterr().out == first
         assert first.startswith("dims 2 2 2\n")
-
-    def test_bad_dims_exit_4(self):
-        assert main(["gen", "psym", "--dims", "2", "--seed", "0"]) == 4
 
     def test_pipeline_decompose_generated(self, tmp_path):
         graph_path = tmp_path / "g.graph"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsep import (
+    DensityMatrix,
     DimensionProfile,
     GraphFormatError,
     MultipartiteGraph,
@@ -217,6 +218,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="kind"):
             density_matrix(m222, "spectral")
 
+    def test_non_finite_entry_rejected(self, non_finite):
+        with pytest.raises(ValueError, match="finite and symmetric"):
+            DensityMatrix(non_finite(np.eye(4) / 4), DimensionProfile((2, 2)), "signless")
+
     def test_unit_trace(self, m222):
         for kind in ("combinatorial", "signless"):
             assert abs(np.trace(density_matrix(m222, kind).matrix) - 1) <= 1e-12
@@ -262,3 +267,67 @@ class TestGraphFormat:
     def test_bad_label(self):
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_graph("dims 2 2\nE 1,3 2,1\n")
+
+
+# -- graph parser fuzzing ------------------------------------------------------
+
+GRAPH_KEYWORDS = ("dims", "e", "E", "#", "1,1", "2,1,1")
+BAD_GRAPH_TOKENS = ("x", "0", "-1", "1.5", "", "9" * 40, "1,,2", "2,2,2,2,2", "1025")
+
+
+@st.composite
+def small_graphs(draw):
+    profile = DimensionProfile(tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))))
+    vertices = st.integers(1, profile.total)
+    pairs = draw(st.lists(st.tuples(vertices, vertices).filter(lambda p: p[0] != p[1]), max_size=20))
+    return MultipartiteGraph(profile, pairs)
+
+
+@st.composite
+def mutated_graph_texts(draw):
+    """A graph text (some edges as label lines, one comment) with one line
+    dropped, duplicated or swapped, or one token replaced, dropped or added."""
+    graph = draw(small_graphs())
+    lines = ["# fuzz", "dims " + " ".join(map(str, graph.profile.dims))]
+    for a, b in graph.sorted_edges():
+        if draw(st.booleans()):
+            lines.append(f"e {a} {b}")
+        else:
+            u, v = (",".join(map(str, vertex_label(x, graph.profile))) for x in (a, b))
+            lines.append(f"E {u} {v}")
+    i = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    token = draw(st.sampled_from(GRAPH_KEYWORDS + BAD_GRAPH_TOKENS))
+    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "replace", "cut", "extend")))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "replace":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = token
+        lines[i] = " ".join(tokens)
+    elif kind == "cut":
+        lines[i] = " ".join(tokens[:-1])
+    else:
+        lines[i] = " ".join(tokens + [token])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_graph_format_round_trips(graph):
+    text = format_graph(graph)
+    assert parse_graph(text) == graph
+    assert format_graph(parse_graph(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_graph_texts())
+def test_mutated_graph_parses_or_raises_format_error(text):
+    try:
+        parse_graph(text)
+    except GraphFormatError:
+        pass

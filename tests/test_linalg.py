@@ -121,6 +121,12 @@ class TestSpectralDecomposition:
 
 
 class TestCertificates:
+    def test_non_finite_entry_raises(self, non_finite):
+        bad = non_finite(np.eye(3))
+        for check in (is_psd, spectral_decomposition):
+            with pytest.raises(ValueError, match="finite and symmetric"):
+                check(bad)
+
     def test_laplacian_is_psd(self):
         g = MultipartiteGraph(DimensionProfile((2, 2)), [(1, 2)])
         assert is_psd(laplacian(g))
@@ -192,6 +198,47 @@ class TestKron:
             flat = kron([a, b, c])
             assert np.array_equal(left, flat)
             assert np.array_equal(kron([kron([a, b]), c]), flat)
+
+
+# 1-4 factors, each (shape, int64 or float), a stack size and a seed.
+kron_operands = st.tuples(
+    st.lists(
+        st.tuples(st.tuples(st.integers(1, 4), st.integers(1, 4)), st.sampled_from(("int64", "float"))),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def chained_np_kron(factors):
+    out = factors[0]
+    for factor in factors[1:]:
+        out = np.kron(out, factor)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(kron_operands)
+def test_kron_is_bitwise_chained_np_kron(operands):
+    spec, count, seed = operands
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, kind):
+        return rng.integers(-5, 6, size=shape) if kind == "int64" else rng.standard_normal(shape)
+
+    factors = [draw(shape, kind) for shape, kind in spec]
+    got, want = kron(factors), chained_np_kron(factors)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # Stacks: term t of the result is the product of every stack's t-th matrix.
+    stacks = [np.stack([draw(shape, kind) for _ in range(count)]) for shape, kind in spec]
+    got = kron(stacks)
+    for t in range(count):
+        want = chained_np_kron([stack[t] for stack in stacks])
+        assert got[t].dtype == want.dtype and got[t].shape == want.shape
+        assert got[t].tobytes() == want.tobytes()
 
 
 class TestPartialTranspose:

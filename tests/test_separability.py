@@ -1,7 +1,9 @@
 """Condition checks, the certified decomposition, verification, PPT, transfer."""
 
 import functools
+import itertools
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from graphsep import (
     MultipartiteGraph,
     PreconditionError,
     SeparableDecomposition,
+    adjacency_matrix,
     check_theorem_conditions,
     decompose,
     density_matrix,
@@ -47,6 +50,94 @@ def assemble_by_hand(decomposition):
     return out
 
 
+def peel_factors(graph):
+    """Oracle: the factor peel the conditions check ran before it read the
+    factors off its block reports.  It replaces the adjacency matrix by its
+    nonzero-block indicator one axis at a time, keeping the first nonzero
+    innermost block; the factors count only for a graph with edges, none
+    inside a top layer, whose adjacency matrix is their Kronecker product."""
+    adjacency = adjacency_matrix(graph)
+    dims = graph.profile.dims
+    layer = graph.profile.total // dims[0]
+    if not graph.edges or any((a - 1) // layer == (b - 1) // layer for a, b in graph.edges):
+        return None
+    current = adjacency
+    reversed_factors = []
+    for inner in reversed(dims[1:]):
+        pp = current.shape[0] // inner
+        blocks = current.reshape(pp, inner, pp, inner).transpose(0, 2, 1, 3)
+        nonzero = blocks.any(axis=(2, 3))
+        row, col = np.argwhere(nonzero)[0]
+        reversed_factors.append(blocks[row, col].copy())
+        current = nonzero.astype(np.int64)
+    factors = (current.copy(),) + tuple(reversed(reversed_factors))
+    product = factors[0]
+    for factor in factors[1:]:
+        product = np.kron(product, factor)
+    return factors if np.array_equal(product, adjacency) else None
+
+
+def block_levels_by_scan(graph):
+    """Oracle: per prefix depth, (uniform, first mismatch, common block) from
+    a row-major scan of the blocks over distinct prefixes."""
+    adjacency = adjacency_matrix(graph)
+    dims = graph.profile.dims
+    levels = []
+    for level in range(1, len(dims)):
+        prefixes = list(itertools.product(*(range(1, d + 1) for d in dims[:level])))
+        size = math.prod(dims[level:])
+        common = mismatch = None
+        for r, row in enumerate(prefixes):
+            for c, col in enumerate(prefixes):
+                block = adjacency[r * size : (r + 1) * size, c * size : (c + 1) * size]
+                if r == c or not block.any():
+                    continue
+                if common is None:
+                    common = block
+                elif mismatch is None and not np.array_equal(block, common):
+                    mismatch = (row, col)
+        levels.append((mismatch is None, mismatch, common))
+    return levels
+
+
+FACTOR_PROFILES = [
+    (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2), (2, 4, 4),
+    (4, 4, 4), (3, 4, 4), (2, 2, 4, 4), (2, 8, 2), (4, 2, 3), (2, 2, 2, 2, 2),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FACTOR_PROFILES), st.integers(0, 2**31 - 1), st.booleans(), st.data())
+def test_conditions_match_block_scan_and_peel(dims, seed, remove, data):
+    # A theorem graph, and the same graph with one edge removed, or with one
+    # vertex pair toggled (an edge added unless the pair is already one).
+    graph = gen_theorem_graph(DimensionProfile(dims), seed)
+    if remove:
+        pair = data.draw(st.sampled_from(graph.sorted_edges()))
+    else:
+        a = data.draw(st.integers(1, graph.profile.total - 1))
+        pair = (a, data.draw(st.integers(a + 1, graph.profile.total)))
+    changed = MultipartiteGraph(graph.profile, graph.edges ^ {pair})
+    for g in (graph, changed):
+        report = check_theorem_conditions(g)
+        for lv, (uniform, mismatch, common) in zip(report.block_levels, block_levels_by_scan(g)):
+            assert (lv.uniform, lv.first_mismatch) == (uniform, mismatch)
+            if common is None:
+                assert lv.common_block is None
+            else:
+                assert np.array_equal(lv.common_block, common)
+        expected = peel_factors(g)
+        factors = report.adjacency_factors
+        if expected is None:
+            assert factors is None
+            continue
+        assert len(factors) == len(expected)
+        for got, want in zip(factors, expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert not np.shares_memory(factors[-1], report.block_levels[-1].common_block)
+
+
 class TestConditionReport:
     def test_m222_all_conditions(self, m222):
         report = check_theorem_conditions(m222)
@@ -55,7 +146,7 @@ class TestConditionReport:
         assert report.uniform_blocks
         assert report.uniform_layer_degrees
         assert report.layer_degrees == (1, 1)
-        assert np.array_equal(report.common_block, np.eye(2, dtype=np.int64))
+        assert np.array_equal(report.block_levels[-1].common_block, np.eye(2, dtype=np.int64))
 
     def test_intra_layer_edge_witness(self, profile222):
         report = check_theorem_conditions(
@@ -74,7 +165,7 @@ class TestConditionReport:
         assert report.partially_symmetric
         assert report.no_intra_layer_edges
         assert report.uniform_blocks
-        assert np.array_equal(report.common_block, [[1, 1], [1, 0]])
+        assert np.array_equal(report.block_levels[-1].common_block, [[1, 1], [1, 0]])
         assert not report.uniform_layer_degrees
         assert report.layer_degree_sets == ((0, 1, 2), (0, 1, 2))
         assert not report.overall
@@ -103,8 +194,6 @@ class TestConditionReport:
                 factors = report.adjacency_factors
                 assert factors is not None
                 assert tuple(f.shape[0] for f in factors) == dims
-                from graphsep import adjacency_matrix
-
                 assert np.array_equal(kron(factors), adjacency_matrix(g))
 
 
@@ -552,6 +641,13 @@ class TestPpt:
             ppt_check(rho, 4)
         with pytest.raises(ValueError, match="subsystem"):
             ppt_check(rho, 0)
+
+    def test_non_finite_entry_raises(self, non_finite, profile222):
+        # DensityMatrix refuses such a matrix, so a stand-in carries it.
+        rho = SimpleNamespace(matrix=non_finite(np.eye(8) / 8), profile=profile222)
+        for axis in (1, 2, 3):
+            with pytest.raises(ValueError, match="finite and symmetric"):
+                ppt_check(rho, axis)
 
     def test_entangled_state_fails(self):
         # Two-qubit Bell projector: the standard PPT violation.
