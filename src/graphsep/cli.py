@@ -127,7 +127,7 @@ def cmd_check(args) -> int:
     axis = args.axis
     if args.what == "theorem-conditions":
         report = check_theorem_conditions(graph)
-        holds = report.overall and report.partially_symmetric
+        holds = report.holds
         pairs = [
             ("property", args.what),
             ("partially_symmetric", _flag(report.partially_symmetric)),

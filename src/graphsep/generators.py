@@ -66,7 +66,7 @@ def _random_distinct_pair(rng: SplitMix64, total: int) -> tuple[int, int]:
     b = rng.randint(1, total - 1)
     if b >= a:
         b += 1
-    return (a, b) if a < b else (b, a)
+    return a, b
 
 
 def gen_partially_symmetric(
@@ -81,9 +81,12 @@ def gen_partially_symmetric(
     if edge_budget < 0:
         raise ValueError(f"edge budget must be >= 0, got {edge_budget}")
     rng = SplitMix64(seed)
-    drawn = [_random_distinct_pair(rng, profile.total) for _ in range(edge_budget)]
-    partners = swap_edges(profile, drawn, axis=1)
-    return MultipartiteGraph(profile, drawn + list(map(tuple, partners.tolist())))
+    drawn = np.zeros((edge_budget, 2), dtype=np.int64)
+    for row in drawn:
+        row[:] = _random_distinct_pair(rng, profile.total)
+    return MultipartiteGraph(
+        profile, np.concatenate((drawn, swap_edges(profile, drawn, axis=1)))
+    )
 
 
 def _random_top_pattern(rng: SplitMix64, order: int):
@@ -137,12 +140,8 @@ def gen_theorem_graph(profile: DimensionProfile, seed: int) -> MultipartiteGraph
         factors = [_random_top_pattern(rng, dims[0])]
         factors.extend(_random_regular_pattern(rng, d) for d in dims[1:])
         adjacency = kron(factors)
-        edges = np.argwhere(np.triu(adjacency, k=1)) + 1
-        graph = MultipartiteGraph(profile, map(tuple, edges.tolist()))
-        if graph.num_edges == 0:
-            continue
-        report = check_theorem_conditions(graph)
-        if report.overall and report.partially_symmetric:
+        graph = MultipartiteGraph(profile, np.argwhere(np.triu(adjacency, k=1)) + 1)
+        if check_theorem_conditions(graph).holds:
             return graph
     raise ConstructionError(
         f"no conforming graph found for profile {dims} and seed {seed}"
@@ -165,14 +164,9 @@ def gen_degree_symmetric_only(
     layer_size = math.prod(profile.dims[1:])
     budget = rng.randint(1, max(2, total // 4))
     base = gen_partially_symmetric(profile, budget, rng.next_uint64())
-    edges = set(base.edges)
-    for _ in range(rng.randint(1, 3)):
+    extra = np.zeros((rng.randint(1, 3), 2), dtype=np.int64)
+    for row in extra:
         layer = rng.randint(0, profile.dims[0] - 1)
-        a = rng.randint(1, layer_size)
-        b = rng.randint(1, layer_size - 1)
-        if b >= a:
-            b += 1
-        edges.add(
-            (layer * layer_size + min(a, b), layer * layer_size + max(a, b))
-        )
-    return MultipartiteGraph(profile, edges)
+        row[:] = _random_distinct_pair(rng, layer_size)
+        row += layer * layer_size
+    return MultipartiteGraph(profile, np.concatenate((base.edge_array(), extra)))

@@ -2,9 +2,11 @@
 
 A graph lives on a dimension profile (N_1, ..., N_n): every vertex carries a
 label (i_1, ..., i_n) with 1 <= i_k <= N_k, and vertex numbers 1..N_1*...*N_n
-run through the labels in lexicographic (mixed-radix) order.  Adjacency,
-degree and both Laplacian matrices are built in exact integer arithmetic;
-density matrices are their unit-trace floating-point normalisations.
+run through the labels in lexicographic (mixed-radix) order.  A graph holds
+its edges once, as a sorted read-only (E, 2) array of vertex numbers.
+Adjacency, degree and both Laplacian matrices are built from that array in
+exact integer arithmetic; density matrices are their unit-trace
+floating-point normalisations.
 
 The plain-text graph format is line oriented: a ``dims N_1 N_2 ... N_n``
 header, then edge lines that are either ``e a b`` (vertex numbers) or
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import product as cartesian
 
 import numpy as np
 
@@ -83,17 +84,7 @@ class DimensionProfile:
     @property
     def strides(self) -> tuple[int, ...]:
         """Mixed-radix place values: stride k multiplies (i_k - 1)."""
-        out = []
-        acc = 1
-        for d in reversed(self.dims):
-            out.append(acc)
-            acc *= d
-        return tuple(reversed(out))
-
-    def labels(self):
-        """All labels in vertex-number order."""
-        for coords in cartesian(*(range(1, d + 1) for d in self.dims)):
-            yield coords
+        return tuple(math.prod(self.dims[k + 1 :]) for k in range(self.n))
 
 
 def vertex_index(label: Label, profile: DimensionProfile) -> int:
@@ -123,46 +114,57 @@ def vertex_label(index: int, profile: DimensionProfile) -> Label:
     """Label of vertex number ``index``; inverse of :func:`vertex_index`."""
     if not 1 <= index <= profile.total:
         raise ValueError(f"vertex {index} out of range 1..{profile.total}")
-    rem = index - 1
-    coords = []
-    for stride in profile.strides:
-        coords.append(rem // stride + 1)
-        rem %= stride
-    return tuple(coords)
+    return tuple(int(c) + 1 for c in np.unravel_index(index - 1, profile.dims))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultipartiteGraph:
     """A simple graph whose vertices carry multipartite labels.
 
-    ``edges`` is a set of unordered pairs of vertex numbers; loops are
-    rejected and duplicates collapse (set semantics).  Instances are
-    immutable and safe to share between workers.
+    The edges are stored once, as a read-only (E, 2) int64 array of rows
+    ``a < b`` in lexicographic order.  Pairs may be given in either
+    orientation and duplicates collapse; loops and vertex numbers outside
+    1..V are rejected, naming the first offending pair.  Graphs compare and
+    hash by profile and edge array.
     """
 
     profile: DimensionProfile
-    edges: frozenset[Edge]
+    _edges: np.ndarray
 
     def __init__(self, profile: DimensionProfile, edges=()):
-        object.__setattr__(self, "profile", profile)
+        try:
+            pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"a vertex number leaves the range 1..{profile.total}") from None
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise ValueError(f"edges must be vertex pairs, got shape {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)
         total = profile.total
-        normalised = set()
-        for edge in edges:
-            a, b = (int(v) for v in edge)
+        a, b = pairs.T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        bad = (lo == hi) | (lo < 1) | (hi > total)
+        if bad.any():
+            a, b = pairs[np.argmax(bad)].tolist()
             if a == b:
                 raise ValueError(f"loop at vertex {a} is not allowed")
-            if not (1 <= a <= total and 1 <= b <= total):
-                raise ValueError(f"edge ({a},{b}) leaves the range 1..{total}")
-            normalised.add((a, b) if a < b else (b, a))
-        object.__setattr__(self, "edges", frozenset(normalised))
+            raise ValueError(f"edge ({a},{b}) leaves the range 1..{total}")
+        # Keys lo*(V+1)+hi sort rows lexicographically; dropping repeated keys
+        # collapses duplicates.  (Sort and mask rather than np.unique, whose
+        # hash-based path in numpy 2 is about 20x slower here.)
+        keys = np.sort(lo * (total + 1) + hi)
+        keys = keys[np.diff(keys, prepend=-1) > 0]
+        canonical = np.stack(np.divmod(keys, total + 1), axis=1)
+        canonical.setflags(write=False)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "_edges", canonical)
 
-    @classmethod
-    def from_label_pairs(cls, profile: DimensionProfile, pairs) -> "MultipartiteGraph":
-        """Build a graph from pairs of vertex labels."""
-        edges = [
-            (vertex_index(u, profile), vertex_index(v, profile)) for u, v in pairs
-        ]
-        return cls(profile, edges)
+    def __eq__(self, other):
+        if not isinstance(other, MultipartiteGraph):
+            return NotImplemented
+        return self.profile == other.profile and np.array_equal(self._edges, other._edges)
+
+    def __hash__(self):
+        return hash((self.profile, self._edges.tobytes()))
 
     @property
     def num_vertices(self) -> int:
@@ -170,20 +172,21 @@ class MultipartiteGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._edges)
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as ``(a, b)`` tuples with ``a < b``, derived from the
+        stored array on each call."""
+        return frozenset(map(tuple, self._edges.tolist()))
 
     def edge_array(self) -> np.ndarray:
-        """Edges as a sorted (E, 2) integer array of rows ``a < b``."""
-        return np.array(self.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+        """The stored sorted, read-only (E, 2) int64 array of rows ``a < b``."""
+        return self._edges
 
     def degree_sequence(self) -> np.ndarray:
         """Vertex degrees as an integer vector indexed by vertex-1."""
-        ends = self.edge_array().ravel() - 1
-        degrees = np.bincount(ends, minlength=self.num_vertices)
-        return degrees.astype(np.int64, copy=False)
+        return np.bincount(self._edges.ravel() - 1, minlength=self.num_vertices).astype(np.int64)
 
 
 def adjacency_matrix(graph: MultipartiteGraph) -> np.ndarray:
@@ -265,7 +268,8 @@ def density_matrix(graph: MultipartiteGraph, kind: str = COMBINATORIAL) -> Densi
 def parse_graph(text: str) -> MultipartiteGraph:
     """Parse the plain-text graph format; errors carry 1-based line numbers."""
     profile = None
-    edges: dict[Edge, int] = {}
+    ends: list[int] = []  # vertex numbers, two per edge line
+    first_line: dict[int, int] = {}  # edge key a*(V+1)+b (a < b) -> its line
     for lineno, line in content_lines(text):
         tokens = line.split()
         if profile is None:
@@ -315,23 +319,23 @@ def parse_graph(text: str) -> MultipartiteGraph:
             raise GraphFormatError(
                 f"edge ({a},{b}) leaves the range 1..{total}", line=lineno
             )
-        edge = (a, b) if a < b else (b, a)
-        if edge in edges:
+        lo, hi = min(a, b), max(a, b)
+        seen = first_line.setdefault(lo * (total + 1) + hi, lineno)
+        if seen != lineno:
             raise GraphFormatError(
-                f"duplicate edge ({edge[0]},{edge[1]}),"
-                f" first seen on line {edges[edge]}",
+                f"duplicate edge ({lo},{hi}), first seen on line {seen}",
                 line=lineno,
             )
-        edges[edge] = lineno
+        ends += (a, b)
     if profile is None:
         raise GraphFormatError("missing 'dims' header")
-    return MultipartiteGraph(profile, edges)
+    return MultipartiteGraph(profile, np.array(ends, dtype=np.int64).reshape(-1, 2))
 
 
 def format_graph(graph: MultipartiteGraph) -> str:
     """Serialise a graph in the plain-text format (sorted edge lines)."""
     lines = ["dims " + " ".join(str(d) for d in graph.profile.dims)]
-    lines.extend(f"e {a} {b}" for a, b in graph.sorted_edges())
+    lines.extend(f"e {a} {b}" for a, b in graph.edge_array().tolist())
     return "\n".join(lines) + "\n"
 
 

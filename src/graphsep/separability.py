@@ -81,11 +81,13 @@ class ConditionReport:
     """Outcome of every hypothesis check, with witnesses for each failure.
 
     ``overall`` is the conjunction of the three block/degree conditions;
-    partial symmetry is reported alongside as a separate prerequisite.
+    partial symmetry is reported alongside as a separate prerequisite, and
+    ``holds`` adds both prerequisites of :func:`decompose` to ``overall``.
     ``layer_degree_sets`` lists the distinct degrees seen in each top layer.
     """
 
     profile: DimensionProfile
+    num_edges: int
     partially_symmetric: bool
     partial_symmetry_violation: Edge | None
     no_intra_layer_edges: bool
@@ -105,24 +107,24 @@ class ConditionReport:
             and self.uniform_layer_degrees
         )
 
+    @property
+    def holds(self) -> bool:
+        """At least one edge, axis-1 partial symmetry and ``overall``."""
+        return self.num_edges > 0 and self.partially_symmetric and self.overall
+
     def failure_summary(self) -> str:
         """One line per failed check, for error messages and CLI output."""
         problems = []
+        if self.num_edges == 0:
+            problems.append("empty graph: no edges (zero-trace density matrix)")
         if not self.partially_symmetric:
             problems.append(
                 f"not partially symmetric: edge {self.partial_symmetry_violation}"
                 " lacks its swapped partner"
             )
         if not self.no_intra_layer_edges:
-            first = self.intra_layer_edges[0]
-            problems.append(
-                f"intra-layer edge {first}"
-                + (
-                    f" (+{len(self.intra_layer_edges) - 1} more)"
-                    if len(self.intra_layer_edges) > 1
-                    else ""
-                )
-            )
+            first, *more = self.intra_layer_edges
+            problems.append(f"intra-layer edge {first}" + (f" (+{len(more)} more)" if more else ""))
         for lv in self.block_levels:
             if not lv.uniform:
                 row, col = lv.first_mismatch
@@ -216,6 +218,7 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
 
     return ConditionReport(
         profile=profile,
+        num_edges=graph.num_edges,
         partially_symmetric=psym.symmetric,
         partial_symmetry_violation=psym.violating_edge,
         no_intra_layer_edges=not intra,
@@ -346,14 +349,11 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     silently returned).
     """
     report = check_theorem_conditions(graph)
-    if graph.num_edges == 0:
+    if not report.holds:
         raise PreconditionError(
-            "cannot decompose the empty graph (zero-trace density matrix)",
-            report=report,
-        )
-    if not (report.overall and report.partially_symmetric):
-        raise PreconditionError(
-            "decomposition hypotheses fail: " + report.failure_summary(),
+            "cannot decompose the empty graph (zero-trace density matrix)"
+            if graph.num_edges == 0
+            else "decomposition hypotheses fail: " + report.failure_summary(),
             report=report,
         )
     factors = report.adjacency_factors

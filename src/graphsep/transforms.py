@@ -47,18 +47,19 @@ def swap_edge(profile: DimensionProfile, edge: Edge, axis: int = 1) -> Edge:
 def gtpt(graph: MultipartiteGraph, axis: int = 1) -> MultipartiteGraph:
     """Rewrite every cross-layer edge by swapping its axis coordinates.
 
-    The rewrite is computed as a whole-set map; if two source edges ever
+    The rewrite maps the whole edge array at once; if two source edges ever
     landed on the same image the edge count would drop, which is flagged
     loudly instead of silently shrinking the graph.
     """
-    images = swap_edges(graph.profile, graph.edge_array(), axis)
-    images = set(map(tuple, images.tolist()))
-    if len(images) != graph.num_edges:
+    image = MultipartiteGraph(
+        graph.profile, swap_edges(graph.profile, graph.edge_array(), axis)
+    )
+    if image.num_edges != graph.num_edges:
         raise ConstructionError(
             f"axis-{axis} rewrite collapsed {graph.num_edges} edges"
-            f" into {len(images)}"
+            f" into {image.num_edges}"
         )
-    return MultipartiteGraph(graph.profile, images)
+    return image
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graphsep import DimensionProfile, MultipartiteGraph
+from graphsep import DimensionProfile, MultipartiteGraph, vertex_index
 
 
 @pytest.fixture
@@ -15,7 +15,9 @@ def profile222():
 def m222(profile222):
     """Perfect matching between the two top layers of (2, 2, 2)."""
     pairs = [((1, j, k), (2, j, k)) for j in (1, 2) for k in (1, 2)]
-    return MultipartiteGraph.from_label_pairs(profile222, pairs)
+    return MultipartiteGraph(
+        profile222, [(vertex_index(u, profile222), vertex_index(v, profile222)) for u, v in pairs]
+    )
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ def ref_swap_edge(profile, edge, axis):
 
 def ref_partial_symmetry(graph, axis):
     """(symmetric, violating edge, missing partner) of the first failing edge."""
-    for edge in graph.sorted_edges():
+    for edge in sorted(graph.edges):
         partner = ref_swap_edge(graph.profile, edge, axis)
         if partner not in graph.edges:
             return False, edge, partner
@@ -57,7 +57,7 @@ def ref_intra_layer_edges(graph):
     profile = graph.profile
     return tuple(
         e
-        for e in graph.sorted_edges()
+        for e in sorted(graph.edges)
         if vertex_label(e[0], profile)[0] == vertex_label(e[1], profile)[0]
     )
 
@@ -158,7 +158,7 @@ def test_degree_symmetry_matches_reference(graph):
 @given(graphs())
 def test_swap_and_gtpt_match_reference(graph):
     profile = graph.profile
-    edges = graph.sorted_edges()
+    edges = sorted(graph.edges)
     for axis in range(1, profile.n + 1):
         expected = [ref_swap_edge(profile, e, axis) for e in edges]
         images = swap_edges(profile, graph.edge_array(), axis)

@@ -25,11 +25,12 @@ def workdir(tmp_path):
 
 # One row per input class: argv ({w} is the work directory, whose m222.dec
 # is a certified record of m222), exit code, and a fragment of stderr.  A
-# failing command prints nothing on stdout.
+# command that fails (exit 2 or more) prints nothing on stdout; a property
+# that does not hold (exit 1) still prints its report.
 EXIT_CODES = {
     "build-empty-adjacency": (["build", "{w}/empty.graph", "--matrix", "A"], 0, ""),
     "build-missing-file": (["build", "{w}/nope.graph"], 4, "No such file"),
-    "check-empty-conditions": (["check", "{w}/empty.graph", "theorem-conditions"], 0, ""),
+    "check-empty-conditions": (["check", "{w}/empty.graph", "theorem-conditions"], 1, ""),
     "check-empty-partial-sym": (["check", "{w}/empty.graph", "partial-sym"], 0, ""),
     "check-usage-error": (["check", "{w}/m222.graph", "no-such-property"], 4, "invalid choice"),
     "decompose-empty": (["decompose", "{w}/empty.graph", "{w}/x.dec"], 2, "empty graph"),
@@ -50,7 +51,7 @@ class TestExitCodes:
         assert main([arg.format(w=workdir) for arg in argv]) == code
         captured = capsys.readouterr()
         assert err in captured.err
-        if code:
+        if code >= 2:
             assert captured.out == ""
         assert not (workdir / "x.dec").exists()
 
@@ -112,6 +113,19 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "overall=true" in out
         assert "layer_degrees=1,1" in out
+
+    def test_theorem_conditions_empty_graph_does_not_hold(self, workdir, capsys):
+        # The block/degree conditions hold vacuously, but decompose refuses
+        # the empty graph, so holds is false.
+        code = main(
+            ["check", str(workdir / "empty.graph"), "theorem-conditions", "--format", "kv"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "overall=true" in out and "partially_symmetric=true" in out
+        assert "holds=false" in out
+        assert main(["check", str(workdir / "empty.graph"), "theorem-conditions"]) == 1
+        assert "empty graph" in capsys.readouterr().out
 
     def test_gtpt_identity(self, workdir):
         assert main(["check", str(workdir / "edge16.graph"), "gtpt-identity"]) == 0

@@ -1,5 +1,7 @@
 """Seeded corpus generators: determinism, closure, and coverage."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from graphsep import (
     check_theorem_conditions,
     decompose,
     density_matrix,
+    format_graph,
     gen_degree_symmetric_only,
     gen_partially_symmetric,
     gen_theorem_graph,
@@ -138,7 +141,53 @@ class TestDegreeSymmetricOnlyFamily:
 
 class TestFileEmission:
     def test_generated_graph_round_trips(self, profile222):
-        from graphsep import format_graph, parse_graph
+        from graphsep import parse_graph
 
         g = gen_theorem_graph(profile222, 2)
         assert parse_graph(format_graph(g)) == g
+
+
+# SHA-256 of the generated graph files (psym at the CLI's default budget of
+# 8).  The determinism tests above compare two runs of the same code; these
+# pins also catch a change in the order of RNG calls or of the edge lines.
+GOLDEN_GRAPHS = {
+    ("psym", (2, 2, 2), 0): "65c1687505ef01437b42c586fa071647df4ada243710ae4ddf45037ebeebdab8",
+    ("psym", (2, 2, 2), 1): "90952c78bd19e416c60e9466b3b587df58d3797a8c8a89d9864c7ae01d1f854f",
+    ("psym", (2, 2, 2), 2): "2cb5465e53f9b9624293711e4aceb6c6aeb4abf8e3d181b54344ab4845dfe208",
+    ("psym", (4, 4, 4), 0): "ddf37c88ecd2fb6e3e2977a6b3effbf6680037ebb38d32fbdba6fd7664f9692f",
+    ("psym", (4, 4, 4), 1): "1022a355db147104ec39d3f41c5a0924c63b350f349082ae4aac79847608002a",
+    ("psym", (4, 4, 4), 2): "0c42d05449be63144e819b0bcd61695051e26925cb9e7ca89fd0aa3a840b56d7",
+    ("psym", (2, 4, 4, 4), 0): "db3b35775dfdf345e8dbe3de6ddd8fae934c9fd5ff38193d6c0d2896e91af6ba",
+    ("psym", (2, 4, 4, 4), 1): "f6209285571b85bc907f3afaeb9a292b4b1ab61f780de413c0a387c79cc39c4a",
+    ("psym", (2, 4, 4, 4), 2): "042982d261b95cc8b55a3c1a04ab14d4386258985b88309f1c94ae9630282201",
+    ("theorem", (2, 2, 2), 0): "1334ac5c917ca9f07286879498dfda0013a671ecff5efb89bd23c97e3131941f",
+    ("theorem", (2, 2, 2), 1): "85481148f9493e35b75a94b053b8bebfee495332330917e1fd27acd6ac6a36aa",
+    ("theorem", (2, 2, 2), 2): "7ad10f633eabae684c4977e517c6a7ec51b8ea773fd87b07940e7c06f8a74498",
+    ("theorem", (4, 4, 4), 0): "f204948f15e08ef0740a05072aa74637198d623f195f3566cd6f2311ef73c728",
+    ("theorem", (4, 4, 4), 1): "f4a040e2ed187283d73d0e4e7a25250df19db60478ea39a922ed742a126f7bd1",
+    ("theorem", (4, 4, 4), 2): "8e4a35128f4c7eeadd361837ff72f5ca4b39469e8eec700480608ad65763f550",
+    ("theorem", (2, 4, 4, 4), 0): "902b22a5e6905c2e9be19f3d3cb3c3cfd91c451fb519c078059e1567b30b64bb",
+    ("theorem", (2, 4, 4, 4), 1): "55c98d90418356fbabc6cb6b4f6186be6b7906ec7c7bc9a76b8f3a79779c993c",
+    ("theorem", (2, 4, 4, 4), 2): "e69e54bb27f6d8978aa67246f8b4dd2fd192a34ea01c193e6e24e3e42dc6a58b",
+    ("dsym", (2, 2, 2), 0): "e9955c61dd75ac21bfb44a670316ecf92faab89d9912e1fd82f7edcb5c46bd16",
+    ("dsym", (2, 2, 2), 1): "ba833532cead2cb560b1cd7bb93f4c3858025cf51f2795c35b5908b42bd635ab",
+    ("dsym", (2, 2, 2), 2): "463085d0306b027844434e57457888e0024cdd2df3b790495b53e1c8500a3c2c",
+    ("dsym", (4, 4, 4), 0): "a78b365d8879b5b39ccdca53566f03060257cf316e3afb7dac2dde5bd3bd3fe4",
+    ("dsym", (4, 4, 4), 1): "1caeb96b0f7bfc7113caa2eaf71ee86aaad08b04ba8f9a5dafc876bea717c2ca",
+    ("dsym", (4, 4, 4), 2): "fdd4208cbe876ab2139f7ffb12999474e50f1fdf52f29c8be4c91309355c4355",
+    ("dsym", (2, 4, 4, 4), 0): "21ed99b7d7cbe9f40d2ef7146402dfc840e9b7301b88b6a28f389ff982e7c65d",
+    ("dsym", (2, 4, 4, 4), 1): "585e9187dbe2fadb48975bcdfe0e3283bf4cb0772199b764897b6c18cbf9076c",
+    ("dsym", (2, 4, 4, 4), 2): "97521e3dc41d2fb9949f4cfa85b6b11adcf5ad964cb3395b7c6d915a6bb55983",
+}
+
+FAMILIES = {
+    "psym": lambda profile, seed: gen_partially_symmetric(profile, 8, seed),
+    "theorem": gen_theorem_graph,
+    "dsym": gen_degree_symmetric_only,
+}
+
+
+@pytest.mark.parametrize("family, dims, seed", list(GOLDEN_GRAPHS))
+def test_golden_output(family, dims, seed):
+    text = format_graph(FAMILIES[family](DimensionProfile(dims), seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GRAPHS[family, dims, seed]

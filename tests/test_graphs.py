@@ -22,6 +22,7 @@ from graphsep import (
     vertex_index,
     vertex_label,
 )
+from graphsep.textio import content_lines
 
 
 def enumeration_index(label, profile):
@@ -87,7 +88,7 @@ class TestIndexing:
         p = DimensionProfile(dims)
         for k in range(1, p.total + 1):
             assert vertex_index(vertex_label(k, p), p) == k
-        for label in p.labels():
+        for label in product(*(range(1, d + 1) for d in dims)):
             assert vertex_label(vertex_index(label, p), p) == label
 
     def test_out_of_range_coordinate_names_axis(self, profile222):
@@ -122,15 +123,36 @@ class TestGraphType:
     def test_rejects_out_of_range(self, profile222):
         with pytest.raises(ValueError, match="range"):
             MultipartiteGraph(profile222, [(1, 9)])
+        with pytest.raises(ValueError, match="range 1..8"):
+            MultipartiteGraph(profile222, [(1, 2**70)])
 
     def test_set_semantics_and_ordering(self, profile222):
         g = MultipartiteGraph(profile222, [(5, 1), (1, 5)])
-        assert g.sorted_edges() == [(1, 5)]
+        assert g.edge_array().tolist() == [[1, 5]]
 
     def test_equality_is_edge_set_equality(self, profile222):
         a = MultipartiteGraph(profile222, [(1, 5), (2, 6)])
         b = MultipartiteGraph(profile222, [(2, 6), (5, 1)])
         assert a == b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert a != MultipartiteGraph(profile222, [(1, 5)])
+        assert a != MultipartiteGraph(DimensionProfile((2, 4)), [(1, 5), (2, 6)])
+
+    def test_edge_array_is_stored_read_only(self, profile222):
+        pairs = np.array([[6, 2], [1, 5]], dtype=np.int64)
+        g = MultipartiteGraph(profile222, pairs)
+        edges = g.edge_array()
+        assert edges is g.edge_array()
+        assert edges.dtype == np.int64 and edges.tolist() == [[1, 5], [2, 6]]
+        assert not edges.flags.writeable
+        with pytest.raises(ValueError):
+            edges[0, 0] = 3
+        pairs[0, 0] = 3  # the caller's array is not aliased
+        assert g.edge_array().tolist() == [[1, 5], [2, 6]]
+
+    def test_rejects_non_pairs(self, profile222):
+        with pytest.raises(ValueError, match="vertex pairs"):
+            MultipartiteGraph(profile222, [(1, 2, 3)])
 
 
 class TestMatrices:
@@ -239,7 +261,7 @@ class TestGraphFormat:
         e 2 6
         """
         g = parse_graph(text)
-        assert g.sorted_edges() == [(1, 5), (2, 6)]
+        assert g.edge_array().tolist() == [[1, 5], [2, 6]]
 
     def test_duplicate_edge_reports_both_lines(self):
         text = "dims 2 2\ne 1 2\nE 1,1 1,2\n"
@@ -289,7 +311,7 @@ def mutated_graph_texts(draw):
     dropped, duplicated or swapped, or one token replaced, dropped or added."""
     graph = draw(small_graphs())
     lines = ["# fuzz", "dims " + " ".join(map(str, graph.profile.dims))]
-    for a, b in graph.sorted_edges():
+    for a, b in graph.edge_array().tolist():
         if draw(st.booleans()):
             lines.append(f"e {a} {b}")
         else:
@@ -331,3 +353,155 @@ def test_mutated_graph_parses_or_raises_format_error(text):
         parse_graph(text)
     except GraphFormatError:
         pass
+
+
+# -- differential oracles: the line-by-line parser and per-edge constructor ----
+
+
+def graph_by_pairs(profile, edges):
+    """Oracle: the per-edge constructor, returning the edge set it builds."""
+    total = profile.total
+    normalised = set()
+    for edge in edges:
+        a, b = (int(v) for v in edge)
+        if a == b:
+            raise ValueError(f"loop at vertex {a} is not allowed")
+        if not (1 <= a <= total and 1 <= b <= total):
+            raise ValueError(f"edge ({a},{b}) leaves the range 1..{total}")
+        normalised.add((a, b) if a < b else (b, a))
+    return frozenset(normalised)
+
+
+def parse_graph_by_lines(text):
+    """Oracle: the line parser keeping a dict of edge tuples, returning
+    (profile, edge set)."""
+    profile = None
+    edges = {}
+    for lineno, line in content_lines(text):
+        tokens = line.split()
+        if profile is None:
+            if tokens[0] != "dims":
+                raise GraphFormatError(
+                    f"expected 'dims N_1 ... N_n' header, got {tokens[0]!r}", line=lineno
+                )
+            try:
+                profile = DimensionProfile(tuple(int(t) for t in tokens[1:]))
+            except ValueError as exc:
+                raise GraphFormatError(str(exc), line=lineno) from None
+            total = profile.total
+            continue
+        if tokens[0] == "e":
+            if len(tokens) != 3:
+                raise GraphFormatError("'e' line needs exactly two vertex numbers", line=lineno)
+            try:
+                a, b = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise GraphFormatError(f"bad vertex number in {line!r}", line=lineno) from None
+        elif tokens[0] == "E":
+            if len(tokens) != 3:
+                raise GraphFormatError(
+                    "'E' line needs exactly two comma-separated labels", line=lineno
+                )
+            try:
+                a = vertex_index(tuple(int(t) for t in tokens[1].split(",")), profile)
+                b = vertex_index(tuple(int(t) for t in tokens[2].split(",")), profile)
+            except ValueError as exc:
+                raise GraphFormatError(str(exc), line=lineno) from None
+        else:
+            raise GraphFormatError(
+                f"unknown directive {tokens[0]!r} (use 'e' or 'E')", line=lineno
+            )
+        if a == b:
+            raise GraphFormatError(f"loop at vertex {a}", line=lineno)
+        if not (1 <= a <= total and 1 <= b <= total):
+            raise GraphFormatError(f"edge ({a},{b}) leaves the range 1..{total}", line=lineno)
+        edge = (a, b) if a < b else (b, a)
+        if edge in edges:
+            raise GraphFormatError(
+                f"duplicate edge ({edge[0]},{edge[1]}), first seen on line {edges[edge]}",
+                line=lineno,
+            )
+        edges[edge] = lineno
+    if profile is None:
+        raise GraphFormatError("missing 'dims' header")
+    return profile, frozenset(edges)
+
+
+def assert_parse_matches_oracle(text):
+    try:
+        expected = parse_graph_by_lines(text)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as got:
+            parse_graph(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        graph = parse_graph(text)
+        assert (graph.profile, graph.edges) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_graph_texts())
+def test_parser_matches_line_oracle(text):
+    assert_parse_matches_oracle(text)
+
+
+# Several errors in one text: the one on the earliest line wins.
+INTERLEAVED_ERRORS = {
+    "loop-before-bad-token": (
+        "dims 2 2 2\ne 1 2\ne 3 3\ne 1 3\ne 1 x\n",
+        "line 3: loop at vertex 3",
+    ),
+    "duplicate-before-out-of-range": (
+        "dims 2 2 2\ne 1 2\ne 2 1\ne 1 99\n",
+        "line 3: duplicate edge (1,2), first seen on line 2",
+    ),
+    "label-out-of-range-after-duplicate": (
+        "dims 2 2 2\ne 1 2\nE 1,1,2 1,1,1\nE 1,1,1 3,1,1\n",
+        "line 3: duplicate edge (1,2), first seen on line 2",
+    ),
+    "out-of-range-before-duplicate": (
+        "dims 2 2\ne 1 2\ne 0 1\ne 2 1\n",
+        "line 3: edge (0,1) leaves the range 1..4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERLEAVED_ERRORS))
+def test_first_error_wins(case):
+    text, message = INTERLEAVED_ERRORS[case]
+    with pytest.raises(GraphFormatError) as got:
+        parse_graph(text)
+    assert str(got.value) == message
+    assert_parse_matches_oracle(text)
+
+
+@st.composite
+def pair_lists(draw):
+    """A profile and vertex pairs with reversed copies, duplicates, numpy
+    integers, and now and then a loop or a vertex outside 1..V."""
+    profile = DimensionProfile(tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))))
+    total = profile.total
+    vertex = st.one_of(st.integers(1, total), st.integers(-1, total + 2))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    if pairs:
+        repeats = draw(st.lists(st.sampled_from(pairs), max_size=4))
+        pairs += [draw(st.sampled_from([(a, b), (b, a)])) for a, b in repeats]
+    cast = st.sampled_from((int, np.int64, np.int32))
+    return profile, [tuple(draw(cast)(v) for v in pair) for pair in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists())
+def test_constructor_matches_pair_oracle(case):
+    profile, pairs = case
+    array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    try:
+        expected = graph_by_pairs(profile, pairs)
+    except ValueError as exc:
+        for edges in (pairs, array):
+            with pytest.raises(ValueError) as got:
+                MultipartiteGraph(profile, edges)
+            assert str(got.value) == str(exc)
+    else:
+        for edges in (pairs, array, iter(pairs), set(pairs)):
+            assert MultipartiteGraph(profile, edges).edges == expected

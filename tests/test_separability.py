@@ -35,6 +35,7 @@ from graphsep import (
     ppt_check,
     theorem1_transfer,
     verify_decomposition,
+    vertex_index,
 )
 
 
@@ -113,7 +114,7 @@ def test_conditions_match_block_scan_and_peel(dims, seed, remove, data):
     # vertex pair toggled (an edge added unless the pair is already one).
     graph = gen_theorem_graph(DimensionProfile(dims), seed)
     if remove:
-        pair = data.draw(st.sampled_from(graph.sorted_edges()))
+        pair = data.draw(st.sampled_from(sorted(graph.edges)))
     else:
         a = data.draw(st.integers(1, graph.profile.total - 1))
         pair = (a, data.draw(st.integers(a + 1, graph.profile.total)))
@@ -184,6 +185,8 @@ class TestConditionReport:
         report = check_theorem_conditions(MultipartiteGraph(profile222))
         assert report.no_intra_layer_edges and report.uniform_blocks
         assert report.adjacency_factors is None
+        assert report.overall and not report.holds
+        assert "empty graph" in report.failure_summary()
 
     def test_factors_reproduce_adjacency(self):
         for dims in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]:
@@ -192,7 +195,7 @@ class TestConditionReport:
                 g = gen_theorem_graph(profile, seed)
                 report = check_theorem_conditions(g)
                 factors = report.adjacency_factors
-                assert factors is not None
+                assert factors is not None and report.holds
                 assert tuple(f.shape[0] for f in factors) == dims
                 assert np.array_equal(kron(factors), adjacency_matrix(g))
 
@@ -232,7 +235,7 @@ class TestDecompose:
         # Layers 1 and 2 are matched; layer 3 is isolated with degree zero.
         profile = DimensionProfile((3, 2, 2))
         pairs = [((1, j, k), (2, j, k)) for j in (1, 2) for k in (1, 2)]
-        g = MultipartiteGraph.from_label_pairs(profile, pairs)
+        g = MultipartiteGraph(profile, [(vertex_index(u, profile), vertex_index(v, profile)) for u, v in pairs])
         report = check_theorem_conditions(g)
         assert report.overall and report.partially_symmetric
         assert report.layer_degrees == (1, 1, 0)
@@ -257,7 +260,7 @@ class TestDecompose:
             for k in (1, 2, 3)
             for v in (1, 2, 3)
         ]
-        g = MultipartiteGraph.from_label_pairs(profile, ones3)
+        g = MultipartiteGraph(profile, [(vertex_index(u, profile), vertex_index(v, profile)) for u, v in ones3])
         report = check_theorem_conditions(g)
         assert report.overall and report.partially_symmetric
         dec = decompose(g)

@@ -32,7 +32,7 @@ def random_graph(profile, seed, max_edges=12):
 class TestGtpt:
     def test_cross_edge_swaps_first_coordinates(self, profile222):
         g = MultipartiteGraph(profile222, [(1, 6)])  # (1,1,1)-(2,1,2)
-        assert gtpt(g, 1).sorted_edges() == [(2, 5)]  # (1,1,2)-(2,1,1)
+        assert gtpt(g, 1).edge_array().tolist() == [[2, 5]]  # (1,1,2)-(2,1,1)
 
     def test_intra_layer_edges_unchanged(self, profile222):
         g = MultipartiteGraph(profile222, [(1, 2), (3, 4), (5, 8)])
@@ -48,8 +48,8 @@ class TestGtpt:
 
     def test_other_axes(self, profile222):
         g = MultipartiteGraph(profile222, [(1, 4)])  # (1,1,1)-(1,2,2)
-        assert gtpt(g, 2).sorted_edges() == [(2, 3)]  # (1,1,2)-(1,2,1)
-        assert gtpt(g, 3).sorted_edges() == [(2, 3)]
+        assert gtpt(g, 2).edge_array().tolist() == [[2, 3]]  # (1,1,2)-(1,2,1)
+        assert gtpt(g, 3).edge_array().tolist() == [[2, 3]]
 
     def test_involution_and_edge_count(self):
         profiles = [DimensionProfile(d) for d in [(2, 2, 2), (2, 3, 2), (3, 2), (2, 2, 2, 2)]]
