@@ -155,15 +155,17 @@ def _block_level_report(adjacency: np.ndarray, dims: tuple[int, ...], level: int
     index = np.argwhere(nonzero)
     if index.size == 0:
         return BlockLevelReport(level, True)
-    first = blocks[index[0][0], index[0][1]].copy()
-    mismatch = np.argwhere(nonzero & (blocks != first).any(axis=(2, 3)))
+    # Only the nonzero blocks are compared, in argwhere's row-major order.
+    gathered = blocks[index[:, 0], index[:, 1]]
+    first = gathered[0].copy()
+    mismatch = np.flatnonzero((gathered != first).any(axis=(1, 2)))
     if mismatch.size == 0:
         return BlockLevelReport(level, True, common_block=first)
 
     def decode(flat: int) -> Label:
         return tuple(int(c) + 1 for c in np.unravel_index(flat, prefix_dims))
 
-    row, col = mismatch[0]
+    row, col = index[mismatch[0]]
     return BlockLevelReport(
         level, False, (decode(int(row)), decode(int(col))), first
     )
@@ -239,6 +241,10 @@ class DecompositionTerm:
     Terms produced by :func:`decompose` also carry their position in the
     eigenvalue ladder (``index``), the eigenvalue at each ladder level
     (``ladder``), and the first factor before normalisation (``top_block``).
+    ``vectors`` holds, per factor, the vector v of a rank-one factor that
+    equals ``projector(v)``, or ``None`` for a factor held only as a matrix
+    (``vectors=None``: every factor).  Records write a factor with a vector
+    as that vector alone; verification reads only ``factors``.
     """
 
     weight: float
@@ -246,6 +252,15 @@ class DecompositionTerm:
     index: tuple[int, ...] | None = None
     ladder: tuple[float, ...] | None = None
     top_block: np.ndarray | None = None
+    vectors: tuple[np.ndarray | None, ...] | None = None
+
+
+def projector(vector: np.ndarray) -> np.ndarray:
+    """The rank-one factor v v^T of a record vector (a projector when |v| = 1)."""
+    # Non-finite record entries give non-finite factors, which verification
+    # rejects; they need no warning here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.outer(vector, vector)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,7 +400,8 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
 
     terms: list[DecompositionTerm] = []
 
-    def descend(ladder: list[float], projectors: list[np.ndarray], index: list[int]):
+    def descend(ladder: list[float], chosen: list[tuple], index: list[int]):
+        # chosen: (vector, projector) per diagonalised axis, in axis order.
         step = len(ladder) + 1  # 1-based ladder level about to run
         m = n - step  # this level diagonalises F_{m+1} and keeps m axes
         scale = ladder[-1] if ladder else 1.0
@@ -413,22 +429,21 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
                 )
             branch_ladder = ladder + [lam]
             branch_index = index + [r]
-            branch_proj = projectors + [np.outer(vec, vec)]
+            branch_chosen = [(vec, projector(vec))] + chosen
             if step == n - 1:
-                term_factors = (mixing / degree_total,) + tuple(
-                    reversed(branch_proj)
-                )
                 terms.append(
                     DecompositionTerm(
                         weight=weight,
-                        factors=term_factors,
+                        factors=(mixing / degree_total,)
+                        + tuple(p for _, p in branch_chosen),
                         index=tuple(branch_index),
                         ladder=tuple(branch_ladder),
                         top_block=mixing,
+                        vectors=(None,) + tuple(v for v, _ in branch_chosen),
                     )
                 )
             else:
-                descend(branch_ladder, branch_proj, branch_index)
+                descend(branch_ladder, branch_chosen, branch_index)
 
     descend([], [], [])
     if len(terms) != term_count:
@@ -698,8 +713,11 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
 
     Header lines carry the profile, term count, reassembly residual and
     certificate flags; every term lists its weight (plus ladder trace when
-    available) and each factor as an order header followed by row-major
-    values at 17 significant digits.
+    available) and its factors, all values at 17 significant digits.  A
+    factor with a vector v (``term.vectors``) is written as ``factor k vector
+    d`` and one row holding v, and is read back as ``projector(v)``; any
+    other factor as ``factor k order d`` and its d rows.  Terms from
+    :func:`decompose` write every factor k >= 2 as a vector.
     """
     lines = [_DECOMPOSITION_MAGIC]
     lines.append("dims " + " ".join(str(d) for d in decomposition.profile.dims))
@@ -719,11 +737,16 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
         lines.append("weight " + format_float(term.weight))
         if term.ladder is not None:
             lines.append("ladder " + " ".join(format_float(x) for x in term.ladder))
-        for k, factor in enumerate(term.factors, start=1):
-            mat = np.asarray(factor, dtype=float)
-            lines.append(f"factor {k} order {mat.shape[0]}")
-            for row in mat:
-                lines.append(" ".join(format_float(x) for x in row))
+        vectors = term.vectors or (None,) * len(term.factors)
+        pairs = zip(term.factors, vectors, strict=True)
+        for k, (factor, vector) in enumerate(pairs, start=1):
+            if vector is None:
+                rows = np.asarray(factor, dtype=float)
+                lines.append(f"factor {k} order {len(rows)}")
+            else:
+                rows = np.asarray(vector, dtype=float)[None, :]
+                lines.append(f"factor {k} vector {rows.shape[1]}")
+            lines.extend(" ".join(format_float(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -739,6 +762,18 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
         item = lines[pos]
         pos += 1
         return item
+
+    def take_row(size: int) -> list[float]:
+        lineno, line = take()
+        values = line.split()
+        if len(values) != size:
+            raise GraphFormatError(
+                f"expected {size} values, got {len(values)}", line=lineno
+            )
+        try:
+            return [float(v) for v in values]
+        except ValueError:
+            raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
 
     lineno, line = take()
     if line != _DECOMPOSITION_MAGIC:
@@ -818,41 +853,44 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
             except ValueError:
                 raise GraphFormatError("bad ladder line", line=lineno) from None
         factors = []
+        vectors = []
         for k in range(1, n + 1):
             lineno, line = take()
             tokens = line.split()
-            if tokens[:2] != ["factor", str(k)] or len(tokens) != 4 or tokens[2] != "order":
+            if (
+                tokens[:2] != ["factor", str(k)]
+                or len(tokens) != 4
+                or tokens[2] not in ("order", "vector")
+            ):
                 raise GraphFormatError(
-                    f"expected 'factor {k} order d', got {line!r}", line=lineno
+                    f"expected 'factor {k} order d' or 'factor {k} vector d',"
+                    f" got {line!r}",
+                    line=lineno,
                 )
+            form = tokens[2]
             try:
                 order = int(tokens[3])
             except ValueError:
                 raise GraphFormatError(f"bad order {tokens[3]!r}", line=lineno) from None
             if order != profile.dims[k - 1]:
                 raise GraphFormatError(
-                    f"factor {k} order {order} does not match dimension"
+                    f"factor {k} {form} {order} does not match dimension"
                     f" {profile.dims[k - 1]}",
                     line=lineno,
                 )
-            rows = []
-            for _ in range(order):
-                lineno, line = take()
-                values = line.split()
-                if len(values) != order:
-                    raise GraphFormatError(
-                        f"expected {order} values, got {len(values)}", line=lineno
-                    )
-                try:
-                    rows.append([float(v) for v in values])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"bad numeric value in {line!r}", line=lineno
-                    ) from None
-            factors.append(np.array(rows))
+            if form == "vector":
+                vectors.append(np.array(take_row(order)))
+                factors.append(projector(vectors[-1]))
+            else:
+                vectors.append(None)
+                factors.append(np.array([take_row(order) for _ in range(order)]))
         terms.append(
             DecompositionTerm(
-                weight=weight, factors=tuple(factors), index=index, ladder=ladder
+                weight=weight,
+                factors=tuple(factors),
+                index=index,
+                ladder=ladder,
+                vectors=tuple(vectors),
             )
         )
     if pos != len(lines):

@@ -36,18 +36,39 @@ EXIT_CODES = {
     "decompose-empty": (["decompose", "{w}/empty.graph", "{w}/x.dec"], 2, "empty graph"),
     "verify-empty": (["verify", "{w}/empty.graph", "{w}/m222.dec"], 2, "zero trace"),
     "verify-unreadable-record": (["verify", "{w}/m222.graph", "{w}/bad.dec"], 4, "header"),
+    "verify-short-vector-row": (["verify", "{w}/m222.graph", "{w}/short.dec"], 4, "expected 2 values"),
+    "verify-bad-vector-token": (["verify", "{w}/m222.graph", "{w}/token.dec"], 4, "bad numeric value"),
+    "verify-non-unit-vector": (["verify", "{w}/m222.graph", "{w}/nonunit.dec"], 1, "trace 4"),
+    "verify-nan-vector": (["verify", "{w}/m222.graph", "{w}/nan.dec"], 1, "non-finite"),
     "gen-bad-dims": (["gen", "psym", "--dims", "2", "--seed", "0"], 4, "at least 2"),
     "gen-dims-over-cap": (["gen", "theorem", "--dims", "2,1024"], 4, "exceeds the cap"),
     "gen-negative-budget": (["gen", "psym", "--dims", "2,2,2", "--budget", "-1"], 4, "--budget"),
 }
+# Copies of m222.dec with the first term's factor-2 vector row (1 0) edited.
+VECTOR_ROW_EDITS = {
+    "short.dec": lambda row: row[:1],
+    "token.dec": lambda row: ["x", row[1]],
+    "nonunit.dec": lambda row: ["2", row[1]],
+    "nan.dec": lambda row: ["nan", row[1]],
+}
+
+
+def edit_vector_row(text, edit):
+    lines = text.splitlines()
+    at = lines.index("factor 2 vector 2") + 1
+    lines[at] = " ".join(edit(lines[at].split()))
+    return "\n".join(lines) + "\n"
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(EXIT_CODES))
     def test_exit_code(self, workdir, capsys, case):
         argv, code, err = EXIT_CODES[case]
-        (workdir / "m222.dec").write_text(format_decomposition(decompose(parse_graph(M222_TEXT))))
+        record = format_decomposition(decompose(parse_graph(M222_TEXT)))
+        (workdir / "m222.dec").write_text(record)
         (workdir / "bad.dec").write_text("not-a-decomposition\n")
+        for name, edit in VECTOR_ROW_EDITS.items():
+            (workdir / name).write_text(edit_vector_row(record, edit))
         assert main([arg.format(w=workdir) for arg in argv]) == code
         captured = capsys.readouterr()
         assert err in captured.err
@@ -213,7 +234,7 @@ class TestDecomposeVerify:
         if field == "weight":
             lines = ["weight nan" if x.startswith("weight ") else x for x in lines]
         else:
-            row = lines.index("factor 2 order 2") + 1
+            row = lines.index("factor 2 vector 2") + 1
             lines[row] = "inf " + lines[row].split()[1]
         dec_path.write_text("\n".join(lines) + "\n")
         code = main(["verify", str(workdir / "m222.graph"), str(dec_path)])

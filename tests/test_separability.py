@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import re
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -770,6 +772,54 @@ class TestDecompositionFormat:
         with pytest.raises(GraphFormatError, match="^line 4: bad certificate flag '="):
             parse_decomposition(text)
 
+    def test_rank_one_factors_written_as_vectors(self, m222):
+        dec = decompose(m222)
+        for term in dec.terms:
+            assert term.vectors[0] is None
+            for factor, vector in zip(term.factors[1:], term.vectors[1:]):
+                assert np.array_equal(factor, separability.projector(vector))
+        lines = format_decomposition(dec).splitlines()
+        assert lines.count("factor 1 order 2") == 4
+        assert lines.count("factor 2 vector 2") == lines.count("factor 3 vector 2") == 4
+        assert not any(line.startswith(("factor 2 order", "factor 3 order")) for line in lines)
+
+    @pytest.mark.parametrize(
+        "header, row, message",
+        [
+            ("factor 2 vector 2", "1.0", "line 10: expected 2 values, got 1"),
+            ("factor 2 vector 2", "1.0 0.0 0.0", "line 10: expected 2 values, got 3"),
+            ("factor 2 vector 2", "1.0 zero", "line 10: bad numeric value in '1.0 zero'"),
+            ("factor 2 vector 3", "1.0 0.0 0.0", "line 9: factor 2 vector 3 does not match dimension 2"),
+            ("factor 2 vector x", "1.0 0.0", "line 9: bad order 'x'"),
+            ("factor 2 vectors 2", "1.0 0.0", "line 9: expected 'factor 2 order d' or 'factor 2 vector d'"),
+        ],
+    )
+    def test_bad_vector_factor_rejected_with_line(self, header, row, message):
+        text = (
+            "graphsep-decomposition\ndims 2 2 2\nterms 1\nterm 1\nweight 1.0\n"
+            "factor 1 order 2\n0.5 0.5\n0.5 0.5\n"
+            f"{header}\n{row}\nfactor 3 vector 2\n1.0 0.0\n"
+        )
+        with pytest.raises(GraphFormatError, match="^" + re.escape(message)):
+            parse_decomposition(text)
+
+    @pytest.mark.parametrize(
+        "vector, failure",
+        # The CLI exit-code table covers (2, 0) and (nan, 0).
+        [([0.6, 0.6], "term 1 factor 2: trace 0.7199"),
+         ([math.inf, 0.0], "term 1 factor 2: non-finite entries")],
+    )
+    def test_bad_vector_fails_verification(self, m222, vector, failure):
+        text = format_decomposition(decompose(m222))
+        lines = text.splitlines()
+        at = lines.index("factor 2 vector 2") + 1
+        lines[at] = " ".join(repr(x) for x in vector)
+        cert = verify_decomposition(
+            parse_decomposition("\n".join(lines) + "\n"), density_matrix(m222, "signless")
+        )
+        assert not cert.passed
+        assert cert.failures[0].startswith(failure)
+
     def test_bare_decomposition_round_trip(self, profile222):
         # No index/ladder lines and no header extras.
         factors = (np.array([[0.5, 0.5], [0.5, 0.5]]), np.eye(2) / 2, np.eye(2) / 2)
@@ -790,7 +840,7 @@ class TestDecompositionFormat:
 RECORD_PROFILES = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 4, 4), (2, 2, 2, 2)]
 RECORD_KEYWORDS = (
     "graphsep-decomposition", "dims", "terms", "residual", "certificates",
-    "term", "index", "weight", "ladder", "factor", "order",
+    "term", "index", "weight", "ladder", "factor", "order", "vector",
 )
 BAD_TOKENS = ("x", "nan", "-inf", "-1", "0", "1e999", "9" * 40, "=pass", "reassembly=maybe")
 
@@ -833,6 +883,45 @@ def test_theorem_record_round_trips(dims, seed):
     text = theorem_record(dims, seed)
     assume(text is not None)
     assert format_decomposition(parse_decomposition(text)) == text
+
+
+def dense_form(decomposition):
+    """The record of ``decomposition`` as earlier versions wrote it: every
+    factor as ``factor k order d`` and d rows, with no vector lines."""
+    return format_decomposition(
+        replace(
+            decomposition,
+            terms=tuple(replace(t, vectors=None) for t in decomposition.terms),
+        )
+    )
+
+
+@pytest.mark.parametrize("dims", RECORD_PROFILES)
+def test_dense_form_reads_and_verifies_like_vector_form(dims):
+    for seed in range(3):
+        g = gen_theorem_graph(DimensionProfile(dims), seed)
+        if not g.num_edges:
+            continue
+        rho = density_matrix(g, "signless")
+        dec = decompose(g)
+        new, old = format_decomposition(dec), dense_form(dec)
+        assert " vector " in new and " vector " not in old
+        a, b = parse_decomposition(old), parse_decomposition(new)
+        assert a.residual == b.residual and a.certificates == b.certificates
+        for ta, tb in zip(a.terms, b.terms, strict=True):
+            assert ta.vectors == (None,) * len(ta.factors)
+            assert (ta.weight, ta.index, ta.ladder) == (tb.weight, tb.index, tb.ladder)
+            assert all(map(np.array_equal, ta.factors, tb.factors))
+        # The same verdict and residual, also for a tampered weight.
+        for x, y, passes in ((a, b, True), (_scale_first_weight(a), _scale_first_weight(b), False)):
+            cx, cy = verify_decomposition(x, rho), verify_decomposition(y, rho)
+            assert cx.passed is passes
+            assert (cx.passed, cx.residual, cx.failures) == (cy.passed, cy.residual, cy.failures)
+
+
+def _scale_first_weight(decomposition):
+    first, *rest = decomposition.terms
+    return replace(decomposition, terms=(replace(first, weight=1.5 * first.weight), *rest))
 
 
 @settings(max_examples=300, deadline=None)
