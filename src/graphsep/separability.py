@@ -23,9 +23,13 @@ bounds, final reassembly) and the routine refuses rather than approximates.
 ``verify_decomposition`` works on per-axis factor stacks, one (B, d_k, d_k)
 array per axis for a block of B terms; blocks are capped in size so the
 stacks add bounded memory, and every benchmark-sized decomposition is one
-block.  The factor certificates take one batched eigenvalue call per axis
-and block, and the weighted sum of Kronecker products is reassembled as one
-matrix product of two per-term Kronecker tables per block
+block.  A factor that equals the rank-one product v v^T of its term's vector,
+entry for entry as numpy rounds it, is PSD without an eigensolve: each entry
+is rounded once, so its least eigenvalue is at least -2^-53 |v|^2, far inside
+the PSD tolerance.  Every other factor (all of factor 1 from
+:func:`decompose`) goes through one batched eigenvalue call per axis and
+block.  The weighted sum of Kronecker products is reassembled as one matrix
+product of two per-term Kronecker tables per block
 (:meth:`SeparableDecomposition.assemble`), so no V x V matrix is built per
 term.
 """
@@ -244,7 +248,8 @@ class DecompositionTerm:
     ``vectors`` holds, per factor, the vector v of a rank-one factor that
     equals ``projector(v)``, or ``None`` for a factor held only as a matrix
     (``vectors=None``: every factor).  Records write a factor with a vector
-    as that vector alone; verification reads only ``factors``.
+    as that vector alone.  Verification judges ``factors``; a vector only
+    spares the eigensolve of a factor that equals its product v v^T.
     """
 
     weight: float
@@ -297,7 +302,7 @@ class SeparableDecomposition:
         b = total // a
         weights = np.asarray(self.weights, dtype=float)[:, None]
         summed = np.zeros((a * a, b * b))
-        for start, stacks in _stacked_blocks(self.terms, dims):
+        for start, stacks, _ in _stacked_blocks(self.terms, dims):
             count = len(stacks[0])
             left = kron(stacks[:split]).reshape(count, -1)
             right = kron(stacks[split:]).reshape(count, -1)
@@ -311,10 +316,10 @@ class SeparableDecomposition:
         return summed.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(total, total)
 
 
-# Terms are stacked in blocks of at most this many floats of factor stacks
-# and Kronecker tables (16 MB), so verification and reassembly add a bounded
-# amount of memory whatever the profile.  The benchmark profiles fit in one
-# block.
+# Terms are stacked in blocks of at most this many floats of factor and
+# vector stacks and Kronecker tables (16 MB), so verification and reassembly
+# add a bounded amount of memory whatever the profile.  The benchmark
+# profiles fit in one block.
 _BLOCK_ENTRIES = 1 << 21
 
 
@@ -327,20 +332,47 @@ def _split_axes(dims) -> int:
     )
 
 
-def _stacked_blocks(terms, dims):
-    """Yield ``(start, stacks)`` for consecutive blocks of ``terms``, where
-    ``stacks[k]`` is the float array of shape (B, d_k, d_k) holding the k-th
-    factors of terms ``start .. start + B - 1``."""
+def _stacked_blocks(terms, dims, vectors: bool = False):
+    """Yield ``(start, stacks, rank_one)`` for consecutive blocks of
+    ``terms``, where ``stacks[k]`` is the float array of shape (B, d_k, d_k)
+    holding the k-th factors of terms ``start .. start + B - 1``.  With
+    ``vectors``, ``rank_one[k]`` is the pair of a (B, d_k) stack of the
+    terms' k-th vectors (zero rows where a term has none) and the mask of
+    the terms that have one; otherwise ``rank_one`` is None."""
     split = _split_axes(dims)
     a = math.prod(dims[:split])
     b = math.prod(dims[split:])
-    size = max(1, _BLOCK_ENTRIES // (sum(d * d for d in dims) + a * a + b * b))
+    per_term = sum(d * d for d in dims) + a * a + b * b + (sum(dims) if vectors else 0)
+    size = max(1, _BLOCK_ENTRIES // per_term)
     for start in range(0, len(terms), size):
         block = terms[start : start + size]
-        yield start, tuple(
+        stacks = tuple(
             np.array([term.factors[k] for term in block], dtype=float).reshape(-1, d, d)
             for k, d in enumerate(dims)
         )
+        rank_one = None
+        if vectors:
+            # One column of vectors per axis; a term whose vectors tuple does
+            # not have one entry per axis contributes none.
+            columns = zip(*(
+                term.vectors if term.vectors is not None and len(term.vectors) == len(dims)
+                else (None,) * len(dims)
+                for term in block
+            ))
+            rank_one = tuple(map(_vector_stack, columns, dims))
+        yield start, stacks, rank_one
+
+
+def _vector_stack(found, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, d) stack of the vectors ``found`` for one axis, zero where one
+    is not an array of shape (d,), and the mask of those that are."""
+    mask = np.array([isinstance(v, np.ndarray) and v.shape == (d,) for v in found])
+    if mask.all():
+        return np.array(found, dtype=float), mask
+    stack = np.zeros((len(found), d))
+    if mask.any():
+        stack[mask] = [v for v, has in zip(found, mask.tolist()) if has]
+    return stack, mask
 
 
 def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposition:
@@ -508,11 +540,13 @@ def verify_decomposition(
     mismatches (wrong profile, factor count or factor orders) raise before
     any numeric check.
 
-    The factor checks run on per-axis stacks of shape (B, d_k, d_k), one
-    batched symmetric eigenvalue call per axis and block of B terms (one
-    block for all but the largest factors), and the residual comes from
-    :meth:`SeparableDecomposition.assemble`.  Failures are listed term by
-    term, factors in axis order.
+    The factor checks run on per-axis stacks of shape (B, d_k, d_k), for
+    blocks of B terms (one block for all but the largest factors).  A factor
+    that equals its term's rank-one product v v^T entry for entry is PSD by
+    a rounding bound (see :func:`_factor_failures`); the others take one
+    batched symmetric eigenvalue call per axis and block.  The residual
+    comes from :meth:`SeparableDecomposition.assemble`.  Failures are listed
+    term by term, factors in axis order.
     """
     if decomposition.profile != rho.profile:
         raise ValueError(
@@ -541,9 +575,9 @@ def verify_decomposition(
     if not abs(weight_sum - 1.0) <= 1e-10:
         failures.append(f"weights sum to {weight_sum:.17g}, expected 1")
     found: dict[tuple[int, int], list[str]] = {}
-    for start, stacks in _stacked_blocks(terms, dims):
-        for k, stack in enumerate(stacks, start=1):
-            for t, texts in _factor_failures(stack).items():
+    for start, stacks, rank_one in _stacked_blocks(terms, dims, vectors=True):
+        for k, (stack, (vectors, has_vector)) in enumerate(zip(stacks, rank_one), start=1):
+            for t, texts in _factor_failures(stack, vectors, has_vector).items():
                 found[start + t + 1, k] = texts
     for i, term in enumerate(terms, start=1):
         if not math.isfinite(term.weight):
@@ -568,28 +602,48 @@ def verify_decomposition(
     )
 
 
-def _factor_failures(stack: np.ndarray) -> dict[int, list[str]]:
+def _factor_failures(
+    stack: np.ndarray,
+    vectors: np.ndarray | None = None,
+    has_vector: np.ndarray | None = None,
+) -> dict[int, list[str]]:
     """Failed factor certificates in one (B, d, d) axis stack, by position in it.
 
     A factor must be finite, then symmetric within 1e-12; only a factor
     that is both is checked for unit trace (within 1e-10) and for
-    ``lambda_min >= -1e-9 * max(1, |lambda_max|)``, by one batched
-    ``eigvalsh`` over those factors.
+    ``lambda_min >= -1e-9 * max(1, |lambda_max|)``.  Row t of ``vectors``
+    (where ``has_vector[t]``) is a vector v for factor t.  A finite factor
+    equal to ``v[:, None] * v[None, :]`` is v v^T + E with each entry
+    rounded once, so |E|_F <= 2^-53 |v|^2 (underflow adds at most
+    d^2 2^-1074) and lambda_min >= -2^-53 |v|^2, inside the tolerance: it
+    passes the PSD test without an eigensolve.  The other checked factors
+    take one batched ``eigvalsh``.  The verdicts do not depend on the
+    vectors.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(stack).all(axis=(1, 2))
-        # One stack-sized temporary, made absolute in place.
-        asymmetry = stack - stack.transpose(0, 2, 1)
-        asymmetry = np.abs(asymmetry, out=asymmetry).max(axis=(1, 2))
+        # One stack-sized scratch buffer: the asymmetry, made absolute in
+        # place, then the differences from the rank-one products.
+        scratch = stack - stack.transpose(0, 2, 1)
+        asymmetry = np.abs(scratch, out=scratch).max(axis=(1, 2))
         traces = np.trace(stack, axis1=1, axis2=2)
-    checked = finite & (asymmetry <= 1e-12)
+        checked = finite & (asymmetry <= 1e-12)
+        proven = np.zeros(len(stack), dtype=bool)
+        if has_vector is not None and (checked & has_vector).any():
+            np.multiply(vectors[:, :, None], vectors[:, None, :], out=scratch)
+            # With gradual underflow x - y == 0 exactly when x == y; a NaN
+            # or inf product leaves a nonzero difference.
+            differs = np.subtract(scratch, stack, out=scratch).any(axis=(1, 2))
+            proven = checked & has_vector & ~differs
+    del scratch  # freed before the masked copy below
+    solve = checked & ~proven
     low = np.zeros(len(stack))
     high = np.zeros(len(stack))
-    if checked.any():
+    if solve.any():
         # A masked copy only when some factor is excluded.
-        values = np.linalg.eigvalsh(stack if checked.all() else stack[checked])
-        low[checked] = values[:, 0]
-        high[checked] = values[:, -1]
+        values = np.linalg.eigvalsh(stack if solve.all() else stack[solve])
+        low[solve] = values[:, 0]
+        high[solve] = values[:, -1]
     psd = low >= -1e-9 * np.maximum(1.0, np.abs(high))
     unit_trace = np.abs(traces - 1.0) <= 1e-10
     found: dict[int, list[str]] = {}

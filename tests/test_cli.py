@@ -188,6 +188,26 @@ class TestDecomposeVerify:
         assert all(f"ppt_axis_{k}=pass" in out for k in range(1, 6))
         assert shapes.count((512, 512)) == 1
 
+    def test_rank_one_factors_skip_the_eigensolve(self, tmp_path, monkeypatch, capsys):
+        # 128 terms in one block: each verification eigensolves the factor-1
+        # stack only, since every factor k >= 2 equals its vector's product.
+        graph_path = tmp_path / "g.graph"
+        argv = ["gen", "theorem", "--dims", "2,2,64", "--seed", "1", "-o", str(graph_path)]
+        assert main(argv) == 0
+        shapes = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        dec_path = tmp_path / "g.dec"
+        assert main(["decompose", str(graph_path), str(dec_path)]) == 0
+        assert main(["verify", str(graph_path), str(dec_path)]) == 0
+        assert "verified=pass" in capsys.readouterr().out
+        assert sorted(shapes) == [(128, 2, 2), (128, 2, 2), (256, 256)]
+
     def test_decompose_fails_closed_where_transpose_changes_rho(self, workdir, monkeypatch, capsys):
         # A conforming graph's partial transposes all equal rho; an axis
         # where one does not is refused, with no record and no verdicts.
