@@ -5,8 +5,10 @@ label (i_1, ..., i_n) with 1 <= i_k <= N_k, and vertex numbers 1..N_1*...*N_n
 run through the labels in lexicographic (mixed-radix) order.  A graph holds
 its edges once, as a sorted read-only (E, 2) array of vertex numbers.
 Adjacency, degree and both Laplacian matrices are built from that array in
-exact integer arithmetic; density matrices are their unit-trace
-floating-point normalisations.
+exact integer arithmetic.  A density matrix, the unit-trace floating-point
+normalisation of a Laplacian, is written straight from the same array into
+one V x V float array, and its symmetry is checked tile by tile
+(:func:`max_asymmetry`), so neither step makes a V x V temporary.
 
 The plain-text graph format is line oriented: a ``dims N_1 N_2 ... N_n``
 header, then edge lines that are either ``e a b`` (vertex numbers) or
@@ -30,6 +32,10 @@ MAX_VERTICES_ENV = "GRAPHSEP_MAX_VERTICES"
 
 COMBINATORIAL = "combinatorial"
 SIGNLESS = "signless"
+
+# Side of the square tiles that max_asymmetry scans; each tile's difference
+# buffer takes 512 KiB.
+SYMMETRY_TILE = 256
 
 Label = tuple[int, ...]
 Edge = tuple[int, int]
@@ -214,9 +220,36 @@ def signless_laplacian(graph: MultipartiteGraph) -> np.ndarray:
     return degree_matrix(graph) + adjacency_matrix(graph)
 
 
+def max_asymmetry(matrix: np.ndarray) -> float:
+    """Largest |m_ij - m_ji| of a square float array (0 if empty), or NaN
+    if any difference is NaN.
+
+    Each upper-triangle tile is compared with its mirror through one reused
+    tile buffer, so no V x V temporary is made.  |x - y| and |y - x| round
+    alike, so the value is exactly ``np.max(np.abs(m - m.T))``.
+    """
+    order, size = matrix.shape[0], SYMMETRY_TILE
+    buffer = np.empty((min(order, size),) * 2)
+    worst = 0.0
+    with np.errstate(invalid="ignore"):
+        for r in range(0, order, size):
+            for c in range(r, order, size):
+                upper = matrix[r : r + size, c : c + size]
+                diff = buffer[: upper.shape[0], : upper.shape[1]]
+                np.subtract(upper, matrix[c : c + size, r : r + size].T, out=diff)
+                np.abs(diff, out=diff)
+                # np.maximum keeps a NaN from either side.
+                worst = np.maximum(worst, diff.max())
+    return float(worst)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Unit-trace symmetric matrix tagged with its profile and kind."""
+    """Unit-trace symmetric matrix tagged with its profile and kind.
+
+    The matrix is copied once into a read-only float array; finiteness and
+    symmetry are then checked tile by tile with :func:`max_asymmetry`.
+    """
 
     matrix: np.ndarray
     profile: DimensionProfile
@@ -232,9 +265,8 @@ class DensityMatrix:
                 f"matrix order {mat.shape} does not match {total} vertices"
             )
         # Both tests are phrased as not (x <= bound), so NaN or inf fails.
-        with np.errstate(invalid="ignore"):
-            if mat.size and not np.max(np.abs(mat - mat.T)) <= 1e-12:
-                raise ValueError("density matrix must be finite and symmetric within 1e-12")
+        if not max_asymmetry(mat) <= 1e-12:
+            raise ValueError("density matrix must be finite and symmetric within 1e-12")
         trace = float(np.trace(mat))
         if not abs(trace - 1.0) <= 1e-12:
             raise ValueError(f"density matrix trace is {trace!r}, not 1")
@@ -249,6 +281,9 @@ class DensityMatrix:
 def density_matrix(graph: MultipartiteGraph, kind: str = COMBINATORIAL) -> DensityMatrix:
     """Laplacian (or signless Laplacian) normalised to unit trace.
 
+    The matrix is written straight from the edge array into one float array
+    of zeros: -1/(2|E|) (or +1/(2|E|)) at both orientations of each edge and
+    degree/(2|E|) on the diagonal, bit for bit ``(D -+ A) / float(2|E|)``.
     Both Laplacians have trace 2|E|, so the empty graph has no density
     matrix; that case raises a zero-trace error.
     """
@@ -256,13 +291,15 @@ def density_matrix(graph: MultipartiteGraph, kind: str = COMBINATORIAL) -> Densi
         raise ValueError(
             "empty graph has zero trace: no density matrix is defined"
         )
-    if kind == COMBINATORIAL:
-        base = laplacian(graph)
-    elif kind == SIGNLESS:
-        base = signless_laplacian(graph)
-    else:
+    if kind not in (COMBINATORIAL, SIGNLESS):
         raise ValueError(f"unknown density matrix kind {kind!r}")
-    return DensityMatrix(base / float(2 * graph.num_edges), graph.profile, kind)
+    scale = float(2 * graph.num_edges)
+    total = graph.num_vertices
+    mat = np.zeros((total, total))
+    rows, cols = (graph.edge_array() - 1).T
+    mat[rows, cols] = mat[cols, rows] = (-1.0 if kind == COMBINATORIAL else 1.0) / scale
+    np.fill_diagonal(mat, graph.degree_sequence() / scale)
+    return DensityMatrix(mat, graph.profile, kind)
 
 
 def parse_graph(text: str) -> MultipartiteGraph:

@@ -13,20 +13,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DimensionProfile
+from .graphs import DimensionProfile, max_asymmetry
 
 SYMMETRY_ATOL = 1e-12
 
 
 def require_symmetric(matrix, atol: float = SYMMETRY_ATOL, name: str = "matrix") -> np.ndarray:
-    """Return ``matrix`` as a float array, or raise if it is not square symmetric."""
+    """Return ``matrix`` as a float array, or raise if it is not square symmetric.
+
+    Symmetry is checked tile by tile (:func:`graphs.max_asymmetry`), so a
+    float input is neither copied nor shadowed by a V x V temporary.
+    """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     # Phrased as not (x <= atol), so a NaN or inf entry fails as well.
-    with np.errstate(invalid="ignore"):
-        if mat.size and not float(np.max(np.abs(mat - mat.T))) <= atol:
-            raise ValueError(f"{name} is not finite and symmetric within {atol}")
+    if not max_asymmetry(mat) <= atol:
+        raise ValueError(f"{name} is not finite and symmetric within {atol}")
     return mat
 
 
@@ -149,11 +152,11 @@ def kron(factors) -> np.ndarray:
     return out
 
 
-def partial_transpose_matrix(matrix, profile: DimensionProfile, subsystem: int) -> np.ndarray:
-    """Transpose the given subsystem's index pair, leaving the others alone.
-
-    Entry ((.., i_t, ..), (.., j_t, ..)) moves to ((.., j_t, ..), (.., i_t, ..)).
-    Pure reindexing: exact, trace-preserving, and an involution.
+def partial_transpose_view(matrix, profile: DimensionProfile, subsystem: int) -> np.ndarray:
+    """The partial transpose on ``subsystem`` as an uncopied view of shape
+    dims + dims: the matrix as a tensor with one row and one column index
+    per subsystem, with that subsystem's pair swapped.  Row-major order over
+    the view is row-major order over the transposed matrix.
     """
     mat = np.asarray(matrix)
     total = profile.total
@@ -165,5 +168,15 @@ def partial_transpose_matrix(matrix, profile: DimensionProfile, subsystem: int) 
     if not 1 <= subsystem <= n:
         raise ValueError(f"subsystem {subsystem} out of range 1..{n}")
     tensor = mat.reshape(profile.dims + profile.dims)
-    tensor = np.swapaxes(tensor, subsystem - 1, n + subsystem - 1)
-    return tensor.reshape(total, total).copy()
+    return np.swapaxes(tensor, subsystem - 1, n + subsystem - 1)
+
+
+def partial_transpose_matrix(matrix, profile: DimensionProfile, subsystem: int) -> np.ndarray:
+    """Transpose the given subsystem's index pair, leaving the others alone.
+
+    Entry ((.., i_t, ..), (.., j_t, ..)) moves to ((.., j_t, ..), (.., i_t, ..)).
+    Pure reindexing: exact, trace-preserving, and an involution.  The result
+    is a copy of :func:`partial_transpose_view`, reshaped to V x V.
+    """
+    total = profile.total
+    return partial_transpose_view(matrix, profile, subsystem).copy().reshape(total, total)

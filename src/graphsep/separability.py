@@ -849,7 +849,9 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     try:
         expected_terms = int(tokens[1])
     except ValueError:
-        raise GraphFormatError(f"bad term count {tokens[1]!r}", line=lineno) from None
+        expected_terms = -1
+    if expected_terms < 0:
+        raise GraphFormatError(f"bad term count {tokens[1]!r}", line=lineno)
 
     residual = None
     certificates = None

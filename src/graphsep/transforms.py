@@ -7,7 +7,8 @@ whole (E, 2) edge array at once: vertex numbers become label coordinates
 (``np.unravel_index``), the axis column is exchanged between the endpoints,
 and the coordinates become vertex numbers again.  At the matrix level this
 is exactly the partial transpose of the adjacency matrix on that subsystem,
-which ``gtpt_matrix_identity`` certifies entry by entry.
+which ``gtpt_matrix_identity`` certifies entry by entry against a view of
+the transpose, without copying it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConstructionError
 from .graphs import DimensionProfile, Edge, MultipartiteGraph, adjacency_matrix
-from .linalg import partial_transpose_matrix
+from .linalg import partial_transpose_view
 
 
 def swap_edges(profile: DimensionProfile, edges, axis: int = 1) -> np.ndarray:
@@ -135,15 +136,20 @@ class MatrixIdentityReport:
 def gtpt_matrix_identity(graph: MultipartiteGraph, axis: int = 1) -> MatrixIdentityReport:
     """Certify adjacency(rewrite(G)) == partial transpose of adjacency(G).
 
-    Both sides are integer matrices, so the comparison is exact.  A failure
-    here indicates an implementation bug, not a property of the graph.
+    Both sides are integer matrices, so the comparison is exact.  The
+    rewrite's adjacency, reshaped to dims + dims, is compared with the
+    partial transpose as a view, so the transpose is never copied.  A
+    failure here indicates an implementation bug, not a property of the
+    graph; its witness is the first differing entry in row-major order.
     """
     lhs = adjacency_matrix(gtpt(graph, axis))
-    rhs = partial_transpose_matrix(adjacency_matrix(graph), graph.profile, axis)
+    rhs = partial_transpose_view(adjacency_matrix(graph), graph.profile, axis)
+    lhs = lhs.reshape(rhs.shape)
     if np.array_equal(lhs, rhs):
         return MatrixIdentityReport(True, axis)
-    rows, cols = np.nonzero(lhs != rhs)
-    r, c = int(rows[0]), int(cols[0])
+    first = int(np.argmax(lhs != rhs))
+    r, c = divmod(first, graph.num_vertices)
+    at = np.unravel_index(first, rhs.shape)
     return MatrixIdentityReport(
-        False, axis, (r + 1, c + 1, int(lhs[r, c]), int(rhs[r, c]))
+        False, axis, (r + 1, c + 1, int(lhs[at]), int(rhs[at]))
     )

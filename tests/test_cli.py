@@ -36,6 +36,9 @@ EXIT_CODES = {
     "decompose-empty": (["decompose", "{w}/empty.graph", "{w}/x.dec"], 2, "empty graph"),
     "verify-empty": (["verify", "{w}/empty.graph", "{w}/m222.dec"], 2, "zero trace"),
     "verify-unreadable-record": (["verify", "{w}/m222.graph", "{w}/bad.dec"], 4, "header"),
+    "verify-negative-term-count": (
+        ["verify", "{w}/m222.graph", "{w}/negative.dec"], 4, "line 3: bad term count '-1'"
+    ),
     "verify-short-vector-row": (["verify", "{w}/m222.graph", "{w}/short.dec"], 4, "expected 2 values"),
     "verify-bad-vector-token": (["verify", "{w}/m222.graph", "{w}/token.dec"], 4, "bad numeric value"),
     "verify-non-unit-vector": (["verify", "{w}/m222.graph", "{w}/nonunit.dec"], 1, "trace 4"),
@@ -67,6 +70,7 @@ class TestExitCodes:
         record = format_decomposition(decompose(parse_graph(M222_TEXT)))
         (workdir / "m222.dec").write_text(record)
         (workdir / "bad.dec").write_text("not-a-decomposition\n")
+        (workdir / "negative.dec").write_text("graphsep-decomposition\ndims 2 2 2\nterms -1\n")
         for name, edit in VECTOR_ROW_EDITS.items():
             (workdir / name).write_text(edit_vector_row(record, edit))
         assert main([arg.format(w=workdir) for arg in argv]) == code

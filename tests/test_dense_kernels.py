@@ -1,0 +1,215 @@
+"""Dense V x V kernels against the whole-matrix formulas they replace.
+
+Each oracle below is the earlier whole-matrix expression: ρ as
+``(D ± A) / float(2|E|)``, symmetry as ``np.max(np.abs(m - m.T))``, and the
+rewrite identity as an entrywise comparison with a copied partial
+transpose.  The memory pins check that the kernels make no V x V temporary.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphsep import (
+    DensityMatrix,
+    DimensionProfile,
+    MultipartiteGraph,
+    adjacency_matrix,
+    density_matrix,
+    gen_degree_symmetric_only,
+    gen_partially_symmetric,
+    gtpt_matrix_identity,
+    laplacian,
+    partial_transpose_matrix,
+    signless_laplacian,
+)
+from graphsep import transforms
+from graphsep.graphs import SYMMETRY_TILE, max_asymmetry
+from graphsep.linalg import require_symmetric
+from test_separability import FACTOR_PROFILES
+
+MiB = 2**20
+ORACLE_BASES = {"combinatorial": laplacian, "signless": signless_laplacian}
+# The three V = 1024 graphs of the check-corpus benchmark workload.
+CAP_GRAPHS = {
+    "psym-4x16x16": lambda seed: gen_partially_symmetric(DimensionProfile((4, 16, 16)), 1200, seed),
+    "psym-16x8x8": lambda seed: gen_partially_symmetric(DimensionProfile((16, 8, 8)), 1200, seed),
+    "dsym-16x8x8": lambda seed: gen_degree_symmetric_only(DimensionProfile((16, 8, 8)), seed),
+}
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def assert_rho_matches_oracle(graph):
+    for kind, base in ORACLE_BASES.items():
+        expected = base(graph) / float(2 * graph.num_edges)
+        assert_same_bits(density_matrix(graph, kind).matrix, expected)
+
+
+def random_graph(profile, rng):
+    """At least one edge; up to half of all pairs, or 4 per vertex."""
+    total = profile.total
+    count = int(rng.integers(1, min(total * (total - 1) // 4, 4 * total) + 2))
+    a = rng.integers(1, total + 1, size=count)
+    b = (a + rng.integers(1, total, size=count) - 1) % total + 1
+    return MultipartiteGraph(profile, np.stack([a, b], axis=1))
+
+
+# -- rho written from the edge array ------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FACTOR_PROFILES), st.integers(0, 2**31 - 1))
+def test_rho_is_bitwise_the_laplacian_quotient(dims, seed):
+    assert_rho_matches_oracle(random_graph(DimensionProfile(dims), np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("name", sorted(CAP_GRAPHS))
+def test_rho_is_bitwise_the_laplacian_quotient_at_the_cap(name):
+    graph = CAP_GRAPHS[name](7)
+    assert graph.num_vertices == 1024 and graph.num_edges > 0
+    assert_rho_matches_oracle(graph)
+
+
+# -- tiled symmetry kernel ------------------------------------------------------
+
+
+def whole_matrix_asymmetry(mat):
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(mat - mat.T)))
+
+
+def assert_same_asymmetry(mat):
+    got, expected = max_asymmetry(mat), whole_matrix_asymmetry(mat)
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def near_symmetric(order, rng):
+    """A symmetric matrix with a few entries nudged on one side only."""
+    s = rng.standard_normal((order, order))
+    mat = s + s.T
+    for _ in range(3):
+        i, j = rng.integers(0, order, size=2)
+        mat[i, j] += rng.standard_normal() * 1e-13
+    return mat
+
+
+ORDERS = [1, 2, SYMMETRY_TILE - 1, SYMMETRY_TILE, SYMMETRY_TILE + 1, 511, 513, 1024]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_symmetry_kernel_matches_whole_matrix_formula(order):
+    rng = np.random.default_rng(order)
+    assert_same_asymmetry(near_symmetric(order, rng))
+    assert_same_asymmetry(rng.standard_normal((order, order)))
+    assert_same_asymmetry(np.zeros((order, order)))
+    last = order - 1
+    # Diagonal, upper and lower triangle, and the last partial tile.
+    spots = [(0, 0), (last, last), (0, last), (last, 0), (last, last // 2), (last // 2, last)]
+    for value in (math.nan, math.inf, -math.inf):
+        for spot in spots:
+            mat = near_symmetric(order, rng)
+            mat[spot] = value
+            assert_same_asymmetry(mat)
+            mat[spot[::-1]] = value  # inf - inf is NaN; NaN - NaN too
+            assert_same_asymmetry(mat)
+            mat[spot[::-1]] = -value
+            assert_same_asymmetry(mat)
+
+
+def test_symmetry_kernel_of_empty_matrix_is_zero():
+    assert max_asymmetry(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3, 57), (16, 8, 8)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e-12])
+def test_symmetry_messages_are_unchanged(dims, value):
+    profile = DimensionProfile(dims)
+    mat = np.eye(profile.total) / profile.total
+    mat[profile.total - 1, profile.total // 2] += value  # last row of tiles
+    with pytest.raises(ValueError) as info:
+        DensityMatrix(mat, profile, "signless")
+    assert str(info.value) == "density matrix must be finite and symmetric within 1e-12"
+    with pytest.raises(ValueError) as info:
+        require_symmetric(mat, name="rho")
+    assert str(info.value) == "rho is not finite and symmetric within 1e-12"
+
+
+# -- rewrite identity against a partial-transpose view ------------------------
+
+
+def dense_identity_witness(graph, axis):
+    """The earlier dense comparison: a copied partial transpose, entrywise."""
+    lhs = adjacency_matrix(transforms.gtpt(graph, axis))
+    rhs = partial_transpose_matrix(adjacency_matrix(graph), graph.profile, axis)
+    if np.array_equal(lhs, rhs):
+        return None
+    rows, cols = np.nonzero(lhs != rhs)
+    r, c = int(rows[0]), int(cols[0])
+    return (r + 1, c + 1, int(lhs[r, c]), int(rhs[r, c]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_identity_witness_matches_dense_comparison(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    dims = [(2, 2, 2), (2, 3, 4), (3, 2, 2, 2), (4, 4, 4), (16, 8, 8)][seed % 5]
+    graph = random_graph(DimensionProfile(dims), rng)
+    rewrite = transforms.gtpt
+
+    def moved_one_edge(g, axis=1):
+        # The true rewrite with one edge replaced by a pair that is no edge.
+        edges = set(rewrite(g, axis).edges)
+        while True:
+            a, b = sorted(rng.choice(g.num_vertices, size=2, replace=False).tolist())
+            if (a + 1, b + 1) not in edges:
+                break
+        moved = edges - {sorted(edges)[int(rng.integers(len(edges)))]}
+        return MultipartiteGraph(g.profile, moved | {(a + 1, b + 1)})
+
+    for axis in range(1, graph.profile.n + 1):
+        assert gtpt_matrix_identity(graph, axis).holds
+        assert dense_identity_witness(graph, axis) is None
+    monkeypatch.setattr(transforms, "gtpt", moved_one_edge)
+    for axis in range(1, graph.profile.n + 1):
+        state = rng.bit_generator.state
+        report = gtpt_matrix_identity(graph, axis)
+        rng.bit_generator.state = state  # the oracle sees the same moved edge
+        expected = dense_identity_witness(graph, axis)
+        assert not report.holds and expected is not None
+        assert report.first_difference == expected
+
+
+# -- memory: no V x V temporaries --------------------------------------------------
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_density_matrix_peak_is_its_array_and_one_copy():
+    graph = CAP_GRAPHS["psym-16x8x8"](3)
+    total = graph.num_vertices
+    peak = traced_peak(lambda: density_matrix(graph, "signless"))
+    assert peak <= 2 * 8 * total * total + MiB
+
+
+def test_require_symmetric_adds_at_most_one_mib():
+    graph = CAP_GRAPHS["psym-16x8x8"](3)
+    mat = np.array(density_matrix(graph, "signless").matrix)
+    assert traced_peak(lambda: require_symmetric(mat)) <= MiB

@@ -764,6 +764,16 @@ class TestDecompositionFormat:
         with pytest.raises(GraphFormatError, match="^line 4: bad residual line"):
             parse_decomposition(text)
 
+    @pytest.mark.parametrize("count", ["-1", "-7", "x", "1.5"])
+    def test_bad_term_count_rejected(self, count):
+        text = f"graphsep-decomposition\ndims 2 2\nterms {count}\n"
+        with pytest.raises(GraphFormatError, match=f"^line 3: bad term count '{count}'$"):
+            parse_decomposition(text)
+
+    def test_zero_term_count_parses(self):
+        back = parse_decomposition("graphsep-decomposition\ndims 2 2\nterms 0\n")
+        assert back.terms == ()
+
     @pytest.mark.parametrize(
         "line", ["certificates =pass", "certificates dominance=pass =fail"]
     )
