@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphFormatError
-from .textio import content_lines, format_value
+from .textio import ByteLines, format_value, strip_comment
 
 DEFAULT_MAX_VERTICES = 1024
 MAX_VERTICES_ENV = "GRAPHSEP_MAX_VERTICES"
@@ -158,8 +158,19 @@ class MultipartiteGraph:
         # collapses duplicates.  (Sort and mask rather than np.unique, whose
         # hash-based path in numpy 2 is about 20x slower here.)
         keys = np.sort(lo * (total + 1) + hi)
-        keys = keys[np.diff(keys, prepend=-1) > 0]
-        canonical = np.stack(np.divmod(keys, total + 1), axis=1)
+        self._store(profile, keys[np.diff(keys, prepend=-1) > 0])
+
+    @classmethod
+    def _from_keys(cls, profile: DimensionProfile, keys: np.ndarray) -> MultipartiteGraph:
+        """The graph of strictly increasing keys lo*(V+1)+hi with
+        1 <= lo < hi <= V, which the caller has already judged."""
+        graph = cls.__new__(cls)
+        graph._store(profile, keys)
+        return graph
+
+    def _store(self, profile: DimensionProfile, keys: np.ndarray) -> None:
+        canonical = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, profile.total + 1, out=(canonical[:, 0], canonical[:, 1]))
         canonical.setflags(write=False)
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "_edges", canonical)
@@ -197,8 +208,13 @@ class MultipartiteGraph:
 
 def adjacency_matrix(graph: MultipartiteGraph) -> np.ndarray:
     """0/1 symmetric adjacency matrix with zero diagonal (exact integers)."""
+    return _adjacency(graph, np.int64)
+
+
+def _adjacency(graph: MultipartiteGraph, dtype) -> np.ndarray:
+    """The 0/1 adjacency matrix with entries of ``dtype``."""
     total = graph.num_vertices
-    mat = np.zeros((total, total), dtype=np.int64)
+    mat = np.zeros((total, total), dtype=dtype)
     rows, cols = (graph.edge_array() - 1).T
     mat[rows, cols] = 1
     mat[cols, rows] = 1
@@ -224,22 +240,73 @@ def max_asymmetry(matrix: np.ndarray) -> float:
     """Largest |m_ij - m_ji| of a square float array (0 if empty), or NaN
     if any difference is NaN.
 
-    Each upper-triangle tile is compared with its mirror through one reused
-    tile buffer, so no V x V temporary is made.  |x - y| and |y - x| round
-    alike, so the value is exactly ``np.max(np.abs(m - m.T))``.
+    Each upper-triangle tile is compared with its mirror (see
+    :func:`_max_abs_difference`), so no V x V temporary is made.  |x - y|
+    and |y - x| round alike, so the value is exactly
+    ``np.max(np.abs(m - m.T))``.
     """
     order, size = matrix.shape[0], SYMMETRY_TILE
-    buffer = np.empty((min(order, size),) * 2)
+    return _max_abs_difference(
+        (
+            (matrix[r : r + size, c : c + size], matrix[c : c + size, r : r + size].T)
+            for r in range(0, order, size)
+            for c in range(r, order, size)
+        ),
+        min(order, size) ** 2,
+    )
+
+
+def max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """``np.max(np.abs(a - b))`` for two arrays of one shape (0 if empty),
+    NaN if any difference is NaN, without a temporary of that shape.
+
+    The arrays are compared in row-major blocks of at most
+    ``SYMMETRY_TILE ** 2`` entries, so either may be a strided view (a
+    partial transpose, say) that is never copied.  Integer entries are
+    compared as floats.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shapes {a.shape} and {b.shape} differ")
+    if a.size == 0:
+        return 0.0
+    limit = SYMMETRY_TILE**2
+    return _max_abs_difference(
+        ((a[block], b[block]) for block in _row_major_blocks(a.shape, limit)),
+        min(a.size, limit),
+    )
+
+
+def _row_major_blocks(shape: tuple[int, ...], limit: int):
+    """Index tuples that cut an array of ``shape`` into consecutive
+    row-major blocks of at most ``limit`` entries (at least one innermost
+    row each): the trailing axes that fit whole, and a slice of the axis
+    before them."""
+    inner, axis = 1, len(shape)
+    while axis > 0 and inner * shape[axis - 1] <= limit:
+        axis -= 1
+        inner *= shape[axis]
+    if axis == 0:
+        yield ()
+        return
+    step = limit // inner
+    for outer in np.ndindex(*shape[: axis - 1]):
+        for start in range(0, shape[axis - 1], step):
+            yield outer + (slice(start, start + step),)
+
+
+def _max_abs_difference(pairs, size: int) -> float:
+    """Largest |x - y| over pairs of equally shaped, non-empty arrays of at
+    most ``size`` entries (0 if there are none), or NaN if any difference is
+    NaN.  Every pair goes through one reused float buffer."""
+    buffer = np.empty(size)
     worst = 0.0
     with np.errstate(invalid="ignore"):
-        for r in range(0, order, size):
-            for c in range(r, order, size):
-                upper = matrix[r : r + size, c : c + size]
-                diff = buffer[: upper.shape[0], : upper.shape[1]]
-                np.subtract(upper, matrix[c : c + size, r : r + size].T, out=diff)
-                np.abs(diff, out=diff)
-                # np.maximum keeps a NaN from either side.
-                worst = np.maximum(worst, diff.max())
+        for x, y in pairs:
+            diff = buffer[: x.size].reshape(x.shape)
+            np.subtract(x, y, out=diff, dtype=float)
+            np.abs(diff, out=diff)
+            # np.maximum keeps a NaN from either side.
+            worst = np.maximum(worst, diff.max())
     return float(worst)
 
 
@@ -302,71 +369,165 @@ def density_matrix(graph: MultipartiteGraph, kind: str = COMBINATORIAL) -> Densi
     return DensityMatrix(mat, graph.profile, kind)
 
 
+_EDGE_LINE_MAX = 21
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _canonical_edge_lines(lines: ByteLines) -> np.ndarray:
+    """One boolean per line: is it ``e a b``, as :func:`format_graph` writes
+    it, with a and b runs of digits?  Such a line has at most 21 bytes, so a
+    and b have at most 17 digits each and fit int64."""
+    data, starts, ends = lines.data, lines.starts, lines.ends
+    # Digits weigh 0, spaces 2 and every other byte 3; the sums run in uint8,
+    # which is exact for a line of at most 21 bytes and its newline.  With
+    # "e " in front and digits at both ends, a line weighs 10 with its
+    # newline exactly when one space and digits make up the rest.
+    weight = (data - ord("0") > 9).view(np.uint8) * np.uint8(3) - (data == ord(" ")).view(np.uint8)
+    weights = np.add.reduceat(weight, starts - 1)
+    lengths = ends - starts
+    at = np.flatnonzero((weights == 10) & (lengths >= 5) & (lengths <= _EDGE_LINE_MAX))
+    s, e = starts[at], ends[at]
+    fits = (
+        (data[s] == ord("e"))
+        & (data[s + 1] == ord(" "))
+        & (data[s + 2] - ord("0") < 10)  # uint8: bytes below "0" wrap past 9
+        & (data[e - 1] - ord("0") < 10)
+    )
+    canonical = np.zeros(len(lines), dtype=bool)
+    canonical[at[fits]] = True
+    return canonical
+
+
+def _edge_line(line: str, profile: DimensionProfile, lineno: int) -> Edge:
+    """The vertex numbers of one ``e`` or ``E`` line, as written."""
+    tokens = line.split()
+    if tokens[0] == "e":
+        if len(tokens) != 3:
+            raise GraphFormatError(
+                "'e' line needs exactly two vertex numbers", line=lineno
+            )
+        try:
+            return int(tokens[1]), int(tokens[2])
+        except ValueError:
+            raise GraphFormatError(
+                f"bad vertex number in {line!r}", line=lineno
+            ) from None
+    if tokens[0] == "E":
+        if len(tokens) != 3:
+            raise GraphFormatError(
+                "'E' line needs exactly two comma-separated labels",
+                line=lineno,
+            )
+        try:
+            u = tuple(int(t) for t in tokens[1].split(","))
+            v = tuple(int(t) for t in tokens[2].split(","))
+            return vertex_index(u, profile), vertex_index(v, profile)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc), line=lineno) from None
+    raise GraphFormatError(
+        f"unknown directive {tokens[0]!r} (use 'e' or 'E')", line=lineno
+    )
+
+
+def _edge_error(a: int, b: int, total: int) -> str:
+    """Why the edge line ``a b`` is refused: a loop, else a vertex outside 1..V."""
+    if a == b:
+        return f"loop at vertex {a}"
+    return f"edge ({a},{b}) leaves the range 1..{total}"
+
+
 def parse_graph(text: str) -> MultipartiteGraph:
-    """Parse the plain-text graph format; errors carry 1-based line numbers."""
+    """Parse the plain-text graph format; errors carry 1-based line numbers.
+
+    The text is split into lines once, and each line is classified once.
+    Edge lines written as :func:`format_graph` writes them (``e a b``, single
+    spaces, plain digits) are converted together by one array conversion;
+    every other line (the header, comments, ``E`` labels, other spellings
+    of numbers, malformed lines) is read on its own.  Loops, vertices
+    outside 1..V and duplicates are then judged on the combined edge array,
+    each row with its line number, and the error on the earliest line wins.
+    """
+    lines = ByteLines(text)
+    canonical = _canonical_edge_lines(lines)
+    first_edge = int(np.argmax(canonical)) if canonical.any() else len(lines)
     profile = None
-    ends: list[int] = []  # vertex numbers, two per edge line
-    first_line: dict[int, int] = {}  # edge key a*(V+1)+b (a < b) -> its line
-    for lineno, line in content_lines(text):
-        tokens = line.split()
+    token_error = None
+    pairs: list[Edge] = []  # edges of the lines read on their own
+    pair_lines: list[int] = []
+    for index, line in lines.each(~canonical & (lines.ends > lines.starts)):
+        line = strip_comment(line)
+        if not line:
+            continue
+        lineno = index + 1
         if profile is None:
+            if first_edge < index:
+                break  # an edge line came first: reported below
+            tokens = line.split()
             if tokens[0] != "dims":
                 raise GraphFormatError(
                     f"expected 'dims N_1 ... N_n' header, got {tokens[0]!r}",
                     line=lineno,
                 )
             try:
-                dims = tuple(int(t) for t in tokens[1:])
-                profile = DimensionProfile(dims)
+                profile = DimensionProfile(tuple(int(t) for t in tokens[1:]))
             except ValueError as exc:
                 raise GraphFormatError(str(exc), line=lineno) from None
             total = profile.total
             continue
-        if tokens[0] == "e":
-            if len(tokens) != 3:
-                raise GraphFormatError(
-                    "'e' line needs exactly two vertex numbers", line=lineno
-                )
-            try:
-                a, b = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise GraphFormatError(
-                    f"bad vertex number in {line!r}", line=lineno
-                ) from None
-        elif tokens[0] == "E":
-            if len(tokens) != 3:
-                raise GraphFormatError(
-                    "'E' line needs exactly two comma-separated labels",
-                    line=lineno,
-                )
-            try:
-                u = tuple(int(t) for t in tokens[1].split(","))
-                v = tuple(int(t) for t in tokens[2].split(","))
-                a = vertex_index(u, profile)
-                b = vertex_index(v, profile)
-            except ValueError as exc:
-                raise GraphFormatError(str(exc), line=lineno) from None
-        else:
-            raise GraphFormatError(
-                f"unknown directive {tokens[0]!r} (use 'e' or 'E')", line=lineno
-            )
-        if a == b:
-            raise GraphFormatError(f"loop at vertex {a}", line=lineno)
-        if not (1 <= a <= total and 1 <= b <= total):
-            raise GraphFormatError(
-                f"edge ({a},{b}) leaves the range 1..{total}", line=lineno
-            )
-        lo, hi = min(a, b), max(a, b)
-        seen = first_line.setdefault(lo * (total + 1) + hi, lineno)
-        if seen != lineno:
-            raise GraphFormatError(
-                f"duplicate edge ({lo},{hi}), first seen on line {seen}",
-                line=lineno,
-            )
-        ends += (a, b)
+        try:
+            a, b = _edge_line(line, profile, lineno)
+        except GraphFormatError as exc:
+            token_error = exc
+            break
+        if not (-_INT64_MAX <= a <= _INT64_MAX and -_INT64_MAX <= b <= _INT64_MAX):
+            # Past int64, so outside 1..V: this line's verdict is settled.
+            token_error = GraphFormatError(_edge_error(a, b, total), line=lineno)
+            break
+        pairs.append((a, b))
+        pair_lines.append(lineno)
     if profile is None:
+        if first_edge < len(lines):
+            raise GraphFormatError(
+                "expected 'dims N_1 ... N_n' header, got 'e'", line=first_edge + 1
+            )
         raise GraphFormatError("missing 'dims' header")
-    return MultipartiteGraph(profile, np.array(ends, dtype=np.int64).reshape(-1, 2))
+
+    edges = np.fromstring(
+        lines.select(canonical).replace(b"e", b" "), dtype=np.int64, sep=" "
+    ).reshape(-1, 2)
+    linenos = np.flatnonzero(canonical) + 1
+    if pairs:
+        edges = np.concatenate([edges, np.array(pairs, dtype=np.int64).reshape(-1, 2)])
+        linenos = np.concatenate([linenos, pair_lines])
+        order = np.argsort(linenos, kind="stable")
+        edges, linenos = edges[order], linenos[order]
+    # The first failing line of each kind; all have distinct lines.
+    errors = [] if token_error is None else [token_error]
+    a, b = edges.T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    bad = (lo == hi) | (lo < 1) | (hi > total)
+    if bad.any():
+        row = int(np.argmax(bad))
+        errors.append(GraphFormatError(
+            _edge_error(*edges[row].tolist(), total), line=int(linenos[row])
+        ))
+        lo, hi, linenos = lo[~bad], hi[~bad], linenos[~bad]
+    keys = lo * (total + 1) + hi
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        # A stable sort keeps repeated keys in line order: the first row of
+        # each run is where that edge was first seen.
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        row = int(order[1:][ordered[1:] == ordered[:-1]].min())
+        first = int(order[np.searchsorted(ordered, keys[row])])
+        errors.append(GraphFormatError(
+            f"duplicate edge ({lo[row]},{hi[row]}), first seen on line {linenos[first]}",
+            line=int(linenos[row]),
+        ))
+    if errors:
+        raise min(errors, key=lambda error: error.line)
+    return MultipartiteGraph._from_keys(profile, ordered)
 
 
 def format_graph(graph: MultipartiteGraph) -> str:

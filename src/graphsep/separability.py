@@ -36,6 +36,7 @@ term.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -52,6 +53,7 @@ from .graphs import (
     MultipartiteGraph,
     adjacency_matrix,
     density_matrix,
+    max_abs_difference,
 )
 from .linalg import (
     inf_norm,
@@ -59,9 +61,10 @@ from .linalg import (
     is_psd,
     kron,
     partial_transpose_matrix,
+    partial_transpose_view,
     spectral_decomposition,
 )
-from .textio import content_lines, format_float
+from .textio import ByteLines, float_values, format_float
 from .transforms import gtpt, is_degree_symmetric, is_partially_symmetric
 
 # Slack for proof-chain inequalities evaluated in floating point; the
@@ -712,7 +715,9 @@ def theorem1_transfer(
 
     Requires degree symmetry on ``axis`` (otherwise the degree matrices of
     the graph and its rewrite differ and the identity fails by
-    construction).  When a separable decomposition of the graph's
+    construction).  The rewrite's density matrix is compared block by block
+    with the partial transpose as a view (:func:`graphs.max_abs_difference`),
+    so neither is copied.  When a separable decomposition of the graph's
     combinatorial density matrix is supplied, the transported decomposition
     (subsystem factor transposed in every term) is emitted and verified
     against the rewrite's density matrix.
@@ -729,8 +734,8 @@ def theorem1_transfer(
     image = gtpt(graph, axis)
     rho = density_matrix(graph, COMBINATORIAL)
     rho_image = density_matrix(image, COMBINATORIAL)
-    transposed = partial_transpose_matrix(rho.matrix, graph.profile, axis)
-    max_difference = float(np.max(np.abs(rho_image.matrix - transposed)))
+    transposed = partial_transpose_view(rho.matrix, graph.profile, axis)
+    max_difference = max_abs_difference(rho_image.matrix.reshape(transposed.shape), transposed)
     holds = max_difference <= 1e-12
 
     transported = None
@@ -805,19 +810,67 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
 
 
 def parse_decomposition(text: str) -> SeparableDecomposition:
-    """Parse the decomposition record format; errors carry line numbers."""
-    lines = list(content_lines(text))
+    """Parse the decomposition record format; errors carry line numbers.
+
+    The text is split into lines once, and each line is classified once.
+    Values as :func:`format_decomposition` writes them (rows of values, and
+    the values on ``weight`` and ``ladder`` lines) are converted together,
+    by one array conversion after the walk over the record's keywords; so
+    are ``index`` lines as it writes them, by a table.  Every other line
+    (other keywords, comments, values spelt otherwise, malformed lines) is
+    read on its own.  The rank-one factors of each axis are expanded in one
+    broadcast product, entry for entry as :func:`projector` computes them.
+    """
+    lines = ByteLines(text)
+    line_values, line_left = float_values(lines)
+    is_row = (line_values > 0) & (line_left == 0)
+    # The content lines in order: line numbers, texts, value counts and
+    # bytes left (see textio.float_values).  A row of values has no text
+    # (None); it is only read where it does not belong.  An empty text
+    # after the last line stands for the end.
+    text_of = np.full(len(lines), None, dtype=object)
+    text_of[~is_row] = lines.texts(~is_row)
+    at = np.flatnonzero(text_of != "")
+    linenos = (at + 1).tolist()
+    texts = text_of[at].tolist() + [""]
+    sizes = line_values[at].tolist() + [0]
+    lefts = line_left[at].tolist() + [0]
+    count = len(linenos)
     pos = 0
 
     def take():
         nonlocal pos
-        if pos >= len(lines):
+        if pos >= count:
             raise GraphFormatError("unexpected end of decomposition record")
-        item = lines[pos]
         pos += 1
-        return item
+        line = texts[pos - 1]
+        return linenos[pos - 1], line if line is not None else lines.line(linenos[pos - 1] - 1)
 
-    def take_row(size: int) -> list[float]:
+    # Every value read (weights, ladders and rows, in reading order) has its
+    # place in one flat array.  The values of the lines as written go to one
+    # conversion at the end; the others are converted on their own.
+    filled = 0
+    in_bulk = []  # the content positions of the lines as written
+    loose: list[tuple[int, list[float]]] = []  # (offset, values) of the others
+
+    def take_values(size: int) -> int:
+        """Take the ``size`` values of the next line, which holds them as
+        written; return the offset of the first."""
+        nonlocal pos, filled
+        in_bulk.append(pos)
+        pos += 1
+        filled += size
+        return filled - size
+
+    def take_row(size: int) -> int:
+        """Read a row of ``size`` values; return the offset of its first."""
+        nonlocal pos, filled
+        if texts[pos] is None:
+            if sizes[pos] != size:
+                raise GraphFormatError(
+                    f"expected {size} values, got {sizes[pos]}", line=linenos[pos]
+                )
+            return take_values(size)
         lineno, line = take()
         values = line.split()
         if len(values) != size:
@@ -825,9 +878,16 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
                 f"expected {size} values, got {len(values)}", line=lineno
             )
         try:
-            return [float(v) for v in values]
+            return put([float(v) for v in values])
         except ValueError:
             raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
+
+    def put(values) -> int:
+        """Place values converted on their own; return the offset of the first."""
+        nonlocal filled
+        loose.append((filled, values))
+        filled += len(values)
+        return filled - len(values)
 
     lineno, line = take()
     if line != _DECOMPOSITION_MAGIC:
@@ -855,7 +915,7 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
 
     residual = None
     certificates = None
-    while pos < len(lines) and lines[pos][1].split()[0] in ("residual", "certificates"):
+    while texts[pos] and texts[pos].split()[0] in ("residual", "certificates"):
         lineno, line = take()
         tokens = line.split()
         if tokens[0] == "residual":
@@ -880,78 +940,176 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
                 flags.append((name, value == "pass"))
             certificates = tuple(flags)
 
+    dims = profile.dims
     n = profile.n
-    terms = []
+    # The lines format_decomposition writes for factor headers (whether
+    # each heads a vector, by axis) and for every valid ladder position.
+    written = [
+        {f"factor {k} vector {d}": True, f"factor {k} order {d}": False}
+        for k, d in enumerate(dims, start=1)
+    ]
+    indices = {}
+    heads = []  # per term: weight offset, index, ladder offset or None
+    offsets = []  # per factor, in reading order: the offset of its values
+    is_vector = []
     for i in range(1, expected_terms + 1):
         lineno, line = take()
         if line.split() != ["term", str(i)]:
             raise GraphFormatError(f"expected 'term {i}', got {line!r}", line=lineno)
         index = None
         ladder = None
-        if pos < len(lines) and lines[pos][1].startswith("index "):
-            lineno, line = take()
-            try:
-                index = tuple(int(t) for t in line.split()[1:])
-            except ValueError:
-                raise GraphFormatError("bad index line", line=lineno) from None
-        lineno, line = take()
-        tokens = line.split()
-        if tokens[0] != "weight" or len(tokens) != 2:
-            raise GraphFormatError("expected 'weight x' line", line=lineno)
-        try:
-            weight = float(tokens[1])
-        except ValueError:
-            raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
-        if pos < len(lines) and lines[pos][1].startswith("ladder "):
-            lineno, line = take()
-            try:
-                ladder = tuple(float(t) for t in line.split()[1:])
-            except ValueError:
-                raise GraphFormatError("bad ladder line", line=lineno) from None
-        factors = []
-        vectors = []
-        for k in range(1, n + 1):
+        if texts[pos] and texts[pos].startswith("index "):
+            if not indices:
+                indices = _written_indices(dims)
+            index = indices.get(texts[pos])
+            if index is None:
+                index = _index_line(texts[pos], dims, linenos[pos])
+            pos += 1
+        if texts[pos] and texts[pos].startswith("weight ") and sizes[pos] == 1 and lefts[pos] == 7:
+            weight = take_values(1)
+        else:
             lineno, line = take()
             tokens = line.split()
-            if (
-                tokens[:2] != ["factor", str(k)]
-                or len(tokens) != 4
-                or tokens[2] not in ("order", "vector")
-            ):
-                raise GraphFormatError(
-                    f"expected 'factor {k} order d' or 'factor {k} vector d',"
-                    f" got {line!r}",
-                    line=lineno,
-                )
-            form = tokens[2]
+            if tokens[0] != "weight" or len(tokens) != 2:
+                raise GraphFormatError("expected 'weight x' line", line=lineno)
             try:
-                order = int(tokens[3])
+                weight = put([float(tokens[1])])
             except ValueError:
-                raise GraphFormatError(f"bad order {tokens[3]!r}", line=lineno) from None
-            if order != profile.dims[k - 1]:
-                raise GraphFormatError(
-                    f"factor {k} {form} {order} does not match dimension"
-                    f" {profile.dims[k - 1]}",
-                    line=lineno,
-                )
-            if form == "vector":
-                vectors.append(np.array(take_row(order)))
-                factors.append(projector(vectors[-1]))
+                raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
+        if texts[pos] and texts[pos].startswith("ladder "):
+            if sizes[pos] == n - 1 and lefts[pos] == 7:
+                ladder = take_values(n - 1)
             else:
-                vectors.append(None)
-                factors.append(np.array([take_row(order) for _ in range(order)]))
-        terms.append(
-            DecompositionTerm(
-                weight=weight,
-                factors=tuple(factors),
-                index=index,
-                ladder=ladder,
-                vectors=tuple(vectors),
-            )
-        )
-    if pos != len(lines):
-        lineno, line = lines[pos]
+                ladder = put(_ladder_line(texts[pos], n, linenos[pos]))
+                pos += 1
+        heads.append((weight, index, ladder))
+        for k, d in enumerate(dims, start=1):
+            vector = written[k - 1].get(texts[pos])
+            if vector is None:
+                lineno, line = take()
+                vector = _factor_line(line, k, d, lineno)
+            else:
+                pos += 1
+            is_vector.append(vector)
+            if vector and sizes[pos] == d and lefts[pos] == 0:
+                in_bulk.append(pos)  # a row of values, as written
+                offsets.append(filled)
+                filled += d
+                pos += 1
+            else:
+                offsets.append(take_row(d))
+                for _ in range(0 if vector else d - 1):
+                    take_row(d)
+    if pos != count:
+        lineno, line = take()
         raise GraphFormatError(f"trailing content {line!r}", line=lineno)
-    return SeparableDecomposition(
-        profile, tuple(terms), residual=residual, certificates=certificates
+
+    flat = np.empty(filled)
+    converted = np.ones(filled, dtype=bool)
+    for offset, values in loose:
+        flat[offset : offset + len(values)] = values
+        converted[offset : offset + len(values)] = False
+    if in_bulk:
+        # The bytes of the lines read in bulk, but for their 7-byte keywords.
+        chosen = np.zeros(len(lines), dtype=bool)
+        chosen[at[in_bulk]] = True
+        keep = np.repeat(chosen, lines.ends - lines.starts + 1)
+        named = lines.starts[chosen & (line_left == 7)] - 1  # offsets in data[1:]
+        keep[named[:, None] + np.arange(7)] = False
+        flat[converted] = np.fromstring(lines.data[1:][keep].tobytes(), dtype=float, sep=" ")
+    offsets = np.array(offsets, dtype=np.int64).reshape(-1, n)
+    is_vector = np.array(is_vector, dtype=bool).reshape(-1, n)
+    factors = [[None] * len(heads) for _ in dims]  # by axis, then term
+    vectors = [[None] * len(heads) for _ in dims]
+    for k, d in enumerate(dims):
+        held = np.flatnonzero(is_vector[:, k])
+        stack = flat[offsets[held, k, None] + np.arange(d)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = stack[:, :, None] * stack[:, None, :]
+        for t, vector, product in zip(held.tolist(), stack, products):
+            vectors[k][t] = vector
+            factors[k][t] = product
+        dense = np.flatnonzero(~is_vector[:, k])
+        matrices = flat[offsets[dense, k, None] + np.arange(d * d)].reshape(-1, d, d)
+        for t, matrix in zip(dense.tolist(), matrices):
+            factors[k][t] = matrix
+    weights = flat[[weight for weight, _, _ in heads]].tolist()
+    terms = tuple(
+        DecompositionTerm(
+            weight,
+            f,
+            index,
+            None if ladder is None else tuple(flat[ladder : ladder + n - 1].tolist()),
+            vectors=v,
+        )
+        for weight, (_, index, ladder), f, v in zip(weights, heads, zip(*factors), zip(*vectors))
     )
+    return SeparableDecomposition(
+        profile, terms, residual=residual, certificates=certificates
+    )
+
+
+def _written_indices(dims: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+    """Every valid ``index`` line as :func:`format_decomposition` writes it,
+    with its ladder position: entry s runs over 1..N_{n-s+1}."""
+    return {
+        "index " + " ".join(map(str, index)): index
+        for index in itertools.product(*(range(1, d + 1) for d in dims[:0:-1]))
+    }
+
+
+def _factor_line(line: str, k: int, d: int, lineno: int) -> bool:
+    """Whether the line for factor k (of order d) heads a vector, not a matrix."""
+    tokens = line.split()
+    if (
+        tokens[:2] != ["factor", str(k)]
+        or len(tokens) != 4
+        or tokens[2] not in ("order", "vector")
+    ):
+        raise GraphFormatError(
+            f"expected 'factor {k} order d' or 'factor {k} vector d',"
+            f" got {line!r}",
+            line=lineno,
+        )
+    form = tokens[2]
+    try:
+        order = int(tokens[3])
+    except ValueError:
+        raise GraphFormatError(f"bad order {tokens[3]!r}", line=lineno) from None
+    if order != d:
+        raise GraphFormatError(
+            f"factor {k} {form} {order} does not match dimension {d}", line=lineno
+        )
+    return form == "vector"
+
+
+def _index_line(line: str, dims: tuple[int, ...], lineno: int) -> tuple[int, ...]:
+    """The ladder position on an ``index`` line: n - 1 integers, entry s in
+    1..N_{n-s+1}, in the order :func:`decompose` chooses them."""
+    try:
+        index = tuple(map(int, line.split()[1:]))
+    except ValueError:
+        raise GraphFormatError("bad index line", line=lineno) from None
+    if len(index) != len(dims) - 1:
+        raise GraphFormatError(
+            f"index line needs {len(dims) - 1} entries, got {len(index)}", line=lineno
+        )
+    for s, (r, bound) in enumerate(zip(index, dims[:0:-1]), start=1):
+        if not 1 <= r <= bound:
+            raise GraphFormatError(
+                f"index entry {s} is {r}, outside 1..{bound}", line=lineno
+            )
+    return index
+
+
+def _ladder_line(line: str, n: int, lineno: int) -> tuple[float, ...]:
+    """The eigenvalues on a ``ladder`` line: n - 1 floats."""
+    try:
+        ladder = tuple(map(float, line.split()[1:]))
+    except ValueError:
+        raise GraphFormatError("bad ladder line", line=lineno) from None
+    if len(ladder) != n - 1:
+        raise GraphFormatError(
+            f"ladder line needs {n - 1} values, got {len(ladder)}", line=lineno
+        )
+    return ladder

@@ -7,8 +7,8 @@ whole (E, 2) edge array at once: vertex numbers become label coordinates
 (``np.unravel_index``), the axis column is exchanged between the endpoints,
 and the coordinates become vertex numbers again.  At the matrix level this
 is exactly the partial transpose of the adjacency matrix on that subsystem,
-which ``gtpt_matrix_identity`` certifies entry by entry against a view of
-the transpose, without copying it.
+which ``gtpt_matrix_identity`` certifies entry by entry, on one-byte 0/1
+matrices, against a view of the transpose, without copying it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
-from .graphs import DimensionProfile, Edge, MultipartiteGraph, adjacency_matrix
+from .graphs import DimensionProfile, Edge, MultipartiteGraph, _adjacency, max_abs_difference
 from .linalg import partial_transpose_view
 
 
@@ -136,16 +136,18 @@ class MatrixIdentityReport:
 def gtpt_matrix_identity(graph: MultipartiteGraph, axis: int = 1) -> MatrixIdentityReport:
     """Certify adjacency(rewrite(G)) == partial transpose of adjacency(G).
 
-    Both sides are integer matrices, so the comparison is exact.  The
-    rewrite's adjacency, reshaped to dims + dims, is compared with the
-    partial transpose as a view, so the transpose is never copied.  A
-    failure here indicates an implementation bug, not a property of the
-    graph; its witness is the first differing entry in row-major order.
+    Both sides are 0/1 matrices with one byte per entry, so the comparison
+    is exact.  The rewrite's adjacency, reshaped to dims + dims, is compared
+    block by block (:func:`graphs.max_abs_difference`) with the partial
+    transpose as a view, so the transpose is never copied and the
+    comparison makes no V x V temporary.  A failure here indicates an
+    implementation bug, not a property of the graph; its witness is the
+    first differing entry in row-major order.
     """
-    lhs = adjacency_matrix(gtpt(graph, axis))
-    rhs = partial_transpose_view(adjacency_matrix(graph), graph.profile, axis)
+    lhs = _adjacency(gtpt(graph, axis), np.uint8)
+    rhs = partial_transpose_view(_adjacency(graph, np.uint8), graph.profile, axis)
     lhs = lhs.reshape(rhs.shape)
-    if np.array_equal(lhs, rhs):
+    if max_abs_difference(lhs, rhs) == 0.0:
         return MatrixIdentityReport(True, axis)
     first = int(np.argmax(lhs != rhs))
     r, c = divmod(first, graph.num_vertices)

@@ -43,6 +43,9 @@ EXIT_CODES = {
     "verify-bad-vector-token": (["verify", "{w}/m222.graph", "{w}/token.dec"], 4, "bad numeric value"),
     "verify-non-unit-vector": (["verify", "{w}/m222.graph", "{w}/nonunit.dec"], 1, "trace 4"),
     "verify-nan-vector": (["verify", "{w}/m222.graph", "{w}/nan.dec"], 1, "non-finite"),
+    "verify-long-index": (
+        ["verify", "{w}/m222.graph", "{w}/index.dec"], 4, "line 7: index line needs 2 entries, got 4"
+    ),
     "gen-bad-dims": (["gen", "psym", "--dims", "2", "--seed", "0"], 4, "at least 2"),
     "gen-dims-over-cap": (["gen", "theorem", "--dims", "2,1024"], 4, "exceeds the cap"),
     "gen-negative-budget": (["gen", "psym", "--dims", "2,2,2", "--budget", "-1"], 4, "--budget"),
@@ -71,6 +74,7 @@ class TestExitCodes:
         (workdir / "m222.dec").write_text(record)
         (workdir / "bad.dec").write_text("not-a-decomposition\n")
         (workdir / "negative.dec").write_text("graphsep-decomposition\ndims 2 2 2\nterms -1\n")
+        (workdir / "index.dec").write_text(record.replace("index 1 1\n", "index 1 1 1 1\n", 1))
         for name, edit in VECTOR_ROW_EDITS.items():
             (workdir / name).write_text(edit_vector_row(record, edit))
         assert main([arg.format(w=workdir) for arg in argv]) == code

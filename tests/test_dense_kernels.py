@@ -23,13 +23,15 @@ from graphsep import (
     gen_degree_symmetric_only,
     gen_partially_symmetric,
     gtpt_matrix_identity,
+    is_degree_symmetric,
     laplacian,
     partial_transpose_matrix,
     signless_laplacian,
+    theorem1_transfer,
 )
-from graphsep import transforms
-from graphsep.graphs import SYMMETRY_TILE, max_asymmetry
-from graphsep.linalg import require_symmetric
+from graphsep import separability, transforms
+from graphsep.graphs import SYMMETRY_TILE, max_abs_difference, max_asymmetry
+from graphsep.linalg import partial_transpose_view, require_symmetric
 from test_separability import FACTOR_PROFILES
 
 MiB = 2**20
@@ -213,3 +215,100 @@ def test_require_symmetric_adds_at_most_one_mib():
     graph = CAP_GRAPHS["psym-16x8x8"](3)
     mat = np.array(density_matrix(graph, "signless").matrix)
     assert traced_peak(lambda: require_symmetric(mat)) <= MiB
+
+
+def test_identity_peak_is_two_one_byte_matrices():
+    graph = CAP_GRAPHS["psym-16x8x8"](3)
+    total = graph.num_vertices
+    for axis in (1, 3):
+        peak = traced_peak(lambda: gtpt_matrix_identity(graph, axis))
+        assert peak <= 2 * total * total + MiB
+
+
+# -- transfer identity against a partial-transpose view -----------------------
+
+
+def dense_transfer_difference(graph, axis):
+    """The earlier dense comparison: a copied partial transpose, whole-matrix."""
+    rho = density_matrix(graph, "combinatorial").matrix
+    image = density_matrix(separability.gtpt(graph, axis), "combinatorial").matrix
+    return float(np.max(np.abs(image - partial_transpose_matrix(rho, graph.profile, axis))))
+
+
+def transfer_corpus():
+    """The degree-symmetric graphs of acceptance criterion 4."""
+    for dims in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]:
+        profile = DimensionProfile(dims)
+        for seed in range(15):
+            for graph in (
+                gen_partially_symmetric(profile, 3 + seed % 4, seed),
+                gen_degree_symmetric_only(profile, seed),
+            ):
+                if graph.num_edges:
+                    yield graph
+
+
+def test_transfer_difference_is_bitwise_the_dense_formula(monkeypatch):
+    count = 0
+    for graph in transfer_corpus():
+        for axis in range(1, graph.profile.n + 1):
+            if not is_degree_symmetric(graph, axis):
+                continue
+            got = theorem1_transfer(graph, axis).max_difference
+            assert np.float64(got).tobytes() == np.float64(dense_transfer_difference(graph, axis)).tobytes()
+            count += 1
+    assert count >= 100
+    # A rewrite that drops one edge leaves a nonzero difference to compare.
+    rewrite = separability.gtpt
+    monkeypatch.setattr(
+        separability, "gtpt", lambda g, axis=1: MultipartiteGraph(g.profile, rewrite(g, axis).edge_array()[1:])
+    )
+    for graph in transfer_corpus():
+        if graph.num_edges > 1:
+            got = theorem1_transfer(graph, 1)
+            expected = dense_transfer_difference(graph, 1)
+            assert expected > 0.0 and not got.holds
+            assert np.float64(got.max_difference).tobytes() == np.float64(expected).tobytes()
+
+
+def test_transfer_peak_is_the_two_density_matrices_and_one_copy():
+    graph = CAP_GRAPHS["psym-16x8x8"](3)
+    total = graph.num_vertices
+    assert is_degree_symmetric(graph, 1)
+    # rho, the rewrite's rho, and the copy DensityMatrix makes of it.
+    peak = traced_peak(lambda: theorem1_transfer(graph, 1))
+    assert peak <= 3 * 8 * total * total + MiB
+
+
+@st.composite
+def arrays_and_views(draw):
+    """A float array of shape dims + dims and a partial-transpose view of
+    another, with NaN and infinities now and then."""
+    dims = draw(st.sampled_from([(2, 2), (2, 3, 4), (3, 2, 2, 2), (4, 64), (2, 300)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    total = math.prod(dims)
+    a = rng.standard_normal((total, total))
+    b = a + rng.standard_normal((total, total)) * draw(st.sampled_from([0.0, 1e-13, 1.0]))
+    for matrix in (a, b):
+        for _ in range(draw(st.integers(0, 2))):
+            matrix[tuple(rng.integers(0, total, size=2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    profile = DimensionProfile(dims)
+    axis = draw(st.integers(1, len(dims)))
+    return a.reshape(dims + dims), partial_transpose_view(b, profile, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays_and_views())
+def test_blocked_difference_matches_whole_array_formula(case):
+    a, b = case
+    with np.errstate(invalid="ignore"):
+        expected = float(np.max(np.abs(a - b)))
+    got = max_abs_difference(a, b)
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def test_blocked_difference_of_empty_arrays_is_zero():
+    assert max_abs_difference(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
