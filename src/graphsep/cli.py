@@ -13,10 +13,9 @@ or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-
-import numpy as np
 
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .generators import (
@@ -35,7 +34,6 @@ from .graphs import (
     parse_graph,
     signless_laplacian,
 )
-from .linalg import is_psd, partial_transpose_matrix
 from .separability import (
     check_theorem_conditions,
     decompose,
@@ -199,15 +197,16 @@ def cmd_decompose(args) -> int:
     except PreconditionError as exc:
         print(f"precondition unmet: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    rho = density_matrix(graph, "signless")
-    # A conforming graph's axis patterns are symmetric, so every partial
-    # transpose of rho is rho and shares its PSD verdict; refuse otherwise.
-    for axis in range(1, graph.profile.n + 1):
-        if not np.array_equal(partial_transpose_matrix(rho.matrix, rho.profile, axis), rho.matrix):
+    # PT on axis k keeps D and maps A(G) to A(gtpt_k G), so it leaves rho in
+    # place exactly when G is fixed by the axis-k rewrite; rho is PSD for every
+    # graph, as Q = D + A = R R^T (R the vertex-edge incidence matrix).  So PPT
+    # holds on each axis that passes the edge test; refuse one that fails it.
+    axes = range(1, graph.profile.n + 1)
+    for axis in axes:
+        if not is_partially_symmetric(graph, axis).symmetric:
             raise ConstructionError(
                 f"partial transpose on axis {axis} changes the density matrix"
             )
-    psd = is_psd(rho.matrix).psd
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(format_decomposition(decomposition))
     pairs = [
@@ -215,13 +214,10 @@ def cmd_decompose(args) -> int:
         ("residual", f"{decomposition.residual:.3e}"),
         ("verified", "pass"),
     ]
-    pairs.extend(
-        (f"ppt_axis_{axis}", "pass" if psd else "fail")
-        for axis in range(1, graph.profile.n + 1)
-    )
+    pairs.extend((f"ppt_axis_{axis}", "pass") for axis in axes)
     pairs.append(("out", args.out))
     print(_kv(pairs))
-    return EXIT_PASS if psd else EXIT_CONSTRUCTION
+    return EXIT_PASS
 
 
 def cmd_verify(args) -> int:
@@ -258,7 +254,9 @@ def cmd_gen(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parsing leaves it unchanged)."""
     parser = _Parser(
         prog="graphsep",
         description=(

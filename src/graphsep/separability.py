@@ -481,6 +481,7 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
                 descend(branch_ladder, branch_chosen, branch_index)
 
     descend([], [], [])
+    del descend  # a recursive closure is a reference cycle; free its terms now
     if len(terms) != term_count:
         raise ConstructionError(
             f"expected {term_count} terms, built {len(terms)}"

@@ -35,8 +35,8 @@ def swap_edges(profile: DimensionProfile, edges, axis: int = 1) -> np.ndarray:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     coords = np.array(np.unravel_index(edges - 1, profile.dims))  # (n, E, 2)
     coords[axis - 1] = coords[axis - 1, :, ::-1]
-    images = np.ravel_multi_index(tuple(coords), profile.dims) + 1
-    return np.sort(images, axis=1)
+    a, b = (np.ravel_multi_index(tuple(coords), profile.dims) + 1).T
+    return np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
 
 
 def swap_edge(profile: DimensionProfile, edge: Edge, axis: int = 1) -> Edge:
@@ -107,11 +107,12 @@ def is_partially_symmetric(graph: MultipartiteGraph, axis: int = 1) -> PartialSy
     """
     edges = graph.edge_array()
     partners = swap_edges(graph.profile, edges, axis)
-    # Edge rows as scalar keys a*(V+1)+b, so set membership is one np.isin.
+    # Edge rows as scalar keys a*(V+1)+b: the stored edge array is sorted, so
+    # its keys ascend and membership is one binary search per partner.
     stride = graph.num_vertices + 1
-    missing = ~np.isin(
-        partners[:, 0] * stride + partners[:, 1], edges[:, 0] * stride + edges[:, 1]
-    )
+    keys = edges[:, 0] * stride + edges[:, 1]
+    wanted = partners[:, 0] * stride + partners[:, 1]
+    missing = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] != wanted
     if not missing.any():
         return PartialSymmetryReport(True, axis)
     first = int(np.argmax(missing))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from graphsep import cli, decompose, format_decomposition, parse_graph
+import graphsep
+from graphsep import cli, decompose, format_decomposition, graphs, parse_graph, separability
 from graphsep.cli import main
+from graphsep.transforms import PartialSymmetryReport
 
 M222_TEXT = "dims 2 2 2\ne 1 5\ne 2 6\ne 3 7\ne 4 8\n"
 K2_TEXT = "dims 2 2\ne 1 2\n"
@@ -176,9 +178,9 @@ class TestDecomposeVerify:
         assert main(["verify", str(workdir / "m222.graph"), str(dec_path)]) == 0
         assert "verified=pass" in capsys.readouterr().out
 
-    def test_conforming_decompose_makes_one_dense_eigen_call(self, tmp_path, monkeypatch, capsys):
-        # Every partial transpose of a conforming graph's rho equals rho, so
-        # all five PPT verdicts come from one eigenvalue call on rho itself.
+    def test_conforming_decompose_makes_no_dense_eigen_call(self, tmp_path, monkeypatch, capsys):
+        # All five PPT verdicts come from the edge test per axis and
+        # Q = R R^T, so no V x V matrix is eigensolved.
         graph_path = tmp_path / "g.graph"
         argv = ["gen", "theorem", "--dims", "2,4,4,4,4", "--seed", "0", "-o", str(graph_path)]
         assert main(argv) == 0
@@ -194,7 +196,7 @@ class TestDecomposeVerify:
         assert main(["decompose", str(graph_path), str(tmp_path / "g.dec")]) == 0
         out = capsys.readouterr().out
         assert all(f"ppt_axis_{k}=pass" in out for k in range(1, 6))
-        assert shapes.count((512, 512)) == 1
+        assert shapes.count((512, 512)) == 0
 
     def test_rank_one_factors_skip_the_eigensolve(self, tmp_path, monkeypatch, capsys):
         # 128 terms in one block: each verification eigensolves the factor-1
@@ -214,24 +216,45 @@ class TestDecomposeVerify:
         assert main(["decompose", str(graph_path), str(dec_path)]) == 0
         assert main(["verify", str(graph_path), str(dec_path)]) == 0
         assert "verified=pass" in capsys.readouterr().out
-        assert sorted(shapes) == [(128, 2, 2), (128, 2, 2), (256, 256)]
+        assert sorted(shapes) == [(128, 2, 2), (128, 2, 2)]
 
     def test_decompose_fails_closed_where_transpose_changes_rho(self, workdir, monkeypatch, capsys):
-        # A conforming graph's partial transposes all equal rho; an axis
-        # where one does not is refused, with no record and no verdicts.
-        original = cli.partial_transpose_matrix
+        # A conforming graph is a fixed point of every axis rewrite, so every
+        # partial transpose of rho is rho; an axis whose edge test fails is
+        # refused, with no record and no verdicts.
+        original = cli.is_partially_symmetric
 
-        def moved_on_axis_2(matrix, profile, subsystem):
-            out = original(matrix, profile, subsystem)
-            return 2.0 * out if subsystem == 2 else out
+        def broken_on_axis_2(graph, axis=1):
+            report = original(graph, axis)
+            return PartialSymmetryReport(False, axis) if axis == 2 else report
 
-        monkeypatch.setattr(cli, "partial_transpose_matrix", moved_on_axis_2)
+        monkeypatch.setattr(cli, "is_partially_symmetric", broken_on_axis_2)
         dec_path = workdir / "x.dec"
         assert main(["decompose", str(workdir / "m222.graph"), str(dec_path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "partial transpose on axis 2 changes the density matrix" in captured.err
         assert not dec_path.exists()
+
+    def test_decompose_builds_rho_once(self, tmp_path, monkeypatch):
+        # decompose builds rho for its own verification; the CLI's PPT
+        # verdicts come from the edges and build no second one.
+        profiles = ["2,2,2", "3,2,2", "2,4,4,4,4"]
+        for i, dims in enumerate(profiles):
+            argv = ["gen", "theorem", "--dims", dims, "--seed", "1", "-o", str(tmp_path / f"{i}.graph")]
+            assert main(argv) == 0
+        calls = []
+        original = graphs.density_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].profile.dims)
+            return original(*args, **kwargs)
+
+        for module in (graphsep, graphs, separability, cli):
+            monkeypatch.setattr(module, "density_matrix", counting)
+        for i in range(len(profiles)):
+            assert main(["decompose", str(tmp_path / f"{i}.graph"), str(tmp_path / f"{i}.dec")]) == 0
+        assert calls == [(2, 2, 2), (3, 2, 2), (2, 4, 4, 4, 4)]
 
     def test_precondition_exit_2(self, workdir, capsys):
         code = main(["decompose", str(workdir / "intra.graph"), str(workdir / "x.dec")])
@@ -354,3 +377,35 @@ class TestEnvCap:
         assert "exceeds the cap" in capsys.readouterr().err
         monkeypatch.setenv("GRAPHSEP_MAX_VERTICES", "2048")
         assert main(["build", str(path), "--matrix", "A"]) == 0
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, workdir, capsys):
+        # The parser is built once per process; no call may leave an option
+        # behind for the next one, such as --axis 2 for a default-axis check.
+        w = str(workdir)
+        sequence = [
+            (["check", f"{w}/m222.graph", "degree-sym", "--axis", "2", "--format", "kv"], 0),
+            (["check", f"{w}/m222.graph", "degree-sym", "--format", "kv"], 0),
+            (["check", f"{w}/m222.graph", "no-such-property"], 4),
+            (["decompose", f"{w}/m222.graph", f"{w}/m222.dec", "--tol", "1e-6"], 0),
+            (["verify", f"{w}/empty.graph", f"{w}/m222.dec"], 2),
+            (["verify", f"{w}/m222.graph", f"{w}/m222.dec"], 0),
+            (["build", f"{w}/k2.graph", "--matrix", "L"], 0),
+            (["gen", "theorem", "--dims", "2,2,2", "--seed", "1"], 0),
+            (["check", f"{w}/k2.graph", "partial-sym"], 0),
+        ]
+        parser = cli.build_parser()
+        rounds = []
+        for _ in range(3):
+            outputs = []
+            for argv, code in sequence:
+                assert main(argv) == code, argv
+                captured = capsys.readouterr()
+                outputs.append((captured.out, captured.err))
+            rounds.append(outputs)
+        assert cli.build_parser() is parser
+        assert rounds[1] == rounds[0] and rounds[2] == rounds[0]
+        assert "axis=2" in rounds[0][0][0].splitlines()
+        assert "axis=1" in rounds[0][1][0].splitlines()
+        assert "invalid choice" in rounds[0][2][1]

@@ -4,6 +4,8 @@ Each oracle below is the earlier whole-matrix expression: ρ as
 ``(D ± A) / float(2|E|)``, symmetry as ``np.max(np.abs(m - m.T))``, and the
 rewrite identity as an entrywise comparison with a copied partial
 transpose.  The memory pins check that the kernels make no V x V temporary.
+The PPT section checks the edge test that decides ``graphsep decompose``'s
+PPT verdicts against the dense partial transpose and ``ppt_check``.
 """
 
 import math
@@ -22,10 +24,13 @@ from graphsep import (
     density_matrix,
     gen_degree_symmetric_only,
     gen_partially_symmetric,
+    gen_theorem_graph,
     gtpt_matrix_identity,
     is_degree_symmetric,
+    is_partially_symmetric,
     laplacian,
     partial_transpose_matrix,
+    ppt_check,
     signless_laplacian,
     theorem1_transfer,
 )
@@ -312,3 +317,41 @@ def test_blocked_difference_matches_whole_array_formula(case):
 
 def test_blocked_difference_of_empty_arrays_is_zero():
     assert max_abs_difference(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+
+
+# -- PPT verdicts from the edge array -----------------------------------------
+
+# Partial transpose on axis k keeps D and maps A(G) to A(gtpt_k G), so the
+# edge test must agree exactly with comparing the dense partial transpose of
+# rho_Q to rho_Q; rho_Q = (R R^T) / 2|E| is PSD, so wherever they agree on
+# "unchanged", the dense PPT check must pass.
+PPT_PROFILES = [
+    (2, 2), (2, 2, 2), (3, 2, 2), (2, 3, 4), (4, 4, 4), (2, 2, 64), (2, 4, 4, 4, 4), (4, 16, 16)
+]
+PPT_FAMILIES = {
+    "theorem": gen_theorem_graph,
+    "psym": lambda profile, seed: gen_partially_symmetric(profile, profile.total, seed),
+    "dsym": gen_degree_symmetric_only,
+}
+
+
+@pytest.mark.parametrize("dims", PPT_PROFILES)
+@pytest.mark.parametrize("family", sorted(PPT_FAMILIES))
+def test_edge_test_decides_the_dense_partial_transpose(family, dims):
+    profile = DimensionProfile(dims)
+    symmetric_axes = []
+    for seed in range(3):
+        graph = PPT_FAMILIES[family](profile, seed)
+        rho = density_matrix(graph, "signless")
+        for axis in range(1, profile.n + 1):
+            symmetric = is_partially_symmetric(graph, axis).symmetric
+            unchanged = np.array_equal(partial_transpose_matrix(rho.matrix, profile, axis), rho.matrix)
+            assert symmetric == unchanged, (seed, axis)
+            if symmetric:
+                assert ppt_check(rho, axis), (seed, axis)
+                symmetric_axes.append(axis)
+    # Both verdicts occur: theorem graphs are fixed by every rewrite, the
+    # psym and dsym draws by the axis-1 rewrite only, which for n = 2 fixes
+    # axis 2 as well (PT_2 A = (PT_1 A)^T).
+    expected = range(1, profile.n + 1) if family == "theorem" or profile.n == 2 else [1]
+    assert symmetric_axes == 3 * list(expected)
