@@ -201,8 +201,9 @@ def cmd_decompose(args) -> int:
     # place exactly when G is fixed by the axis-k rewrite; rho is PSD for every
     # graph, as Q = D + A = R R^T (R the vertex-edge incidence matrix).  So PPT
     # holds on each axis that passes the edge test; refuse one that fails it.
+    # decompose has already run the axis-1 test, as one of its preconditions.
     axes = range(1, graph.profile.n + 1)
-    for axis in axes:
+    for axis in axes[1:]:
         if not is_partially_symmetric(graph, axis).symmetric:
             raise ConstructionError(
                 f"partial transpose on axis {axis} changes the density matrix"

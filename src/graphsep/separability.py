@@ -10,15 +10,15 @@ diagonal).  The block checks find the factors on the way, with no separate
 pass: F_1 is the top-level block pattern, F_k the block pattern of the
 common block one level up, and F_n the innermost common block.
 
-``decompose`` then walks an eigenvalue ladder down that factorisation.  It
-eigendecomposes each axis pattern F_2..F_n once; a ladder value is the
-product of one eigenvalue per axis, chosen from the innermost axis outward,
-and a pattern scaled by a ladder value keeps its own eigenvectors.  Every leaf
-of the recursion contributes one product term: the degree diagonal plus the
-scaled top pattern (normalised by the total layer degree) times rank-one
-projectors for the remaining subsystems.  Each step is certified (diagonal
-dominance of every intermediate mixing matrix, eigenvalue versus row-sum
-bounds, final reassembly) and the routine refuses rather than approximates.
+``decompose`` then walks an eigenvalue ladder down that factorisation, one
+level at a time.  It eigendecomposes each axis pattern F_2..F_n once; a
+ladder value is the product of one eigenvalue per axis, chosen from the
+innermost axis outward, and a pattern scaled by a ladder value keeps its own
+eigenvectors.  Each term is the degree diagonal plus the scaled top pattern
+(normalised by the total layer degree) times rank-one projectors for the
+remaining subsystems.  Each step is certified (row-sum bounds on every ladder
+value, dominance of every mixing matrix by one integer comparison per top
+layer, final reassembly) and the routine refuses rather than approximates.
 
 ``verify_decomposition`` works on per-axis factor stacks, one (B, d_k, d_k)
 array per axis for a block of B terms; blocks are capped in size so the
@@ -57,7 +57,6 @@ from .graphs import (
 )
 from .linalg import (
     inf_norm,
-    is_diagonally_dominant,
     is_psd,
     kron,
     partial_transpose_matrix,
@@ -264,11 +263,12 @@ class DecompositionTerm:
 
 
 def projector(vector: np.ndarray) -> np.ndarray:
-    """The rank-one factor v v^T of a record vector (a projector when |v| = 1)."""
+    """The rank-one factor v v^T of a record vector (a projector when |v| = 1),
+    or the (T, d, d) stack of them for a (T, d) stack of vectors."""
     # Non-finite record entries give non-finite factors, which verification
     # rejects; they need no warning here.
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.outer(vector, vector)
+        return vector[..., :, None] * vector[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,42 +287,16 @@ class SeparableDecomposition:
         return tuple(t.weight for t in self.terms)
 
     def assemble(self) -> np.ndarray:
-        """Sum of weighted Kronecker products, as the dense V x V matrix.
-
-        The axes are split into a left group of order a and a right group
-        of order b = V / a, chosen to minimise a^2 + b^2.  For a block of B
-        terms (:func:`_stacked_blocks`), row t of L (B x a^2) is the
-        flattened Kronecker product of term t's left factors, row t of R
-        (B x b^2) that of its right factors, and the weights go into the
-        smaller of the two.  Then L^T R (or R^T L) is one matrix product
-        whose entry ((i, j), (k, l)) is entry ((i, k), (j, l)) of the
-        block's sum, so no V x V matrix is built per term.
-        """
+        """Sum of weighted Kronecker products, as the dense V x V matrix
+        (see :func:`_reassemble`)."""
         dims = self.profile.dims
-        total = self.profile.total
-        split = _split_axes(dims)
-        a = math.prod(dims[:split])
-        b = total // a
-        weights = np.asarray(self.weights, dtype=float)[:, None]
-        summed = np.zeros((a * a, b * b))
-        for start, stacks, _ in _stacked_blocks(self.terms, dims):
-            count = len(stacks[0])
-            left = kron(stacks[:split]).reshape(count, -1)
-            right = kron(stacks[split:]).reshape(count, -1)
-            block_weights = weights[start : start + len(left)]
-            # The smaller table takes the weights and goes first: OpenBLAS
-            # then touches (and keeps resident) less of its packing workspace.
-            if a <= b:
-                summed += (left * block_weights).T @ right
-            else:
-                summed += ((right * block_weights).T @ left).T
-        return summed.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(total, total)
+        return _reassemble(dims, self.weights, _stacked_blocks(self.terms, dims))
 
 
-# Terms are stacked in blocks of at most this many floats of factor and
-# vector stacks and Kronecker tables (16 MB), so verification and reassembly
-# add a bounded amount of memory whatever the profile.  The benchmark
-# profiles fit in one block.
+# Terms are stacked in blocks of at most this many floats of factor stacks
+# and Kronecker tables (16 MB; vector stacks add sum(dims) floats a term), so
+# verification and reassembly add a bounded amount of memory whatever the
+# profile.  The benchmark profiles fit in one block.
 _BLOCK_ENTRIES = 1 << 21
 
 
@@ -335,17 +309,47 @@ def _split_axes(dims) -> int:
     )
 
 
-def _stacked_blocks(terms, dims, vectors: bool = False):
-    """Yield ``(start, stacks, rank_one)`` for consecutive blocks of
-    ``terms``, where ``stacks[k]`` is the float array of shape (B, d_k, d_k)
-    holding the k-th factors of terms ``start .. start + B - 1``.  With
-    ``vectors``, ``rank_one[k]`` is the pair of a (B, d_k) stack of the
-    terms' k-th vectors (zero rows where a term has none) and the mask of
-    the terms that have one; otherwise ``rank_one`` is None."""
+def _reassemble(dims, weights, blocks) -> np.ndarray:
+    """The weighted sum of Kronecker products of the factor stacks in
+    ``blocks`` (as :func:`_stacked_blocks` yields them), as a V x V matrix.
+
+    The axes split into groups of orders a and b = V / a (:func:`_split_axes`).
+    For a block of B terms, row t of L (B x a^2) is the flattened Kronecker
+    product of term t's left factors, row t of R (B x b^2) that of its right
+    factors, and the weights go into the smaller table.  Then L^T R (or
+    R^T L) is one matrix product whose entry ((i, j), (k, l)) is entry
+    ((i, k), (j, l)) of the block's sum: no V x V matrix is built per term.
+    """
+    total = math.prod(dims)
+    split = _split_axes(dims)
+    a = math.prod(dims[:split])
+    b = total // a
+    weights = np.asarray(weights, dtype=float)[:, None]
+    summed = np.zeros((a * a, b * b))
+    for start, stacks in blocks:
+        count = len(stacks[0])
+        left = kron(stacks[:split]).reshape(count, -1)
+        right = kron(stacks[split:]).reshape(count, -1)
+        block_weights = weights[start : start + count]
+        # The smaller table takes the weights and goes first: OpenBLAS
+        # then touches (and keeps resident) less of its packing workspace.
+        if a <= b:
+            summed += (left * block_weights).T @ right
+        else:
+            summed += ((right * block_weights).T @ left).T
+    return summed.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(total, total)
+
+
+def _stacked_blocks(terms, dims, found: dict | None = None):
+    """Yield ``(start, stacks)`` for consecutive blocks of ``terms``, where
+    ``stacks[k]`` is the float array of shape (B, d_k, d_k) holding the k-th
+    factors of terms ``start .. start + B - 1``.  With a dict ``found``, the
+    factors of each block are certified (:func:`_factor_failures`) before it
+    is yielded, and the failure texts stored under (term, axis), 1-based."""
     split = _split_axes(dims)
     a = math.prod(dims[:split])
     b = math.prod(dims[split:])
-    per_term = sum(d * d for d in dims) + a * a + b * b + (sum(dims) if vectors else 0)
+    per_term = sum(d * d for d in dims) + a * a + b * b
     size = max(1, _BLOCK_ENTRIES // per_term)
     for start in range(0, len(terms), size):
         block = terms[start : start + size]
@@ -353,8 +357,7 @@ def _stacked_blocks(terms, dims, vectors: bool = False):
             np.array([term.factors[k] for term in block], dtype=float).reshape(-1, d, d)
             for k, d in enumerate(dims)
         )
-        rank_one = None
-        if vectors:
+        if found is not None:
             # One column of vectors per axis; a term whose vectors tuple does
             # not have one entry per axis contributes none.
             columns = zip(*(
@@ -362,8 +365,10 @@ def _stacked_blocks(terms, dims, vectors: bool = False):
                 else (None,) * len(dims)
                 for term in block
             ))
-            rank_one = tuple(map(_vector_stack, columns, dims))
-        yield start, stacks, rank_one
+            for k, (stack, column, d) in enumerate(zip(stacks, columns, dims), start=1):
+                for t, texts in _factor_failures(stack, *_vector_stack(column, d)).items():
+                    found[start + t + 1, k] = texts
+        yield start, stacks
 
 
 def _vector_stack(found, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -389,7 +394,8 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     are zero or repeated keep their own rank-one term.  The ladder needs one
     eigendecomposition per axis pattern F_2..F_n: level s of a term holds the
     product of the eigenvalues chosen for F_n, ..., F_{n-s+1}, and siblings
-    run in descending order of that product.
+    run in descending order of that product.  Each level expands all terms
+    at once; dominance is one integer comparison per top layer.
 
     The result is verified once, by :func:`verify_decomposition` with the
     relative reassembly tolerance ``tol``.  Raises
@@ -414,82 +420,76 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     dims = profile.dims
     n = profile.n
     layer_degrees = report.layer_degrees
-    degree_total = sum(layer_degrees)
-    term_count = math.prod(dims[1:])
-    weight = 1.0 / term_count
-
     factors_float = [f.astype(float) for f in factors]
-    delta = np.diag(np.asarray(layer_degrees, dtype=float))
-    # Mixing matrix pieces per ladder depth: with m axes kept, the matrix is
-    # diag(degrees) x I plus the current eigenvalue times the joint pattern.
-    diag_parts = {}
-    patterns = {}
-    for m in range(1, n):
-        rest = math.prod(dims[1:m]) if m > 1 else 1
-        diag_parts[m] = np.kron(delta, np.eye(rest))
-        patterns[m] = kron(factors_float[:m])
-    # One eigendecomposition per axis pattern F_2..F_n: a ladder value times
-    # F_k has F_k's eigenvectors and that value times F_k's eigenvalues.
-    spectra = {m: spectral_decomposition(factors_float[m]) for m in range(1, n)}
-    row_sums = {m: inf_norm(factors_float[m]) for m in range(1, n)}
 
-    terms: list[DecompositionTerm] = []
+    # Level s expands every row (a ladder value so far) in place into one
+    # child per eigenvalue of F_{n-s+1}, so the rows stay in lexicographic
+    # ``index`` order.  A value times F_k has F_k's eigenvectors and that value
+    # times F_k's eigenvalues; a negative value reverses their order, so
+    # siblings always descend.
+    spectra = [spectral_decomposition(f) for f in factors_float[1:]]
+    values = np.ones(1)
+    ladders = np.empty((1, 0))  # per row, the value after each level
+    chosen = np.empty((1, 0), dtype=np.int64)  # per row, the eigenvector per level
+    for step in range(1, n):
+        eig, pattern = spectra[-step], factors_float[-step]
+        order = np.arange(eig.order)
+        picks = np.where(values[:, None] < 0.0, eig.order - 1 - order, order)
+        lam = values[:, None] * eig.eigenvalues[picks]
+        bound = np.abs(values) * inf_norm(pattern)
+        over = np.abs(lam) > (bound + _CHAIN_SLACK * np.maximum(1.0, bound))[:, None]
+        if over.any():
+            row, col = np.argwhere(over)[0]
+            raise ConstructionError(
+                f"ladder level {step}: eigenvalue {float(lam[row, col])!r} exceeds the"
+                f" row-sum bound {float(bound[row])!r}",
+                matrix=values[row] * pattern,
+            )
+        values = lam.ravel()
+        ladders = np.column_stack((np.repeat(ladders, eig.order, axis=0), values))
+        chosen = np.column_stack((np.repeat(chosen, eig.order, axis=0), picks.ravel()))
 
-    def descend(ladder: list[float], chosen: list[tuple], index: list[int]):
-        # chosen: (vector, projector) per diagonalised axis, in axis order.
-        step = len(ladder) + 1  # 1-based ladder level about to run
-        m = n - step  # this level diagonalises F_{m+1} and keeps m axes
-        scale = ladder[-1] if ladder else 1.0
-        eig = spectra[m]
-        bound = abs(scale) * row_sums[m]
-        # A negative scale reverses the order of the scaled eigenvalues;
-        # walking F's pairs backwards keeps every ladder level descending.
-        order = reversed(range(eig.order)) if scale < 0.0 else range(eig.order)
-        for r, j in enumerate(order, start=1):
-            lam = scale * float(eig.eigenvalues[j])
-            vec = eig.eigenvectors[:, j]
-            if abs(lam) > bound + _CHAIN_SLACK * max(1.0, bound):
-                raise ConstructionError(
-                    f"ladder level {step}: eigenvalue {lam!r} exceeds the"
-                    f" row-sum bound {bound!r}",
-                    matrix=scale * factors_float[m],
-                )
-            mixing = diag_parts[m] + lam * patterns[m]
-            cert = is_diagonally_dominant(mixing)
-            if not cert:
-                raise ConstructionError(
-                    f"ladder level {step}: mixing matrix not diagonally"
-                    f" dominant (rows {cert.violating_rows})",
-                    matrix=mixing,
-                )
-            branch_ladder = ladder + [lam]
-            branch_index = index + [r]
-            branch_chosen = [(vec, projector(vec))] + chosen
-            if step == n - 1:
-                terms.append(
-                    DecompositionTerm(
-                        weight=weight,
-                        factors=(mixing / degree_total,)
-                        + tuple(p for _, p in branch_chosen),
-                        index=tuple(branch_index),
-                        ladder=tuple(branch_ladder),
-                        top_block=mixing,
-                        vectors=(None,) + tuple(v for v, _ in branch_chosen),
-                    )
-                )
-            else:
-                descend(branch_ladder, branch_chosen, branch_index)
+    # Dominance, once, in integers.  At depth m the mixing matrix is
+    # delta (x) I + lam (F_1 (x) ... (x) F_m), and F_1 has a zero diagonal, so
+    # row (i_1, ..., i_m) has the diagonal delta_{i_1} and the off-diagonal
+    # sum |lam| r_1(i_1) r_2(i_2)...r_m(i_m) <= |lam| r_1(i_1) prod_{k=2..m}
+    # |F_k|_inf (r_k: row sums of F_k).  The checks above give |lam| <=
+    # prod_{k>m} |F_k|_inf within _CHAIN_SLACK, so every mixing matrix is
+    # dominant if delta_{i_1} >= r_1(i_1) prod_{k>=2} |F_k|_inf.  A conforming
+    # graph meets this with equality: each F_k with k >= 2 is regular.
+    rest = math.prod(int(np.abs(f).sum(axis=1).max()) for f in factors[1:])
+    need = np.abs(factors[0]).sum(axis=1) * rest
+    short = tuple(np.flatnonzero(np.asarray(layer_degrees) < need).tolist())
+    if short:
+        raise ConstructionError(f"mixing matrix not diagonally dominant (rows {short})")
 
-    descend([], [], [])
-    del descend  # a recursive closure is a reference cycle; free its terms now
-    if len(terms) != term_count:
-        raise ConstructionError(
-            f"expected {term_count} terms, built {len(terms)}"
+    # Factor 1 of every term in one broadcast: delta + lam F_1 for the last
+    # ladder value, normalised by the total layer degree.  Every other
+    # factor is the projector of one eigenvector of its axis, shared by all
+    # the terms that chose it; the axes in order are the levels in reverse.
+    top = np.diag(np.asarray(layer_degrees, dtype=float)) + values[:, None, None] * factors_float[0]
+    firsts = top / sum(layer_degrees)
+    bases = [eig.eigenvectors.T for eig in spectra]
+    projectors = [projector(basis) for basis in bases]
+    weight = 1.0 / len(values)
+    positions = itertools.product(*(range(1, d + 1) for d in dims[:0:-1]))
+    terms = tuple(
+        DecompositionTerm(
+            weight=weight,
+            factors=(first,) + tuple(p[j] for p, j in zip(projectors, choice)),
+            index=index,
+            ladder=tuple(ladder),
+            top_block=block,
+            vectors=(None,) + tuple(v[j] for v, j in zip(bases, choice)),
         )
+        for first, block, index, ladder, choice in zip(
+            firsts, top, positions, ladders.tolist(), chosen[:, ::-1].tolist()
+        )
+    )
 
     decomposition = SeparableDecomposition(
         profile=profile,
-        terms=tuple(terms),
+        terms=terms,
         layer_degrees=layer_degrees,
         adjacency_factors=factors,
     )
@@ -548,9 +548,9 @@ def verify_decomposition(
     blocks of B terms (one block for all but the largest factors).  A factor
     that equals its term's rank-one product v v^T entry for entry is PSD by
     a rounding bound (see :func:`_factor_failures`); the others take one
-    batched symmetric eigenvalue call per axis and block.  The residual
-    comes from :meth:`SeparableDecomposition.assemble`.  Failures are listed
-    term by term, factors in axis order.
+    batched symmetric eigenvalue call per axis and block.  The residual is
+    reassembled from the same stacks (:func:`_reassemble`).  Failures are
+    listed term by term, factors in axis order.
     """
     if decomposition.profile != rho.profile:
         raise ValueError(
@@ -579,10 +579,9 @@ def verify_decomposition(
     if not abs(weight_sum - 1.0) <= 1e-10:
         failures.append(f"weights sum to {weight_sum:.17g}, expected 1")
     found: dict[tuple[int, int], list[str]] = {}
-    for start, stacks, rank_one in _stacked_blocks(terms, dims, vectors=True):
-        for k, (stack, (vectors, has_vector)) in enumerate(zip(stacks, rank_one), start=1):
-            for t, texts in _factor_failures(stack, vectors, has_vector).items():
-                found[start + t + 1, k] = texts
+    # Non-finite inputs fail their factor checks; their NaN residual fails too.
+    with np.errstate(invalid="ignore", over="ignore"):
+        assembled = _reassemble(dims, decomposition.weights, _stacked_blocks(terms, dims, found))
     for i, term in enumerate(terms, start=1):
         if not math.isfinite(term.weight):
             failures.append(f"term {i}: non-finite weight {term.weight!r}")
@@ -590,9 +589,6 @@ def verify_decomposition(
             failures.append(f"term {i}: negative weight {term.weight:.17g}")
         for k in range(1, n + 1):
             failures.extend(f"term {i} factor {k}: {text}" for text in found.get((i, k), ()))
-    # Non-finite inputs already failed above; their NaN residual fails too.
-    with np.errstate(invalid="ignore", over="ignore"):
-        assembled = decomposition.assemble()
     residual = float(np.linalg.norm(assembled - rho.matrix))
     norm = float(np.linalg.norm(rho.matrix))
     relative = residual / norm
@@ -819,8 +815,8 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     by one array conversion after the walk over the record's keywords; so
     are ``index`` lines as it writes them, by a table.  Every other line
     (other keywords, comments, values spelt otherwise, malformed lines) is
-    read on its own.  The rank-one factors of each axis are expanded in one
-    broadcast product, entry for entry as :func:`projector` computes them.
+    read on its own.  The rank-one factors of each axis are expanded by one
+    :func:`projector` call on the stack of their vectors.
     """
     lines = ByteLines(text)
     line_values, line_left = float_values(lines)
@@ -1025,9 +1021,7 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     for k, d in enumerate(dims):
         held = np.flatnonzero(is_vector[:, k])
         stack = flat[offsets[held, k, None] + np.arange(d)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = stack[:, :, None] * stack[:, None, :]
-        for t, vector, product in zip(held.tolist(), stack, products):
+        for t, vector, product in zip(held.tolist(), stack, projector(stack)):
             vectors[k][t] = vector
             factors[k][t] = product
         dense = np.flatnonzero(~is_vector[:, k])

@@ -1,10 +1,22 @@
 """Command-line interface: exit codes, stable output, pipelines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import graphsep
-from graphsep import cli, decompose, format_decomposition, graphs, parse_graph, separability
+from graphsep import (
+    Eigendecomposition,
+    cli,
+    decompose,
+    format_decomposition,
+    graphs,
+    inf_norm,
+    linalg,
+    parse_graph,
+    separability,
+)
 from graphsep.cli import main
 from graphsep.transforms import PartialSymmetryReport
 
@@ -261,6 +273,27 @@ class TestDecomposeVerify:
         assert code == 2
         assert "intra-layer edge (1, 2)" in capsys.readouterr().err
 
+    def test_decompose_runs_one_edge_test_per_axis(self, tmp_path, monkeypatch, capsys):
+        # The axis-1 test is a precondition of decompose; the CLI's PPT
+        # verdicts test axes 2..n only, and still report all n axes.
+        graph_path = tmp_path / "g.graph"
+        argv = ["gen", "theorem", "--dims", "2,4,4,4,4", "--seed", "0", "-o", str(graph_path)]
+        assert main(argv) == 0
+        axes = []
+        original = cli.is_partially_symmetric
+
+        def counting(graph, axis=1):
+            axes.append(axis)
+            return original(graph, axis)
+
+        for module in (separability, cli):
+            monkeypatch.setattr(module, "is_partially_symmetric", counting)
+        capsys.readouterr()
+        assert main(["decompose", str(graph_path), str(tmp_path / "g.dec")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert sorted(axes) == [1, 2, 3, 4, 5]
+        assert all(f"ppt_axis_{k}=pass" in out for k in range(1, 6))
+
     def test_tampered_file_fails_verify(self, workdir, capsys):
         dec_path = workdir / "out.dec"
         graph = parse_graph(M222_TEXT)
@@ -327,6 +360,76 @@ class TestDecomposeVerify:
         code = main(["verify", str(workdir / "k2.graph"), str(dec_path)])
         assert code == 2
         assert "profile" in capsys.readouterr().err
+
+
+class TestDecomposeCertificates:
+    """decompose keeps two certificates of its own: the eigenvalue row-sum
+    bound at each ladder level and the integer dominance identity.  Each
+    fails closed: exit 3, no record, nothing on stdout."""
+
+    @pytest.fixture
+    def theorem_graph(self, tmp_path):
+        path = tmp_path / "t.graph"
+        assert main(["gen", "theorem", "--dims", "4,2,2", "--seed", "0", "-o", str(path)]) == 0
+        return path
+
+    def refuse(self, graph_path, capsys):
+        capsys.readouterr()
+        dec_path = graph_path.with_suffix(".dec")
+        assert main(["decompose", str(graph_path), str(dec_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not dec_path.exists()
+        return captured.err
+
+    def test_eigenvalue_above_row_sum_exit_3(self, workdir, monkeypatch, capsys):
+        # m222 has F_3 = I: row sum 1, here given an eigenvalue of 2.
+        original = separability.spectral_decomposition
+
+        def inflated(matrix):
+            eig = original(matrix)
+            values = eig.eigenvalues.copy()
+            values[0] = inf_norm(matrix) + 1.0
+            return Eigendecomposition(values, eig.eigenvectors)
+
+        monkeypatch.setattr(separability, "spectral_decomposition", inflated)
+        err = self.refuse(workdir / "m222.graph", capsys)
+        assert "ladder level 1: eigenvalue 2.0 exceeds the row-sum bound 1.0" in err
+
+    @pytest.mark.parametrize("change, expected", [
+        (-1, "construction failed: mixing matrix not diagonally dominant (rows (2,))"),
+        (+1, "construction failed: decomposition failed verification"),
+    ])
+    def test_patched_layer_degree_exit_3(self, theorem_graph, monkeypatch, capsys, change, expected):
+        # One layer degree below r_1(i_1) prod_k |F_k|_inf breaks dominance
+        # in top layer 2 (0-based); one above keeps dominance, and the
+        # decomposition then misses rho.
+        original = separability.check_theorem_conditions
+
+        def patched(graph):
+            report = original(graph)
+            degrees = list(report.layer_degrees)
+            degrees[2] += change
+            return replace(report, layer_degrees=tuple(degrees))
+
+        monkeypatch.setattr(separability, "check_theorem_conditions", patched)
+        assert expected in self.refuse(theorem_graph, capsys)
+
+    def test_no_dense_dominance_check(self, theorem_graph, monkeypatch, capsys):
+        # Dominance is one integer comparison per top layer, not a check of
+        # each mixing matrix.
+        calls = []
+        original = linalg.is_diagonally_dominant
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (graphsep, linalg, separability, cli):
+            if getattr(module, "is_diagonally_dominant", None) is original:
+                monkeypatch.setattr(module, "is_diagonally_dominant", counting)
+        assert main(["decompose", str(theorem_graph), str(theorem_graph.with_suffix(".dec"))]) == 0
+        assert calls == []
 
 
 class TestGen:

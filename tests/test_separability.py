@@ -360,6 +360,26 @@ class TestVerifyDecomposition:
         cert = verify_decomposition(dec, rho)
         assert cert.passed and cert.residual < 1e-12
 
+    def test_stacks_each_block_once(self, monkeypatch):
+        # The factor checks and the residual share one stacking pass, in the
+        # blocks assemble() uses, so the residual is assemble()'s bit for bit.
+        # (2,2,128) takes 5 blocks.
+        g = gen_theorem_graph(DimensionProfile((2, 2, 128)), 0)
+        dec = decompose(g)
+        rho = density_matrix(g, "signless")
+        calls = []
+        original = separability._stacked_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(separability, "_stacked_blocks", counting)
+        cert = verify_decomposition(dec, rho)
+        assert cert.passed and calls == [256]
+        assert len(list(original(dec.terms, (2, 2, 128)))) == 5
+        assert cert.residual == float(np.linalg.norm(dec.assemble() - rho.matrix))
+
     def test_perturbed_weight_fails(self, m222):
         dec = decompose(m222)
         rho = density_matrix(m222, "signless")
