@@ -127,25 +127,22 @@ def _random_regular_pattern(rng: SplitMix64, order: int):
 def gen_theorem_graph(profile: DimensionProfile, seed: int) -> MultipartiteGraph:
     """Random graph satisfying every decomposition hypothesis.
 
-    Samples the adjacency matrix directly in factored form: a zero-diagonal
-    top pattern choosing which layer pairs are linked, and one constant
-    row-sum 0/1 pattern per remaining axis.  The Kronecker product of those
-    factors is partially symmetric with uniform layer degrees by
-    construction; the result is still checked and a conflicting draw is
-    retried a bounded number of times before giving up.
+    Samples the adjacency matrix directly in factored form: a symmetric,
+    zero-diagonal top pattern choosing which layer pairs are linked, and one
+    symmetric constant row-sum 0/1 circulant per remaining axis.  Their
+    Kronecker product meets every condition, so one draw is enough; the
+    result is still checked, and a failure raises rather than returns.
     """
     rng = SplitMix64(seed)
     dims = profile.dims
-    for _ in range(32):
-        factors = [_random_top_pattern(rng, dims[0])]
-        factors.extend(_random_regular_pattern(rng, d) for d in dims[1:])
-        adjacency = kron(factors)
-        graph = MultipartiteGraph(profile, np.argwhere(np.triu(adjacency, k=1)) + 1)
-        if check_theorem_conditions(graph).holds:
-            return graph
-    raise ConstructionError(
-        f"no conforming graph found for profile {dims} and seed {seed}"
-    )
+    factors = [_random_top_pattern(rng, dims[0])]
+    factors.extend(_random_regular_pattern(rng, d) for d in dims[1:])
+    graph = MultipartiteGraph(profile, np.argwhere(np.triu(kron(factors), k=1)) + 1)
+    if not check_theorem_conditions(graph).holds:
+        raise ConstructionError(
+            f"theorem graph for profile {dims} and seed {seed} fails the hypotheses"
+        )
+    return graph
 
 
 def gen_degree_symmetric_only(

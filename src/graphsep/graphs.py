@@ -314,8 +314,10 @@ def _max_abs_difference(pairs, size: int) -> float:
 class DensityMatrix:
     """Unit-trace symmetric matrix tagged with its profile and kind.
 
-    The matrix is copied once into a read-only float array; finiteness and
-    symmetry are then checked tile by tile with :func:`max_asymmetry`.
+    The matrix is kept as a read-only float array: a read-only float
+    ndarray that owns its data is taken as it is, any other input is copied
+    once, so no caller can write the stored matrix.  Finiteness and symmetry
+    are then checked tile by tile with :func:`max_asymmetry`.
     """
 
     matrix: np.ndarray
@@ -325,7 +327,14 @@ class DensityMatrix:
     def __post_init__(self):
         if self.kind not in (COMBINATORIAL, SIGNLESS):
             raise ValueError(f"unknown density matrix kind {self.kind!r}")
-        mat = np.array(self.matrix, dtype=float)
+        mat = self.matrix
+        if not (
+            type(mat) is np.ndarray
+            and mat.dtype == np.float64
+            and mat.flags.owndata
+            and not mat.flags.writeable
+        ):
+            mat = np.array(mat, dtype=float)
         total = self.profile.total
         if mat.shape != (total, total):
             raise ValueError(
@@ -366,6 +375,7 @@ def density_matrix(graph: MultipartiteGraph, kind: str = COMBINATORIAL) -> Densi
     rows, cols = (graph.edge_array() - 1).T
     mat[rows, cols] = mat[cols, rows] = (-1.0 if kind == COMBINATORIAL else 1.0) / scale
     np.fill_diagonal(mat, graph.degree_sequence() / scale)
+    mat.setflags(write=False)  # handed to DensityMatrix without a copy
     return DensityMatrix(mat, graph.profile, kind)
 
 

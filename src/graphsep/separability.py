@@ -63,7 +63,7 @@ from .linalg import (
     partial_transpose_view,
     spectral_decomposition,
 )
-from .textio import ByteLines, float_values, format_float
+from .textio import ByteLines, format_float
 from .transforms import gtpt, is_degree_symmetric, is_partially_symmetric
 
 # Slack for proof-chain inequalities evaluated in floating point; the
@@ -214,15 +214,13 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
     if uniform and not intra and graph.num_edges > 0:
         # Without intra-layer edges A is F_1 (x) C_1 for the level-1 common
         # block C_1, and every nonzero block of C_{k-1} at level k is C_k, so
-        # C_{k-1} = F_k (x) C_k.  Checked exactly against A below.
+        # C_{k-1} = F_k (x) C_k.  Hence A = F_1 (x) ... (x) F_n exactly.
         common = [lv.common_block for lv in levels]
         factors = (
             (_block_pattern(adjacency, dims[0]),)
             + tuple(_block_pattern(common[k - 1], dims[k]) for k in range(1, n - 1))
             + (common[-1].copy(),)
         )
-        if not np.array_equal(kron(factors), adjacency):
-            factors = None  # defensive: the factors must reproduce the input
 
     return ConditionReport(
         profile=profile,
@@ -413,8 +411,6 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
             report=report,
         )
     factors = report.adjacency_factors
-    if factors is None:
-        raise ConstructionError("conforming graph yielded no factorisation")
 
     profile = graph.profile
     dims = profile.dims
@@ -809,29 +805,17 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
 def parse_decomposition(text: str) -> SeparableDecomposition:
     """Parse the decomposition record format; errors carry line numbers.
 
-    The text is split into lines once, and each line is classified once.
-    Values as :func:`format_decomposition` writes them (rows of values, and
-    the values on ``weight`` and ``ladder`` lines) are converted together,
-    by one array conversion after the walk over the record's keywords; so
-    are ``index`` lines as it writes them, by a table.  Every other line
-    (other keywords, comments, values spelt otherwise, malformed lines) is
-    read on its own.  The rank-one factors of each axis are expanded by one
-    :func:`projector` call on the stack of their vectors.
+    One walk over the record's content lines (blank lines and ``#``
+    comments skipped) reads each line in file order, with one reader per
+    line kind, so an error is raised on its own line, the earliest first.
+    Every row value goes through ``float`` into one flat list; after the
+    walk that list becomes one array, and the rank-one factors of each axis
+    are expanded by one :func:`projector` call on the stack of their
+    vectors.
     """
-    lines = ByteLines(text)
-    line_values, line_left = float_values(lines)
-    is_row = (line_values > 0) & (line_left == 0)
-    # The content lines in order: line numbers, texts, value counts and
-    # bytes left (see textio.float_values).  A row of values has no text
-    # (None); it is only read where it does not belong.  An empty text
-    # after the last line stands for the end.
-    text_of = np.full(len(lines), None, dtype=object)
-    text_of[~is_row] = lines.texts(~is_row)
-    at = np.flatnonzero(text_of != "")
-    linenos = (at + 1).tolist()
-    texts = text_of[at].tolist() + [""]
-    sizes = line_values[at].tolist() + [0]
-    lefts = line_left[at].tolist() + [0]
+    lines = ByteLines(text).texts()
+    linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
+    texts = [line for line in lines if line] + [""]  # "" stands for the end
     count = len(linenos)
     pos = 0
 
@@ -840,51 +824,7 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
         if pos >= count:
             raise GraphFormatError("unexpected end of decomposition record")
         pos += 1
-        line = texts[pos - 1]
-        return linenos[pos - 1], line if line is not None else lines.line(linenos[pos - 1] - 1)
-
-    # Every value read (weights, ladders and rows, in reading order) has its
-    # place in one flat array.  The values of the lines as written go to one
-    # conversion at the end; the others are converted on their own.
-    filled = 0
-    in_bulk = []  # the content positions of the lines as written
-    loose: list[tuple[int, list[float]]] = []  # (offset, values) of the others
-
-    def take_values(size: int) -> int:
-        """Take the ``size`` values of the next line, which holds them as
-        written; return the offset of the first."""
-        nonlocal pos, filled
-        in_bulk.append(pos)
-        pos += 1
-        filled += size
-        return filled - size
-
-    def take_row(size: int) -> int:
-        """Read a row of ``size`` values; return the offset of its first."""
-        nonlocal pos, filled
-        if texts[pos] is None:
-            if sizes[pos] != size:
-                raise GraphFormatError(
-                    f"expected {size} values, got {sizes[pos]}", line=linenos[pos]
-                )
-            return take_values(size)
-        lineno, line = take()
-        values = line.split()
-        if len(values) != size:
-            raise GraphFormatError(
-                f"expected {size} values, got {len(values)}", line=lineno
-            )
-        try:
-            return put([float(v) for v in values])
-        except ValueError:
-            raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
-
-    def put(values) -> int:
-        """Place values converted on their own; return the offset of the first."""
-        nonlocal filled
-        loose.append((filled, values))
-        filled += len(values)
-        return filled - len(values)
+        return linenos[pos - 1], texts[pos - 1]
 
     lineno, line = take()
     if line != _DECOMPOSITION_MAGIC:
@@ -939,14 +879,14 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
 
     dims = profile.dims
     n = profile.n
-    # The lines format_decomposition writes for factor headers (whether
-    # each heads a vector, by axis) and for every valid ladder position.
-    written = [
+    # The factor headers format_decomposition writes, by axis: whether each
+    # heads a vector.  Any other line is read by _factor_line.
+    headers = [
         {f"factor {k} vector {d}": True, f"factor {k} order {d}": False}
         for k, d in enumerate(dims, start=1)
     ]
-    indices = {}
-    heads = []  # per term: weight offset, index, ladder offset or None
+    heads = []  # per term: weight, index, ladder
+    values = []  # every row value, in reading order
     offsets = []  # per factor, in reading order: the offset of its values
     is_vector = []
     for i in range(1, expected_terms + 1):
@@ -955,65 +895,42 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
             raise GraphFormatError(f"expected 'term {i}', got {line!r}", line=lineno)
         index = None
         ladder = None
-        if texts[pos] and texts[pos].startswith("index "):
-            if not indices:
-                indices = _written_indices(dims)
-            index = indices.get(texts[pos])
-            if index is None:
-                index = _index_line(texts[pos], dims, linenos[pos])
-            pos += 1
-        if texts[pos] and texts[pos].startswith("weight ") and sizes[pos] == 1 and lefts[pos] == 7:
-            weight = take_values(1)
-        else:
+        if texts[pos].startswith("index "):
             lineno, line = take()
-            tokens = line.split()
-            if tokens[0] != "weight" or len(tokens) != 2:
-                raise GraphFormatError("expected 'weight x' line", line=lineno)
-            try:
-                weight = put([float(tokens[1])])
-            except ValueError:
-                raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
-        if texts[pos] and texts[pos].startswith("ladder "):
-            if sizes[pos] == n - 1 and lefts[pos] == 7:
-                ladder = take_values(n - 1)
-            else:
-                ladder = put(_ladder_line(texts[pos], n, linenos[pos]))
-                pos += 1
+            index = _index_line(line, dims, lineno)
+        lineno, line = take()
+        tokens = line.split()
+        if tokens[0] != "weight" or len(tokens) != 2:
+            raise GraphFormatError("expected 'weight x' line", line=lineno)
+        try:
+            weight = float(tokens[1])
+        except ValueError:
+            raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
+        if texts[pos].startswith("ladder "):
+            lineno, line = take()
+            ladder = _ladder_line(line, n, lineno)
         heads.append((weight, index, ladder))
         for k, d in enumerate(dims, start=1):
-            vector = written[k - 1].get(texts[pos])
+            lineno, line = take()
+            vector = headers[k - 1].get(line)
             if vector is None:
-                lineno, line = take()
                 vector = _factor_line(line, k, d, lineno)
-            else:
-                pos += 1
             is_vector.append(vector)
-            if vector and sizes[pos] == d and lefts[pos] == 0:
-                in_bulk.append(pos)  # a row of values, as written
-                offsets.append(filled)
-                filled += d
-                pos += 1
-            else:
-                offsets.append(take_row(d))
-                for _ in range(0 if vector else d - 1):
-                    take_row(d)
+            offsets.append(len(values))
+            for _ in range(1 if vector else d):  # the rows
+                lineno, line = take()
+                row = line.split()
+                if len(row) != d:
+                    raise GraphFormatError(f"expected {d} values, got {len(row)}", line=lineno)
+                try:
+                    values.extend(map(float, row))
+                except ValueError:
+                    raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
     if pos != count:
         lineno, line = take()
         raise GraphFormatError(f"trailing content {line!r}", line=lineno)
 
-    flat = np.empty(filled)
-    converted = np.ones(filled, dtype=bool)
-    for offset, values in loose:
-        flat[offset : offset + len(values)] = values
-        converted[offset : offset + len(values)] = False
-    if in_bulk:
-        # The bytes of the lines read in bulk, but for their 7-byte keywords.
-        chosen = np.zeros(len(lines), dtype=bool)
-        chosen[at[in_bulk]] = True
-        keep = np.repeat(chosen, lines.ends - lines.starts + 1)
-        named = lines.starts[chosen & (line_left == 7)] - 1  # offsets in data[1:]
-        keep[named[:, None] + np.arange(7)] = False
-        flat[converted] = np.fromstring(lines.data[1:][keep].tobytes(), dtype=float, sep=" ")
+    flat = np.array(values, dtype=float)
     offsets = np.array(offsets, dtype=np.int64).reshape(-1, n)
     is_vector = np.array(is_vector, dtype=bool).reshape(-1, n)
     factors = [[None] * len(heads) for _ in dims]  # by axis, then term
@@ -1028,29 +945,13 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
         matrices = flat[offsets[dense, k, None] + np.arange(d * d)].reshape(-1, d, d)
         for t, matrix in zip(dense.tolist(), matrices):
             factors[k][t] = matrix
-    weights = flat[[weight for weight, _, _ in heads]].tolist()
     terms = tuple(
-        DecompositionTerm(
-            weight,
-            f,
-            index,
-            None if ladder is None else tuple(flat[ladder : ladder + n - 1].tolist()),
-            vectors=v,
-        )
-        for weight, (_, index, ladder), f, v in zip(weights, heads, zip(*factors), zip(*vectors))
+        DecompositionTerm(weight, f, index, ladder, vectors=v)
+        for (weight, index, ladder), f, v in zip(heads, zip(*factors), zip(*vectors))
     )
     return SeparableDecomposition(
         profile, terms, residual=residual, certificates=certificates
     )
-
-
-def _written_indices(dims: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
-    """Every valid ``index`` line as :func:`format_decomposition` writes it,
-    with its ladder position: entry s runs over 1..N_{n-s+1}."""
-    return {
-        "index " + " ".join(map(str, index)): index
-        for index in itertools.product(*(range(1, d + 1) for d in dims[:0:-1]))
-    }
 
 
 def _factor_line(line: str, k: int, d: int, lineno: int) -> bool:
@@ -1089,10 +990,10 @@ def _index_line(line: str, dims: tuple[int, ...], lineno: int) -> tuple[int, ...
         raise GraphFormatError(
             f"index line needs {len(dims) - 1} entries, got {len(index)}", line=lineno
         )
-    for s, (r, bound) in enumerate(zip(index, dims[:0:-1]), start=1):
-        if not 1 <= r <= bound:
+    for s, r in enumerate(index, start=1):
+        if not 1 <= r <= dims[-s]:
             raise GraphFormatError(
-                f"index entry {s} is {r}, outside 1..{bound}", line=lineno
+                f"index entry {s} is {r}, outside 1..{dims[-s]}", line=lineno
             )
     return index
 

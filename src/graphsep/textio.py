@@ -4,9 +4,10 @@ All floating-point output uses 17 significant digits (round-trippable
 doubles) with negative zero normalised to zero, so dumps diff stably
 across platforms.  Both parsers read their text as a :class:`ByteLines`:
 one byte array and the offsets of its lines, numbered as
-``str.splitlines()`` numbers them, so that the lines the formatters write
-can be classified (:func:`float_values` finds ``format_float``'s values)
-and converted with array operations.
+``str.splitlines()`` numbers them.  ``parse_graph`` finds the edge lines
+``format_graph`` writes with array operations and converts them together;
+``parse_decomposition`` walks :meth:`ByteLines.texts`, the lines stripped
+of comments, one line at a time.
 """
 
 from __future__ import annotations
@@ -75,21 +76,16 @@ class ByteLines:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def line(self, index: int) -> str:
-        """The text of the line at 0-based ``index`` (line ``index + 1``)."""
-        return self.raw[self.starts[index] : self.ends[index]].decode("utf-8", "surrogatepass")
-
     def each(self, chosen: np.ndarray) -> Iterator[tuple[int, str]]:
         """``(index, text)`` of the chosen lines (a boolean per line), in order."""
         at = np.flatnonzero(chosen)
         for index, start, end in zip(at.tolist(), self.starts[at].tolist(), self.ends[at].tolist()):
             yield index, self.raw[start:end].decode("utf-8", "surrogatepass")
 
-    def texts(self, chosen: np.ndarray) -> list[str]:
-        """The chosen lines (a boolean per line), in order, each without its
-        ``#`` comment and surrounding whitespace."""
-        keep = np.repeat(chosen, self.ends - self.starts + 1)
-        texts = self.data[1:][keep].tobytes().decode("utf-8", "surrogatepass").split("\n")
+    def texts(self) -> list[str]:
+        """Every line, in order, without its ``#`` comment and surrounding
+        whitespace."""
+        texts = self.raw[1:-1].decode("utf-8", "surrogatepass").split("\n")
         data, starts, ends = self.data, self.starts, self.ends
         # Only a line with a "#", or with a byte at either end that may be
         # whitespace (a control byte, a space or part of a non-ASCII
@@ -97,9 +93,9 @@ class ByteLines:
         rough = (data[starts] <= 0x20) | (data[starts] >= 0x80)
         rough |= (data[ends - 1] <= 0x20) | (data[ends - 1] >= 0x80)
         rough[np.searchsorted(ends, np.flatnonzero(data == ord("#")))] = True
-        for at in np.flatnonzero(rough[chosen]).tolist():
+        for at in np.flatnonzero(rough).tolist():
             texts[at] = strip_comment(texts[at])
-        return texts[:-1]
+        return texts
 
     def select(self, chosen: np.ndarray) -> bytes:
         """The bytes of the chosen lines (a boolean per line), each followed
@@ -110,62 +106,3 @@ class ByteLines:
             self.raw[starts[first] : ends[last - 1] + 1]
             for first, last in zip(edges[0::2].tolist(), edges[1::2].tolist())
         )
-
-
-# Offsets, from its decimal point, of the bytes a "%.16e" value spans (with
-# an optional sign, and an exponent of two or three digits) and of the
-# separators around it: a value starts at offset -1 or -2 and ends at 20 or 21.
-_VALUE_SPAN = np.arange(-3, 23)
-
-
-def float_values(lines: ByteLines) -> tuple[np.ndarray, np.ndarray]:
-    """Per line, how many values in ``format_float``'s ``%.16e`` form it
-    holds, and how many of its bytes are left when those values and one
-    space between each two are taken away.
-
-    The count is 0 for a line with a decimal point outside such a value.
-    Otherwise, a line with no bytes left is a row of values as
-    ``format_decomposition`` writes it, and a ``weight x`` or
-    ``ladder ...`` line with 7 bytes left holds its keyword, one space and
-    such values.
-    """
-    data, starts, ends = lines.data, lines.starts, lines.ends
-    count = len(lines)
-    if len(data) < len(_VALUE_SPAN):
-        return np.zeros(count, dtype=np.int64), ends - starts  # too short for a value
-    # Every value has one decimal point; take the bytes around each point.
-    # A point too near either end of the text for its whole span is not
-    # taken for a value.
-    points = np.flatnonzero(data == ord("."))
-    line_of = np.searchsorted(ends, points)
-    windows = np.lib.stride_tricks.sliding_window_view(data, len(_VALUE_SPAN))
-    first = points + _VALUE_SPAN[0]
-    inside = (first >= 0) & (first < len(windows))
-    span = windows[np.where(inside, first, 0)]
-    digit = span - ord("0") < 10  # uint8: bytes below "0" wrap past 9
-    gap = (span == ord(" ")) | (span == ord("\n"))
-
-    def at(offset):
-        return offset + 3  # column of an offset in span
-
-    signed = span[:, at(-2)] == ord("-")
-    wide = digit[:, at(21)]  # a three-digit exponent
-    well_formed = (
-        inside
-        & digit[:, at(-1)]
-        & digit[:, at(1) : at(17)].all(axis=1)
-        & (span[:, at(17)] == ord("e"))
-        & ((span[:, at(18)] == ord("+")) | (span[:, at(18)] == ord("-")))
-        & digit[:, at(19)]
-        & digit[:, at(20)]
-        & np.where(signed, gap[:, at(-3)], gap[:, at(-2)])
-        & np.where(wide, gap[:, at(22)], gap[:, at(21)])
-    )
-    values = np.bincount(line_of, minlength=count)
-    malformed = np.bincount(line_of, weights=~well_formed, minlength=count)
-    # Well-formed values are disjoint and each lies between gaps, so they
-    # and the single spaces between them cover all of the line but what is
-    # left, and that is a prefix (letters and the like sit in no value).
-    spanned = np.bincount(line_of, weights=22 + signed + wide, minlength=count) + values - 1
-    left = np.where(values > 0, ends - starts - spanned, ends - starts).astype(np.int64)
-    return np.where(malformed == 0, values, 0), left

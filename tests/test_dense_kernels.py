@@ -216,6 +216,26 @@ def test_density_matrix_peak_is_its_array_and_one_copy():
     assert peak <= 2 * 8 * total * total + MiB
 
 
+def test_density_matrix_keeps_the_array_it_wrote():
+    # density_matrix hands its read-only array to DensityMatrix uncopied:
+    # at V = 1024 the peak is one 8 MiB matrix and the edge arithmetic.
+    graph = gen_theorem_graph(DimensionProfile((4, 16, 16)), 1)
+    assert traced_peak(lambda: density_matrix(graph, "signless")) < 12 * MiB
+
+
+def test_density_matrix_copies_an_array_a_caller_can_write():
+    graph = gen_theorem_graph(DimensionProfile((2, 2, 2)), 1)
+    expected = density_matrix(graph).matrix
+    writable = np.array(expected)
+    read_only_view = writable.view()
+    read_only_view.setflags(write=False)
+    kept = [DensityMatrix(m, graph.profile, "combinatorial").matrix for m in (writable, read_only_view)]
+    writable[:] = 5.0
+    for matrix in kept:
+        assert not matrix.flags.writeable
+        assert np.array_equal(matrix, expected)
+
+
 def test_require_symmetric_adds_at_most_one_mib():
     graph = CAP_GRAPHS["psym-16x8x8"](3)
     mat = np.array(density_matrix(graph, "signless").matrix)

@@ -1,9 +1,11 @@
 """Both text parsers against their line-by-line oracles.
 
-``parse_graph`` and ``parse_decomposition`` classify each line once and
-convert the lines their formatters write in bulk.  The oracles here read
-every line on its own, as the parsers did before: ``parse_graph_by_lines``
-(in ``test_graphs``) and ``parse_decomposition_by_lines`` below.  Every case
+``parse_graph`` classifies each line once and converts the edge lines
+``format_graph`` writes in bulk.  ``parse_decomposition`` walks the record's
+content lines once, one reader per line kind, and converts its row values
+to one array after the walk.  The oracles here read every line on its own
+and build each factor as they go: ``parse_graph_by_lines`` (in
+``test_graphs``) and ``parse_decomposition_by_lines`` below.  Every case
 must give an equal graph or record (factors bit for bit, signs of zeros
 included) or the same message on the same line.
 """
@@ -477,6 +479,51 @@ def test_index_bounds_follow_the_ladder_order():
         parse_decomposition(text.format(index="index 3 3\n", ladder=""))
 
 
+# -- two faults in one record: the earlier line, and on one line the first check --
+
+TWO_TERM_RECORD = [
+    "graphsep-decomposition",
+    "dims 2 2",
+    "terms 2",
+    "term 1",
+    "weight 0.5",
+    "factor 1 order 2",
+    "0.5 0.5",  # line 7
+    "0.5 0.5",
+    "factor 2 vector 2",
+    "1.0 0.0",
+    "term 2",
+    "weight 0.5",
+    "factor 1 order 2",  # line 13
+    "0.5 -0.5",
+    "-0.5 0.5",
+    "factor 2 vector 2",
+    "0.0 1.0",  # line 17
+]
+
+TWO_FAULTS = {
+    # line number -> its new text (None drops the line), and the message.
+    "bad-row-then-bad-header": (
+        {7: "0.5 x", 13: "factor 1 oder 2"},
+        "line 7: bad numeric value in '0.5 x'",
+    ),
+    "row-count-and-token": ({7: "x 0.5 0.5"}, "line 7: expected 2 values, got 3"),
+    "ladder-token-and-count": ({5: "weight 0.5\nladder x 1.0"}, "line 6: bad ladder line"),
+    "last-row-missing": ({17: None}, "unexpected end of decomposition record"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+def test_two_faults_give_the_pinned_message(name):
+    edits, message = TWO_FAULTS[name]
+    lines = [edits.get(lineno, line) for lineno, line in enumerate(TWO_TERM_RECORD, start=1)]
+    text = "\n".join(line for line in lines if line is not None) + "\n"
+    assert_record_matches_oracle(text)
+    with pytest.raises(GraphFormatError) as got:
+        parse_decomposition(text)
+    assert str(got.value) == message
+
+
 # -- graphs: the existing mutations on more texts ---------------------------------
 
 
@@ -486,7 +533,7 @@ def test_graph_breaks_match_line_oracle(text, newline):
     assert_parse_matches_oracle(text.replace("\n", newline))
 
 
-# -- splices of the bytes both classifiers look at ---------------------------------
+# -- splices of keywords, values, digits and breaks ---------------------------------
 
 SPLICES = st.sampled_from(
     list("eE0123456789.,+-#_ax\t\n\r\x0c\x85\u0661 ")
