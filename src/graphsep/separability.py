@@ -769,8 +769,20 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     factor with a vector v (``term.vectors``) is written as ``factor k vector
     d`` and one row holding v, and is read back as ``projector(v)``; any
     other factor as ``factor k order d`` and its d rows.  Terms from
-    :func:`decompose` write every factor k >= 2 as a vector.
+    :func:`decompose` write every factor k >= 2 as a vector.  Their rows
+    repeat across terms, so each distinct row of values (by its float64
+    bytes) is formatted once per call; the text is the same as formatting
+    every value on its own.
     """
+    texts = {}  # a row's float64 bytes -> its text, for this call
+
+    def text_of(row: np.ndarray) -> str:
+        key = row.tobytes()
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = " ".join(map(format_float, row.tolist()))
+        return text
+
     lines = [_DECOMPOSITION_MAGIC]
     lines.append("dims " + " ".join(str(d) for d in decomposition.profile.dims))
     lines.append(f"terms {len(decomposition.terms)}")
@@ -788,7 +800,7 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
             lines.append("index " + " ".join(str(r) for r in term.index))
         lines.append("weight " + format_float(term.weight))
         if term.ladder is not None:
-            lines.append("ladder " + " ".join(format_float(x) for x in term.ladder))
+            lines.append("ladder " + text_of(np.asarray(term.ladder, dtype=float)))
         vectors = term.vectors or (None,) * len(term.factors)
         pairs = zip(term.factors, vectors, strict=True)
         for k, (factor, vector) in enumerate(pairs, start=1):
@@ -798,7 +810,7 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
             else:
                 rows = np.asarray(vector, dtype=float)[None, :]
                 lines.append(f"factor {k} vector {rows.shape[1]}")
-            lines.extend(" ".join(format_float(x) for x in row) for row in rows)
+            lines.extend(map(text_of, rows))
     return "\n".join(lines) + "\n"
 
 
@@ -808,10 +820,13 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     One walk over the record's content lines (blank lines and ``#``
     comments skipped) reads each line in file order, with one reader per
     line kind, so an error is raised on its own line, the earliest first.
-    Every row value goes through ``float`` into one flat list; after the
-    walk that list becomes one array, and the rank-one factors of each axis
-    are expanded by one :func:`projector` call on the stack of their
-    vectors.
+    Each distinct row text (and ``ladder`` line) is split and converted by
+    ``float`` once per call; a repeated row reuses those values, after its
+    value count is checked against its own factor's order.  A row that
+    fails is never kept, so the first bad line is the one reported.  The
+    row values go into one flat list; after the walk that list becomes one
+    array, and the rank-one factors of each axis are expanded by one
+    :func:`projector` call on the stack of their vectors.
     """
     lines = ByteLines(text).texts()
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
@@ -886,6 +901,8 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
         for k, d in enumerate(dims, start=1)
     ]
     heads = []  # per term: weight, index, ladder
+    rows = {}  # a valid row's text -> its values, for this call
+    ladders = {}  # a valid ladder line -> its values
     values = []  # every row value, in reading order
     offsets = []  # per factor, in reading order: the offset of its values
     is_vector = []
@@ -908,7 +925,9 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
             raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
         if texts[pos].startswith("ladder "):
             lineno, line = take()
-            ladder = _ladder_line(line, n, lineno)
+            ladder = ladders.get(line)
+            if ladder is None:
+                ladder = ladders[line] = _ladder_line(line, n, lineno)
         heads.append((weight, index, ladder))
         for k, d in enumerate(dims, start=1):
             lineno, line = take()
@@ -919,13 +938,18 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
             offsets.append(len(values))
             for _ in range(1 if vector else d):  # the rows
                 lineno, line = take()
-                row = line.split()
+                row = rows.get(line)
+                if row is None:
+                    row = line.split()
+                    if len(row) == d:
+                        try:
+                            row = rows[line] = [*map(float, row)]
+                        except ValueError:
+                            raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
+                # A row read before under another order is checked again here.
                 if len(row) != d:
                     raise GraphFormatError(f"expected {d} values, got {len(row)}", line=lineno)
-                try:
-                    values.extend(map(float, row))
-                except ValueError:
-                    raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
+                values.extend(row)
     if pos != count:
         lineno, line = take()
         raise GraphFormatError(f"trailing content {line!r}", line=lineno)

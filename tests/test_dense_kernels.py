@@ -209,11 +209,11 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_density_matrix_peak_is_its_array_and_one_copy():
+def test_density_matrix_peak_is_its_array():
     graph = CAP_GRAPHS["psym-16x8x8"](3)
     total = graph.num_vertices
     peak = traced_peak(lambda: density_matrix(graph, "signless"))
-    assert peak <= 2 * 8 * total * total + MiB
+    assert peak <= 8 * total * total + MiB
 
 
 def test_density_matrix_keeps_the_array_it_wrote():

@@ -2,8 +2,8 @@
 
 ``parse_graph`` classifies each line once and converts the edge lines
 ``format_graph`` writes in bulk.  ``parse_decomposition`` walks the record's
-content lines once, one reader per line kind, and converts its row values
-to one array after the walk.  The oracles here read every line on its own
+content lines once, one reader per line kind, converts each distinct row
+text once, and turns its row values into one array after the walk.  The oracles here read every line on its own
 and build each factor as they go: ``parse_graph_by_lines`` (in
 ``test_graphs``) and ``parse_decomposition_by_lines`` below.  Every case
 must give an equal graph or record (factors bit for bit, signs of zeros
@@ -30,7 +30,7 @@ from graphsep import (
 from graphsep.separability import projector
 from graphsep.textio import content_lines
 from test_graphs import assert_parse_matches_oracle, mutated_graph_texts, small_graphs
-from test_separability import mutated_records, sample_records
+from test_separability import mutated_records, sample_records, theorem_record
 
 # -- the record oracle ----------------------------------------------------------
 
@@ -510,6 +510,8 @@ TWO_FAULTS = {
     "row-count-and-token": ({7: "x 0.5 0.5"}, "line 7: expected 2 values, got 3"),
     "ladder-token-and-count": ({5: "weight 0.5\nladder x 1.0"}, "line 6: bad ladder line"),
     "last-row-missing": ({17: None}, "unexpected end of decomposition record"),
+    # A row that fails is not kept, so its first line is the one named.
+    "same-bad-row-twice": ({10: "x 1.0", 17: "x 1.0"}, "line 10: bad numeric value in 'x 1.0'"),
 }
 
 
@@ -522,6 +524,43 @@ def test_two_faults_give_the_pinned_message(name):
     with pytest.raises(GraphFormatError) as got:
         parse_decomposition(text)
     assert str(got.value) == message
+
+
+# -- repeated rows: each distinct row text is converted once a record ----------
+
+M42_RECORD = [
+    "graphsep-decomposition",
+    "dims 4 2",
+    "terms 1",
+    "term 1",
+    "weight 1.0",
+    "factor 1 order 4",
+    *["0.25 0.25 0.25 0.25"] * 4,  # lines 7-10
+    "factor 2 vector 2",
+    "0.25 0.25 0.25 0.25",  # line 12: a row read before, now under order 2
+]
+
+
+def test_row_read_before_is_checked_against_its_new_order():
+    text = "\n".join(M42_RECORD) + "\n"
+    assert_record_matches_oracle(text)
+    with pytest.raises(GraphFormatError) as got:
+        parse_decomposition(text)
+    assert str(got.value) == "line 12: expected 2 values, got 4"
+
+
+def test_respelt_second_occurrence_of_a_row_keeps_its_bits():
+    original = theorem_record((2, 4, 4), 1)
+    lines = original.splitlines()
+    rows = [i + 1 for i, line in enumerate(lines) if " vector " in line]
+    first = next(i for i in rows if [lines[j] for j in rows].count(lines[i]) > 1)
+    second = next(i for i in rows if i > first and lines[i] == lines[first])
+    respelt = " ".join(repr(float(x)) for x in lines[second].split())
+    assert respelt != lines[second]
+    lines[second] = respelt
+    text = "\n".join(lines) + "\n"
+    assert_record_matches_oracle(text)
+    assert_same_record(parse_decomposition(text), parse_decomposition(original))
 
 
 # -- graphs: the existing mutations on more texts ---------------------------------

@@ -40,6 +40,8 @@ from graphsep import (
     verify_decomposition,
     vertex_index,
 )
+from graphsep.textio import format_float
+from test_golden_records import GOLDEN
 
 
 def assemble_by_hand(decomposition):
@@ -928,6 +930,81 @@ def test_theorem_record_round_trips(dims, seed):
     text = theorem_record(dims, seed)
     assume(text is not None)
     assert format_decomposition(parse_decomposition(text)) == text
+
+
+def format_decomposition_by_values(decomposition):
+    """Oracle: the record writer that formats every value on its own."""
+    lines = [
+        "graphsep-decomposition",
+        "dims " + " ".join(str(d) for d in decomposition.profile.dims),
+        f"terms {len(decomposition.terms)}",
+    ]
+    if decomposition.residual is not None:
+        lines.append("residual " + format_float(decomposition.residual))
+    if decomposition.certificates is not None:
+        lines.append(
+            "certificates "
+            + " ".join(f"{name}={'pass' if ok else 'fail'}" for name, ok in decomposition.certificates)
+        )
+    for i, term in enumerate(decomposition.terms, start=1):
+        lines.append(f"term {i}")
+        if term.index is not None:
+            lines.append("index " + " ".join(str(r) for r in term.index))
+        lines.append("weight " + format_float(term.weight))
+        if term.ladder is not None:
+            lines.append("ladder " + " ".join(format_float(x) for x in term.ladder))
+        vectors = term.vectors or (None,) * len(term.factors)
+        for k, (factor, vector) in enumerate(zip(term.factors, vectors), start=1):
+            if vector is None:
+                rows = np.asarray(factor, dtype=float)
+                lines.append(f"factor {k} order {len(rows)}")
+            else:
+                rows = np.asarray(vector, dtype=float)[None, :]
+                lines.append(f"factor {k} vector {rows.shape[1]}")
+            for row in rows:
+                lines.append(" ".join(format_float(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dims", list(GOLDEN), ids=lambda dims: "x".join(map(str, dims)))
+def test_record_writer_matches_per_value_oracle_on_golden_graphs(dims):
+    for seed in range(3):
+        dec = decompose(gen_theorem_graph(DimensionProfile(dims), seed))
+        assert format_decomposition(dec) == format_decomposition_by_values(dec), f"seed {seed}"
+
+
+def test_record_writer_matches_per_value_oracle_on_hand_built_terms():
+    # Rows shared across terms, 0.0 and -0.0 rows (written alike, held under
+    # different bytes), NaNs with other payloads and signs, infinities, a
+    # term without vectors, a dense factor k >= 2 and repeated ladders.
+    f1 = np.array([[0.5, 0.25], [0.25, 0.5]])
+    shared, v3 = np.array([0.6, 0.8]), np.array([1.0, 0.0, 0.0])
+    zero, minus_zero = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+    payload_nan = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+    special = np.array([[math.nan, math.inf], [-math.inf, 0.25]])
+
+    def rank_one(index, ladder, v2, v3=v3):
+        vectors = (None, v2, v3)
+        factors = (f1, *(separability.projector(v) for v in vectors[1:]))
+        return DecompositionTerm(0.125, factors, index, ladder, vectors=vectors)
+
+    terms = (
+        rank_one((1, 1), (0.5, -1.0), shared),
+        rank_one((1, 2), (0.5, -1.0), shared),
+        rank_one((2, 1), (0.0, 2.0), zero),
+        rank_one((2, 2), (-0.0, 2.0), minus_zero, np.array([*payload_nan, math.inf])),
+        DecompositionTerm(0.25, (f1, special, np.diag([-0.0, 0.0, math.nan]))),
+        DecompositionTerm(0.25, (special, f1, separability.projector(v3)), vectors=(None, None, v3)),
+    )
+    dec = SeparableDecomposition(
+        DimensionProfile((2, 2, 3)), terms, residual=-0.0, certificates=(("reassembly", True), ("ppt", False))
+    )
+    text = format_decomposition(dec)
+    assert text == format_decomposition_by_values(dec)
+    lines = text.splitlines()
+    assert lines.count("0.0000000000000000e+00 1.0000000000000000e+00") == 2
+    assert lines.count("ladder 0.0000000000000000e+00 2.0000000000000000e+00") == 2
+    assert lines.count("nan nan inf") == 1 and lines.count("nan inf") == 2
 
 
 def dense_form(decomposition):
