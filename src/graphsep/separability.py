@@ -18,20 +18,30 @@ eigenvectors.  Each term is the degree diagonal plus the scaled top pattern
 (normalised by the total layer degree) times rank-one projectors for the
 remaining subsystems.  Each step is certified (row-sum bounds on every ladder
 value, dominance of every mixing matrix by one integer comparison per top
-layer, final reassembly) and the routine refuses rather than approximates.
+layer, a final residual bound) and the routine refuses rather than
+approximates.
 
 ``verify_decomposition`` works on per-axis factor stacks, one (B, d_k, d_k)
 array per axis for a block of B terms; blocks are capped in size so the
 stacks add bounded memory, and every benchmark-sized decomposition is one
-block.  A factor that equals the rank-one product v v^T of its term's vector,
-entry for entry as numpy rounds it, is PSD without an eigensolve: each entry
-is rounded once, so its least eigenvalue is at least -2^-53 |v|^2, far inside
-the PSD tolerance.  Every other factor (all of factor 1 from
-:func:`decompose`) goes through one batched eigenvalue call per axis and
-block.  The weighted sum of Kronecker products is reassembled as one matrix
+block.  Each stack is certified by :func:`certificates._factor_failures`,
+where a factor equal to its vector's rank-one product needs no eigensolve.
+The weighted sum of Kronecker products is reassembled as one matrix
 product of two per-term Kronecker tables per block
 (:meth:`SeparableDecomposition.assemble`), so no V x V matrix is built per
 term.
+
+``certify_decomposition`` is what ``decompose`` and the CLI's ``verify``
+run.  It compares profiles, then, when the graph's conditions give its
+factors F_k and the record is a grid (bit-equal weights, and for each axis
+k >= 2 exactly N_k distinct factor arrays, by identity, covering the product
+grid once), it bounds |S - rho|_F from those per-axis factors
+(:func:`certificates._factored_certificate`).  ``decompose`` builds, and
+``parse_decomposition`` reads, one projector array per distinct vector, so
+their records are grids.  The factored path only passes; any other record,
+a graph whose conditions fail, or a bound above ``tol`` goes to
+``verify_decomposition`` against rho, the unchanged reference, whose
+verdict and failure texts are returned.
 """
 
 from __future__ import annotations
@@ -42,6 +52,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .certificates import (
+    VerificationCertificate,
+    _factor_failures,
+    _factored_certificate,
+    _vector_stack,
+)
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .graphs import (
     COMBINATORIAL,
@@ -342,8 +358,9 @@ def _stacked_blocks(terms, dims, found: dict | None = None):
     """Yield ``(start, stacks)`` for consecutive blocks of ``terms``, where
     ``stacks[k]`` is the float array of shape (B, d_k, d_k) holding the k-th
     factors of terms ``start .. start + B - 1``.  With a dict ``found``, the
-    factors of each block are certified (:func:`_factor_failures`) before it
-    is yielded, and the failure texts stored under (term, axis), 1-based."""
+    factors of each block are certified
+    (:func:`certificates._factor_failures`) before it is yielded, and the
+    failure texts stored under (term, axis), 1-based."""
     split = _split_axes(dims)
     a = math.prod(dims[:split])
     b = math.prod(dims[split:])
@@ -369,18 +386,6 @@ def _stacked_blocks(terms, dims, found: dict | None = None):
         yield start, stacks
 
 
-def _vector_stack(found, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, d) stack of the vectors ``found`` for one axis, zero where one
-    is not an array of shape (d,), and the mask of those that are."""
-    mask = np.array([isinstance(v, np.ndarray) and v.shape == (d,) for v in found])
-    if mask.all():
-        return np.array(found, dtype=float), mask
-    stack = np.zeros((len(found), d))
-    if mask.any():
-        stack[mask] = [v for v, has in zip(found, mask.tolist()) if has]
-    return stack, mask
-
-
 def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposition:
     """Produce a certified fully separable decomposition of the signless
     density matrix of ``graph``.
@@ -395,8 +400,9 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     run in descending order of that product.  Each level expands all terms
     at once; dominance is one integer comparison per top layer.
 
-    The result is verified once, by :func:`verify_decomposition` with the
-    relative reassembly tolerance ``tol``.  Raises
+    The result is verified once, by :func:`certify_decomposition` with the
+    relative reassembly tolerance ``tol``: it is a grid record, so the
+    factored bound certifies it unless that bound exceeds ``tol``.  Raises
     :class:`PreconditionError` when the hypotheses fail and
     :class:`ConstructionError` when any internal certificate fails (which
     would mean a hypothesis gap, a bug or a too tight ``tol``, and is never
@@ -461,12 +467,13 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
 
     # Factor 1 of every term in one broadcast: delta + lam F_1 for the last
     # ladder value, normalised by the total layer degree.  Every other
-    # factor is the projector of one eigenvector of its axis, shared by all
-    # the terms that chose it; the axes in order are the levels in reverse.
+    # factor is the projector of one eigenvector of its axis, one array
+    # shared by all the terms that chose it (so the record is a grid, see
+    # certificates._grid); the axes in order are the levels in reverse.
     top = np.diag(np.asarray(layer_degrees, dtype=float)) + values[:, None, None] * factors_float[0]
     firsts = top / sum(layer_degrees)
-    bases = [eig.eigenvectors.T for eig in spectra]
-    projectors = [projector(basis) for basis in bases]
+    bases = [list(eig.eigenvectors.T) for eig in spectra]
+    projectors = [list(projector(eig.eigenvectors.T)) for eig in spectra]
     weight = 1.0 / len(values)
     positions = itertools.product(*(range(1, d + 1) for d in dims[:0:-1]))
     terms = tuple(
@@ -489,8 +496,7 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
         layer_degrees=layer_degrees,
         adjacency_factors=factors,
     )
-    rho = density_matrix(graph, SIGNLESS)
-    certificate = verify_decomposition(decomposition, rho, tol)
+    certificate = certify_decomposition(decomposition, graph, tol, report)
     if not certificate.passed:
         raise ConstructionError(
             "decomposition failed verification: "
@@ -508,21 +514,6 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
             ("reassembly", True),
         ),
     )
-
-
-@dataclass(frozen=True)
-class VerificationCertificate:
-    """Result of checking a decomposition against a density matrix."""
-
-    passed: bool
-    residual: float
-    relative_residual: float
-    weight_sum: float
-    failures: tuple[str, ...]
-    tolerance: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def verify_decomposition(
@@ -543,10 +534,10 @@ def verify_decomposition(
     The factor checks run on per-axis stacks of shape (B, d_k, d_k), for
     blocks of B terms (one block for all but the largest factors).  A factor
     that equals its term's rank-one product v v^T entry for entry is PSD by
-    a rounding bound (see :func:`_factor_failures`); the others take one
-    batched symmetric eigenvalue call per axis and block.  The residual is
-    reassembled from the same stacks (:func:`_reassemble`).  Failures are
-    listed term by term, factors in axis order.
+    a rounding bound (see :func:`certificates._factor_failures`); the
+    others take one batched symmetric eigenvalue call per axis and block.
+    The residual is reassembled from the same stacks (:func:`_reassemble`).
+    Failures are listed term by term, factors in axis order.
     """
     if decomposition.profile != rho.profile:
         raise ValueError(
@@ -598,63 +589,34 @@ def verify_decomposition(
     )
 
 
-def _factor_failures(
-    stack: np.ndarray,
-    vectors: np.ndarray | None = None,
-    has_vector: np.ndarray | None = None,
-) -> dict[int, list[str]]:
-    """Failed factor certificates in one (B, d, d) axis stack, by position in it.
+def certify_decomposition(
+    decomposition: SeparableDecomposition,
+    graph: MultipartiteGraph,
+    tol: float = 1e-8,
+    report: ConditionReport | None = None,
+) -> VerificationCertificate:
+    """Check ``decomposition`` against the signless density matrix of ``graph``.
 
-    A factor must be finite, then symmetric within 1e-12; only a factor
-    that is both is checked for unit trace (within 1e-10) and for
-    ``lambda_min >= -1e-9 * max(1, |lambda_max|)``.  Row t of ``vectors``
-    (where ``has_vector[t]``) is a vector v for factor t.  A finite factor
-    equal to ``v[:, None] * v[None, :]`` is v v^T + E with each entry
-    rounded once, so |E|_F <= 2^-53 |v|^2 (underflow adds at most
-    d^2 2^-1074) and lambda_min >= -2^-53 |v|^2, inside the tolerance: it
-    passes the PSD test without an eigensolve.  The other checked factors
-    take one batched ``eigvalsh``.  The verdicts do not depend on the
-    vectors.
+    The profiles are compared first; a mismatch raises ``ValueError`` before
+    any matrix is built.  When the graph's conditions give its factors
+    (``report``, from :func:`check_theorem_conditions` unless passed in) and
+    the record is a grid (:func:`certificates._grid`), the factored bound of
+    :func:`certificates._factored_certificate` is tried first; it only ever
+    passes.  Every other record, and every grid record that bound does not
+    pass, goes to :func:`verify_decomposition` against rho, whose verdict
+    and failure texts are returned unchanged.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        # One stack-sized scratch buffer: the asymmetry, made absolute in
-        # place, then the differences from the rank-one products.
-        scratch = stack - stack.transpose(0, 2, 1)
-        asymmetry = np.abs(scratch, out=scratch).max(axis=(1, 2))
-        traces = np.trace(stack, axis1=1, axis2=2)
-        checked = finite & (asymmetry <= 1e-12)
-        proven = np.zeros(len(stack), dtype=bool)
-        if has_vector is not None and (checked & has_vector).any():
-            np.multiply(vectors[:, :, None], vectors[:, None, :], out=scratch)
-            # With gradual underflow x - y == 0 exactly when x == y; a NaN
-            # or inf product leaves a nonzero difference.
-            differs = np.subtract(scratch, stack, out=scratch).any(axis=(1, 2))
-            proven = checked & has_vector & ~differs
-    del scratch  # freed before the masked copy below
-    solve = checked & ~proven
-    low = np.zeros(len(stack))
-    high = np.zeros(len(stack))
-    if solve.any():
-        # A masked copy only when some factor is excluded.
-        values = np.linalg.eigvalsh(stack if solve.all() else stack[solve])
-        low[solve] = values[:, 0]
-        high[solve] = values[:, -1]
-    psd = low >= -1e-9 * np.maximum(1.0, np.abs(high))
-    unit_trace = np.abs(traces - 1.0) <= 1e-10
-    found: dict[int, list[str]] = {}
-    for t in np.flatnonzero(~(checked & unit_trace & psd)).tolist():
-        if not finite[t]:
-            found[t] = ["non-finite entries"]
-        elif not checked[t]:
-            found[t] = ["not symmetric"]
-        else:
-            found[t] = []
-            if not unit_trace[t]:
-                found[t].append(f"trace {float(traces[t]):.17g}, expected 1")
-            if not psd[t]:
-                found[t].append(f"not PSD (min eigenvalue {float(low[t]):.3e})")
-    return found
+    if decomposition.profile != graph.profile:
+        raise ValueError(
+            f"decomposition profile {decomposition.profile.dims} does not"
+            f" match density matrix profile {graph.profile.dims}"
+        )
+    if report is None:
+        report = check_theorem_conditions(graph)
+    certificate = _factored_certificate(decomposition, report, tol)
+    if certificate is None:
+        certificate = verify_decomposition(decomposition, density_matrix(graph, SIGNLESS), tol)
+    return certificate
 
 
 @dataclass(frozen=True)
@@ -824,9 +786,12 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     ``float`` once per call; a repeated row reuses those values, after its
     value count is checked against its own factor's order.  A row that
     fails is never kept, so the first bad line is the one reported.  The
-    row values go into one flat list; after the walk that list becomes one
-    array, and the rank-one factors of each axis are expanded by one
-    :func:`projector` call on the stack of their vectors.
+    row values go into one flat list, each distinct vector row text once;
+    after the walk that list becomes one array, and the rank-one factors of
+    each axis are expanded by one :func:`projector` call on the stack of
+    their distinct vectors.  Every term holding the same vector row text on
+    an axis shares one vector array and one projector array there, so a
+    ``decompose`` record reads back as a grid (:func:`certificates._grid`).
     """
     lines = ByteLines(text).texts()
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
@@ -903,7 +868,8 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     heads = []  # per term: weight, index, ladder
     rows = {}  # a valid row's text -> its values, for this call
     ladders = {}  # a valid ladder line -> its values
-    values = []  # every row value, in reading order
+    values = []  # every matrix row value and each distinct vector row's, in reading order
+    placed = {}  # a vector row's text -> the offset of its values
     offsets = []  # per factor, in reading order: the offset of its values
     is_vector = []
     for i in range(1, expected_terms + 1):
@@ -949,6 +915,12 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
                 # A row read before under another order is checked again here.
                 if len(row) != d:
                     raise GraphFormatError(f"expected {d} values, got {len(row)}", line=lineno)
+                if vector:
+                    # A vector row's text is placed once; later ones point at it.
+                    at = placed.setdefault(line, offsets[-1])
+                    if at != offsets[-1]:
+                        offsets[-1] = at
+                        continue
                 values.extend(row)
     if pos != count:
         lineno, line = take()
@@ -960,11 +932,14 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     factors = [[None] * len(heads) for _ in dims]  # by axis, then term
     vectors = [[None] * len(heads) for _ in dims]
     for k, d in enumerate(dims):
+        # One vector and one projector array per distinct row, shared by
+        # every term that holds it.
         held = np.flatnonzero(is_vector[:, k])
-        stack = flat[offsets[held, k, None] + np.arange(d)]
-        for t, vector, product in zip(held.tolist(), stack, projector(stack)):
-            vectors[k][t] = vector
-            factors[k][t] = product
+        distinct, choice = np.unique(offsets[held, k], return_inverse=True)
+        stack = flat[distinct[:, None] + np.arange(d)]
+        shared = list(zip(stack, projector(stack)))
+        for t, j in zip(held.tolist(), choice.tolist()):
+            vectors[k][t], factors[k][t] = shared[j]
         dense = np.flatnonzero(~is_vector[:, k])
         matrices = flat[offsets[dense, k, None] + np.arange(d * d)].reshape(-1, d, d)
         for t, matrix in zip(dense.tolist(), matrices):

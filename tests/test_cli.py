@@ -249,8 +249,9 @@ class TestDecomposeVerify:
         assert not dec_path.exists()
 
     def test_decompose_builds_rho_once(self, tmp_path, monkeypatch):
-        # decompose builds rho for its own verification; the CLI's PPT
-        # verdicts come from the edges and build no second one.
+        # decompose certifies its grid record from the per-axis factors and
+        # the CLI's PPT verdicts come from the edges, so neither builds rho;
+        # nor does verify of that record.
         profiles = ["2,2,2", "3,2,2", "2,4,4,4,4"]
         for i, dims in enumerate(profiles):
             argv = ["gen", "theorem", "--dims", dims, "--seed", "1", "-o", str(tmp_path / f"{i}.graph")]
@@ -266,7 +267,33 @@ class TestDecomposeVerify:
             monkeypatch.setattr(module, "density_matrix", counting)
         for i in range(len(profiles)):
             assert main(["decompose", str(tmp_path / f"{i}.graph"), str(tmp_path / f"{i}.dec")]) == 0
-        assert calls == [(2, 2, 2), (3, 2, 2), (2, 4, 4, 4, 4)]
+            assert main(["verify", str(tmp_path / f"{i}.graph"), str(tmp_path / f"{i}.dec")]) == 0
+        assert calls == []
+
+    def test_stale_record_is_refused_before_rho_or_conditions(self, tmp_path, monkeypatch, capsys):
+        # The profiles are compared first: exit 2 with the same message, and
+        # neither rho nor the conditions are computed.
+        for name, dims in (("a", "2,2,2"), ("b", "2,4,4")):
+            argv = ["gen", "theorem", "--dims", dims, "--seed", "1", "-o", str(tmp_path / f"{name}.graph")]
+            assert main(argv) == 0
+        assert main(["decompose", str(tmp_path / "a.graph"), str(tmp_path / "a.dec")]) == 0
+        capsys.readouterr()
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("not reached")
+
+        for module in (graphsep, graphs, separability, cli):
+            monkeypatch.setattr(module, "density_matrix", refuse)
+        monkeypatch.setattr(separability, "check_theorem_conditions", refuse)
+        assert main(["verify", str(tmp_path / "b.graph"), str(tmp_path / "a.dec")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        assert (
+            "precondition unmet: decomposition profile (2, 2, 2) does not match"
+            " density matrix profile (2, 4, 4)"
+        ) in captured.err
 
     def test_precondition_exit_2(self, workdir, capsys):
         code = main(["decompose", str(workdir / "intra.graph"), str(workdir / "x.dec")])

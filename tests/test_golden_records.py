@@ -6,6 +6,14 @@ The profiles are every theorem profile of the certify workloads in
 several blocks, and (4, 16, 16), at the default vertex cap.  Records are an
 output contract: a change that moves any of these digests changes the bytes
 of a record, and must be announced as a format change.
+
+The ``residual`` line holds the factored bound, which is computed with
+numpy's own elementwise operations and reductions, never a BLAS call, so
+these digests hold under any ``OPENBLAS_NUM_THREADS`` (CI runs this file
+under 1 and 2 threads).  They still depend on the CPU kernels: LAPACK's
+``eigh`` gives the factor rows and ladders, and numpy picks its SIMD
+summation loops per CPU, so another instruction set or library build can
+move the last digits of a record, and with them a digest.
 """
 
 import hashlib
@@ -16,54 +24,54 @@ from graphsep import DimensionProfile, decompose, format_decomposition, gen_theo
 
 GOLDEN = {
     (3, 2, 2): (
-        "d48324324802d616acacb636dd5327892b6f500f40f7d05099d6c45b169bed9f",
-        "cbf4a773901b35015168100116fa8f77db979939380c343a64e4a6cddfa778e9",
-        "8a60f47fa843e033e7b11fe79475e779fc961974adf989b186219ba3179fcee7",
+        "c2249f1a225b7916b131700c163d0a956d3c070762d956ee42da3d6531781f72",
+        "48b21615030539b54b1fc86f61e99773a07f1a3e91a10ead801c0b3f59d04d1d",
+        "acdfd935e16c314a5d360112826705216952d87f93096ea3dbc5734dc25a2c6a",
     ),
     (2, 2, 64): (
-        "6fab28d955a4aab2a0e5104c937bccf69c6c389edf8572534aa5815d21e88d9f",
-        "423c835c00167d8130b92d3ef446318d400d0a04eac519e27be303f6e23f6a19",
-        "6b7ae3440984dffa683c551b3ec67eb15da29f90d5767de36a4f48fff37e0366",
+        "85fbc4ceab32698d9c55f5a706f58540baee5129b71db86fbbf76b3a83deee84",
+        "961d67c851bc505d18c78da473e2a39f7b2b0ff371aa5ae51e9a9ec94b0a5fb4",
+        "7c6f6015a9df245c57084ff7cc1721a0ef031c8bf0d80be4727bf5404129873a",
     ),
     (2, 4, 32): (
-        "9ca92ceff78308d8383dbca11d56f74a47541e69d1ae10065c29f7d1e7385f12",
-        "60df2aa1fe857d2cf3f4aad15237228c8fcd0d6190e6dc20c55b1a0fef3576b2",
-        "50e753bbc913ffafde3267769a1c0b51c623fbddd2ed63c0dcd25e2851788890",
+        "6444e387116ef9810a151000e7be1e5d29f7ab85cd7d8b7a7e5ae8923626b5c8",
+        "9d37beb67d39c5e1751e81eca79bf9064280aa2bfde267d4ae02bb91a717000f",
+        "0ebb11a962ffd48bbcc50775953f5388f27dbedf4f969f0f8599331dd2354795",
     ),
     (4, 2, 32): (
-        "fc1c5c388333f1fcd92319d67e95a77ed28e922df13881a4d7969a530fd3056a",
-        "bb3f290f5520b89c093c52db52d07cb77382c3f0663821d61ca3ab056d94a8f6",
-        "be91280cad7ec4aa712cee4fde0c8773c4fdb880011bcdcede2e45240d874743",
+        "ae44cabb15f2d5e84d70e92c842cca6b55e1d8110aee708f8edab3ea7657a22c",
+        "f1fdb9068ec6a6c4b552e9a2df923c3736253393e9ad335d3217407f61ff771f",
+        "8e1d624ff7dbbd6aae52de337d92fddb8fe918d80ddbde1fcd53f74cd88c63f8",
     ),
     (2, 4, 4, 4, 4): (
-        "b86a77256b5c6da3e3bd86a9b350d2173440afbd08b77e4ff5fda002fdb528ff",
-        "2e391c06c30a9c29968b3eb5d8b1503884ada75717a7e886309155e4c88890df",
-        "3fb72a1b872f37a5bd83d262a6b966a3cb5c0d2334b0ecbeff49fb384a30e796",
+        "78dfe641338c89bee43e83ac5cc4c574c2863341e21a63bae90c53d1aed59d3c",
+        "84f953d95af34da47fd072fdc30faa949a98e8a43bc4c7af389964e28735af5b",
+        "e759f404189c2bc018c21c282d0837c879328f99c5f133218da0159d5447b5a4",
     ),
     (2, 2, 2, 2, 2, 2, 2, 2): (
-        "7cc535650e20c33a0d1cad145f3accdc521204fd9d5d680242332b8e10099063",
-        "ee4939ec307a4d79c16a47f9b2526ff9b29ed5a2f904f673d1a901c4ee6f4155",
-        "23fce0f9b172a5f9902990ada9fd0acbb0fa08c5d97b5e31a311d726b55428b6",
+        "7f2d37f862e12d67829b508f34ca8bf897de892b1dc285668783bd7ccae39943",
+        "655ea3c953aa0cc575ce626ab7890733826099ffebcc93a5c86970118a71eb1b",
+        "db44e5e26452959f38f2d9d94ce98a0aef4e47a0937d259200e71b0955a09bd4",
     ),
     (4, 4, 4, 4): (
-        "154e5f929d854978310424337c3ec0f287650b5c9515c7ed2b4886b94cb8e0b0",
-        "1363bdb810f4e87de6608a3dbbb058da7363f1d3fd15fafc3d7f75eba7ab49e6",
-        "26bad07fd07b2ba9d906d05c6635d582e3d1a7bcd88c162a1dbef3cc5c713884",
+        "d6df974a925fdbad0a2f352097bc90a31bd0e8208ff4befd4672845e0d2697cb",
+        "23679ba40b9a0a925b094a0fc977f79914f47ef0e01e76ea6268f82ba6920990",
+        "690981f1b6e3fff5cc409d9f58abfb78ce78cdb300be77bb3e439ae3a59bf6c5",
     ),
     (2, 4, 4, 4): (
-        "c9106699e4582e6d8a039278ccb2a442971dc5eb0b7d07e01b53a45a45c91454",
-        "15f56882060c7a93e48522700aeb26b9cd76d04e329ed29e821dcf258d79cf91",
-        "7dedae6ba24a8ca3a02d8ee0f56f3e50e72519a650aa6a5fcc30f8bf8f91aef1",
+        "a0a29d0bd14f5a36b44c3c54700aa282604d57e6a5df69e92f6d767389449ef3",
+        "71ce32ae9781e56018b8d5693292db15f47e9054c0f0cfa4e6c43e2471f63917",
+        "bf308cc031547384c4c278bdc5fc378ac5e30ada39e47145455f7689fb1032a0",
     ),
     (2, 2, 128): (
-        "557af5818adbf66f2be82f6a34d70d74f543985302a0578448517d66838ed6df",
-        "d2ee6d7f2638bf4eff7b8d8b55081af4d90646149bbd11e8a11958727105bb3c",
-        "0b578f71381d2f4952858d7bb6fd54c559700b950fe2b747f29126d40a87d725",
+        "bb269cb89d9a86b8580994edd80257b2bee43a7a231a27fa590e36ff920c78b8",
+        "4bf3834338a4d0dd90a6ae93729607d30ce8ffcefa388515a1027ab959d2000d",
+        "28f8d9843cf2e67cb1fea7e30f1fe8639dfbe30849b21d5b4b8b49ec7e327286",
     ),
     (4, 16, 16): (
-        "c08c52e731be26d4c76e6748de6be09d25e1a1a4a55d8f8e230feac9674439a3",
-        "926f01658112a2e0015e241aa424684d77bd4ba07d96f74295ea8288eb9e0b82",
-        "94e86b7e3500e729b1fd908628419253164d436ecbbb0745724a0123d6430e87",
+        "d5511afdb7b439ca8a2899f2a9e4a3dc5696cbbcfa5d0d8d4040ff316c864b51",
+        "b258d9485116931c060cd70c134dd1085ddcea414e19387312b5335d1d2073b3",
+        "2d04b95a9fda8b0f8ea1ba43979ca4d13398bdf1be6cc4c334e51400ae3e7829",
     ),
 }
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from graphsep import separability
+from graphsep import certificates, separability
 from graphsep import (
     ConstructionError,
     DecompositionTerm,
@@ -220,7 +220,11 @@ class TestDecompose:
             assert np.array_equal(term.factors[1], np.outer(basis[:, r2 - 1], basis[:, r2 - 1]))
             assert np.array_equal(term.factors[2], np.outer(basis[:, r1 - 1], basis[:, r1 - 1]))
         assert np.array_equal(assemble_by_hand(dec), rho_q_m222_expected)
-        assert dec.residual == 0.0
+        # The reassembly is exact; the recorded residual is the factored
+        # bound, which keeps its rounding allowances.
+        bound = certificates._factored_certificate(dec, check_theorem_conditions(m222), 1e-8)
+        assert dec.residual == bound.residual
+        assert 0.0 < dec.residual < 1e-15
 
     def test_term_order_is_lexicographic(self, m222):
         dec = decompose(m222)
