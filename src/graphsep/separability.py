@@ -6,9 +6,10 @@ top layer, at every prefix depth all nonzero blocks of the adjacency matrix
 coincide with a single common block, and all vertices of a top layer share
 one degree.  Together these say the adjacency matrix factors exactly as a
 Kronecker product of one 0/1 pattern per axis (the top pattern with zero
-diagonal).  The block checks find the factors on the way, with no separate
-pass: F_1 is the top-level block pattern, F_k the block pattern of the
-common block one level up, and F_n the innermost common block.
+diagonal).  The checks read the edge array, never a V x V matrix: the block
+checks key the 2|E| nonzero entries of A by their pair of prefixes at each
+depth, and once they hold each F_k is the 0/1 pattern of the edges' axis-k
+coordinate pairs.
 
 ``decompose`` then walks an eigenvalue ladder down that factorisation, one
 level at a time.  It eigendecomposes each axis pattern F_2..F_n once; a
@@ -67,7 +68,6 @@ from .graphs import (
     Edge,
     Label,
     MultipartiteGraph,
-    adjacency_matrix,
     density_matrix,
     max_abs_difference,
 )
@@ -166,41 +166,40 @@ class ConditionReport:
         return "; ".join(problems) if problems else "all conditions hold"
 
 
-def _block_level_report(adjacency: np.ndarray, dims: tuple[int, ...], level: int) -> BlockLevelReport:
-    """Check that all nonzero blocks over distinct length-``level`` prefixes agree."""
-    prefix_dims = dims[:level]
-    pp = math.prod(prefix_dims)
-    ps = math.prod(dims[level:])
-    blocks = adjacency.reshape(pp, ps, pp, ps).transpose(0, 2, 1, 3)
-    nonzero = blocks.any(axis=(2, 3))
-    np.fill_diagonal(nonzero, False)  # equal prefixes are not compared here
-    index = np.argwhere(nonzero)
-    if index.size == 0:
+def _block_level_report(rows, cols, dims: tuple[int, ...], level: int) -> BlockLevelReport:
+    """Check that all nonzero blocks over distinct length-``level`` prefixes
+    agree, from the 0-based positions ``(rows, cols)`` of A's nonzero entries."""
+    size = math.prod(dims[level:])
+    prefixes = math.prod(dims[:level])
+    row_prefix = rows // size
+    col_prefix = cols // size
+    off = row_prefix != col_prefix  # equal prefixes are not compared here
+    keys = (row_prefix * prefixes + col_prefix)[off]
+    if keys.size == 0:
         return BlockLevelReport(level, True)
-    # Only the nonzero blocks are compared, in argwhere's row-major order.
-    gathered = blocks[index[:, 0], index[:, 1]]
-    first = gathered[0].copy()
-    mismatch = np.flatnonzero((gathered != first).any(axis=(1, 2)))
-    if mismatch.size == 0:
-        return BlockLevelReport(level, True, common_block=first)
+    cells = ((rows - row_prefix * size) * size + cols - col_prefix * size)[off]
+    # Blocks in row-major order of their keys.  A block holds a set of
+    # cells, so it equals the first block exactly when it holds as many
+    # cells and all of them lie in the first block.
+    blocks, counts = np.unique(keys, return_counts=True)
+    first = np.zeros(size * size, dtype=np.int64)
+    first[cells[keys == blocks[0]]] = 1
+    failing = np.concatenate((blocks[counts != counts[0]], keys[first[cells] == 0]))
+    common = first.reshape(size, size)
+    if failing.size == 0:
+        return BlockLevelReport(level, True, common_block=common)
 
     def decode(flat: int) -> Label:
-        return tuple(int(c) + 1 for c in np.unravel_index(flat, prefix_dims))
+        return tuple(int(c) + 1 for c in np.unravel_index(flat, dims[:level]))
 
-    row, col = index[mismatch[0]]
-    return BlockLevelReport(
-        level, False, (decode(int(row)), decode(int(col))), first
-    )
-
-
-def _block_pattern(matrix: np.ndarray, order: int) -> np.ndarray:
-    """0/1 pattern of the nonzero blocks of ``matrix`` in an order x order grid."""
-    size = matrix.shape[0] // order
-    return matrix.reshape(order, size, order, size).any(axis=(1, 3)).astype(np.int64)
+    row, col = divmod(int(failing.min()), prefixes)
+    return BlockLevelReport(level, False, (decode(row), decode(col)), common)
 
 
 def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
-    """Evaluate all decomposition hypotheses with exact integer comparisons."""
+    """Evaluate all decomposition hypotheses with exact integer comparisons,
+    on the edge array: the block checks read the 2|E| nonzero entries of A,
+    both orientations of each edge, and no V x V array is built."""
     profile = graph.profile
     dims = profile.dims
     n = profile.n
@@ -212,8 +211,10 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
     layers = (edges - 1) // layer_size
     intra = tuple(map(tuple, edges[layers[:, 0] == layers[:, 1]].tolist()))
 
-    adjacency = adjacency_matrix(graph)
-    levels = tuple(_block_level_report(adjacency, dims, z) for z in range(1, n))
+    # The nonzero entries of A, 0-based: both orientations of every edge.
+    a, b = (edges - 1).T
+    rows, cols = np.concatenate((a, b)), np.concatenate((b, a))
+    levels = tuple(_block_level_report(rows, cols, dims, z) for z in range(1, n))
     uniform = all(lv.uniform for lv in levels)
 
     degrees = graph.degree_sequence()
@@ -228,15 +229,20 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
 
     factors = None
     if uniform and not intra and graph.num_edges > 0:
-        # Without intra-layer edges A is F_1 (x) C_1 for the level-1 common
-        # block C_1, and every nonzero block of C_{k-1} at level k is C_k, so
-        # C_{k-1} = F_k (x) C_k.  Hence A = F_1 (x) ... (x) F_n exactly.
-        common = [lv.common_block for lv in levels]
-        factors = (
-            (_block_pattern(adjacency, dims[0]),)
-            + tuple(_block_pattern(common[k - 1], dims[k]) for k in range(1, n - 1))
-            + (common[-1].copy(),)
-        )
+        # Without intra-layer edges A = F_1 (x) C_1, for F_1 the 0/1 pattern
+        # of A's nonzero blocks and C_1 the level-1 common block, and every
+        # nonzero block of C_{k-1} at level k is C_k, so C_{k-1} = F_k (x) C_k.
+        # Hence A = F_1 (x) ... (x) F_n with no F_k zero: A's entry at (u, w)
+        # is the product over k of F_k at the axis-k coordinates of u and w.
+        # So every edge puts a 1 of each F_k at its axis-k coordinate pair,
+        # and, no other factor being zero, every 1 of F_k comes from an edge:
+        # F_k is the pattern of those pairs, in both orientations.
+        factors = []
+        for coord, d in zip(np.unravel_index(np.arange(total), dims), dims):
+            pattern = np.zeros((d, d), dtype=np.int64)
+            pattern[coord[a], coord[b]] = 1
+            factors.append(pattern | pattern.T)
+        factors = tuple(factors)
 
     return ConditionReport(
         profile=profile,

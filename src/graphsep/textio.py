@@ -34,17 +34,6 @@ def strip_comment(raw: str) -> str:
     return raw.split("#", 1)[0].strip()
 
 
-def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield ``(lineno, stripped_line)`` skipping blanks and ``#`` comments.
-
-    Line numbers are 1-based; ``#`` starts a comment anywhere on a line.
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw)
-        if line:
-            yield lineno, line
-
-
 # The breaks str.splitlines() knows in ASCII text, but for "\n".
 _ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 

@@ -21,6 +21,7 @@ from graphsep import (
     DimensionProfile,
     MultipartiteGraph,
     adjacency_matrix,
+    check_theorem_conditions,
     density_matrix,
     gen_degree_symmetric_only,
     gen_partially_symmetric,
@@ -248,6 +249,13 @@ def test_identity_peak_is_two_one_byte_matrices():
     for axis in (1, 3):
         peak = traced_peak(lambda: gtpt_matrix_identity(graph, axis))
         assert peak <= 2 * total * total + MiB
+
+
+def test_conditions_peak_has_no_v_by_v_array():
+    # The block conditions work on the 2|E| nonzero entries of A; a V x V
+    # int64 adjacency alone would be 8 MiB here.
+    graph = CAP_GRAPHS["psym-16x8x8"](3)
+    assert traced_peak(lambda: check_theorem_conditions(graph)) < 2 * MiB
 
 
 # -- transfer identity against a partial-transpose view -----------------------

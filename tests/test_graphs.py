@@ -22,7 +22,16 @@ from graphsep import (
     vertex_index,
     vertex_label,
 )
-from graphsep.textio import content_lines
+from graphsep.textio import strip_comment
+
+
+def content_lines(text):
+    """Yield ``(lineno, stripped_line)`` for the lines that are not blank or
+    comments only, numbered from 1; ``#`` starts a comment anywhere."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = strip_comment(raw)
+        if line:
+            yield lineno, line
 
 
 def enumeration_index(label, profile):

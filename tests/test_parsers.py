@@ -28,8 +28,7 @@ from graphsep import (
     vertex_label,
 )
 from graphsep.separability import projector
-from graphsep.textio import content_lines
-from test_graphs import assert_parse_matches_oracle, mutated_graph_texts, small_graphs
+from test_graphs import assert_parse_matches_oracle, content_lines, mutated_graph_texts, small_graphs
 from test_separability import mutated_records, sample_records, theorem_record
 
 # -- the record oracle ----------------------------------------------------------

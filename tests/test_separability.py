@@ -29,6 +29,8 @@ from graphsep import (
     decompose,
     density_matrix,
     format_decomposition,
+    gen_degree_symmetric_only,
+    gen_partially_symmetric,
     gen_theorem_graph,
     inf_norm,
     is_diagonally_dominant,
@@ -112,6 +114,31 @@ FACTOR_PROFILES = [
 ]
 
 
+def assert_conditions_match_oracles(graph):
+    """The report against the dense oracles, level by level (uniform, first
+    mismatch, common block) and factor by factor (values and dtype)."""
+    report = check_theorem_conditions(graph)
+    scanned = block_levels_by_scan(graph)
+    assert len(report.block_levels) == len(scanned)
+    for lv, (uniform, mismatch, common) in zip(report.block_levels, scanned):
+        assert (lv.uniform, lv.first_mismatch) == (uniform, mismatch)
+        if common is None:
+            assert lv.common_block is None
+        else:
+            assert lv.common_block.dtype == common.dtype
+            assert np.array_equal(lv.common_block, common)
+    expected = peel_factors(graph)
+    factors = report.adjacency_factors
+    if expected is None:
+        assert factors is None
+        return
+    assert len(factors) == len(expected)
+    for got, want in zip(factors, expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert not np.shares_memory(factors[-1], report.block_levels[-1].common_block)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(FACTOR_PROFILES), st.integers(0, 2**31 - 1), st.booleans(), st.data())
 def test_conditions_match_block_scan_and_peel(dims, seed, remove, data):
@@ -125,23 +152,52 @@ def test_conditions_match_block_scan_and_peel(dims, seed, remove, data):
         pair = (a, data.draw(st.integers(a + 1, graph.profile.total)))
     changed = MultipartiteGraph(graph.profile, graph.edges ^ {pair})
     for g in (graph, changed):
-        report = check_theorem_conditions(g)
-        for lv, (uniform, mismatch, common) in zip(report.block_levels, block_levels_by_scan(g)):
-            assert (lv.uniform, lv.first_mismatch) == (uniform, mismatch)
-            if common is None:
-                assert lv.common_block is None
-            else:
-                assert np.array_equal(lv.common_block, common)
-        expected = peel_factors(g)
-        factors = report.adjacency_factors
-        if expected is None:
-            assert factors is None
-            continue
-        assert len(factors) == len(expected)
-        for got, want in zip(factors, expected):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-        assert not np.shares_memory(factors[-1], report.block_levels[-1].common_block)
+        assert_conditions_match_oracles(g)
+
+
+def intra_layer_mismatch_at_level_2():
+    """On (2,2,2): each (1,y,z) joined to (2,y,z), so the two level-1 blocks
+    are the identity, plus the intra-layer edge (1,1,1)-(1,2,2).  Level 1
+    does not see it; at level 2 it makes the first block, (1,1) x (1,2),
+    which the identity block at (1,1) x (2,1) does not match."""
+    profile = DimensionProfile((2, 2, 2))
+    pairs = [((1, y, z), (2, y, z)) for y in (1, 2) for z in (1, 2)] + [((1, 1, 1), (1, 2, 2))]
+    return MultipartiteGraph(
+        profile, [(vertex_index(u, profile), vertex_index(v, profile)) for u, v in pairs]
+    )
+
+
+def corpus_graphs():
+    """psym and dsym graphs at seed 3 on the check-corpus workload's profiles
+    of 512 and 1024 vertices, with its psym edge budgets (1200 at (2,16,16),
+    where it has none), and the hand-built graph above."""
+    graphs = {"intra-mismatch-2x2x2": intra_layer_mismatch_at_level_2}
+    for dims, budget in (
+        ((8, 8, 8), 600), ((4, 16, 16), 1200), ((16, 8, 8), 1200),
+        ((2, 16, 16), 1200), ((2, 4, 4, 4, 4), 600),
+    ):
+        profile = DimensionProfile(dims)
+        name = "x".join(map(str, dims))
+        graphs[f"psym-{name}"] = functools.partial(gen_partially_symmetric, profile, budget, 3)
+        graphs[f"dsym-{name}"] = functools.partial(gen_degree_symmetric_only, profile, 3)
+    return graphs
+
+
+CORPUS_GRAPHS = corpus_graphs()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_GRAPHS))
+def test_conditions_match_oracles_on_corpus_graphs(name):
+    assert_conditions_match_oracles(CORPUS_GRAPHS[name]())
+
+
+def test_intra_layer_graph_first_mismatches_at_level_2():
+    report = check_theorem_conditions(intra_layer_mismatch_at_level_2())
+    assert report.intra_layer_edges == ((1, 4),)
+    first, second = report.block_levels
+    assert first.uniform and np.array_equal(first.common_block, np.eye(4, dtype=np.int64))
+    assert second.first_mismatch == ((1, 1), (2, 1))
+    assert np.array_equal(second.common_block, [[0, 1], [0, 0]])
 
 
 class TestConditionReport:
