@@ -208,13 +208,8 @@ class MultipartiteGraph:
 
 def adjacency_matrix(graph: MultipartiteGraph) -> np.ndarray:
     """0/1 symmetric adjacency matrix with zero diagonal (exact integers)."""
-    return _adjacency(graph, np.int64)
-
-
-def _adjacency(graph: MultipartiteGraph, dtype) -> np.ndarray:
-    """The 0/1 adjacency matrix with entries of ``dtype``."""
     total = graph.num_vertices
-    mat = np.zeros((total, total), dtype=dtype)
+    mat = np.zeros((total, total), dtype=np.int64)
     rows, cols = (graph.edge_array() - 1).T
     mat[rows, cols] = 1
     mat[cols, rows] = 1

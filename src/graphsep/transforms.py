@@ -7,8 +7,8 @@ whole (E, 2) edge array at once: vertex numbers become label coordinates
 (``np.unravel_index``), the axis column is exchanged between the endpoints,
 and the coordinates become vertex numbers again.  At the matrix level this
 is exactly the partial transpose of the adjacency matrix on that subsystem,
-which ``gtpt_matrix_identity`` certifies entry by entry, on one-byte 0/1
-matrices, against a view of the transpose, without copying it.
+which ``gtpt_matrix_identity`` certifies on the 2|E| nonzero positions of
+both matrices, without building either one.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
-from .graphs import DimensionProfile, Edge, MultipartiteGraph, _adjacency, max_abs_difference
-from .linalg import partial_transpose_view
+from .graphs import DimensionProfile, Edge, MultipartiteGraph
 
 
 def swap_edges(profile: DimensionProfile, edges, axis: int = 1) -> np.ndarray:
@@ -137,22 +136,31 @@ class MatrixIdentityReport:
 def gtpt_matrix_identity(graph: MultipartiteGraph, axis: int = 1) -> MatrixIdentityReport:
     """Certify adjacency(rewrite(G)) == partial transpose of adjacency(G).
 
-    Both sides are 0/1 matrices with one byte per entry, so the comparison
-    is exact.  The rewrite's adjacency, reshaped to dims + dims, is compared
-    block by block (:func:`graphs.max_abs_difference`) with the partial
-    transpose as a view, so the transpose is never copied and the
-    comparison makes no V x V temporary.  A failure here indicates an
-    implementation bug, not a property of the graph; its witness is the
-    first differing entry in row-major order.
+    A 0/1 matrix is the set of positions r*V + c of its nonzero entries, so
+    each side is the sorted positions of both orientations of its edges and
+    the comparison is exact; neither V x V matrix is built.  The right side
+    moves each entry of A the way :func:`linalg.partial_transpose_view`
+    does, exchanging the axis digit of its row and of its column, and never
+    calls the rewrite it checks.  A failure here indicates an implementation
+    bug, not a property of the graph; its witness is the first differing
+    entry in row-major order, the smallest position that one side holds and
+    the other lacks.
     """
-    lhs = _adjacency(gtpt(graph, axis), np.uint8)
-    rhs = partial_transpose_view(_adjacency(graph, np.uint8), graph.profile, axis)
-    lhs = lhs.reshape(rhs.shape)
-    if max_abs_difference(lhs, rhs) == 0.0:
+    total = graph.num_vertices
+    a, b = (gtpt(graph, axis).edge_array() - 1).T
+    lhs = np.sort(np.concatenate((a * total + b, b * total + a)))
+    # The partial transpose moves row r by (column digit - row digit) * stride
+    # and column c back by as much, so position r*V + c moves by that times
+    # V - 1.  Both digits are read from one table over the V vertices.
+    stride = graph.profile.strides[axis - 1]
+    digit = np.arange(total) // stride % graph.profile.dims[axis - 1]
+    a, b = (graph.edge_array() - 1).T
+    shift = (digit[b] - digit[a]) * (stride * (total - 1))
+    rhs = np.sort(np.concatenate((a * total + b + shift, b * total + a - shift)))
+    if np.array_equal(lhs, rhs):
         return MatrixIdentityReport(True, axis)
-    first = int(np.argmax(lhs != rhs))
-    r, c = divmod(first, graph.num_vertices)
-    at = np.unravel_index(first, rhs.shape)
+    first = int(np.setxor1d(lhs, rhs, assume_unique=True)[0])
+    r, c = divmod(first, total)
     return MatrixIdentityReport(
-        False, axis, (r + 1, c + 1, int(lhs[at]), int(rhs[at]))
+        False, axis, (r + 1, c + 1, int(first in lhs), int(first in rhs))
     )

@@ -2,8 +2,9 @@
 
 Each oracle below is the earlier whole-matrix expression: ρ as
 ``(D ± A) / float(2|E|)``, symmetry as ``np.max(np.abs(m - m.T))``, and the
-rewrite identity as an entrywise comparison with a copied partial
-transpose.  The memory pins check that the kernels make no V x V temporary.
+rewrite identity as an entrywise comparison of two V x V adjacency
+matrices, one of them a copied partial transpose.  The memory pins check
+that the kernels make no V x V temporary.
 The PPT section checks the edge test that decides ``graphsep decompose``'s
 PPT verdicts against the dense partial transpose and ``ppt_check``.
 """
@@ -154,7 +155,7 @@ def test_symmetry_messages_are_unchanged(dims, value):
     assert str(info.value) == "rho is not finite and symmetric within 1e-12"
 
 
-# -- rewrite identity against a partial-transpose view ------------------------
+# -- rewrite identity against the dense comparison -----------------------------
 
 
 def dense_identity_witness(graph, axis):
@@ -168,34 +169,70 @@ def dense_identity_witness(graph, axis):
     return (r + 1, c + 1, int(lhs[r, c]), int(rhs[r, c]))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_identity_witness_matches_dense_comparison(seed, monkeypatch):
-    rng = np.random.default_rng(seed)
-    dims = [(2, 2, 2), (2, 3, 4), (3, 2, 2, 2), (4, 4, 4), (16, 8, 8)][seed % 5]
-    graph = random_graph(DimensionProfile(dims), rng)
+def moved_one_edge(rng):
+    """The true rewrite with one of its edges (if it has any) dropped and a
+    pair that is no edge of it added."""
     rewrite = transforms.gtpt
 
-    def moved_one_edge(g, axis=1):
-        # The true rewrite with one edge replaced by a pair that is no edge.
+    def moved(g, axis=1):
         edges = set(rewrite(g, axis).edges)
         while True:
             a, b = sorted(rng.choice(g.num_vertices, size=2, replace=False).tolist())
             if (a + 1, b + 1) not in edges:
                 break
-        moved = edges - {sorted(edges)[int(rng.integers(len(edges)))]}
-        return MultipartiteGraph(g.profile, moved | {(a + 1, b + 1)})
+        if edges:
+            edges.remove(sorted(edges)[int(rng.integers(len(edges)))])
+        return MultipartiteGraph(g.profile, edges | {(a + 1, b + 1)})
 
+    return moved
+
+
+def assert_identity_matches_dense_comparison(graph, rng, monkeypatch):
+    """The true rewrite passes on every axis; a rewrite with one moved edge
+    fails on every axis with the dense comparison's witness."""
     for axis in range(1, graph.profile.n + 1):
         assert gtpt_matrix_identity(graph, axis).holds
         assert dense_identity_witness(graph, axis) is None
-    monkeypatch.setattr(transforms, "gtpt", moved_one_edge)
-    for axis in range(1, graph.profile.n + 1):
-        state = rng.bit_generator.state
-        report = gtpt_matrix_identity(graph, axis)
-        rng.bit_generator.state = state  # the oracle sees the same moved edge
-        expected = dense_identity_witness(graph, axis)
-        assert not report.holds and expected is not None
-        assert report.first_difference == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(transforms, "gtpt", moved_one_edge(rng))
+        for axis in range(1, graph.profile.n + 1):
+            state = rng.bit_generator.state
+            report = gtpt_matrix_identity(graph, axis)
+            rng.bit_generator.state = state  # the oracle sees the same moved edge
+            expected = dense_identity_witness(graph, axis)
+            assert not report.holds and expected is not None
+            assert report.first_difference == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_identity_witness_matches_dense_comparison(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    dims = [(2, 2, 2), (2, 3, 4), (3, 2, 2, 2), (4, 4, 4), (16, 8, 8)][seed % 5]
+    assert_identity_matches_dense_comparison(random_graph(DimensionProfile(dims), rng), rng, monkeypatch)
+
+
+IDENTITY_GRAPHS = {
+    **CAP_GRAPHS,
+    "theorem-4x16x16": lambda seed: gen_theorem_graph(DimensionProfile((4, 16, 16)), seed),
+    "theorem-2x8x8x8": lambda seed: gen_theorem_graph(DimensionProfile((2, 8, 8, 8)), seed),
+    "empty-2x2x2": lambda seed: MultipartiteGraph(DimensionProfile((2, 2, 2))),
+    "one-edge-2x2x2": lambda seed: MultipartiteGraph(DimensionProfile((2, 2, 2)), [(2, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
+def test_identity_witness_matches_dense_comparison_on_named_graphs(name, monkeypatch):
+    graph = IDENTITY_GRAPHS[name](1)
+    assert_identity_matches_dense_comparison(graph, np.random.default_rng(5), monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
+def test_identity_rejects_an_axis_out_of_range(name):
+    graph = IDENTITY_GRAPHS[name](1)
+    n = graph.profile.n
+    for axis in (0, n + 1):
+        with pytest.raises(ValueError, match=rf"^axis {axis} out of range 1\.\.{n}$"):
+            gtpt_matrix_identity(graph, axis)
 
 
 # -- memory: no V x V temporaries --------------------------------------------------
@@ -249,6 +286,14 @@ def test_identity_peak_is_two_one_byte_matrices():
     for axis in (1, 3):
         peak = traced_peak(lambda: gtpt_matrix_identity(graph, axis))
         assert peak <= 2 * total * total + MiB
+
+
+def test_identity_peak_has_no_v_by_v_array():
+    # The identity compares the 2|E| nonzero positions of both sides; two
+    # one-byte V x V matrices alone would be 2 MiB here.
+    graph = CAP_GRAPHS["psym-16x8x8"](3)
+    for axis in (1, 3):
+        assert traced_peak(lambda: gtpt_matrix_identity(graph, axis)) < MiB
 
 
 def test_conditions_peak_has_no_v_by_v_array():
