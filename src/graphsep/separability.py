@@ -737,12 +737,17 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     factor with a vector v (``term.vectors``) is written as ``factor k vector
     d`` and one row holding v, and is read back as ``projector(v)``; any
     other factor as ``factor k order d`` and its d rows.  Terms from
-    :func:`decompose` write every factor k >= 2 as a vector.  Their rows
-    repeat across terms, so each distinct row of values (by its float64
-    bytes) is formatted once per call; the text is the same as formatting
-    every value on its own.
+    :func:`decompose` write every factor k >= 2 as a vector, and share their
+    weight, ladders and vectors, so each line is built once per call from
+    memos keyed by: a row's float64 bytes (factor rows and ladders), the
+    weight's value, the term's stored ``ladder`` tuple, and (k, identity of
+    the vector object) for the two lines of a rank-one factor.  The text is
+    the same as formatting every value on its own.
     """
-    texts = {}  # a row's float64 bytes -> its text, for this call
+    texts = {}  # a row's float64 bytes -> its text
+    weights = {}  # a weight's value -> its line
+    ladders = {}  # a stored ladder tuple -> its line
+    blocks = {}  # (k, id(vector)) -> "factor k vector d" and its row
 
     def text_of(row: np.ndarray) -> str:
         key = row.tobytes()
@@ -765,20 +770,32 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     for i, term in enumerate(decomposition.terms, start=1):
         lines.append(f"term {i}")
         if term.index is not None:
-            lines.append("index " + " ".join(str(r) for r in term.index))
-        lines.append("weight " + format_float(term.weight))
+            lines.append("index " + " ".join(map(str, term.index)))
+        weight = float(term.weight)
+        line = weights.get(weight)
+        if line is None:
+            line = weights[weight] = "weight " + format_float(weight)
+        lines.append(line)
         if term.ladder is not None:
-            lines.append("ladder " + text_of(np.asarray(term.ladder, dtype=float)))
+            ladder = tuple(term.ladder)
+            line = ladders.get(ladder)
+            if line is None:
+                line = ladders[ladder] = "ladder " + text_of(np.asarray(ladder, dtype=float))
+            lines.append(line)
         vectors = term.vectors or (None,) * len(term.factors)
         pairs = zip(term.factors, vectors, strict=True)
         for k, (factor, vector) in enumerate(pairs, start=1):
             if vector is None:
                 rows = np.asarray(factor, dtype=float)
                 lines.append(f"factor {k} order {len(rows)}")
+                lines.extend(map(text_of, rows))
             else:
-                rows = np.asarray(vector, dtype=float)[None, :]
-                lines.append(f"factor {k} vector {rows.shape[1]}")
-            lines.extend(map(text_of, rows))
+                block = blocks.get((k, id(vector)))
+                if block is None:
+                    row = np.asarray(vector, dtype=float)
+                    block = f"factor {k} vector {len(row)}\n" + text_of(row)
+                    blocks[k, id(vector)] = block
+                lines.append(block)
     return "\n".join(lines) + "\n"
 
 

@@ -3,12 +3,12 @@
 The rewrite acts on one chosen axis: every edge whose endpoints disagree on
 that coordinate has the two coordinate values exchanged between endpoints,
 and all other edges stay put.  It is a pure relabelling, so it runs on the
-whole (E, 2) edge array at once: vertex numbers become label coordinates
-(``np.unravel_index``), the axis column is exchanged between the endpoints,
-and the coordinates become vertex numbers again.  At the matrix level this
-is exactly the partial transpose of the adjacency matrix on that subsystem,
-which ``gtpt_matrix_identity`` certifies on the 2|E| nonzero positions of
-both matrices, without building either one.
+whole (E, 2) edge array at once: exchanging the axis digits of endpoints a
+and b moves a by (digit(b) - digit(a)) * stride and b back by as much, with
+the digits read from one table over the V vertices.  At the matrix level
+this is exactly the partial transpose of the adjacency matrix on that
+subsystem, which ``gtpt_matrix_identity`` certifies on the 2|E| nonzero
+positions of both matrices, without building either one.
 """
 
 from __future__ import annotations
@@ -28,14 +28,22 @@ def swap_edges(profile: DimensionProfile, edges, axis: int = 1) -> np.ndarray:
     with the smaller vertex number first; intra-layer edges map to
     themselves.  Vertex numbers outside the profile raise ``ValueError``.
     """
-    n = profile.n
+    n, total = profile.n, profile.total
     if not 1 <= axis <= n:
         raise ValueError(f"axis {axis} out of range 1..{n}")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    coords = np.array(np.unravel_index(edges - 1, profile.dims))  # (n, E, 2)
-    coords[axis - 1] = coords[axis - 1, :, ::-1]
-    a, b = (np.ravel_multi_index(tuple(coords), profile.dims) + 1).T
-    return np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
+    if edges.size and not (1 <= edges.min() and edges.max() <= total):
+        raise ValueError(f"a vertex number leaves the range 1..{total}")
+    # digit[v] is the axis digit of vertex number v (digit[0] is unused).
+    stride = profile.strides[axis - 1]
+    digit = np.arange(-1, total) // stride % profile.dims[axis - 1]
+    a, b = edges.T
+    shift = (digit[b] - digit[a]) * stride
+    a, b = a + shift, b - shift
+    images = np.empty_like(edges)
+    np.minimum(a, b, out=images[:, 0])
+    np.maximum(a, b, out=images[:, 1])
+    return images
 
 
 def swap_edge(profile: DimensionProfile, edge: Edge, axis: int = 1) -> Edge:
@@ -47,19 +55,20 @@ def swap_edge(profile: DimensionProfile, edge: Edge, axis: int = 1) -> Edge:
 def gtpt(graph: MultipartiteGraph, axis: int = 1) -> MultipartiteGraph:
     """Rewrite every cross-layer edge by swapping its axis coordinates.
 
-    The rewrite maps the whole edge array at once; if two source edges ever
-    landed on the same image the edge count would drop, which is flagged
-    loudly instead of silently shrinking the graph.
+    The rewrite maps the whole edge array at once.  The image of an edge is
+    again two distinct vertices in range, so the image graph is built from
+    its sorted keys lo*(V+1)+hi without a second judgement; if two source
+    edges ever landed on the same image the edge count would drop, which is
+    flagged loudly instead of silently shrinking the graph.
     """
-    image = MultipartiteGraph(
-        graph.profile, swap_edges(graph.profile, graph.edge_array(), axis)
-    )
-    if image.num_edges != graph.num_edges:
+    images = swap_edges(graph.profile, graph.edge_array(), axis)
+    keys = np.sort(images[:, 0] * (graph.num_vertices + 1) + images[:, 1])
+    distinct = len(keys) - int(np.count_nonzero(keys[1:] == keys[:-1]))
+    if distinct != graph.num_edges:
         raise ConstructionError(
-            f"axis-{axis} rewrite collapsed {graph.num_edges} edges"
-            f" into {image.num_edges}"
+            f"axis-{axis} rewrite collapsed {graph.num_edges} edges into {distinct}"
         )
-    return image
+    return MultipartiteGraph._from_keys(graph.profile, keys)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,23 @@
 """Layer-swap rewrite and the symmetry predicates."""
 
+import numpy as np
 import pytest
 
 from graphsep import (
+    ConstructionError,
     DimensionProfile,
     MultipartiteGraph,
     SplitMix64,
     gen_partially_symmetric,
+    gen_theorem_graph,
     gtpt,
     gtpt_matrix_identity,
     is_degree_symmetric,
     is_partially_symmetric,
     swap_edge,
+    swap_edges,
 )
+from graphsep import transforms
 
 
 def random_graph(profile, seed, max_edges=12):
@@ -128,3 +133,84 @@ class TestMatrixIdentity:
                 g = random_graph(profile, 1000 + seed)
                 for axis in range(1, profile.n + 1):
                     assert gtpt_matrix_identity(g, axis)
+
+
+# -- the swap against a round trip through label coordinates -----------------
+
+
+def swap_edges_by_coordinates(profile, edges, axis):
+    """Oracle: vertex numbers to label coordinates, the axis column exchanged
+    between the endpoints, and back to vertex numbers."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    coords = np.array(np.unravel_index(edges - 1, profile.dims))  # (n, E, 2)
+    coords[axis - 1] = coords[axis - 1, :, ::-1]
+    a, b = (np.ravel_multi_index(tuple(coords), profile.dims) + 1).T
+    return np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
+
+
+REWRITE_GRAPHS = {
+    "psym-16x8x8": lambda: gen_partially_symmetric(DimensionProfile((16, 8, 8)), 1200, 3),
+    "theorem-4x16x16": lambda: gen_theorem_graph(DimensionProfile((4, 16, 16)), 1),
+    "theorem-2x4x4x4x4": lambda: gen_theorem_graph(DimensionProfile((2, 4, 4, 4, 4)), 1),
+    "theorem-2^8": lambda: gen_theorem_graph(DimensionProfile((2,) * 8), 1),
+    "empty-2x2x2": lambda: MultipartiteGraph(DimensionProfile((2, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(REWRITE_GRAPHS))
+def test_swap_edges_matches_coordinate_round_trip(name):
+    graph = REWRITE_GRAPHS[name]()
+    profile, edges = graph.profile, graph.edge_array()
+    reversed_rows = edges[:, ::-1]
+    for axis in range(1, profile.n + 1):
+        expected = swap_edges_by_coordinates(profile, edges, axis)
+        got = swap_edges(profile, edges, axis)
+        assert got.dtype == np.int64 and got.shape == (graph.num_edges, 2)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(swap_edges(profile, reversed_rows, axis), expected)
+        assert gtpt(graph, axis) == MultipartiteGraph(profile, expected)
+
+
+@pytest.mark.parametrize("name", list(REWRITE_GRAPHS))
+def test_swap_edges_rejects_an_axis_out_of_range(name):
+    graph = REWRITE_GRAPHS[name]()
+    n = graph.profile.n
+    for axis in (0, n + 1):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range 1..{n}"):
+            swap_edges(graph.profile, graph.edge_array(), axis)
+        with pytest.raises(ValueError, match=f"axis {axis} out of range 1..{n}"):
+            gtpt(graph, axis)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4, 4, 4, 4)])
+def test_swap_edges_rejects_vertex_numbers_out_of_range(dims):
+    profile = DimensionProfile(dims)
+    total = profile.total
+    for bad in (0, total + 1, -1):
+        for pair in ([bad, 1], [2, bad]):
+            for axis in (1, profile.n):
+                with pytest.raises(ValueError):
+                    swap_edges(profile, [[1, 2], pair], axis)
+
+
+def test_swap_edges_reads_no_label_coordinates(monkeypatch):
+    graph = gen_theorem_graph(DimensionProfile((2, 4, 4)), 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("swap_edges went through label coordinates")
+
+    monkeypatch.setattr(np, "unravel_index", refuse)
+    monkeypatch.setattr(np, "ravel_multi_index", refuse)
+    for axis in (1, 2, 3):
+        swap_edges(graph.profile, graph.edge_array(), axis)
+
+
+def test_gtpt_refuses_a_rewrite_that_collapses_edges(profile222, monkeypatch):
+    graph = MultipartiteGraph(profile222, [(1, 6), (2, 5), (3, 4)])
+
+    def collapse(profile, edges, axis=1):
+        return np.array([[2, 5], [2, 5], [3, 4]], dtype=np.int64)
+
+    monkeypatch.setattr(transforms, "swap_edges", collapse)
+    with pytest.raises(ConstructionError, match=r"^axis-1 rewrite collapsed 3 edges into 2$"):
+        gtpt(graph, 1)
