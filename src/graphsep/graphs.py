@@ -235,73 +235,22 @@ def max_asymmetry(matrix: np.ndarray) -> float:
     """Largest |m_ij - m_ji| of a square float array (0 if empty), or NaN
     if any difference is NaN.
 
-    Each upper-triangle tile is compared with its mirror (see
-    :func:`_max_abs_difference`), so no V x V temporary is made.  |x - y|
-    and |y - x| round alike, so the value is exactly
-    ``np.max(np.abs(m - m.T))``.
+    Each upper-triangle tile is compared with its mirror through one reused
+    buffer, so no V x V temporary is made.  |x - y| and |y - x| round
+    alike, so the value is exactly ``np.max(np.abs(m - m.T))``.
     """
     order, size = matrix.shape[0], SYMMETRY_TILE
-    return _max_abs_difference(
-        (
-            (matrix[r : r + size, c : c + size], matrix[c : c + size, r : r + size].T)
-            for r in range(0, order, size)
-            for c in range(r, order, size)
-        ),
-        min(order, size) ** 2,
-    )
-
-
-def max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """``np.max(np.abs(a - b))`` for two arrays of one shape (0 if empty),
-    NaN if any difference is NaN, without a temporary of that shape.
-
-    The arrays are compared in row-major blocks of at most
-    ``SYMMETRY_TILE ** 2`` entries, so either may be a strided view (a
-    partial transpose, say) that is never copied.  Integer entries are
-    compared as floats.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shapes {a.shape} and {b.shape} differ")
-    if a.size == 0:
-        return 0.0
-    limit = SYMMETRY_TILE**2
-    return _max_abs_difference(
-        ((a[block], b[block]) for block in _row_major_blocks(a.shape, limit)),
-        min(a.size, limit),
-    )
-
-
-def _row_major_blocks(shape: tuple[int, ...], limit: int):
-    """Index tuples that cut an array of ``shape`` into consecutive
-    row-major blocks of at most ``limit`` entries (at least one innermost
-    row each): the trailing axes that fit whole, and a slice of the axis
-    before them."""
-    inner, axis = 1, len(shape)
-    while axis > 0 and inner * shape[axis - 1] <= limit:
-        axis -= 1
-        inner *= shape[axis]
-    if axis == 0:
-        yield ()
-        return
-    step = limit // inner
-    for outer in np.ndindex(*shape[: axis - 1]):
-        for start in range(0, shape[axis - 1], step):
-            yield outer + (slice(start, start + step),)
-
-
-def _max_abs_difference(pairs, size: int) -> float:
-    """Largest |x - y| over pairs of equally shaped, non-empty arrays of at
-    most ``size`` entries (0 if there are none), or NaN if any difference is
-    NaN.  Every pair goes through one reused float buffer."""
-    buffer = np.empty(size)
+    buffer = np.empty(min(order, size) ** 2)
     worst = 0.0
     with np.errstate(invalid="ignore"):
-        for x, y in pairs:
-            diff = buffer[: x.size].reshape(x.shape)
-            np.subtract(x, y, out=diff, dtype=float)
-            np.abs(diff, out=diff)
-            # np.maximum keeps a NaN from either side.
-            worst = np.maximum(worst, diff.max())
+        for r in range(0, order, size):
+            for c in range(r, order, size):
+                tile = matrix[r : r + size, c : c + size]
+                diff = buffer[: tile.size].reshape(tile.shape)
+                np.subtract(tile, matrix[c : c + size, r : r + size].T, out=diff)
+                np.abs(diff, out=diff)
+                # np.maximum keeps a NaN from either side.
+                worst = np.maximum(worst, diff.max())
     return float(worst)
 
 
@@ -344,9 +293,15 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def order(self) -> int:
-        return self.profile.total
+
+def _trace_scale(graph: MultipartiteGraph) -> float:
+    """2|E| as a float: the trace of both Laplacians, which a density matrix
+    divides them by.  The empty graph has zero trace, so it raises."""
+    if graph.num_edges == 0:
+        raise ValueError(
+            "empty graph has zero trace: no density matrix is defined"
+        )
+    return float(2 * graph.num_edges)
 
 
 def density_matrix(graph: MultipartiteGraph, kind: str = COMBINATORIAL) -> DensityMatrix:
@@ -358,13 +313,9 @@ def density_matrix(graph: MultipartiteGraph, kind: str = COMBINATORIAL) -> Densi
     Both Laplacians have trace 2|E|, so the empty graph has no density
     matrix; that case raises a zero-trace error.
     """
-    if graph.num_edges == 0:
-        raise ValueError(
-            "empty graph has zero trace: no density matrix is defined"
-        )
+    scale = _trace_scale(graph)
     if kind not in (COMBINATORIAL, SIGNLESS):
         raise ValueError(f"unknown density matrix kind {kind!r}")
-    scale = float(2 * graph.num_edges)
     total = graph.num_vertices
     mat = np.zeros((total, total))
     rows, cols = (graph.edge_array() - 1).T

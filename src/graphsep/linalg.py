@@ -152,11 +152,13 @@ def kron(factors) -> np.ndarray:
     return out
 
 
-def partial_transpose_view(matrix, profile: DimensionProfile, subsystem: int) -> np.ndarray:
-    """The partial transpose on ``subsystem`` as an uncopied view of shape
-    dims + dims: the matrix as a tensor with one row and one column index
-    per subsystem, with that subsystem's pair swapped.  Row-major order over
-    the view is row-major order over the transposed matrix.
+def partial_transpose_matrix(matrix, profile: DimensionProfile, subsystem: int) -> np.ndarray:
+    """Transpose the given subsystem's index pair, leaving the others alone.
+
+    Entry ((.., i_t, ..), (.., j_t, ..)) moves to ((.., j_t, ..), (.., i_t, ..)).
+    Pure reindexing: exact, trace-preserving, and an involution.  The matrix
+    is viewed as a tensor with one row and one column index per subsystem,
+    that subsystem's pair is swapped, and the result is a V x V copy.
     """
     mat = np.asarray(matrix)
     total = profile.total
@@ -168,15 +170,4 @@ def partial_transpose_view(matrix, profile: DimensionProfile, subsystem: int) ->
     if not 1 <= subsystem <= n:
         raise ValueError(f"subsystem {subsystem} out of range 1..{n}")
     tensor = mat.reshape(profile.dims + profile.dims)
-    return np.swapaxes(tensor, subsystem - 1, n + subsystem - 1)
-
-
-def partial_transpose_matrix(matrix, profile: DimensionProfile, subsystem: int) -> np.ndarray:
-    """Transpose the given subsystem's index pair, leaving the others alone.
-
-    Entry ((.., i_t, ..), (.., j_t, ..)) moves to ((.., j_t, ..), (.., i_t, ..)).
-    Pure reindexing: exact, trace-preserving, and an involution.  The result
-    is a copy of :func:`partial_transpose_view`, reshaped to V x V.
-    """
-    total = profile.total
-    return partial_transpose_view(matrix, profile, subsystem).copy().reshape(total, total)
+    return np.swapaxes(tensor, subsystem - 1, n + subsystem - 1).copy().reshape(total, total)

@@ -68,19 +68,18 @@ from .graphs import (
     Edge,
     Label,
     MultipartiteGraph,
+    _trace_scale,
     density_matrix,
-    max_abs_difference,
 )
 from .linalg import (
     inf_norm,
     is_psd,
     kron,
     partial_transpose_matrix,
-    partial_transpose_view,
     spectral_decomposition,
 )
 from .textio import ByteLines, format_float
-from .transforms import gtpt, is_degree_symmetric, is_partially_symmetric
+from .transforms import _adjacency_positions, gtpt, is_degree_symmetric, is_partially_symmetric
 
 # Slack for proof-chain inequalities evaluated in floating point; the
 # quantities compared are integer-structured, so genuine violations are
@@ -265,8 +264,8 @@ class DecompositionTerm:
     """One product term: a weight and one unit-trace PSD factor per subsystem.
 
     Terms produced by :func:`decompose` also carry their position in the
-    eigenvalue ladder (``index``), the eigenvalue at each ladder level
-    (``ladder``), and the first factor before normalisation (``top_block``).
+    eigenvalue ladder (``index``) and the eigenvalue at each ladder level
+    (``ladder``).
     ``vectors`` holds, per factor, the vector v of a rank-one factor that
     equals ``projector(v)``, or ``None`` for a factor held only as a matrix
     (``vectors=None``: every factor).  Records write a factor with a vector
@@ -278,7 +277,6 @@ class DecompositionTerm:
     factors: tuple[np.ndarray, ...]
     index: tuple[int, ...] | None = None
     ladder: tuple[float, ...] | None = None
-    top_block: np.ndarray | None = None
     vectors: tuple[np.ndarray | None, ...] | None = None
 
 
@@ -297,7 +295,6 @@ class SeparableDecomposition:
 
     profile: DimensionProfile
     terms: tuple[DecompositionTerm, ...]
-    layer_degrees: tuple[int, ...] | None = None
     adjacency_factors: tuple[np.ndarray, ...] | None = None
     residual: float | None = None
     certificates: tuple[tuple[str, bool], ...] | None = None
@@ -488,18 +485,16 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
             factors=(first,) + tuple(p[j] for p, j in zip(projectors, choice)),
             index=index,
             ladder=tuple(ladder),
-            top_block=block,
             vectors=(None,) + tuple(v[j] for v, j in zip(bases, choice)),
         )
-        for first, block, index, ladder, choice in zip(
-            firsts, top, positions, ladders.tolist(), chosen[:, ::-1].tolist()
+        for first, index, ladder, choice in zip(
+            firsts, positions, ladders.tolist(), chosen[:, ::-1].tolist()
         )
     )
 
     decomposition = SeparableDecomposition(
         profile=profile,
         terms=terms,
-        layer_degrees=layer_degrees,
         adjacency_factors=factors,
     )
     certificate = certify_decomposition(decomposition, graph, tol, report)
@@ -520,6 +515,15 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
             ("reassembly", True),
         ),
     )
+
+
+def _require_profile(decomposition: SeparableDecomposition, profile: DimensionProfile) -> None:
+    """Raise ``ValueError`` unless the decomposition is on ``profile``."""
+    if decomposition.profile != profile:
+        raise ValueError(
+            f"decomposition profile {decomposition.profile.dims} does not"
+            f" match density matrix profile {profile.dims}"
+        )
 
 
 def verify_decomposition(
@@ -545,11 +549,7 @@ def verify_decomposition(
     The residual is reassembled from the same stacks (:func:`_reassemble`).
     Failures are listed term by term, factors in axis order.
     """
-    if decomposition.profile != rho.profile:
-        raise ValueError(
-            f"decomposition profile {decomposition.profile.dims} does not"
-            f" match density matrix profile {rho.profile.dims}"
-        )
+    _require_profile(decomposition, rho.profile)
     dims = rho.profile.dims
     n = len(dims)
     terms = decomposition.terms
@@ -612,11 +612,7 @@ def certify_decomposition(
     pass, goes to :func:`verify_decomposition` against rho, whose verdict
     and failure texts are returned unchanged.
     """
-    if decomposition.profile != graph.profile:
-        raise ValueError(
-            f"decomposition profile {decomposition.profile.dims} does not"
-            f" match density matrix profile {graph.profile.dims}"
-        )
+    _require_profile(decomposition, graph.profile)
     if report is None:
         report = check_theorem_conditions(graph)
     certificate = _factored_certificate(decomposition, report, tol)
@@ -676,12 +672,17 @@ def theorem1_transfer(
 
     Requires degree symmetry on ``axis`` (otherwise the degree matrices of
     the graph and its rewrite differ and the identity fails by
-    construction).  The rewrite's density matrix is compared block by block
-    with the partial transpose as a view (:func:`graphs.max_abs_difference`),
-    so neither is copied.  When a separable decomposition of the graph's
-    combinatorial density matrix is supplied, the transported decomposition
-    (subsystem factor transposed in every term) is emitted and verified
-    against the rewrite's density matrix.
+    construction).  The identity is read off the sorted positions that
+    :func:`gtpt_matrix_identity` compares: rho_L is deg/s on the diagonal,
+    which the partial transpose keeps, and -1/s at the nonzero entries of
+    A, which it moves (s = 2|E|, s' for the rewrite).  So the largest
+    entrywise difference is the largest of the diagonal differences,
+    |-1/s' + 1/s| on shared positions, 1/s' on positions only the rewrite
+    holds and 1/s on those only the moved A holds: bit for bit the dense
+    value, with no V x V array.  When a separable decomposition of the
+    graph's combinatorial density matrix is supplied, the transported
+    decomposition (subsystem factor transposed in every term) is emitted and
+    verified against the rewrite's density matrix.
     """
     degree_report = is_degree_symmetric(graph, axis)
     if not degree_report.symmetric:
@@ -693,10 +694,20 @@ def theorem1_transfer(
             report=degree_report,
         )
     image = gtpt(graph, axis)
-    rho = density_matrix(graph, COMBINATORIAL)
-    rho_image = density_matrix(image, COMBINATORIAL)
-    transposed = partial_transpose_view(rho.matrix, graph.profile, axis)
-    max_difference = max_abs_difference(rho_image.matrix.reshape(transposed.shape), transposed)
+    scale, image_scale = _trace_scale(graph), _trace_scale(image)
+    image_positions = _adjacency_positions(image)
+    moved_positions = _adjacency_positions(graph, axis)
+    shared = np.intersect1d(image_positions, moved_positions, assume_unique=True).size
+    differences = [
+        float(np.max(np.abs(image.degree_sequence() / image_scale - graph.degree_sequence() / scale)))
+    ]
+    if shared:
+        differences.append(abs(-1.0 / image_scale - -1.0 / scale))
+    if shared < image_positions.size:
+        differences.append(1.0 / image_scale)
+    if shared < moved_positions.size:
+        differences.append(1.0 / scale)
+    max_difference = max(differences)
     holds = max_difference <= 1e-12
 
     transported = None
@@ -719,7 +730,9 @@ def theorem1_transfer(
             for term in decomposition.terms
         )
         transported = SeparableDecomposition(graph.profile, moved_terms)
-        transported_certificate = verify_decomposition(transported, rho_image)
+        transported_certificate = verify_decomposition(
+            transported, density_matrix(image, COMBINATORIAL)
+        )
     return TransferCertificate(
         holds, axis, max_difference, image, transported, transported_certificate
     )

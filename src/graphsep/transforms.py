@@ -8,7 +8,9 @@ and b moves a by (digit(b) - digit(a)) * stride and b back by as much, with
 the digits read from one table over the V vertices.  At the matrix level
 this is exactly the partial transpose of the adjacency matrix on that
 subsystem, which ``gtpt_matrix_identity`` certifies on the 2|E| nonzero
-positions of both matrices, without building either one.
+positions of both matrices, without building either one;
+``separability.theorem1_transfer`` reads the density-matrix identity off
+the same positions.
 """
 
 from __future__ import annotations
@@ -142,34 +144,46 @@ class MatrixIdentityReport:
         return self.holds
 
 
+def _adjacency_positions(graph: MultipartiteGraph, axis: int | None = None) -> np.ndarray:
+    """The sorted row-major positions r*V + c of the nonzero entries of
+    A(graph), both orientations of every edge, each moved by the partial
+    transpose on ``axis`` when one is given.
+
+    The partial transpose moves row r by (column digit - row digit) * stride
+    and column c back by as much, so position r*V + c moves by that times
+    V - 1.  Both digits are read from one table over the V vertices.
+    """
+    total = graph.num_vertices
+    a, b = (graph.edge_array() - 1).T
+    forward, backward = a * total + b, b * total + a
+    if axis is not None:
+        stride = graph.profile.strides[axis - 1]
+        digit = np.arange(total) // stride % graph.profile.dims[axis - 1]
+        shift = (digit[b] - digit[a]) * (stride * (total - 1))
+        forward += shift
+        backward -= shift
+    return np.sort(np.concatenate((forward, backward)))
+
+
 def gtpt_matrix_identity(graph: MultipartiteGraph, axis: int = 1) -> MatrixIdentityReport:
     """Certify adjacency(rewrite(G)) == partial transpose of adjacency(G).
 
     A 0/1 matrix is the set of positions r*V + c of its nonzero entries, so
-    each side is the sorted positions of both orientations of its edges and
-    the comparison is exact; neither V x V matrix is built.  The right side
-    moves each entry of A the way :func:`linalg.partial_transpose_view`
-    does, exchanging the axis digit of its row and of its column, and never
-    calls the rewrite it checks.  A failure here indicates an implementation
-    bug, not a property of the graph; its witness is the first differing
-    entry in row-major order, the smallest position that one side holds and
-    the other lacks.
+    each side is the sorted positions of both orientations of its edges
+    (:func:`_adjacency_positions`) and the comparison is exact; neither
+    V x V matrix is built.  The right side moves each entry of A the way
+    :func:`linalg.partial_transpose_matrix` does, exchanging the axis digit
+    of its row and of its column, and never calls the rewrite it checks.  A
+    failure here indicates an implementation bug, not a property of the
+    graph; its witness is the first differing entry in row-major order, the
+    smallest position that one side holds and the other lacks.
     """
-    total = graph.num_vertices
-    a, b = (gtpt(graph, axis).edge_array() - 1).T
-    lhs = np.sort(np.concatenate((a * total + b, b * total + a)))
-    # The partial transpose moves row r by (column digit - row digit) * stride
-    # and column c back by as much, so position r*V + c moves by that times
-    # V - 1.  Both digits are read from one table over the V vertices.
-    stride = graph.profile.strides[axis - 1]
-    digit = np.arange(total) // stride % graph.profile.dims[axis - 1]
-    a, b = (graph.edge_array() - 1).T
-    shift = (digit[b] - digit[a]) * (stride * (total - 1))
-    rhs = np.sort(np.concatenate((a * total + b + shift, b * total + a - shift)))
+    lhs = _adjacency_positions(gtpt(graph, axis))
+    rhs = _adjacency_positions(graph, axis)
     if np.array_equal(lhs, rhs):
         return MatrixIdentityReport(True, axis)
     first = int(np.setxor1d(lhs, rhs, assume_unique=True)[0])
-    r, c = divmod(first, total)
+    r, c = divmod(first, graph.num_vertices)
     return MatrixIdentityReport(
         False, axis, (r + 1, c + 1, int(first in lhs), int(first in rhs))
     )

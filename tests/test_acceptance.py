@@ -195,8 +195,8 @@ def test_criterion_6_proof_chain_certificates(sweep_corpus):
         factors = dec.adjacency_factors
         n = graph.profile.n
         for term in dec.terms:
-            assert is_diagonally_dominant(term.top_block)
-            assert np.min(np.diagonal(term.top_block)) >= 0
+            assert is_diagonally_dominant(term.factors[0])
+            assert np.min(np.diagonal(term.factors[0])) >= 0
             blocks += 1
             ladder = term.ladder
             bound = inf_norm(factors[-1])

@@ -2,13 +2,14 @@
 
 Each oracle below is the earlier whole-matrix expression: ρ as
 ``(D ± A) / float(2|E|)``, symmetry as ``np.max(np.abs(m - m.T))``, and the
-rewrite identity as an entrywise comparison of two V x V adjacency
+rewrite identity and the transfer as entrywise comparisons of two V x V
 matrices, one of them a copied partial transpose.  The memory pins check
 that the kernels make no V x V temporary.
 The PPT section checks the edge test that decides ``graphsep decompose``'s
 PPT verdicts against the dense partial transpose and ``ppt_check``.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -37,8 +38,8 @@ from graphsep import (
     theorem1_transfer,
 )
 from graphsep import separability, transforms
-from graphsep.graphs import SYMMETRY_TILE, max_abs_difference, max_asymmetry
-from graphsep.linalg import partial_transpose_view, require_symmetric
+from graphsep.graphs import SYMMETRY_TILE, max_asymmetry
+from graphsep.linalg import require_symmetric
 from test_separability import FACTOR_PROFILES
 
 MiB = 2**20
@@ -303,7 +304,7 @@ def test_conditions_peak_has_no_v_by_v_array():
     assert traced_peak(lambda: check_theorem_conditions(graph)) < 2 * MiB
 
 
-# -- transfer identity against a partial-transpose view -----------------------
+# -- transfer identity against the dense comparison ----------------------------
 
 
 def dense_transfer_difference(graph, axis):
@@ -326,70 +327,107 @@ def transfer_corpus():
                     yield graph
 
 
-def test_transfer_difference_is_bitwise_the_dense_formula(monkeypatch):
-    count = 0
-    for graph in transfer_corpus():
-        for axis in range(1, graph.profile.n + 1):
-            if not is_degree_symmetric(graph, axis):
-                continue
-            got = theorem1_transfer(graph, axis).max_difference
-            assert np.float64(got).tobytes() == np.float64(dense_transfer_difference(graph, axis)).tobytes()
-            count += 1
-    assert count >= 100
-    # A rewrite that drops one edge leaves a nonzero difference to compare.
+def moving_rewrites():
+    """Random graphs with an axis whose rewrite keeps every degree but moves
+    edges, so that the transfer compares two different matrices, and the
+    perfect matching of (2, 2, 2), which is 1-regular."""
+    rng = np.random.default_rng(0)
+    for dims in [(2, 2, 2), (3, 3)]:
+        profile = DimensionProfile(dims)
+        found = 0
+        while found < 10:
+            graph = random_graph(profile, rng)
+            if any(
+                is_degree_symmetric(graph, axis) and not is_partially_symmetric(graph, axis)
+                for axis in range(1, profile.n + 1)
+            ):
+                found += 1
+                yield graph
+    yield MultipartiteGraph(DimensionProfile((2, 2, 2)), [(1, 5), (2, 6), (3, 7), (4, 8)])
+
+
+def rewrite_mutants():
+    """Wrong rewrites that leave a nonzero difference to compare, so that
+    each of its terms decides the maximum somewhere: the true rewrite with
+    its first edge dropped (the moved A holds a position the image lacks),
+    with the first pair that is no edge of it added (the converse), with
+    that edge moved to that pair (both, |E| kept), and the complete graph
+    (which makes the difference on shared positions the largest on a
+    regular graph; small profiles only)."""
     rewrite = separability.gtpt
-    monkeypatch.setattr(
-        separability, "gtpt", lambda g, axis=1: MultipartiteGraph(g.profile, rewrite(g, axis).edge_array()[1:])
-    )
-    for graph in transfer_corpus():
-        if graph.num_edges > 1:
-            got = theorem1_transfer(graph, 1)
-            expected = dense_transfer_difference(graph, 1)
-            assert expected > 0.0 and not got.holds
-            assert np.float64(got.max_difference).tobytes() == np.float64(expected).tobytes()
+
+    def first_non_edge(g, edges):
+        total = g.num_vertices
+        return next(
+            (a, b) for a in range(1, total + 1) for b in range(a + 1, total + 1) if (a, b) not in edges
+        )
+
+    def drop_first_edge(g, axis=1):
+        return MultipartiteGraph(g.profile, rewrite(g, axis).edge_array()[1:])
+
+    def add_first_non_edge(g, axis=1):
+        edges = rewrite(g, axis).edges
+        return MultipartiteGraph(g.profile, sorted(edges) + [first_non_edge(g, edges)])
+
+    def move_first_edge(g, axis=1):
+        edges = rewrite(g, axis).edges
+        return MultipartiteGraph(g.profile, sorted(edges)[1:] + [first_non_edge(g, edges)])
+
+    def complete(g, axis=1):
+        total = g.num_vertices
+        return MultipartiteGraph(g.profile, itertools.combinations(range(1, total + 1), 2))
+
+    return {"drop": drop_first_edge, "add": add_first_non_edge, "move": move_first_edge, "complete": complete}
 
 
-def test_transfer_peak_is_the_two_density_matrices_and_one_copy():
+def assert_transfer_is_the_dense_formula(graph, axis):
+    got = theorem1_transfer(graph, axis)
+    expected = dense_transfer_difference(graph, axis)
+    assert got.holds == (expected <= 1e-12)
+    assert np.float64(got.max_difference).tobytes() == np.float64(expected).tobytes()
+    return got, expected
+
+
+def test_transfer_difference_is_bitwise_the_dense_formula(monkeypatch):
+    graphs = [
+        *transfer_corpus(),
+        *moving_rewrites(),
+        *(make(seed) for seed in (3, 7) for make in CAP_GRAPHS.values()),
+    ]
+    cases = [
+        (graph, axis)
+        for graph in graphs
+        for axis in range(1, graph.profile.n + 1)
+        if is_degree_symmetric(graph, axis)
+    ]
+    assert len(cases) >= 100
+    assert sum(graph.num_vertices == 1024 for graph, _ in cases) >= 6
+    assert sum(not is_partially_symmetric(graph, axis) for graph, axis in cases) >= 20
+    for graph, axis in cases:
+        got, expected = assert_transfer_is_the_dense_formula(graph, axis)
+        assert expected == 0.0 and got.image == transforms.gtpt(graph, axis)
+    for name, mutant in rewrite_mutants().items():
+        with monkeypatch.context() as patch:
+            patch.setattr(separability, "gtpt", mutant)
+            for graph, axis in cases:
+                if graph.num_edges > 1 and (name != "complete" or graph.num_vertices <= 16):
+                    got, expected = assert_transfer_is_the_dense_formula(graph, axis)
+                    assert expected > 0.0 and not got.holds
+
+
+def test_transfer_of_the_empty_graph_has_no_density_matrix():
+    graph = MultipartiteGraph(DimensionProfile((2, 2, 2)))
+    with pytest.raises(ValueError) as info:
+        theorem1_transfer(graph)
+    assert str(info.value) == "empty graph has zero trace: no density matrix is defined"
+
+
+def test_transfer_peak_has_no_v_by_v_array():
+    # The transfer reads the positions the rewrite identity compares; one
+    # V x V float matrix alone would be 8 MiB here.
     graph = CAP_GRAPHS["psym-16x8x8"](3)
-    total = graph.num_vertices
     assert is_degree_symmetric(graph, 1)
-    # rho, the rewrite's rho, and the copy DensityMatrix makes of it.
-    peak = traced_peak(lambda: theorem1_transfer(graph, 1))
-    assert peak <= 3 * 8 * total * total + MiB
-
-
-@st.composite
-def arrays_and_views(draw):
-    """A float array of shape dims + dims and a partial-transpose view of
-    another, with NaN and infinities now and then."""
-    dims = draw(st.sampled_from([(2, 2), (2, 3, 4), (3, 2, 2, 2), (4, 64), (2, 300)]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    total = math.prod(dims)
-    a = rng.standard_normal((total, total))
-    b = a + rng.standard_normal((total, total)) * draw(st.sampled_from([0.0, 1e-13, 1.0]))
-    for matrix in (a, b):
-        for _ in range(draw(st.integers(0, 2))):
-            matrix[tuple(rng.integers(0, total, size=2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    profile = DimensionProfile(dims)
-    axis = draw(st.integers(1, len(dims)))
-    return a.reshape(dims + dims), partial_transpose_view(b, profile, axis)
-
-
-@settings(max_examples=60, deadline=None)
-@given(arrays_and_views())
-def test_blocked_difference_matches_whole_array_formula(case):
-    a, b = case
-    with np.errstate(invalid="ignore"):
-        expected = float(np.max(np.abs(a - b)))
-    got = max_abs_difference(a, b)
-    if math.isnan(expected):
-        assert math.isnan(got)
-    else:
-        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
-
-
-def test_blocked_difference_of_empty_arrays_is_zero():
-    assert max_abs_difference(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+    assert traced_peak(lambda: theorem1_transfer(graph, 1)) < MiB
 
 
 # -- PPT verdicts from the edge array -----------------------------------------

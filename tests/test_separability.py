@@ -271,7 +271,6 @@ class TestDecompose:
             assert term.weight == 0.25
             assert np.array_equal(term.factors[0], half)
             assert term.ladder == (1.0, 1.0)
-            assert np.array_equal(term.top_block, np.ones((2, 2)))
             r1, r2 = term.index
             assert np.array_equal(term.factors[1], np.outer(basis[:, r2 - 1], basis[:, r2 - 1]))
             assert np.array_equal(term.factors[2], np.outer(basis[:, r1 - 1], basis[:, r1 - 1]))
@@ -309,9 +308,9 @@ class TestDecompose:
         residual = np.linalg.norm(assemble_by_hand(dec) - rho.matrix)
         assert residual <= 1e-8 * np.linalg.norm(rho.matrix)
         for term in dec.terms:
-            # Isolated layer: zero row and column in the unnormalised block.
-            assert not term.top_block[2, :].any()
-            assert not term.top_block[:, 2].any()
+            # Isolated layer: zero row and column in the first factor.
+            assert not term.factors[0][2, :].any()
+            assert not term.factors[0][:, 2].any()
 
     def test_nontrivial_inner_block(self):
         # Full bipartite linking of the two top layers on (2, 2, 3) with an
@@ -352,7 +351,7 @@ class TestDecompose:
                 for i in range(1, n - 1):
                     bound = abs(ladder[i - 1]) * inf_norm(factors[n - 1 - i])
                     assert abs(ladder[i]) <= bound + 1e-9 * max(1.0, bound)
-                assert is_diagonally_dominant(term.top_block)
+                assert is_diagonally_dominant(term.factors[0])
 
     @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 4, 4), (2, 2, 2, 2)])
     def test_ladder_order_follows_axis_spectra(self, dims):
