@@ -5,11 +5,11 @@ conditions hold on top of axis-1 partial symmetry: no edge stays inside a
 top layer, at every prefix depth all nonzero blocks of the adjacency matrix
 coincide with a single common block, and all vertices of a top layer share
 one degree.  Together these say the adjacency matrix factors exactly as a
-Kronecker product of one 0/1 pattern per axis (the top pattern with zero
-diagonal).  The checks read the edge array, never a V x V matrix: the block
-checks key the 2|E| nonzero entries of A by their pair of prefixes at each
-depth, and once they hold each F_k is the 0/1 pattern of the edges' axis-k
-coordinate pairs.
+Kronecker product A = F_1 (x) ... (x) F_n of one 0/1 pattern per axis (the
+top pattern with zero diagonal; P. M. Weichsel, Proc. AMS 13 (1962)).  The
+checks read the edge array, never a V x V matrix, and decide the blocks by
+one count (:func:`check_theorem_conditions`); the level walk and the axis-1
+edge test run only to name the witnesses of a graph that fails it.
 
 ``decompose`` then walks an eigenvalue ladder down that factorisation, one
 level at a time.  It eigendecomposes each axis pattern F_2..F_n once; a
@@ -27,10 +27,9 @@ array per axis for a block of B terms; blocks are capped in size so the
 stacks add bounded memory, and every benchmark-sized decomposition is one
 block.  Each stack is certified by :func:`certificates._factor_failures`,
 where a factor equal to its vector's rank-one product needs no eigensolve.
-The weighted sum of Kronecker products is reassembled as one matrix
-product of two per-term Kronecker tables per block
-(:meth:`SeparableDecomposition.assemble`), so no V x V matrix is built per
-term.
+The weighted sum of Kronecker products is reassembled from the same stacks
+as one matrix product of two per-term Kronecker tables per block
+(:func:`_reassemble`), so no V x V matrix is built per term.
 
 ``certify_decomposition`` is what ``decompose`` and the CLI's ``verify``
 run.  It compares profiles, then, when the graph's conditions give its
@@ -94,7 +93,6 @@ class BlockLevelReport:
     level: int
     uniform: bool
     first_mismatch: tuple[Label, Label] | None = None
-    common_block: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,37 +182,59 @@ def _block_level_report(rows, cols, dims: tuple[int, ...], level: int) -> BlockL
     first = np.zeros(size * size, dtype=np.int64)
     first[cells[keys == blocks[0]]] = 1
     failing = np.concatenate((blocks[counts != counts[0]], keys[first[cells] == 0]))
-    common = first.reshape(size, size)
     if failing.size == 0:
-        return BlockLevelReport(level, True, common_block=common)
+        return BlockLevelReport(level, True)
 
     def decode(flat: int) -> Label:
         return tuple(int(c) + 1 for c in np.unravel_index(flat, dims[:level]))
 
     row, col = divmod(int(failing.min()), prefixes)
-    return BlockLevelReport(level, False, (decode(row), decode(col)), common)
+    return BlockLevelReport(level, False, (decode(row), decode(col)))
 
 
 def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
     """Evaluate all decomposition hypotheses with exact integer comparisons,
-    on the edge array: the block checks read the 2|E| nonzero entries of A,
-    both orientations of each edge, and no V x V array is built."""
+    on the edge array; no V x V array is built.
+
+    F_k, the symmetrised pattern of the edges' axis-k coordinate pairs, has a
+    1 at each edge's coordinates, so A <= F_1 (x) ... (x) F_n entrywise and
+    the two are equal exactly when 2|E| = prod_k nnz(F_k).  Then every nonzero
+    block over distinct length-z prefixes is F_{z+1} (x) ... (x) F_n, and, each
+    F_k being symmetric, every partial transpose leaves A in place: all levels
+    are uniform and the graph is partially symmetric on every axis.  Only when
+    the count fails do the level walk and the axis-1 edge test run, to name
+    the first mismatching block and violating edge.
+    """
     profile = graph.profile
     dims = profile.dims
-    n = profile.n
     total = profile.total
     layer_size = total // dims[0]
 
-    psym = is_partially_symmetric(graph, axis=1)
     edges = graph.edge_array()
-    layers = (edges - 1) // layer_size
-    intra = tuple(map(tuple, edges[layers[:, 0] == layers[:, 1]].tolist()))
-
-    # The nonzero entries of A, 0-based: both orientations of every edge.
     a, b = (edges - 1).T
-    rows, cols = np.concatenate((a, b)), np.concatenate((b, a))
-    levels = tuple(_block_level_report(rows, cols, dims, z) for z in range(1, n))
-    uniform = all(lv.uniform for lv in levels)
+    patterns = []
+    for coord, d in zip(np.unravel_index(np.arange(total), dims), dims):
+        pattern = np.zeros((d, d), dtype=np.int64)
+        pattern[coord[a], coord[b]] = 1
+        patterns.append(pattern | pattern.T)
+    # Python ints: the product of the n counts can pass 2^63.
+    kronecker = 2 * graph.num_edges == math.prod(int(np.count_nonzero(f)) for f in patterns)
+
+    # An edge inside a top layer is a 1 on F_1's diagonal.
+    intra = ()
+    if patterns[0].diagonal().any():
+        layers = (edges - 1) // layer_size
+        intra = tuple(map(tuple, edges[layers[:, 0] == layers[:, 1]].tolist()))
+
+    if kronecker:
+        levels = tuple(BlockLevelReport(z, True) for z in range(1, profile.n))
+        psym, violation = True, None
+    else:
+        report = is_partially_symmetric(graph, axis=1)
+        psym, violation = report.symmetric, report.violating_edge
+        # The nonzero entries of A, 0-based: both orientations of every edge.
+        rows, cols = np.concatenate((a, b)), np.concatenate((b, a))
+        levels = tuple(_block_level_report(rows, cols, dims, z) for z in range(1, profile.n))
 
     degrees = graph.degree_sequence()
     degree_sets = tuple(
@@ -226,36 +246,19 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
         tuple(int(s[0]) for s in degree_sets) if degrees_uniform else None
     )
 
-    factors = None
-    if uniform and not intra and graph.num_edges > 0:
-        # Without intra-layer edges A = F_1 (x) C_1, for F_1 the 0/1 pattern
-        # of A's nonzero blocks and C_1 the level-1 common block, and every
-        # nonzero block of C_{k-1} at level k is C_k, so C_{k-1} = F_k (x) C_k.
-        # Hence A = F_1 (x) ... (x) F_n with no F_k zero: A's entry at (u, w)
-        # is the product over k of F_k at the axis-k coordinates of u and w.
-        # So every edge puts a 1 of each F_k at its axis-k coordinate pair,
-        # and, no other factor being zero, every 1 of F_k comes from an edge:
-        # F_k is the pattern of those pairs, in both orientations.
-        factors = []
-        for coord, d in zip(np.unravel_index(np.arange(total), dims), dims):
-            pattern = np.zeros((d, d), dtype=np.int64)
-            pattern[coord[a], coord[b]] = 1
-            factors.append(pattern | pattern.T)
-        factors = tuple(factors)
-
     return ConditionReport(
         profile=profile,
         num_edges=graph.num_edges,
-        partially_symmetric=psym.symmetric,
-        partial_symmetry_violation=psym.violating_edge,
+        partially_symmetric=psym,
+        partial_symmetry_violation=violation,
         no_intra_layer_edges=not intra,
         intra_layer_edges=intra,
-        uniform_blocks=uniform,
+        uniform_blocks=all(lv.uniform for lv in levels),
         block_levels=levels,
         uniform_layer_degrees=degrees_uniform,
         layer_degree_sets=degree_sets,
         layer_degrees=layer_degrees,
-        adjacency_factors=factors,
+        adjacency_factors=tuple(patterns) if kronecker and not intra and graph.num_edges else None,
     )
 
 

@@ -16,9 +16,9 @@ from graphsep import (
     linalg,
     parse_graph,
     separability,
+    transforms,
 )
 from graphsep.cli import main
-from graphsep.transforms import PartialSymmetryReport
 
 M222_TEXT = "dims 2 2 2\ne 1 5\ne 2 6\ne 3 7\ne 4 8\n"
 K2_TEXT = "dims 2 2\ne 1 2\n"
@@ -230,27 +230,9 @@ class TestDecomposeVerify:
         assert "verified=pass" in capsys.readouterr().out
         assert sorted(shapes) == [(128, 2, 2), (128, 2, 2)]
 
-    def test_decompose_fails_closed_where_transpose_changes_rho(self, workdir, monkeypatch, capsys):
-        # A conforming graph is a fixed point of every axis rewrite, so every
-        # partial transpose of rho is rho; an axis whose edge test fails is
-        # refused, with no record and no verdicts.
-        original = cli.is_partially_symmetric
-
-        def broken_on_axis_2(graph, axis=1):
-            report = original(graph, axis)
-            return PartialSymmetryReport(False, axis) if axis == 2 else report
-
-        monkeypatch.setattr(cli, "is_partially_symmetric", broken_on_axis_2)
-        dec_path = workdir / "x.dec"
-        assert main(["decompose", str(workdir / "m222.graph"), str(dec_path)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "partial transpose on axis 2 changes the density matrix" in captured.err
-        assert not dec_path.exists()
-
     def test_decompose_builds_rho_once(self, tmp_path, monkeypatch):
         # decompose certifies its grid record from the per-axis factors and
-        # the CLI's PPT verdicts come from the edges, so neither builds rho;
+        # the CLI's PPT verdicts follow from the conditions, so neither builds rho;
         # nor does verify of that record.
         profiles = ["2,2,2", "3,2,2", "2,4,4,4,4"]
         for i, dims in enumerate(profiles):
@@ -300,9 +282,10 @@ class TestDecomposeVerify:
         assert code == 2
         assert "intra-layer edge (1, 2)" in capsys.readouterr().err
 
-    def test_decompose_runs_one_edge_test_per_axis(self, tmp_path, monkeypatch, capsys):
-        # The axis-1 test is a precondition of decompose; the CLI's PPT
-        # verdicts test axes 2..n only, and still report all n axes.
+    def test_decompose_runs_no_edge_test(self, tmp_path, monkeypatch, capsys):
+        # A conforming graph passes the Kronecker count, which makes it a
+        # fixed point of the rewrite on every axis: no edge test runs, and
+        # the PPT verdicts still report all n axes.
         graph_path = tmp_path / "g.graph"
         argv = ["gen", "theorem", "--dims", "2,4,4,4,4", "--seed", "0", "-o", str(graph_path)]
         assert main(argv) == 0
@@ -313,12 +296,12 @@ class TestDecomposeVerify:
             axes.append(axis)
             return original(graph, axis)
 
-        for module in (separability, cli):
+        for module in (graphsep, transforms, separability, cli):
             monkeypatch.setattr(module, "is_partially_symmetric", counting)
         capsys.readouterr()
         assert main(["decompose", str(graph_path), str(tmp_path / "g.dec")]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert sorted(axes) == [1, 2, 3, 4, 5]
+        assert axes == []
         assert all(f"ppt_axis_{k}=pass" in out for k in range(1, 6))
 
     def test_tampered_file_fails_verify(self, workdir, capsys):

@@ -32,8 +32,11 @@ from graphsep import (
     gen_degree_symmetric_only,
     gen_partially_symmetric,
     gen_theorem_graph,
+    gtpt,
     inf_norm,
+    is_degree_symmetric,
     is_diagonally_dominant,
+    is_partially_symmetric,
     is_psd,
     kron,
     parse_decomposition,
@@ -116,17 +119,13 @@ FACTOR_PROFILES = [
 
 def assert_conditions_match_oracles(graph):
     """The report against the dense oracles, level by level (uniform, first
-    mismatch, common block) and factor by factor (values and dtype)."""
+    mismatch) and factor by factor (values and dtype).  Where there are
+    factors, the scan's common block at level z is F_{z+1} (x) ... (x) F_n."""
     report = check_theorem_conditions(graph)
     scanned = block_levels_by_scan(graph)
     assert len(report.block_levels) == len(scanned)
-    for lv, (uniform, mismatch, common) in zip(report.block_levels, scanned):
+    for lv, (uniform, mismatch, _) in zip(report.block_levels, scanned):
         assert (lv.uniform, lv.first_mismatch) == (uniform, mismatch)
-        if common is None:
-            assert lv.common_block is None
-        else:
-            assert lv.common_block.dtype == common.dtype
-            assert np.array_equal(lv.common_block, common)
     expected = peel_factors(graph)
     factors = report.adjacency_factors
     if expected is None:
@@ -136,7 +135,8 @@ def assert_conditions_match_oracles(graph):
     for got, want in zip(factors, expected):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    assert not np.shares_memory(factors[-1], report.block_levels[-1].common_block)
+    for z, (_, _, common) in enumerate(scanned, start=1):
+        assert np.array_equal(common, kron(factors[z:]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -188,16 +188,181 @@ CORPUS_GRAPHS = corpus_graphs()
 
 @pytest.mark.parametrize("name", sorted(CORPUS_GRAPHS))
 def test_conditions_match_oracles_on_corpus_graphs(name):
-    assert_conditions_match_oracles(CORPUS_GRAPHS[name]())
+    graph = CORPUS_GRAPHS[name]()
+    assert_conditions_match_oracles(graph)
+    assert_report_matches_walk(graph)
+
+
+# -- the Kronecker count against the level walk -------------------------------
+
+
+def assert_report_matches_walk(graph):
+    """The report's levels and axis-1 verdict against the level walk and the
+    axis-1 edge test, both run here whichever path the report took."""
+    report = check_theorem_conditions(graph)
+    dims = graph.profile.dims
+    a, b = (graph.edge_array() - 1).T
+    rows, cols = np.concatenate((a, b)), np.concatenate((b, a))
+    walked = [separability._block_level_report(rows, cols, dims, z) for z in range(1, len(dims))]
+    assert [(lv.level, lv.uniform, lv.first_mismatch) for lv in report.block_levels] == [
+        (lv.level, lv.uniform, lv.first_mismatch) for lv in walked
+    ]
+    psym = is_partially_symmetric(graph, 1)
+    assert (report.partially_symmetric, report.partial_symmetry_violation) == (
+        psym.symmetric,
+        psym.violating_edge,
+    )
+    return report
+
+
+def product_graph(dims, rng, diagonal):
+    """The graph whose adjacency matrix is F_1 (x) ... (x) F_n for random
+    nonzero symmetric 0/1 patterns.  F_1 has a 1 on its diagonal when
+    ``diagonal`` (edges inside top layers) and none otherwise; F_n has a zero
+    diagonal, so the product has no loops."""
+    factors = []
+    for k, d in enumerate(dims):
+        upper = np.triu(rng.integers(0, 2, (d, d)), 1)
+        upper[0, 1] = 1
+        pattern = upper | upper.T
+        if k == 0:
+            pattern[0, 0] = int(diagonal)
+        elif k < len(dims) - 1:
+            pattern[np.diag_indices(d)] = rng.integers(0, 2, d)
+        factors.append(pattern)
+    edges = np.argwhere(np.triu(kron(factors), 1)) + 1
+    return MultipartiteGraph(DimensionProfile(dims), edges)
+
+
+def generated(family, dims, seed):
+    """A graph of one generator family, or a ``product_graph`` with no edge
+    inside a top layer, drawn from ``seed``."""
+    profile = DimensionProfile(dims)
+    if family == "theorem":
+        return gen_theorem_graph(profile, seed)
+    if family == "psym":
+        return gen_partially_symmetric(profile, 6, seed)
+    if family == "dsym":
+        return gen_degree_symmetric_only(profile, seed)
+    return product_graph(dims, np.random.default_rng(seed), diagonal=False)
+
+
+def perturbed(graph, rng):
+    """Negative controls: one edge removed, one edge added inside a top layer,
+    and one edge u-w moved to a non-edge u-w' with w' in w's top layer (the
+    same level-1 block)."""
+    profile = graph.profile
+    layer = profile.total // profile.dims[0]
+    edges = graph.edges
+    ordered = sorted(edges)
+    yield MultipartiteGraph(profile, edges - {ordered[int(rng.integers(len(ordered)))]})
+    intra = [
+        (a, b)
+        for start in range(1, profile.total + 1, layer)
+        for a in range(start, start + layer)
+        for b in range(a + 1, start + layer)
+        if (a, b) not in edges
+    ]
+    if intra:
+        yield MultipartiteGraph(profile, edges | {intra[int(rng.integers(len(intra)))]})
+    for u, w in rng.permutation(ordered).tolist():
+        start = (w - 1) // layer * layer + 1
+        moves = [
+            x for x in range(start, start + layer)
+            if x != u and (min(u, x), max(u, x)) not in edges
+        ]
+        if moves:
+            x = moves[int(rng.integers(len(moves)))]
+            yield MultipartiteGraph(profile, (edges - {(u, w)}) | {(min(u, x), max(u, x))})
+            return
+
+
+def test_report_matches_walk_on_acceptance_sweep():
+    from test_acceptance import SEEDS_PER_PROFILE, SWEEP_PROFILES
+
+    for dims in SWEEP_PROFILES:
+        for seed in range(SEEDS_PER_PROFILE):
+            report = assert_report_matches_walk(gen_theorem_graph(DimensionProfile(dims), seed))
+            assert report.holds
+
+
+@pytest.mark.parametrize("family", ["theorem", "psym", "dsym"])
+def test_report_matches_walk_under_negative_controls(family):
+    rng = np.random.default_rng(5)
+    controls = 0
+    for dims in FACTOR_PROFILES:
+        for seed in range(4):
+            graph = generated(family, dims, seed)
+            if not graph.edges:
+                continue
+            report = assert_report_matches_walk(graph)
+            assert report.holds or family != "theorem"
+            for changed in perturbed(graph, rng):
+                report = assert_report_matches_walk(changed)
+                assert not report.holds or family != "theorem"
+                controls += 1
+    assert controls >= 100
+
+
+def test_products_with_edges_inside_top_layers_take_the_count():
+    # The count holds, so neither the walk nor the edge test runs: every
+    # level is uniform and the graph is partially symmetric, but the
+    # intra-layer edges fail ``overall`` and there are no factors.
+    rng = np.random.default_rng(11)
+    with mock.patch.object(separability, "_block_level_report", side_effect=AssertionError), \
+            mock.patch.object(separability, "is_partially_symmetric", side_effect=AssertionError):
+        reports = [
+            (graph, check_theorem_conditions(graph))
+            for dims in FACTOR_PROFILES
+            for graph in (product_graph(dims, rng, diagonal=True) for _ in range(5))
+        ]
+    for graph, report in reports:
+        assert report.uniform_blocks and report.partially_symmetric
+        assert not report.no_intra_layer_edges and not report.overall
+        assert report.adjacency_factors is None
+        assert_report_matches_walk(graph)
+        assert all(is_partially_symmetric(graph, k) for k in range(1, graph.profile.n + 1))
+
+
+def test_passing_conditions_run_neither_walk_nor_edge_test():
+    with mock.patch.object(separability, "_block_level_report", side_effect=AssertionError), \
+            mock.patch.object(separability, "is_partially_symmetric", side_effect=AssertionError):
+        for dims in FACTOR_PROFILES:
+            assert check_theorem_conditions(gen_theorem_graph(DimensionProfile(dims), 1)).holds
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(FACTOR_PROFILES),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["theorem", "product", "psym", "dsym"]),
+    st.booleans(),
+)
+def test_conditions_imply_partial_symmetry_on_every_axis(dims, seed, family, toggle):
+    # The corollary the CLI's ppt_axis_k verdicts rest on: a graph that
+    # passes is the Kronecker product of symmetric patterns, so every axis
+    # rewrite leaves it in place.  Products with no edge inside a top layer
+    # pass when their layer degrees agree; toggling one vertex pair makes
+    # graphs on both sides of the count.
+    graph = generated(family, dims, seed)
+    profile = graph.profile
+    if toggle:
+        rng = np.random.default_rng(seed + 1)
+        a = int(rng.integers(1, profile.total))
+        graph = MultipartiteGraph(profile, graph.edges ^ {(a, int(rng.integers(a + 1, profile.total + 1)))})
+    if check_theorem_conditions(graph).holds:
+        assert all(is_partially_symmetric(graph, k) for k in range(1, profile.n + 1))
 
 
 def test_intra_layer_graph_first_mismatches_at_level_2():
-    report = check_theorem_conditions(intra_layer_mismatch_at_level_2())
+    graph = intra_layer_mismatch_at_level_2()
+    report = check_theorem_conditions(graph)
     assert report.intra_layer_edges == ((1, 4),)
     first, second = report.block_levels
-    assert first.uniform and np.array_equal(first.common_block, np.eye(4, dtype=np.int64))
+    (_, _, first_common), (_, _, second_common) = block_levels_by_scan(graph)
+    assert first.uniform and np.array_equal(first_common, np.eye(4, dtype=np.int64))
     assert second.first_mismatch == ((1, 1), (2, 1))
-    assert np.array_equal(second.common_block, [[0, 1], [0, 0]])
+    assert np.array_equal(second_common, [[0, 1], [0, 0]])
 
 
 class TestConditionReport:
@@ -208,7 +373,9 @@ class TestConditionReport:
         assert report.uniform_blocks
         assert report.uniform_layer_degrees
         assert report.layer_degrees == (1, 1)
-        assert np.array_equal(report.block_levels[-1].common_block, np.eye(2, dtype=np.int64))
+        common = block_levels_by_scan(m222)[-1][2]
+        assert np.array_equal(common, np.eye(2, dtype=np.int64))
+        assert np.array_equal(report.adjacency_factors[-1], common)
 
     def test_intra_layer_edge_witness(self, profile222):
         report = check_theorem_conditions(
@@ -227,7 +394,9 @@ class TestConditionReport:
         assert report.partially_symmetric
         assert report.no_intra_layer_edges
         assert report.uniform_blocks
-        assert np.array_equal(report.block_levels[-1].common_block, [[1, 1], [1, 0]])
+        common = block_levels_by_scan(g)[-1][2]
+        assert np.array_equal(common, [[1, 1], [1, 0]])
+        assert np.array_equal(report.adjacency_factors[-1], common)
         assert not report.uniform_layer_degrees
         assert report.layer_degree_sets == ((0, 1, 2), (0, 1, 2))
         assert not report.overall
@@ -790,7 +959,7 @@ class TestTransfer:
         assert bool(cert)
 
     def test_transfer_across_generated_corpus(self):
-        from graphsep import gen_partially_symmetric
+        from test_dense_kernels import random_graph
 
         profile = DimensionProfile((2, 3, 2))
         checked = 0
@@ -801,6 +970,26 @@ class TestTransfer:
             assert theorem1_transfer(g, 1).holds
             checked += 1
         assert checked >= 30
+        # The generated graphs are fixed points of the rewrite, so gtpt(G) = G
+        # and PT(rho) = rho there.  Seeded random graphs add axes whose
+        # rewrite keeps every degree but moves edges: the identity then
+        # compares two different matrices.
+        rng = np.random.default_rng(1)
+        moved_axes = set()
+        for dims in [(2, 3, 2), (2, 2, 2)]:
+            profile = DimensionProfile(dims)
+            found = 0
+            while found < 10:
+                g = random_graph(profile, rng)
+                axes = [
+                    k for k in range(1, profile.n + 1)
+                    if is_degree_symmetric(g, k) and gtpt(g, k) != g
+                ]
+                for axis in axes:
+                    assert theorem1_transfer(g, axis).holds
+                    moved_axes.add(axis)
+                found += bool(axes)
+        assert moved_axes == {1, 2, 3}
 
 
 class TestDecompositionFormat:
