@@ -7,8 +7,11 @@ symmetric and PSD up to -2^-53 |v|^2, so it needs neither test; the others
 take one batched eigenvalue call.  :func:`separability.verify_decomposition`
 runs it on its blocks, and the factored certificate on its per-axis stacks.
 
-``_factored_certificate`` bounds |S - rho|_F for a grid record of a graph
-with A = F_1 (x) ... (x) F_n from the per-axis factors alone, with no
+``_factored_certificate`` bounds |S - rho|_F for a decomposition held as a
+grid (:class:`separability.TermGrid`: one common weight, one projector per
+vector on each axis k >= 2, the terms covering the product grid once, as
+:func:`_covers_grid` checks) of a graph with A = F_1 (x) ... (x) F_n, from
+the grid's per-axis arrays and the graph's factors alone, with no
 V x V matrix, no eigensolve and no BLAS call, so the bound's bits do not
 depend on the BLAS thread count (C. F. Van Loan, "The ubiquitous Kronecker
 product", J. Comput. Appl. Math. 123 (2000); N. J. Higham, *Accuracy and
@@ -19,6 +22,7 @@ rounding bounds).  It only ever passes;
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -117,45 +121,14 @@ def _factor_failures(
     return found
 
 
-def _grid(terms, dims):
-    """The structure of a grid record, or None for any other.
-
-    In a grid record every weight has the same bits; for each axis k >= 2
-    the terms' k-th factors are exactly N_k distinct arrays, told apart by
-    identity, never by value; and the terms take distinct combinations of
-    them, so they cover the product grid once.  Returns the weight, the
-    (T, N_1, N_1) stack of first factors, per axis k >= 2 the (N_k, N_k, N_k)
-    stack of its distinct arrays with a vector (or None) for each, and the
-    (T, n - 1) array of each term's position in those stacks.
-    """
-    n = len(dims)
-    if not terms or any(len(t.factors) != n for t in terms):
-        return None
-    bits = np.array([t.weight for t in terms], dtype=float).view(np.int64)
-    first_shape = (dims[0], dims[0])
-    if (bits != bits[0]).any() or any(np.shape(t.factors[0]) != first_shape for t in terms):
-        return None
-    choice = np.empty((len(terms), n - 1), dtype=np.int64)
-    axes = []
-    for k, d in enumerate(dims[1:], start=1):
-        # Numbered in order of first use, so the sums below do not depend
-        # on where the arrays sit in memory.
-        index = {}
-        choice[:, k - 1] = [index.setdefault(id(t.factors[k]), len(index)) for t in terms]
-        held = [terms[t] for t in np.unique(choice[:, k - 1], return_index=True)[1].tolist()]
-        if len(held) != d or any(np.shape(t.factors[k]) != (d, d) for t in held):
-            return None
-        stack = np.array([t.factors[k] for t in held], dtype=float)
-        vectors = [
-            t.vectors[k] if t.vectors is not None and len(t.vectors) == n else None
-            for t in held
-        ]
-        axes.append((stack, vectors))
+def _covers_grid(choice: np.ndarray, dims) -> bool:
+    """Whether the (T, n - 1) eigenvector choices of a grid's terms are in
+    range and take every cell of the product grid of axes 2..n once."""
+    count = math.prod(dims[1:])
+    if choice.shape != (count, len(dims) - 1) or (choice < 0).any() or (choice >= dims[1:]).any():
+        return False
     cells = np.ravel_multi_index(tuple(choice.T), dims[1:])
-    if len(terms) != math.prod(dims[1:]) or np.unique(cells).size != len(terms):
-        return None
-    firsts = np.array([t.factors[0] for t in terms], dtype=float)
-    return terms[0].weight, firsts, axes, choice
+    return bool((np.bincount(cells, minlength=count) == 1).all())
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -201,8 +174,9 @@ def _telescoped(diffs, lefts, rights) -> float:
 def _factored_certificate(
     decomposition: SeparableDecomposition, report: ConditionReport, tol: float
 ) -> VerificationCertificate | None:
-    """A passing certificate for a grid record, from per-axis factors; None
-    whenever it cannot pass.
+    """A passing certificate for a decomposition whose terms are a
+    :class:`separability.TermGrid`, from its per-axis arrays; None whenever
+    it cannot pass, and for terms held any other way.
 
     With the graph's exact 0/1 factors (A = F_1 (x) ... (x) F_n), layer
     degrees delta (each F_k, k >= 2, regular and delta = r_1 prod_k |F_k|_inf
@@ -230,22 +204,24 @@ def _factored_certificate(
     :func:`separability.verify_decomposition`'s.  The
     ``ladder`` and ``index`` lines play no part.
     """
+    from .separability import TermGrid  # separability imports this module
+
     factors = report.adjacency_factors
     degrees = report.layer_degrees
     dims = decomposition.profile.dims
     n = len(dims)
     if factors is None or degrees is None or report.profile != decomposition.profile:
         return None
-    grid = _grid(decomposition.terms, dims)
-    if grid is None:
+    grid = decomposition.terms
+    if not isinstance(grid, TermGrid) or not _covers_grid(grid.choice, dims):
         return None
-    weight, firsts, axes, choice = grid
+    weight, firsts, choice = grid.weight, grid.firsts, grid.choice
     # With T equal weights, a sum within 1e-10 of 1 is also finite and
     # positive: the other two weight checks hold.
-    weight_sum = float(sum(t.weight for t in decomposition.terms))
+    weight_sum = float(sum(itertools.repeat(weight, len(grid))))
     if not abs(weight_sum - 1.0) <= 1e-10 or _factor_failures(firsts) or any(
-        _factor_failures(stack, *_vector_stack(vectors, d))
-        for (stack, vectors), d in zip(axes, dims[1:])
+        _factor_failures(stack, vectors, np.ones(d, dtype=bool))
+        for stack, vectors, d in zip(grid.projectors, grid.vectors, dims[1:])
     ):
         return None
 
@@ -267,7 +243,7 @@ def _factored_certificate(
     bounds = []
     mus = []  # per axis, each term's mu
     norms = []  # per axis, each term's |P|_F
-    for k, ((stack, _), pattern) in enumerate(zip(axes, factors[1:])):
+    for k, (stack, pattern) in enumerate(zip(grid.projectors, factors[1:])):
         d = len(stack)
         pattern = pattern.astype(float)
         mu = np.einsum("jab,ab->j", stack, pattern)

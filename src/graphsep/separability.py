@@ -31,29 +31,35 @@ The weighted sum of Kronecker products is reassembled from the same stacks
 as one matrix product of two per-term Kronecker tables per block
 (:func:`_reassemble`), so no V x V matrix is built per term.
 
+A ``decompose`` result holds its terms as the grid they are
+(:class:`TermGrid`): the common weight, the stack of first factors, per axis
+k >= 2 the N_k vectors and their projectors, and each term's choice of one
+per axis.  ``parse_decomposition`` returns that form for a record that is a
+grid by row text (bit-equal weights, and on each axis k >= 2 exactly N_k
+distinct vector row texts, covering the product grid once), and a tuple of
+terms for any other.  Term objects are built only on demand.
+
 ``certify_decomposition`` is what ``decompose`` and the CLI's ``verify``
 run.  It compares profiles, then, when the graph's conditions give its
-factors F_k and the record is a grid (bit-equal weights, and for each axis
-k >= 2 exactly N_k distinct factor arrays, by identity, covering the product
-grid once), it bounds |S - rho|_F from those per-axis factors
-(:func:`certificates._factored_certificate`).  ``decompose`` builds, and
-``parse_decomposition`` reads, one projector array per distinct vector, so
-their records are grids.  The factored path only passes; any other record,
-a graph whose conditions fail, or a bound above ``tol`` goes to
-``verify_decomposition`` against rho, the unchanged reference, whose
-verdict and failure texts are returned.
+factors F_k and the terms are a :class:`TermGrid`, it bounds |S - rho|_F
+from the grid's per-axis arrays (:func:`certificates._factored_certificate`).
+The factored path only passes; any other record, a graph whose conditions
+fail, or a bound above ``tol`` goes to ``verify_decomposition`` against
+rho, the unchanged reference, whose verdict and failure texts are returned.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .certificates import (
     VerificationCertificate,
+    _covers_grid,
     _factor_failures,
     _factored_certificate,
     _vector_stack,
@@ -292,12 +298,67 @@ def projector(vector: np.ndarray) -> np.ndarray:
         return vector[..., :, None] * vector[..., None, :]
 
 
+@dataclass(eq=False)
+class TermGrid(Sequence):
+    """The terms of a grid decomposition, held as the grid of arrays it is.
+
+    The construction has one term per choice of eigenvector on axes 2..n.
+    Term t has the common ``weight``, the first factor ``firsts[t]`` and, on
+    each axis k >= 2, the projector ``projectors[k - 2][j]`` of the vector
+    ``vectors[k - 2][j]`` for j = ``choice[t, k - 2]``; the choices cover the
+    grid once.  ``index`` and ``ladder`` are (T, n - 1) arrays, or None when
+    no term has them.  ``len`` needs no term object; the
+    :class:`DecompositionTerm` objects are built on first iteration or
+    indexing, once, and share one array per (axis, eigenvector).
+    """
+
+    weight: float
+    firsts: np.ndarray  # (T, N_1, N_1)
+    vectors: tuple[np.ndarray, ...]  # per axis k >= 2, (N_k, N_k): one vector a row
+    projectors: tuple[np.ndarray, ...]  # per axis k >= 2, (N_k, N_k, N_k)
+    choice: np.ndarray  # (T, n - 1)
+    index: np.ndarray | None = None
+    ladder: np.ndarray | None = None
+    _terms: tuple[DecompositionTerm, ...] | None = field(default=None, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.firsts)
+
+    def __getitem__(self, position):
+        return self._built()[position]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def _built(self) -> tuple[DecompositionTerm, ...]:
+        if self._terms is None:
+            vectors = [list(v) for v in self.vectors]
+            projectors = [list(p) for p in self.projectors]
+            index = itertools.repeat(None) if self.index is None else map(tuple, self.index.tolist())
+            ladder = itertools.repeat(None) if self.ladder is None else map(tuple, self.ladder.tolist())
+            self._terms = tuple(
+                DecompositionTerm(
+                    weight=self.weight,
+                    factors=(first,) + tuple(p[j] for p, j in zip(projectors, row)),
+                    index=position,
+                    ladder=values,
+                    vectors=(None,) + tuple(v[j] for v, j in zip(vectors, row)),
+                )
+                for first, row, position, values in zip(self.firsts, self.choice.tolist(), index, ladder)
+            )
+        return self._terms
+
+
 @dataclass(frozen=True, eq=False)
 class SeparableDecomposition:
-    """A convex combination of Kronecker products of per-subsystem factors."""
+    """A convex combination of Kronecker products of per-subsystem factors.
+
+    ``terms`` is a :class:`TermGrid` for :func:`decompose` results and grid
+    records, and a tuple of :class:`DecompositionTerm` otherwise.
+    """
 
     profile: DimensionProfile
-    terms: tuple[DecompositionTerm, ...]
+    terms: Sequence[DecompositionTerm]
     adjacency_factors: tuple[np.ndarray, ...] | None = None
     residual: float | None = None
     certificates: tuple[tuple[str, bool], ...] | None = None
@@ -406,9 +467,9 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     run in descending order of that product.  Each level expands all terms
     at once; dominance is one integer comparison per top layer.
 
-    The result is verified once, by :func:`certify_decomposition` with the
-    relative reassembly tolerance ``tol``: it is a grid record, so the
-    factored bound certifies it unless that bound exceeds ``tol``.  Raises
+    The terms are returned as a :class:`TermGrid` and verified once, by
+    :func:`certify_decomposition` with the relative reassembly tolerance
+    ``tol``: the factored bound certifies them unless it exceeds ``tol``.  Raises
     :class:`PreconditionError` when the hypotheses fail and
     :class:`ConstructionError` when any internal certificate fails (which
     would mean a hypothesis gap, a bug or a too tight ``tol``, and is never
@@ -473,26 +534,19 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
 
     # Factor 1 of every term in one broadcast: delta + lam F_1 for the last
     # ladder value, normalised by the total layer degree.  Every other
-    # factor is the projector of one eigenvector of its axis, one array
-    # shared by all the terms that chose it (so the record is a grid, see
-    # certificates._grid); the axes in order are the levels in reverse.
+    # factor is the projector of one eigenvector of its axis: the terms are
+    # a grid, held as these arrays.  The axes in order are the levels in
+    # reverse; ``index`` runs over the ladder positions in lexicographic order.
     top = np.diag(np.asarray(layer_degrees, dtype=float)) + values[:, None, None] * factors_float[0]
-    firsts = top / sum(layer_degrees)
-    bases = [list(eig.eigenvectors.T) for eig in spectra]
-    projectors = [list(projector(eig.eigenvectors.T)) for eig in spectra]
-    weight = 1.0 / len(values)
-    positions = itertools.product(*(range(1, d + 1) for d in dims[:0:-1]))
-    terms = tuple(
-        DecompositionTerm(
-            weight=weight,
-            factors=(first,) + tuple(p[j] for p, j in zip(projectors, choice)),
-            index=index,
-            ladder=tuple(ladder),
-            vectors=(None,) + tuple(v[j] for v, j in zip(bases, choice)),
-        )
-        for first, index, ladder, choice in zip(
-            firsts, positions, ladders.tolist(), chosen[:, ::-1].tolist()
-        )
+    vectors = tuple(eig.eigenvectors.T for eig in spectra)
+    terms = TermGrid(
+        weight=1.0 / len(values),
+        firsts=top / sum(layer_degrees),
+        vectors=vectors,
+        projectors=tuple(map(projector, vectors)),
+        choice=chosen[:, ::-1],
+        index=np.indices(dims[:0:-1]).reshape(n - 1, -1).T + 1,
+        ladder=ladders,
     )
 
     decomposition = SeparableDecomposition(
@@ -609,7 +663,7 @@ def certify_decomposition(
     The profiles are compared first; a mismatch raises ``ValueError`` before
     any matrix is built.  When the graph's conditions give its factors
     (``report``, from :func:`check_theorem_conditions` unless passed in) and
-    the record is a grid (:func:`certificates._grid`), the factored bound of
+    its terms are a :class:`TermGrid`, the factored bound of
     :func:`certificates._factored_certificate` is tried first; it only ever
     passes.  Every other record, and every grid record that bound does not
     pass, goes to :func:`verify_decomposition` against rho, whose verdict
@@ -752,18 +806,15 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     available) and its factors, all values at 17 significant digits.  A
     factor with a vector v (``term.vectors``) is written as ``factor k vector
     d`` and one row holding v, and is read back as ``projector(v)``; any
-    other factor as ``factor k order d`` and its d rows.  Terms from
-    :func:`decompose` write every factor k >= 2 as a vector, and share their
-    weight, ladders and vectors, so each line is built once per call from
-    memos keyed by: a row's float64 bytes (factor rows and ladders), the
-    weight's value, the term's stored ``ladder`` tuple, and (k, identity of
-    the vector object) for the two lines of a rank-one factor.  The text is
-    the same as formatting every value on its own.
+    other factor as ``factor k order d`` and its d rows.  A :class:`TermGrid`
+    (every :func:`decompose` result) is written from its arrays, with no
+    term objects (:func:`_grid_lines`): its weight line and, per axis
+    k >= 2, its N_k ``factor k vector d`` blocks are built once and each
+    term takes the blocks it chose.  Each distinct row (factor rows, vectors
+    and ladders) is formatted once per call, keyed by its float64 bytes.
+    The text is the same as formatting every value of every term on its own.
     """
     texts = {}  # a row's float64 bytes -> its text
-    weights = {}  # a weight's value -> its line
-    ladders = {}  # a stored ladder tuple -> its line
-    blocks = {}  # (k, id(vector)) -> "factor k vector d" and its row
 
     def text_of(row: np.ndarray) -> str:
         key = row.tobytes()
@@ -772,9 +823,10 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
             text = texts[key] = " ".join(map(format_float, row.tolist()))
         return text
 
+    terms = decomposition.terms
     lines = [_DECOMPOSITION_MAGIC]
     lines.append("dims " + " ".join(str(d) for d in decomposition.profile.dims))
-    lines.append(f"terms {len(decomposition.terms)}")
+    lines.append(f"terms {len(terms)}")
     if decomposition.residual is not None:
         lines.append("residual " + format_float(decomposition.residual))
     if decomposition.certificates is not None:
@@ -783,21 +835,15 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
             for name, ok in decomposition.certificates
         )
         lines.append("certificates " + flags)
-    for i, term in enumerate(decomposition.terms, start=1):
+    if isinstance(terms, TermGrid):
+        return "\n".join(lines + _grid_lines(terms)) + "\n"
+    for i, term in enumerate(terms, start=1):
         lines.append(f"term {i}")
         if term.index is not None:
             lines.append("index " + " ".join(map(str, term.index)))
-        weight = float(term.weight)
-        line = weights.get(weight)
-        if line is None:
-            line = weights[weight] = "weight " + format_float(weight)
-        lines.append(line)
+        lines.append("weight " + format_float(float(term.weight)))
         if term.ladder is not None:
-            ladder = tuple(term.ladder)
-            line = ladders.get(ladder)
-            if line is None:
-                line = ladders[ladder] = "ladder " + text_of(np.asarray(ladder, dtype=float))
-            lines.append(line)
+            lines.append("ladder " + text_of(np.asarray(term.ladder, dtype=float)))
         vectors = term.vectors or (None,) * len(term.factors)
         pairs = zip(term.factors, vectors, strict=True)
         for k, (factor, vector) in enumerate(pairs, start=1):
@@ -806,13 +852,40 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
                 lines.append(f"factor {k} order {len(rows)}")
                 lines.extend(map(text_of, rows))
             else:
-                block = blocks.get((k, id(vector)))
-                if block is None:
-                    row = np.asarray(vector, dtype=float)
-                    block = f"factor {k} vector {len(row)}\n" + text_of(row)
-                    blocks[k, id(vector)] = block
-                lines.append(block)
+                row = np.asarray(vector, dtype=float)
+                lines.append(f"factor {k} vector {len(row)}")
+                lines.append(text_of(row))
     return "\n".join(lines) + "\n"
+
+
+def _grid_lines(grid: TermGrid) -> list[str]:
+    """The term lines of ``grid``, as the per-term writer of
+    :func:`format_decomposition` would write its terms: one column of T
+    lines per line kind, interleaved at the end."""
+    count, order = grid.firsts.shape[:2]
+    columns = [[f"term {i}" for i in range(1, count + 1)]]
+    if grid.index is not None:
+        columns.append(["index " + " ".join(map(str, row)) for row in grid.index.tolist()])
+    columns.append(["weight " + format_float(float(grid.weight))] * count)
+    if grid.ladder is not None:
+        columns.append(["ladder " + text for text in _row_texts(grid.ladder)])
+    columns.append([f"factor 1 order {order}"] * count)
+    rows = _row_texts(grid.firsts.reshape(-1, order))
+    columns.extend(rows[r::order] for r in range(order))
+    for k, (vectors, choice) in enumerate(zip(grid.vectors, grid.choice.T.tolist()), start=2):
+        blocks = [f"factor {k} vector {len(vectors)}\n{text}" for text in _row_texts(vectors)]
+        columns.append(list(map(blocks.__getitem__, choice)))
+    return list(itertools.chain.from_iterable(zip(*columns)))
+
+
+def _row_texts(rows: np.ndarray) -> list[str]:
+    """The text of each row of a 2-d float array, 17 significant digits a
+    value; each distinct row (by its float64 bytes) is formatted once."""
+    raw = np.ascontiguousarray(rows, dtype=float).tobytes()
+    width = 8 * rows.shape[1]
+    keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+    texts = {key: " ".join(map(format_float, np.frombuffer(key).tolist())) for key in dict.fromkeys(keys)}
+    return list(map(texts.__getitem__, keys))
 
 
 def parse_decomposition(text: str) -> SeparableDecomposition:
@@ -828,9 +901,17 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     row values go into one flat list, each distinct vector row text once;
     after the walk that list becomes one array, and the rank-one factors of
     each axis are expanded by one :func:`projector` call on the stack of
-    their distinct vectors.  Every term holding the same vector row text on
-    an axis shares one vector array and one projector array there, so a
-    ``decompose`` record reads back as a grid (:func:`certificates._grid`).
+    their distinct vectors, numbered in order of first use.
+
+    A record is a grid by row text when its first factors are matrices and
+    every other factor a vector, its weights are bit-equal, each axis
+    k >= 2 has exactly N_k distinct vector row texts, those choices cover
+    the product grid once, and ``index`` and ``ladder`` lines stand on every
+    term or on none.  It is returned as a :class:`TermGrid`, so a
+    ``decompose`` record reads back as one; equal rows spelt two ways are
+    two rows.  Any other record is returned as a tuple of terms, every term
+    holding the same vector row text on an axis sharing one vector array
+    and one projector array there.
     """
     lines = ByteLines(text).texts()
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
@@ -968,14 +1049,42 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     flat = np.array(values, dtype=float)
     offsets = np.array(offsets, dtype=np.int64).reshape(-1, n)
     is_vector = np.array(is_vector, dtype=bool).reshape(-1, n)
-    factors = [[None] * len(heads) for _ in dims]  # by axis, then term
-    vectors = [[None] * len(heads) for _ in dims]
+    weights, indexes, ladders = zip(*heads) if heads else ((), (), ())
+    axes = []  # per axis: the terms with a vector, the distinct vectors, each one's choice
     for k, d in enumerate(dims):
-        # One vector and one projector array per distinct row, shared by
-        # every term that holds it.
+        # One vector and one projector array per distinct row text, numbered
+        # in order of first use, shared by every term that holds it.
         held = np.flatnonzero(is_vector[:, k])
         distinct, choice = np.unique(offsets[held, k], return_inverse=True)
-        stack = flat[distinct[:, None] + np.arange(d)]
+        axes.append((held, flat[distinct[:, None] + np.arange(d)], choice))
+    bits = np.array(weights, dtype=float).view(np.int64)
+    # A grid by row text: a matrix first factor and a vector on every other
+    # axis, bit-equal weights, N_k distinct rows on axis k covering the grid
+    # once, and index and ladder lines on every term or on none.
+    if (
+        len(heads) == math.prod(dims[1:])
+        and not is_vector[:, 0].any()
+        and is_vector[:, 1:].all()
+        and (bits == bits[0]).all()
+        and all(len(stack) == d for (_, stack, _), d in zip(axes[1:], dims[1:]))
+        and indexes.count(None) in (0, len(heads))
+        and ladders.count(None) in (0, len(heads))
+    ):
+        choice = np.column_stack([choice for _, _, choice in axes[1:]])
+        if _covers_grid(choice, dims):
+            terms = TermGrid(
+                weight=weights[0],
+                firsts=flat[offsets[:, 0, None] + np.arange(dims[0] ** 2)].reshape(-1, dims[0], dims[0]),
+                vectors=tuple(stack for _, stack, _ in axes[1:]),
+                projectors=tuple(projector(stack) for _, stack, _ in axes[1:]),
+                choice=choice,
+                index=None if indexes[0] is None else np.array(indexes),
+                ladder=None if ladders[0] is None else np.array(ladders),
+            )
+            return SeparableDecomposition(profile, terms, residual=residual, certificates=certificates)
+    factors = [[None] * len(heads) for _ in dims]  # by axis, then term
+    vectors = [[None] * len(heads) for _ in dims]
+    for k, ((held, stack, choice), d) in enumerate(zip(axes, dims)):
         shared = list(zip(stack, projector(stack)))
         for t, j in zip(held.tolist(), choice.tolist()):
             vectors[k][t], factors[k][t] = shared[j]

@@ -304,6 +304,27 @@ class TestDecomposeVerify:
         assert axes == []
         assert all(f"ppt_axis_{k}=pass" in out for k in range(1, 6))
 
+    def test_decompose_and_verify_build_no_term_objects(self, tmp_path, monkeypatch, capsys):
+        # A decomposition and a grid record are held as their grid: the term
+        # count is its length, and the record is written and certified from
+        # its arrays.
+        graph_path, dec_path = tmp_path / "g.graph", tmp_path / "g.dec"
+        argv = ["gen", "theorem", "--dims", "2,4,4,4,4", "--seed", "1", "-o", str(graph_path)]
+        assert main(argv) == 0
+        built = []
+        original = separability.DecompositionTerm.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(separability.DecompositionTerm, "__init__", counting)
+        capsys.readouterr()
+        for command in ("decompose", "verify"):
+            assert main([command, str(graph_path), str(dec_path)]) == 0
+            assert "terms=256" in capsys.readouterr().out.splitlines()
+            assert built == [], command
+
     def test_tampered_file_fails_verify(self, workdir, capsys):
         dec_path = workdir / "out.dec"
         graph = parse_graph(M222_TEXT)

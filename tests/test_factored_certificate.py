@@ -10,6 +10,7 @@ allowance, and against the dense residual with its allowance), and must
 never pass a tampered record.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -19,19 +20,23 @@ import pytest
 from graphsep import (
     SIGNLESS,
     ConstructionError,
+    DecompositionTerm,
     DimensionProfile,
     MultipartiteGraph,
     check_theorem_conditions,
     decompose,
     density_matrix,
     format_decomposition,
+    format_graph,
     gen_theorem_graph,
     parse_decomposition,
     separability,
+    spectral_decomposition,
     verify_decomposition,
 )
-from graphsep.certificates import _factored_certificate, _grid
-from graphsep.separability import certify_decomposition
+from graphsep.certificates import _factored_certificate
+from graphsep.cli import main
+from graphsep.separability import TermGrid, certify_decomposition
 from test_acceptance import SEEDS_PER_PROFILE, SWEEP_PROFILES
 from test_golden_records import GOLDEN
 
@@ -192,20 +197,132 @@ def test_tampered_grid_record_fails_as_dense_does(dims, case):
     assert (got.passed, got.failures, got.residual) == (dense.passed, dense.failures, dense.residual)
 
 
-def test_equal_arrays_that_are_distinct_objects_are_not_a_grid():
+@pytest.mark.parametrize("case", ["vector-entry-x2", "weight-x1.5", "sibling-factor-2"])
+def test_tampered_record_is_not_a_grid_and_fails_verify(tmp_path, capsys, case):
+    # A vector row respelt to a new value, one weight x1.5, and a collided
+    # cell (term 2's factor-2 row replaced by term 1's): each is read as
+    # terms, and the CLI's verify exits 1 without verified=pass.
+    dims = (2, 4, 4, 4)
+    graph = gen_theorem_graph(DimensionProfile(dims), 1)
+    text = tamper(format_decomposition(decompose(graph)), case, dims)
+    record = parse_decomposition(text)
+    assert isinstance(record.terms, tuple)
+    assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
+    (tmp_path / "g.graph").write_text(format_graph(graph))
+    (tmp_path / "g.dec").write_text(text)
+    assert main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")]) == 1
+    out = capsys.readouterr().out
+    assert "verified=fail" in out and "verified=pass" not in out
+
+
+def test_terms_replaced_in_a_grid_decomposition_are_judged_as_terms(tmp_path, capsys):
+    # replace() swaps the grid for a tuple of terms, so nothing of the
+    # untampered grid is left to certify.
     graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
-    record = record_of(graph)
-    copied = replace(record, terms=tuple(
-        replace(t, factors=(t.factors[0],) + tuple(f.copy() for f in t.factors[1:]))
-        for t in record.terms
-    ))
-    dims = record.profile.dims
-    assert _grid(record.terms, dims) is not None
-    assert _grid(copied.terms, dims) is None
-    # The dense path certifies it, with the dense residual.
-    got = certify_decomposition(copied, graph)
-    dense = verify_decomposition(copied, density_matrix(graph, SIGNLESS))
+    dec = decompose(graph)
+    assert isinstance(dec.terms, TermGrid)
+    first, *rest = dec.terms
+    tampered = replace(dec, terms=(replace(first, weight=1.5 * first.weight), *rest))
+    assert _factored_certificate(tampered, check_theorem_conditions(graph), 1e-8) is None
+    assert not certify_decomposition(tampered, graph).passed
+    (tmp_path / "g.graph").write_text(format_graph(graph))
+    (tmp_path / "g.dec").write_text(format_decomposition(tampered))
+    assert main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")]) == 1
+    assert "verified=pass" not in capsys.readouterr().out
+
+
+def test_equal_rows_spelt_two_ways_take_the_dense_path_and_pass():
+    # Term 1's factor-2 vector in repr form: the same values under another
+    # row text, so axis 2 has N_2 + 1 row texts and the record is no grid.
+    graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
+    lines = format_decomposition(decompose(graph)).split("\n")
+    at = lines.index("factor 2 vector 4") + 1
+    respelt = " ".join(repr(float(x)) for x in lines[at].split())
+    assert respelt != lines[at]
+    lines[at] = respelt
+    record = parse_decomposition("\n".join(lines))
+    assert isinstance(record.terms, tuple)
+    assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
+    got = certify_decomposition(record, graph)
+    dense = verify_decomposition(record, density_matrix(graph, SIGNLESS))
     assert got.passed and got == dense
+
+
+def test_shuffled_and_renumbered_record_stays_on_the_factored_path():
+    graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
+    lines = format_decomposition(decompose(graph)).rstrip("\n").split("\n")
+    starts = [i for i, line in enumerate(lines) if line.startswith("term ")]
+    blocks = [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
+    order = np.random.default_rng(0).permutation(len(blocks))
+    shuffled = lines[: starts[0]]
+    for i, j in enumerate(order.tolist(), start=1):
+        shuffled += [f"term {i}", *blocks[j][1:]]
+    record = parse_decomposition("\n".join(shuffled) + "\n")
+    original = record_of(graph)
+    assert isinstance(record.terms, TermGrid)
+    assert not np.array_equal(record.terms.choice, original.terms.choice)
+    factored = _factored_certificate(record, check_theorem_conditions(graph), 1e-8)
+    assert factored is not None and factored.passed
+    assert certify_decomposition(record, graph) == factored
+    assert verify_decomposition(record, density_matrix(graph, SIGNLESS)).passed
+
+
+def terms_one_by_one(graph):
+    """Oracle: the terms of ``decompose(graph)`` built one at a time from
+    the ladder's definition, as ``decompose`` built them before it held its
+    result as a grid."""
+    report = check_theorem_conditions(graph)
+    dims = graph.profile.dims
+    n = len(dims)
+    top = report.adjacency_factors[0].astype(float)
+    spectra = [spectral_decomposition(f.astype(float)) for f in report.adjacency_factors[1:]]
+    degrees = report.layer_degrees
+    count = math.prod(dims[1:])
+    terms = []
+    for index in itertools.product(*(range(1, d + 1) for d in dims[:0:-1])):
+        value, ladder, picks = 1.0, [], [0] * (n - 1)
+        for s, r in enumerate(index, start=1):
+            # Level s chooses on axis n - s + 1; a negative value reverses
+            # the descending order.
+            eig = spectra[-s]
+            j = eig.order - r if value < 0 else r - 1
+            value = value * eig.eigenvalues[j]
+            ladder.append(float(value))
+            picks[-s] = j
+        vectors = tuple(eig.eigenvectors[:, j] for eig, j in zip(spectra, picks))
+        first = (np.diag(np.asarray(degrees, dtype=float)) + value * top) / sum(degrees)
+        factors = (first, *(separability.projector(v) for v in vectors))
+        terms.append(DecompositionTerm(1.0 / count, factors, index, tuple(ladder), (None, *vectors)))
+    return terms
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 4, 4, 4), (4, 2, 2), (3, 2, 3, 2), (2, 2, 2, 2, 2, 2)], ids=lambda d: "x".join(map(str, d))
+)
+def test_grid_terms_equal_the_terms_built_one_by_one(dims, monkeypatch):
+    graph = gen_theorem_graph(DimensionProfile(dims), 1)
+    built = []
+    original = DecompositionTerm.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DecompositionTerm, "__init__", counting)
+    dec = decompose(graph)
+    assert isinstance(dec.terms, TermGrid) and len(dec.terms) == math.prod(dims[1:])
+    assert built == []  # neither decompose nor len builds a term
+    terms = list(dec.terms)
+    assert len(built) == len(terms) and list(dec.terms)[0] is terms[0]  # built once
+    for got, want in zip(terms, terms_one_by_one(graph), strict=True):
+        assert (got.weight, got.index, got.ladder) == (want.weight, want.index, want.ladder)
+        assert all(type(x) is type(y) for x, y in zip(got.index + got.ladder, want.index + want.ladder))
+        assert got.vectors[0] is None
+        for a, b in zip(got.factors + got.vectors[1:], want.factors + want.vectors[1:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for k, d in enumerate(dims[1:], start=1):
+        assert len({id(t.factors[k]) for t in terms}) == d
+        assert len({id(t.vectors[k]) for t in terms}) == d
 
 
 def test_parse_shares_one_projector_per_distinct_vector_row():
