@@ -1,18 +1,16 @@
 """Certificates that judge a decomposition without a density matrix.
 
 ``_factor_failures`` checks one per-axis stack of factors: finite,
-symmetric, unit trace and PSD.  A factor that equals the rank-one product
-v v^T of its term's vector, entry for entry as numpy rounds it, is exactly
-symmetric and PSD up to -2^-53 |v|^2, so it needs neither test; the others
-take one batched eigenvalue call.  :func:`separability.verify_decomposition`
-runs it on its blocks, and the factored certificate on its per-axis stacks.
+symmetric, unit trace and PSD, by one batched eigenvalue call.
+:func:`separability.verify_decomposition` runs it on its blocks, and the
+factored certificate on its stack of first factors.
 
 ``_factored_certificate`` bounds |S - rho|_F for a decomposition held as a
-grid (:class:`separability.TermGrid`: one common weight, one projector per
-vector on each axis k >= 2, the terms covering the product grid once, as
+grid (:class:`separability.TermGrid`: one common weight, the N_k vectors
+of each axis k >= 2, the terms covering the product grid once, as
 :func:`_covers_grid` checks) of a graph with A = F_1 (x) ... (x) F_n, from
 the grid's per-axis arrays and the graph's factors alone, with no
-V x V matrix, no eigensolve and no BLAS call, so the bound's bits do not
+V x V matrix or eigensolve and no BLAS call, so the bound's bits do not
 depend on the BLAS thread count (C. F. Van Loan, "The ubiquitous Kronecker
 product", J. Comput. Appl. Math. 123 (2000); N. J. Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., ch. 3, for the gamma_m
@@ -48,62 +46,27 @@ class VerificationCertificate:
         return self.passed
 
 
-def _vector_stack(found, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, d) stack of the vectors ``found`` for one axis, zero where one
-    is not an array of shape (d,), and the mask of those that are."""
-    mask = np.array([isinstance(v, np.ndarray) and v.shape == (d,) for v in found])
-    if mask.all():
-        return np.array(found, dtype=float), mask
-    stack = np.zeros((len(found), d))
-    if mask.any():
-        stack[mask] = [v for v, has in zip(found, mask.tolist()) if has]
-    return stack, mask
-
-
-def _factor_failures(
-    stack: np.ndarray,
-    vectors: np.ndarray | None = None,
-    has_vector: np.ndarray | None = None,
-) -> dict[int, list[str]]:
+def _factor_failures(stack: np.ndarray) -> dict[int, list[str]]:
     """Failed factor certificates in one (B, d, d) axis stack, by position in it.
 
     A factor must be finite, then symmetric within 1e-12; only a factor
-    that is both is checked for unit trace (within 1e-10) and for
-    ``lambda_min >= -1e-9 * max(1, |lambda_max|)``.  Row t of ``vectors``
-    (where ``has_vector[t]``) is a vector v for factor t.  A finite factor
-    equal to ``v[:, None] * v[None, :]`` is exactly symmetric, and is
-    v v^T + E with each entry rounded once, so |E|_F <= 2^-53 |v|^2
-    (underflow adds at most d^2 2^-1074) and lambda_min >= -2^-53 |v|^2,
-    inside the tolerance: it passes the symmetry and PSD tests without
-    computing either.  The other checked factors take one batched
-    ``eigvalsh``.  The verdicts do not depend on the vectors.
+    that is both is checked for unit trace (within 1e-10) and, by one
+    batched ``eigvalsh``, for ``lambda_min >= -1e-9 * max(1, |lambda_max|)``.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(stack).all(axis=(1, 2))
         traces = np.trace(stack, axis1=1, axis2=2)
-        proven = np.zeros(len(stack), dtype=bool)
-        if has_vector is not None and (finite & has_vector).any():
-            # A NaN product never compares equal; an inf one meets no finite factor.
-            differs = (vectors[:, :, None] * vectors[:, None, :] != stack).any(axis=(1, 2))
-            proven = finite & has_vector & ~differs
-        # A proven factor is exactly symmetric, as x y rounds like y x: only
-        # the others are tested, with one stack-sized scratch buffer.
-        checked = proven.copy()
-        rest = ~proven
-        if rest.any():
-            part = stack if rest.all() else stack[rest]
-            scratch = part - part.transpose(0, 2, 1)
-            asymmetry = np.abs(scratch, out=scratch).max(axis=(1, 2))
-            checked[rest] = finite[rest] & (asymmetry <= 1e-12)
-            del part, scratch  # freed before the masked copy below
-    solve = checked & ~proven
+        scratch = stack - stack.transpose(0, 2, 1)
+        asymmetry = np.abs(scratch, out=scratch).max(axis=(1, 2))
+        checked = finite & (asymmetry <= 1e-12)
+        del scratch  # freed before the masked copy below
     low = np.zeros(len(stack))
     high = np.zeros(len(stack))
-    if solve.any():
+    if checked.any():
         # A masked copy only when some factor is excluded.
-        values = np.linalg.eigvalsh(stack if solve.all() else stack[solve])
-        low[solve] = values[:, 0]
-        high[solve] = values[:, -1]
+        values = np.linalg.eigvalsh(stack if checked.all() else stack[checked])
+        low[checked] = values[:, 0]
+        high[checked] = values[:, -1]
     psd = low >= -1e-9 * np.maximum(1.0, np.abs(high))
     unit_trace = np.abs(traces - 1.0) <= 1e-10
     found: dict[int, list[str]] = {}
@@ -200,11 +163,18 @@ def _factored_certificate(
     is an integer.  No V x V matrix, eigensolve or BLAS call is made, so the
     bound's bits depend only on numpy's CPU kernels.
 
-    The weight and factor checks are
-    :func:`separability.verify_decomposition`'s.  The
+    The weight check and the check of the first factors are
+    :func:`separability.verify_decomposition`'s.  Each factor k >= 2 is
+    formed here as ``projector(v)``, each entry of v v^T rounded once: it is
+    exactly symmetric, as x y rounds like y x, and it is v v^T + E with
+    |E|_F <= 2^-53 |v|^2 (underflow adds at most d^2 2^-1074), so
+    lambda_min >= -2^-53 |v|^2 (Higham, ch. 3).  With unit trace, |v|^2 is
+    within about 1e-10 of 1, far inside that check's PSD tolerance of 1e-9:
+    a finite projector with |trace - 1| <= 1e-10 passes it, and no other
+    does, so that is its whole check and it needs no eigensolve.  The
     ``ladder`` and ``index`` lines play no part.
     """
-    from .separability import TermGrid  # separability imports this module
+    from .separability import TermGrid, projector  # separability imports this module
 
     factors = report.adjacency_factors
     degrees = report.layer_degrees
@@ -219,10 +189,13 @@ def _factored_certificate(
     # With T equal weights, a sum within 1e-10 of 1 is also finite and
     # positive: the other two weight checks hold.
     weight_sum = float(sum(itertools.repeat(weight, len(grid))))
-    if not abs(weight_sum - 1.0) <= 1e-10 or _factor_failures(firsts) or any(
-        _factor_failures(stack, vectors, np.ones(d, dtype=bool))
-        for stack, vectors, d in zip(grid.projectors, grid.vectors, dims[1:])
-    ):
+    projectors = tuple(map(projector, grid.vectors))
+    with np.errstate(over="ignore"):
+        unit = all(
+            np.isfinite(p).all() and (np.abs(np.trace(p, axis1=1, axis2=2) - 1.0) <= 1e-10).all()
+            for p in projectors
+        )
+    if not abs(weight_sum - 1.0) <= 1e-10 or _factor_failures(firsts) or not unit:
         return None
 
     delta = np.asarray(degrees, dtype=np.int64)
@@ -243,7 +216,7 @@ def _factored_certificate(
     bounds = []
     mus = []  # per axis, each term's mu
     norms = []  # per axis, each term's |P|_F
-    for k, (stack, pattern) in enumerate(zip(grid.projectors, factors[1:])):
+    for k, (stack, pattern) in enumerate(zip(projectors, factors[1:])):
         d = len(stack)
         pattern = pattern.astype(float)
         mu = np.einsum("jab,ab->j", stack, pattern)

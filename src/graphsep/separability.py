@@ -26,26 +26,28 @@ approximates.
 array per axis for a block of B terms; blocks are capped in size so the
 stacks add bounded memory, and every benchmark-sized decomposition is one
 block.  Each stack is certified by :func:`certificates._factor_failures`,
-where a factor equal to its vector's rank-one product needs no eigensolve.
-The weighted sum of Kronecker products is reassembled from the same stacks
-as one matrix product of two per-term Kronecker tables per block
-(:func:`_reassemble`), so no V x V matrix is built per term.
+one batched eigenvalue call per axis and block.  The weighted sum of
+Kronecker products is reassembled from the same stacks as one matrix
+product of two per-term Kronecker tables per block (:func:`_reassemble`),
+so no V x V matrix is built per term.
 
 A ``decompose`` result holds its terms as the grid they are
 (:class:`TermGrid`): the common weight, the stack of first factors, per axis
-k >= 2 the N_k vectors and their projectors, and each term's choice of one
-per axis.  ``parse_decomposition`` returns that form for a record that is a
-grid by row text (bit-equal weights, and on each axis k >= 2 exactly N_k
+k >= 2 the N_k vectors, and each term's choice of one per axis.
+``parse_decomposition`` returns that form for a record that is a grid by
+row text (bit-equal weights, and on each axis k >= 2 exactly N_k
 distinct vector row texts, covering the product grid once), and a tuple of
 terms for any other.  Term objects are built only on demand.
 
 ``certify_decomposition`` is what ``decompose`` and the CLI's ``verify``
 run.  It compares profiles, then, when the graph's conditions give its
 factors F_k and the terms are a :class:`TermGrid`, it bounds |S - rho|_F
-from the grid's per-axis arrays (:func:`certificates._factored_certificate`).
-The factored path only passes; any other record, a graph whose conditions
-fail, or a bound above ``tol`` goes to ``verify_decomposition`` against
-rho, the unchanged reference, whose verdict and failure texts are returned.
+from the grid's per-axis arrays (:func:`certificates._factored_certificate`),
+which forms each vector's projector and certifies it by the rounding of
+v v^T alone.  The factored path only passes; any other record, a graph
+whose conditions fail, or a bound above ``tol`` goes to
+``verify_decomposition`` against rho, the unchanged reference, whose
+verdict and failure texts are returned.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .certificates import (
     _covers_grid,
     _factor_failures,
     _factored_certificate,
-    _vector_stack,
 )
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .graphs import (
@@ -277,9 +278,9 @@ class DecompositionTerm:
     (``ladder``).
     ``vectors`` holds, per factor, the vector v of a rank-one factor that
     equals ``projector(v)``, or ``None`` for a factor held only as a matrix
-    (``vectors=None``: every factor).  Records write a factor with a vector
-    as that vector alone.  Verification judges ``factors``; a vector only
-    spares the eigensolve of a factor that equals its product v v^T.
+    (``vectors=None``: every factor).  It decides only the record form: a
+    factor with a vector is written as that vector alone.  Verification
+    judges ``factors``.
     """
 
     weight: float
@@ -304,18 +305,17 @@ class TermGrid(Sequence):
 
     The construction has one term per choice of eigenvector on axes 2..n.
     Term t has the common ``weight``, the first factor ``firsts[t]`` and, on
-    each axis k >= 2, the projector ``projectors[k - 2][j]`` of the vector
-    ``vectors[k - 2][j]`` for j = ``choice[t, k - 2]``; the choices cover the
-    grid once.  ``index`` and ``ladder`` are (T, n - 1) arrays, or None when
-    no term has them.  ``len`` needs no term object; the
-    :class:`DecompositionTerm` objects are built on first iteration or
-    indexing, once, and share one array per (axis, eigenvector).
+    each axis k >= 2, the projector of the vector ``vectors[k - 2][j]`` for
+    j = ``choice[t, k - 2]``; the choices cover the grid once.  ``index`` and
+    ``ladder`` are (T, n - 1) arrays, or None when no term has them.  ``len``
+    needs no term object; the :class:`DecompositionTerm` objects, and the
+    projectors, are built on first iteration or indexing, once, and share
+    one array per (axis, eigenvector).
     """
 
     weight: float
     firsts: np.ndarray  # (T, N_1, N_1)
     vectors: tuple[np.ndarray, ...]  # per axis k >= 2, (N_k, N_k): one vector a row
-    projectors: tuple[np.ndarray, ...]  # per axis k >= 2, (N_k, N_k, N_k)
     choice: np.ndarray  # (T, n - 1)
     index: np.ndarray | None = None
     ladder: np.ndarray | None = None
@@ -333,7 +333,7 @@ class TermGrid(Sequence):
     def _built(self) -> tuple[DecompositionTerm, ...]:
         if self._terms is None:
             vectors = [list(v) for v in self.vectors]
-            projectors = [list(p) for p in self.projectors]
+            projectors = [list(projector(v)) for v in self.vectors]
             index = itertools.repeat(None) if self.index is None else map(tuple, self.index.tolist())
             ladder = itertools.repeat(None) if self.ladder is None else map(tuple, self.ladder.tolist())
             self._terms = tuple(
@@ -375,9 +375,9 @@ class SeparableDecomposition:
 
 
 # Terms are stacked in blocks of at most this many floats of factor stacks
-# and Kronecker tables (16 MB; vector stacks add sum(dims) floats a term), so
-# verification and reassembly add a bounded amount of memory whatever the
-# profile.  The benchmark profiles fit in one block.
+# and Kronecker tables (16 MB), so verification and reassembly add a bounded
+# amount of memory whatever the profile.  The benchmark profiles fit in one
+# block.
 _BLOCK_ENTRIES = 1 << 21
 
 
@@ -425,8 +425,8 @@ def _stacked_blocks(terms, dims, found: dict | None = None):
     """Yield ``(start, stacks)`` for consecutive blocks of ``terms``, where
     ``stacks[k]`` is the float array of shape (B, d_k, d_k) holding the k-th
     factors of terms ``start .. start + B - 1``.  With a dict ``found``, the
-    factors of each block are certified
-    (:func:`certificates._factor_failures`) before it is yielded, and the
+    factors of each block are certified, one stack at a time
+    (:func:`certificates._factor_failures`), before it is yielded, and the
     failure texts stored under (term, axis), 1-based."""
     split = _split_axes(dims)
     a = math.prod(dims[:split])
@@ -440,15 +440,8 @@ def _stacked_blocks(terms, dims, found: dict | None = None):
             for k, d in enumerate(dims)
         )
         if found is not None:
-            # One column of vectors per axis; a term whose vectors tuple does
-            # not have one entry per axis contributes none.
-            columns = zip(*(
-                term.vectors if term.vectors is not None and len(term.vectors) == len(dims)
-                else (None,) * len(dims)
-                for term in block
-            ))
-            for k, (stack, column, d) in enumerate(zip(stacks, columns, dims), start=1):
-                for t, texts in _factor_failures(stack, *_vector_stack(column, d)).items():
+            for k, stack in enumerate(stacks, start=1):
+                for t, texts in _factor_failures(stack).items():
                     found[start + t + 1, k] = texts
         yield start, stacks
 
@@ -538,12 +531,10 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     # a grid, held as these arrays.  The axes in order are the levels in
     # reverse; ``index`` runs over the ladder positions in lexicographic order.
     top = np.diag(np.asarray(layer_degrees, dtype=float)) + values[:, None, None] * factors_float[0]
-    vectors = tuple(eig.eigenvectors.T for eig in spectra)
     terms = TermGrid(
         weight=1.0 / len(values),
         firsts=top / sum(layer_degrees),
-        vectors=vectors,
-        projectors=tuple(map(projector, vectors)),
+        vectors=tuple(eig.eigenvectors.T for eig in spectra),
         choice=chosen[:, ::-1],
         index=np.indices(dims[:0:-1]).reshape(n - 1, -1).T + 1,
         ladder=ladders,
@@ -599,11 +590,11 @@ def verify_decomposition(
     any numeric check.
 
     The factor checks run on per-axis stacks of shape (B, d_k, d_k), for
-    blocks of B terms (one block for all but the largest factors).  A factor
-    that equals its term's rank-one product v v^T entry for entry is PSD by
-    a rounding bound (see :func:`certificates._factor_failures`); the
-    others take one batched symmetric eigenvalue call per axis and block.
-    The residual is reassembled from the same stacks (:func:`_reassemble`).
+    blocks of B terms (one block for all but the largest factors), with one
+    batched symmetric eigenvalue call per axis and block
+    (:func:`certificates._factor_failures`); a factor's vector, if it has
+    one, plays no part.  The residual is reassembled from the same stacks
+    (:func:`_reassemble`).
     Failures are listed term by term, factors in axis order.
     """
     _require_profile(decomposition, rho.profile)
@@ -809,20 +800,13 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     other factor as ``factor k order d`` and its d rows.  A :class:`TermGrid`
     (every :func:`decompose` result) is written from its arrays, with no
     term objects (:func:`_grid_lines`): its weight line and, per axis
-    k >= 2, its N_k ``factor k vector d`` blocks are built once and each
-    term takes the blocks it chose.  Each distinct row (factor rows, vectors
+    k >= 2, its N_k ``factor k vector d`` blocks are built once, each term
+    takes the blocks it chose, and each distinct row (factor rows, vectors
     and ladders) is formatted once per call, keyed by its float64 bytes.
-    The text is the same as formatting every value of every term on its own.
+    Other terms are written one by one, each row array through the same
+    :func:`_row_texts`.  The text is the same as formatting every value of
+    every term on its own.
     """
-    texts = {}  # a row's float64 bytes -> its text
-
-    def text_of(row: np.ndarray) -> str:
-        key = row.tobytes()
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = " ".join(map(format_float, row.tolist()))
-        return text
-
     terms = decomposition.terms
     lines = [_DECOMPOSITION_MAGIC]
     lines.append("dims " + " ".join(str(d) for d in decomposition.profile.dims))
@@ -843,18 +827,17 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
             lines.append("index " + " ".join(map(str, term.index)))
         lines.append("weight " + format_float(float(term.weight)))
         if term.ladder is not None:
-            lines.append("ladder " + text_of(np.asarray(term.ladder, dtype=float)))
+            lines.append("ladder " + _row_texts(np.asarray(term.ladder, dtype=float)[None])[0])
         vectors = term.vectors or (None,) * len(term.factors)
         pairs = zip(term.factors, vectors, strict=True)
         for k, (factor, vector) in enumerate(pairs, start=1):
             if vector is None:
                 rows = np.asarray(factor, dtype=float)
                 lines.append(f"factor {k} order {len(rows)}")
-                lines.extend(map(text_of, rows))
             else:
-                row = np.asarray(vector, dtype=float)
-                lines.append(f"factor {k} vector {len(row)}")
-                lines.append(text_of(row))
+                rows = np.asarray(vector, dtype=float)[None]
+                lines.append(f"factor {k} vector {rows.shape[1]}")
+            lines.extend(_row_texts(rows))
     return "\n".join(lines) + "\n"
 
 
@@ -883,7 +866,8 @@ def _row_texts(rows: np.ndarray) -> list[str]:
     value; each distinct row (by its float64 bytes) is formatted once."""
     raw = np.ascontiguousarray(rows, dtype=float).tobytes()
     width = 8 * rows.shape[1]
-    keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+    # Rows of no values (a hand-built empty ladder) are all one empty key.
+    keys = [raw[i : i + width] for i in range(0, len(raw), width)] if width else [b""] * len(rows)
     texts = {key: " ".join(map(format_float, np.frombuffer(key).tolist())) for key in dict.fromkeys(keys)}
     return list(map(texts.__getitem__, keys))
 
@@ -899,9 +883,8 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     value count is checked against its own factor's order.  A row that
     fails is never kept, so the first bad line is the one reported.  The
     row values go into one flat list, each distinct vector row text once;
-    after the walk that list becomes one array, and the rank-one factors of
-    each axis are expanded by one :func:`projector` call on the stack of
-    their distinct vectors, numbered in order of first use.
+    after the walk that list becomes one array, and the distinct vectors of
+    each axis one stack, numbered in order of first use.
 
     A record is a grid by row text when its first factors are matrices and
     every other factor a vector, its weights are bit-equal, each axis
@@ -909,9 +892,10 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     the product grid once, and ``index`` and ``ladder`` lines stand on every
     term or on none.  It is returned as a :class:`TermGrid`, so a
     ``decompose`` record reads back as one; equal rows spelt two ways are
-    two rows.  Any other record is returned as a tuple of terms, every term
-    holding the same vector row text on an axis sharing one vector array
-    and one projector array there.
+    two rows.  Any other record is returned as a tuple of terms, its
+    rank-one factors expanded by one :func:`projector` call per axis on that
+    stack, every term holding the same vector row text on an axis sharing
+    one vector array and one projector array there.
     """
     lines = ByteLines(text).texts()
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
@@ -1076,7 +1060,6 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
                 weight=weights[0],
                 firsts=flat[offsets[:, 0, None] + np.arange(dims[0] ** 2)].reshape(-1, dims[0], dims[0]),
                 vectors=tuple(stack for _, stack, _ in axes[1:]),
-                projectors=tuple(projector(stack) for _, stack, _ in axes[1:]),
                 choice=choice,
                 index=None if indexes[0] is None else np.array(indexes),
                 ladder=None if ladders[0] is None else np.array(ladders),

@@ -211,8 +211,9 @@ class TestDecomposeVerify:
         assert shapes.count((512, 512)) == 0
 
     def test_rank_one_factors_skip_the_eigensolve(self, tmp_path, monkeypatch, capsys):
-        # 128 terms in one block: each verification eigensolves the factor-1
-        # stack only, since every factor k >= 2 equals its vector's product.
+        # A grid record of 128 terms: each verification takes the factored
+        # path, which eigensolves the factor-1 stack only and certifies every
+        # factor k >= 2 from the rounding of its vector's product.
         graph_path = tmp_path / "g.graph"
         argv = ["gen", "theorem", "--dims", "2,2,64", "--seed", "1", "-o", str(graph_path)]
         assert main(argv) == 0

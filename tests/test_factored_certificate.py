@@ -215,6 +215,43 @@ def test_tampered_record_is_not_a_grid_and_fails_verify(tmp_path, capsys, case):
     assert "verified=fail" in out and "verified=pass" not in out
 
 
+GRID_TAMPERS = {
+    "x2": lambda row: [repr(2 * float(x)) for x in row],
+    # Trace 1 + 2e-9: the bound passes it, the unit-trace check does not.
+    "x(1+1e-9)": lambda row: [repr((1 + 1e-9) * float(x)) for x in row],
+    "nan": lambda row: ["nan", *row[1:]],
+    "inf": lambda row: ["inf", *row[1:]],
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_TAMPERS))
+@pytest.mark.parametrize("dims", [(2, 4, 32), (2, 4, 4, 4), (4, 2, 2)], ids=lambda d: "x".join(map(str, d)))
+def test_grid_preserving_tamper_fails(tmp_path, capsys, dims, case):
+    # One factor-2 vector row text changed in every term that holds it: axis
+    # 2 still has N_2 distinct row texts covering the grid, so the record is
+    # read as a grid, and the factored path must refuse it by itself.
+    graph = gen_theorem_graph(DimensionProfile(dims), 1)
+    lines = format_decomposition(decompose(graph)).split("\n")
+    header = f"factor 2 vector {dims[1]}"
+    row = lines[lines.index(header) + 1]
+    held = [i + 1 for i, line in enumerate(lines) if line == header and lines[i + 1] == row]
+    assert len(held) == math.prod(dims[2:])
+    for at in held:
+        lines[at] = " ".join(GRID_TAMPERS[case](row.split()))
+    text = "\n".join(lines)
+    record = parse_decomposition(text)
+    assert isinstance(record.terms, TermGrid)
+    assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
+    dense = verify_decomposition(record, density_matrix(graph, SIGNLESS))
+    got = certify_decomposition(record, graph)
+    assert not dense.passed and (got.passed, got.failures) == (dense.passed, dense.failures)
+    assert np.array_equal(got.residual, dense.residual, equal_nan=True)
+    (tmp_path / "g.graph").write_text(format_graph(graph))
+    (tmp_path / "g.dec").write_text(text)
+    assert main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")]) == 1
+    assert "verified=pass" not in capsys.readouterr().out
+
+
 def test_terms_replaced_in_a_grid_decomposition_are_judged_as_terms(tmp_path, capsys):
     # replace() swaps the grid for a tuple of terms, so nothing of the
     # untampered grid is left to certify.

@@ -178,3 +178,9 @@ def test_one_term_record_writes_like_oracle(with_header):
     header = {"residual": 1e-17, "certificates": (("dominance", True),)} if with_header else {}
     text = assert_writes_like_oracle(record([rank_one(1.0, index=(1, 1), ladder=(0.5,))], **header))
     assert text.count("term 1\n") == 1
+
+
+def test_empty_ladder_writes_like_oracle():
+    # A hand-built ladder of no values is a row of no bytes: "ladder ".
+    text = assert_writes_like_oracle(record([rank_one(1.0, ladder=())]))
+    assert "\nladder \n" in text
