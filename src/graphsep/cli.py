@@ -7,7 +7,8 @@ graph, and ``gen`` emits corpus graphs.
 
 Exit codes are a stable contract: 0 pass, 1 property false or verification
 failed, 2 precondition unmet, 3 internal certificate failure, 4 I/O, usage
-or parse error.
+or parse error.  A handler returns 0 or 1 and raises for the rest; ``main``
+alone maps each error class to its code.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 import math
 import sys
 
-from .errors import ConstructionError, GraphFormatError, PreconditionError
+from .errors import ConstructionError, GraphFormatError
 from .generators import (
     gen_degree_symmetric_only,
     gen_partially_symmetric,
@@ -141,62 +142,46 @@ def cmd_check(args) -> int:
             ("overall", _flag(report.overall)),
             ("holds", _flag(holds)),
         ]
-        if args.format == "kv":
-            print(_kv(pairs))
-        else:
-            print(f"theorem conditions: {report.failure_summary()}")
-            print(f"partially symmetric: {_flag(report.partially_symmetric)}")
-            print(f"holds: {_flag(holds)}")
-        return EXIT_PASS if holds else EXIT_FALSE
-    if args.what == "gtpt-identity":
-        report = gtpt_matrix_identity(graph, axis)
-        holds = report.holds
-        detail = [("first_difference", str(report.first_difference))] if not holds else []
-        human = f"adjacency/partial-transpose identity on axis {axis}: {_flag(holds)}"
-    elif args.what == "degree-sym":
-        report = is_degree_symmetric(graph, axis)
-        holds = report.symmetric
-        detail = (
-            [
+        human = [
+            f"theorem conditions: {report.failure_summary()}",
+            f"partially symmetric: {_flag(report.partially_symmetric)}",
+            f"holds: {_flag(holds)}",
+        ]
+    else:
+        if args.what == "gtpt-identity":
+            report = gtpt_matrix_identity(graph, axis)
+            name = "adjacency/partial-transpose identity"
+            witnesses = [("first_difference", report.first_difference)]
+        elif args.what == "degree-sym":
+            report = is_degree_symmetric(graph, axis)
+            name = "degree symmetric"
+            witnesses = [
                 (
                     "degree_changes",
                     ";".join(f"{v}:{b}->{a}" for v, b, a in report.changed[:8]),
                 )
             ]
-            if not holds
-            else []
-        )
-        human = f"degree symmetric on axis {axis}: {_flag(holds)}"
-    else:  # partial-sym
-        report = is_partially_symmetric(graph, axis)
-        holds = report.symmetric
-        detail = (
-            [
-                ("violating_edge", f"{report.violating_edge}"),
-                ("missing_partner", f"{report.missing_partner}"),
+        else:  # partial-sym
+            report = is_partially_symmetric(graph, axis)
+            name = "partially symmetric"
+            witnesses = [
+                ("violating_edge", report.violating_edge),
+                ("missing_partner", report.missing_partner),
             ]
-            if not holds
-            else []
-        )
-        human = f"partially symmetric on axis {axis}: {_flag(holds)}"
-    if args.format == "kv":
-        print(_kv([("property", args.what), ("axis", axis), ("holds", _flag(holds))] + detail))
-    else:
-        print(human)
-        for key, value in detail:
-            print(f"  {key}: {value}")
+        holds = bool(report)
+        detail = [] if holds else witnesses
+        pairs = [("property", args.what), ("axis", axis), ("holds", _flag(holds))] + detail
+        human = [f"{name} on axis {axis}: {_flag(holds)}"]
+        human += [f"  {key}: {value}" for key, value in detail]
+    print(_kv(pairs) if args.format == "kv" else "\n".join(human))
     return EXIT_PASS if holds else EXIT_FALSE
 
 
 def cmd_decompose(args) -> int:
     graph = _load(args.graph, parse_graph)
-    try:
-        # Verified inside decompose with --tol; a failure raises
-        # ConstructionError, which main maps to exit 3.
-        decomposition = decompose(graph, tol=args.tol)
-    except PreconditionError as exc:
-        print(f"precondition unmet: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    # Verified inside decompose with --tol; main maps a PreconditionError to
+    # exit 2 and a failed certificate, a ConstructionError, to exit 3.
+    decomposition = decompose(graph, tol=args.tol)
     # PT on axis k keeps D and maps A(G) to A(gtpt_k G), so it leaves rho in
     # place exactly when G is fixed by the axis-k rewrite; rho is PSD for every
     # graph, as Q = D + A = R R^T (R the vertex-edge incidence matrix).  A graph
@@ -327,19 +312,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except GraphFormatError as exc:
+    except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        print(f"precondition unmet: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    except ValueError as exc:
+    except ValueError as exc:  # a PreconditionError among them
         print(f"precondition unmet: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

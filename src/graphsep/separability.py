@@ -95,35 +95,59 @@ _CHAIN_SLACK = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class BlockLevelReport:
-    """Uniformity of the adjacency blocks at one prefix depth."""
+    """Uniformity of the adjacency blocks at one prefix depth: the level is
+    uniform exactly when it names no mismatching block pair."""
 
     level: int
-    uniform: bool
     first_mismatch: tuple[Label, Label] | None = None
+
+    @property
+    def uniform(self) -> bool:
+        return self.first_mismatch is None
 
 
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
-    """Outcome of every hypothesis check, with witnesses for each failure.
+    """Outcome of every hypothesis check, held as the witnesses that decide it.
 
-    ``overall`` is the conjunction of the three block/degree conditions;
-    partial symmetry is reported alongside as a separate prerequisite, and
-    ``holds`` adds both prerequisites of :func:`decompose` to ``overall``.
-    ``layer_degree_sets`` lists the distinct degrees seen in each top layer.
+    Each verdict is a property over its witness, so no report can pair a
+    verdict with a witness that contradicts it.  ``layer_degree_sets`` lists
+    the distinct degrees seen in each top layer.  ``overall`` is the
+    conjunction of the three block/degree conditions; partial symmetry is
+    reported alongside as a separate prerequisite, and ``holds`` adds both
+    prerequisites of :func:`decompose` to ``overall``.
     """
 
     profile: DimensionProfile
     num_edges: int
-    partially_symmetric: bool
     partial_symmetry_violation: Edge | None
-    no_intra_layer_edges: bool
     intra_layer_edges: tuple[Edge, ...]
-    uniform_blocks: bool
     block_levels: tuple[BlockLevelReport, ...]
-    uniform_layer_degrees: bool
     layer_degree_sets: tuple[tuple[int, ...], ...]
-    layer_degrees: tuple[int, ...] | None
     adjacency_factors: tuple[np.ndarray, ...] | None
+
+    @property
+    def partially_symmetric(self) -> bool:
+        return self.partial_symmetry_violation is None
+
+    @property
+    def no_intra_layer_edges(self) -> bool:
+        return not self.intra_layer_edges
+
+    @property
+    def uniform_blocks(self) -> bool:
+        return all(lv.uniform for lv in self.block_levels)
+
+    @property
+    def uniform_layer_degrees(self) -> bool:
+        return all(len(s) == 1 for s in self.layer_degree_sets)
+
+    @property
+    def layer_degrees(self) -> tuple[int, ...] | None:
+        """Each top layer's one degree, or None when some layer has two."""
+        if not self.uniform_layer_degrees:
+            return None
+        return tuple(s[0] for s in self.layer_degree_sets)
 
     @property
     def overall(self) -> bool:
@@ -180,7 +204,7 @@ def _block_level_report(rows, cols, dims: tuple[int, ...], level: int) -> BlockL
     off = row_prefix != col_prefix  # equal prefixes are not compared here
     keys = (row_prefix * prefixes + col_prefix)[off]
     if keys.size == 0:
-        return BlockLevelReport(level, True)
+        return BlockLevelReport(level)
     cells = ((rows - row_prefix * size) * size + cols - col_prefix * size)[off]
     # Blocks in row-major order of their keys.  A block holds a set of
     # cells, so it equals the first block exactly when it holds as many
@@ -190,13 +214,13 @@ def _block_level_report(rows, cols, dims: tuple[int, ...], level: int) -> BlockL
     first[cells[keys == blocks[0]]] = 1
     failing = np.concatenate((blocks[counts != counts[0]], keys[first[cells] == 0]))
     if failing.size == 0:
-        return BlockLevelReport(level, True)
+        return BlockLevelReport(level)
 
     def decode(flat: int) -> Label:
         return tuple(int(c) + 1 for c in np.unravel_index(flat, dims[:level]))
 
     row, col = divmod(int(failing.min()), prefixes)
-    return BlockLevelReport(level, False, (decode(row), decode(col)))
+    return BlockLevelReport(level, (decode(row), decode(col)))
 
 
 def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
@@ -234,11 +258,10 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
         intra = tuple(map(tuple, edges[layers[:, 0] == layers[:, 1]].tolist()))
 
     if kronecker:
-        levels = tuple(BlockLevelReport(z, True) for z in range(1, profile.n))
-        psym, violation = True, None
+        levels = tuple(BlockLevelReport(z) for z in range(1, profile.n))
+        violation = None
     else:
-        report = is_partially_symmetric(graph, axis=1)
-        psym, violation = report.symmetric, report.violating_edge
+        violation = is_partially_symmetric(graph, axis=1).violating_edge
         # The nonzero entries of A, 0-based: both orientations of every edge.
         rows, cols = np.concatenate((a, b)), np.concatenate((b, a))
         levels = tuple(_block_level_report(rows, cols, dims, z) for z in range(1, profile.n))
@@ -248,23 +271,14 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
         tuple(sorted(set(degrees[t * layer_size : (t + 1) * layer_size].tolist())))
         for t in range(dims[0])
     )
-    degrees_uniform = all(len(s) == 1 for s in degree_sets)
-    layer_degrees = (
-        tuple(int(s[0]) for s in degree_sets) if degrees_uniform else None
-    )
 
     return ConditionReport(
         profile=profile,
         num_edges=graph.num_edges,
-        partially_symmetric=psym,
         partial_symmetry_violation=violation,
-        no_intra_layer_edges=not intra,
         intra_layer_edges=intra,
-        uniform_blocks=all(lv.uniform for lv in levels),
         block_levels=levels,
-        uniform_layer_degrees=degrees_uniform,
         layer_degree_sets=degree_sets,
-        layer_degrees=layer_degrees,
         adjacency_factors=tuple(patterns) if kronecker and not intra and graph.num_edges else None,
     )
 

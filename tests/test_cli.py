@@ -25,6 +25,7 @@ K2_TEXT = "dims 2 2\ne 1 2\n"
 EMPTY_TEXT = "dims 2 2 2\n"
 INTRA_TEXT = "dims 2 2 2\ne 1 2\n"
 EDGE16_TEXT = "dims 2 2 2\ne 1 6\n"
+NOT_PSYM_TEXT = "dims 2 2\ne 1 4\n"  # the partner of (1, 4) on axis 1 is (2, 3)
 
 
 @pytest.fixture
@@ -34,6 +35,7 @@ def workdir(tmp_path):
     (tmp_path / "empty.graph").write_text(EMPTY_TEXT)
     (tmp_path / "intra.graph").write_text(INTRA_TEXT)
     (tmp_path / "edge16.graph").write_text(EDGE16_TEXT)
+    (tmp_path / "notpsym.graph").write_text(NOT_PSYM_TEXT)
     return tmp_path
 
 
@@ -47,7 +49,16 @@ EXIT_CODES = {
     "check-empty-conditions": (["check", "{w}/empty.graph", "theorem-conditions"], 1, ""),
     "check-empty-partial-sym": (["check", "{w}/empty.graph", "partial-sym"], 0, ""),
     "check-usage-error": (["check", "{w}/m222.graph", "no-such-property"], 4, "invalid choice"),
+    "check-axis-out-of-range": (
+        ["check", "{w}/m222.graph", "partial-sym", "--axis", "9"], 2, "axis 9 out of range"
+    ),
+    "check-partial-sym-fails": (["check", "{w}/notpsym.graph", "partial-sym"], 1, ""),
     "decompose-empty": (["decompose", "{w}/empty.graph", "{w}/x.dec"], 2, "empty graph"),
+    "decompose-conditions-fail": (
+        ["decompose", "{w}/intra.graph", "{w}/x.dec"], 2, "precondition unmet: decomposition hypotheses fail"
+    ),
+    "verify-other-profile": (["verify", "{w}/k2.graph", "{w}/m222.dec"], 2, "does not match"),
+    "verify-no-terms": (["verify", "{w}/m222.graph", "{w}/zero.dec"], 1, "decomposition has no terms"),
     "verify-empty": (["verify", "{w}/empty.graph", "{w}/m222.dec"], 2, "zero trace"),
     "verify-unreadable-record": (["verify", "{w}/m222.graph", "{w}/bad.dec"], 4, "header"),
     "verify-negative-term-count": (
@@ -88,6 +99,7 @@ class TestExitCodes:
         (workdir / "m222.dec").write_text(record)
         (workdir / "bad.dec").write_text("not-a-decomposition\n")
         (workdir / "negative.dec").write_text("graphsep-decomposition\ndims 2 2 2\nterms -1\n")
+        (workdir / "zero.dec").write_text("graphsep-decomposition\ndims 2 2 2\nterms 0\n")
         (workdir / "index.dec").write_text(record.replace("index 1 1\n", "index 1 1 1 1\n", 1))
         for name, edit in VECTOR_ROW_EDITS.items():
             (workdir / name).write_text(edit_vector_row(record, edit))
@@ -172,6 +184,52 @@ class TestCheck:
 
     def test_gtpt_identity(self, workdir):
         assert main(["check", str(workdir / "edge16.graph"), "gtpt-identity"]) == 0
+
+    @pytest.mark.parametrize("what, fmt, expected", [
+        ("partial-sym", "human", "partially symmetric on axis 1: false\n"
+         "  violating_edge: (1, 4)\n  missing_partner: (2, 3)\n"),
+        ("partial-sym", "kv", "property=partial-sym\naxis=1\nholds=false\n"
+         "violating_edge=(1, 4)\nmissing_partner=(2, 3)\n"),
+        ("degree-sym", "human", "degree symmetric on axis 1: false\n"
+         "  degree_changes: 1:1->0;2:0->1;3:0->1;4:1->0\n"),
+        ("degree-sym", "kv", "property=degree-sym\naxis=1\nholds=false\n"
+         "degree_changes=1:1->0;2:0->1;3:0->1;4:1->0\n"),
+    ])
+    def test_swap_check_witnesses(self, workdir, capsys, what, fmt, expected):
+        code = main(["check", str(workdir / "notpsym.graph"), what, "--format", fmt])
+        assert code == 1
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("human", "adjacency/partial-transpose identity on axis 1: false\n"
+         "  first_difference: (1, 5, 0, 1)\n"),
+        ("kv", "property=gtpt-identity\naxis=1\nholds=false\nfirst_difference=(1, 5, 0, 1)\n"),
+    ])
+    def test_gtpt_identity_witness_under_a_mutant_rewrite(self, workdir, monkeypatch, capsys, fmt, expected):
+        # The true rewrite with its first image edge (1, 5) dropped: the
+        # first entry only the partial transpose holds is A[1, 5].
+        rewrite = transforms.gtpt
+
+        def drop_first_edge(graph, axis=1):
+            return graphs.MultipartiteGraph(graph.profile, rewrite(graph, axis).edge_array()[1:])
+
+        monkeypatch.setattr(transforms, "gtpt", drop_first_edge)
+        assert main(["check", str(workdir / "m222.graph"), "gtpt-identity", "--format", fmt]) == 1
+        assert capsys.readouterr().out == expected
+
+    def test_partial_symmetry_failure_text(self, workdir, capsys):
+        graph = str(workdir / "notpsym.graph")
+        failures = (
+            "not partially symmetric: edge (1, 4) lacks its swapped partner;"
+            " level 1: block at prefixes (2,) x (1,) differs from the common block;"
+            " layer degrees not uniform: layer 1 has degrees [0, 1], layer 2 has degrees [0, 1]"
+        )
+        assert main(["check", graph, "theorem-conditions"]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == f"theorem conditions: {failures}"
+        assert main(["decompose", graph, str(workdir / "x.dec")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"precondition unmet: decomposition hypotheses fail: {failures}\n"
+        assert captured.out == "" and not (workdir / "x.dec").exists()
 
     def test_graph_not_utf8_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "latin1.graph"
@@ -442,7 +500,7 @@ class TestDecomposeCertificates:
             report = original(graph)
             degrees = list(report.layer_degrees)
             degrees[2] += change
-            return replace(report, layer_degrees=tuple(degrees))
+            return replace(report, layer_degree_sets=tuple((d,) for d in degrees))
 
         monkeypatch.setattr(separability, "check_theorem_conditions", patched)
         assert expected in self.refuse(theorem_graph, capsys)

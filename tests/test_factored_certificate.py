@@ -285,6 +285,32 @@ def test_equal_rows_spelt_two_ways_take_the_dense_path_and_pass():
     assert got.passed and got == dense
 
 
+@pytest.mark.parametrize("case", ["negative", "past-the-axis", "wrong-shape"])
+def test_choices_off_the_grid_are_refused(case):
+    # _covers_grid refuses the grid before any vector is indexed.  The
+    # factored path is called directly: the dense fallback would index past
+    # the vectors.
+    graph = gen_theorem_graph(DimensionProfile((2, 2, 2)), 1)
+    record = record_of(graph)
+    grid = record.terms
+    assert isinstance(grid, TermGrid)
+    choice = grid.choice.copy()
+    if case == "wrong-shape":
+        choice = choice[:, :1]
+    else:
+        choice[0, 0] = -1 if case == "negative" else graph.profile.dims[1]
+    off_grid = replace(record, terms=TermGrid(grid.weight, grid.firsts, grid.vectors, choice))
+    assert _factored_certificate(off_grid, check_theorem_conditions(graph), 1e-8) is None
+
+
+def test_decomposition_of_no_terms_fails():
+    graph = gen_theorem_graph(DimensionProfile((2, 2, 2)), 1)
+    empty = replace(record_of(graph), terms=())
+    certificate = verify_decomposition(empty, density_matrix(graph, SIGNLESS))
+    assert not certificate.passed and "decomposition has no terms" in certificate.failures
+    assert certify_decomposition(empty, graph) == certificate
+
+
 def test_shuffled_and_renumbered_record_stays_on_the_factored_path():
     graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
     lines = format_decomposition(decompose(graph)).rstrip("\n").split("\n")
@@ -385,7 +411,9 @@ def test_report_whose_degrees_disagree_with_its_factors_is_not_trusted(monkeypat
         degrees = list(report.layer_degrees)
         degrees[2] += 1
         layer = math.prod(g.profile.dims[1:])
-        return replace(report, layer_degrees=tuple(degrees), num_edges=report.num_edges + layer // 2)
+        return replace(
+            report, layer_degree_sets=tuple((d,) for d in degrees), num_edges=report.num_edges + layer // 2
+        )
 
     report = patched(graph)
     assert math.prod(graph.profile.dims[1:]) * sum(report.layer_degrees) == 2 * report.num_edges

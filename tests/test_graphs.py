@@ -253,6 +253,16 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="finite and symmetric"):
             DensityMatrix(non_finite(np.eye(4) / 4), DimensionProfile((2, 2)), "signless")
 
+    @pytest.mark.parametrize("matrix, kind, message", [
+        (np.eye(4) / 4, "spectral", "unknown density matrix kind 'spectral'"),
+        (np.eye(3) / 3, "signless", "matrix order (3, 3) does not match 4 vertices"),
+        (np.eye(4) / 2, "signless", "density matrix trace is 2.0, not 1"),
+    ])
+    def test_constructor_refusals(self, matrix, kind, message):
+        with pytest.raises(ValueError) as info:
+            DensityMatrix(matrix, DimensionProfile((2, 2)), kind)
+        assert str(info.value) == message
+
     def test_unit_trace(self, m222):
         for kind in ("combinatorial", "signless"):
             assert abs(np.trace(density_matrix(m222, kind).matrix) - 1) <= 1e-12

@@ -944,6 +944,13 @@ class TestTransfer:
         assert changed[5] == (0, 1)
         assert changed[6] == (1, 0)
 
+    def test_decomposition_of_another_profile_is_refused(self, m222):
+        mixed = np.eye(2) / 2
+        other = SeparableDecomposition(DimensionProfile((2, 2)), (DecompositionTerm(1.0, (mixed, mixed)),))
+        with pytest.raises(ValueError) as info:
+            theorem1_transfer(m222, 1, other)
+        assert str(info.value) == "decomposition profile does not match the graph profile"
+
     def test_transported_decomposition(self, m222, profile222):
         # rho_l of the matching graph is a single product term.
         first = np.array([[0.5, -0.5], [-0.5, 0.5]])
