@@ -221,8 +221,8 @@ def _factored_certificate(
         pattern = pattern.astype(float)
         mu = np.einsum("jab,ab->j", stack, pattern)
         size = np.sqrt(np.einsum("jab,jab->j", stack, stack))
-        summed, depth = _tree_sum(stack.copy())
         weighted, _ = _tree_sum(mu[:, None, None] * stack)
+        summed, depth = _tree_sum(stack)  # in place: the stack's last use
         u_slack = _gamma(depth) * float(size.sum())
         b_slack = _gamma(depth + 1) * float((np.abs(mu) * size).sum())
         bounds.append((

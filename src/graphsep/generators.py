@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConstructionError
 from .graphs import DimensionProfile, MultipartiteGraph
-from .linalg import kron
 from .separability import check_theorem_conditions
 from .transforms import swap_edges
 
@@ -131,13 +130,23 @@ def gen_theorem_graph(profile: DimensionProfile, seed: int) -> MultipartiteGraph
     zero-diagonal top pattern choosing which layer pairs are linked, and one
     symmetric constant row-sum 0/1 circulant per remaining axis.  Their
     Kronecker product meets every condition, so one draw is enough; the
-    result is still checked, and a failure raises rather than returns.
+    edges are read off the factors' nonzero entries.  The result is still
+    checked, and a failure raises rather than returns.
     """
     rng = SplitMix64(seed)
     dims = profile.dims
     factors = [_random_top_pattern(rng, dims[0])]
     factors.extend(_random_regular_pattern(rng, d) for d in dims[1:])
-    graph = MultipartiteGraph(profile, np.argwhere(np.triu(kron(factors), k=1)) + 1)
+    # The nonzero entries of A = F_1 (x) ... (x) F_n, one per choice of a
+    # nonzero entry in every factor, as 0-based row and column numbers; the
+    # edges are those above the diagonal.  No V x V array is built.
+    rows = cols = np.zeros(1, dtype=np.int64)
+    for pattern, d in zip(factors, dims):
+        r, c = np.nonzero(pattern)
+        rows = (rows[:, None] * d + r).ravel()
+        cols = (cols[:, None] * d + c).ravel()
+    upper = rows < cols
+    graph = MultipartiteGraph(profile, np.column_stack((rows[upper], cols[upper])) + 1)
     if not check_theorem_conditions(graph).holds:
         raise ConstructionError(
             f"theorem graph for profile {dims} and seed {seed} fails the hypotheses"

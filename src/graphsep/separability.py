@@ -33,11 +33,15 @@ so no V x V matrix is built per term.
 
 A ``decompose`` result holds its terms as the grid they are
 (:class:`TermGrid`): the common weight, the stack of first factors, per axis
-k >= 2 the N_k vectors, and each term's choice of one per axis.
-``parse_decomposition`` returns that form for a record that is a grid by
-row text (bit-equal weights, and on each axis k >= 2 exactly N_k
-distinct vector row texts, covering the product grid once), and a tuple of
-terms for any other.  Term objects are built only on demand.
+k >= 2 the N_k vectors, and each term's choice of one per axis.  It also
+carries the basis that implies them (each axis's eigenvalues, F_1 and the
+layer degrees), and ``format_decomposition`` writes it in that basis form,
+with no line per term; ``parse_decomposition`` expands a basis record by
+the same function as ``decompose`` (:func:`_basis_grid`).  A per-term record
+reads back as a grid when it is one by row text (bit-equal weights, and on
+each axis k >= 2 exactly N_k distinct vector row texts, covering the product
+grid once), and as a tuple of terms otherwise.  Term objects are built only
+on demand.
 
 ``certify_decomposition`` is what ``decompose`` and the CLI's ``verify``
 run.  It compares profiles, then, when the graph's conditions give its
@@ -325,6 +329,12 @@ class TermGrid(Sequence):
     needs no term object; the :class:`DecompositionTerm` objects, and the
     projectors, are built on first iteration or indexing, once, and share
     one array per (axis, eigenvector).
+
+    A grid built from its basis (:func:`_basis_grid`: every :func:`decompose`
+    result and every basis record) also carries that basis: per axis k >= 2
+    the eigenvalues of F_k, in the order of its vectors, the 0/1 top pattern
+    F_1 and the layer degrees delta, all other arrays following from them.
+    Those three are None for a grid read from per-term text.
     """
 
     weight: float
@@ -333,6 +343,9 @@ class TermGrid(Sequence):
     choice: np.ndarray  # (T, n - 1)
     index: np.ndarray | None = None
     ladder: np.ndarray | None = None
+    eigenvalues: tuple[np.ndarray, ...] | None = None  # per axis k >= 2, (N_k,)
+    top_pattern: np.ndarray | None = None  # F_1, (N_1, N_1) integers
+    layer_degrees: np.ndarray | None = None  # delta, (N_1,) integers
     _terms: tuple[DecompositionTerm, ...] | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
@@ -460,6 +473,70 @@ def _stacked_blocks(terms, dims, found: dict | None = None):
         yield start, stacks
 
 
+def _basis_grid(
+    weight: float,
+    eigenvalues: tuple[np.ndarray, ...],
+    vectors: tuple[np.ndarray, ...],
+    top_pattern: np.ndarray,
+    layer_degrees: np.ndarray,
+    patterns=None,
+) -> TermGrid:
+    """The grid of terms a basis implies: the eigenvalues and eigenvectors of
+    F_2..F_n, F_1 and the layer degrees delta, with the common ``weight``.
+
+    Level s expands every row (a ladder value so far) in place into one
+    child per eigenvalue of F_{n-s+1}, so the rows stay in lexicographic
+    ``index`` order.  A value times F_k has F_k's eigenvectors and that value
+    times F_k's eigenvalues; a negative value reverses their order, so
+    siblings always descend.  With the float patterns F_2..F_n
+    (``patterns``), every level is checked against its row-sum bound and a
+    value above it raises :class:`ConstructionError`; a record read back
+    has no patterns and is not checked here.  Factor 1 of every term is
+    delta + lam F_1 for its last ladder value, normalised by the total layer
+    degree; every other factor is the projector of one eigenvector of its
+    axis.  The axes in order are the levels in reverse.
+    """
+    # A record's values may be non-finite or overflow, and its degrees may
+    # sum to 0: its first factors then fail their check, with no warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = np.ones(1)
+        ladders = np.empty((1, 0))  # per row, the value after each level
+        chosen = np.empty((1, 0), dtype=np.int64)  # per row, the eigenvector per level
+        for step in range(1, len(eigenvalues) + 1):
+            eig = eigenvalues[-step]
+            order = np.arange(len(eig))
+            picks = np.where(values[:, None] < 0.0, len(eig) - 1 - order, order)
+            lam = values[:, None] * eig[picks]
+            if patterns is not None:
+                pattern = patterns[-step]
+                bound = np.abs(values) * inf_norm(pattern)
+                over = np.abs(lam) > (bound + _CHAIN_SLACK * np.maximum(1.0, bound))[:, None]
+                if over.any():
+                    row, col = np.argwhere(over)[0]
+                    raise ConstructionError(
+                        f"ladder level {step}: eigenvalue {float(lam[row, col])!r} exceeds the"
+                        f" row-sum bound {float(bound[row])!r}",
+                        matrix=values[row] * pattern,
+                    )
+            values = lam.ravel()
+            ladders = np.column_stack((np.repeat(ladders, len(eig), axis=0), values))
+            chosen = np.column_stack((np.repeat(chosen, len(eig), axis=0), picks.ravel()))
+
+        top = np.diag(layer_degrees.astype(float)) + values[:, None, None] * top_pattern.astype(float)
+        firsts = top / sum(layer_degrees.tolist())
+    return TermGrid(
+        weight=weight,
+        firsts=firsts,
+        vectors=vectors,
+        choice=chosen[:, ::-1],
+        index=np.indices([len(eig) for eig in eigenvalues[::-1]]).reshape(len(eigenvalues), -1).T + 1,
+        ladder=ladders,
+        eigenvalues=eigenvalues,
+        top_pattern=top_pattern,
+        layer_degrees=layer_degrees,
+    )
+
+
 def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposition:
     """Produce a certified fully separable decomposition of the signless
     density matrix of ``graph``.
@@ -471,12 +548,14 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     are zero or repeated keep their own rank-one term.  The ladder needs one
     eigendecomposition per axis pattern F_2..F_n: level s of a term holds the
     product of the eigenvalues chosen for F_n, ..., F_{n-s+1}, and siblings
-    run in descending order of that product.  Each level expands all terms
-    at once; dominance is one integer comparison per top layer.
+    run in descending order of that product.  Dominance is one integer
+    comparison per top layer; then each level expands all terms at once
+    (:func:`_basis_grid`, which the record parser shares).
 
-    The terms are returned as a :class:`TermGrid` and verified once, by
-    :func:`certify_decomposition` with the relative reassembly tolerance
-    ``tol``: the factored bound certifies them unless it exceeds ``tol``.  Raises
+    The terms are returned as a :class:`TermGrid` carrying its basis and
+    verified once, by :func:`certify_decomposition` with the relative
+    reassembly tolerance ``tol``: the factored bound certifies them unless it
+    exceeds ``tol``.  Raises
     :class:`PreconditionError` when the hypotheses fail and
     :class:`ConstructionError` when any internal certificate fails (which
     would mean a hypothesis gap, a bug or a too tight ``tol``, and is never
@@ -493,43 +572,13 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     factors = report.adjacency_factors
 
     profile = graph.profile
-    dims = profile.dims
-    n = profile.n
     layer_degrees = report.layer_degrees
-    factors_float = [f.astype(float) for f in factors]
-
-    # Level s expands every row (a ladder value so far) in place into one
-    # child per eigenvalue of F_{n-s+1}, so the rows stay in lexicographic
-    # ``index`` order.  A value times F_k has F_k's eigenvectors and that value
-    # times F_k's eigenvalues; a negative value reverses their order, so
-    # siblings always descend.
-    spectra = [spectral_decomposition(f) for f in factors_float[1:]]
-    values = np.ones(1)
-    ladders = np.empty((1, 0))  # per row, the value after each level
-    chosen = np.empty((1, 0), dtype=np.int64)  # per row, the eigenvector per level
-    for step in range(1, n):
-        eig, pattern = spectra[-step], factors_float[-step]
-        order = np.arange(eig.order)
-        picks = np.where(values[:, None] < 0.0, eig.order - 1 - order, order)
-        lam = values[:, None] * eig.eigenvalues[picks]
-        bound = np.abs(values) * inf_norm(pattern)
-        over = np.abs(lam) > (bound + _CHAIN_SLACK * np.maximum(1.0, bound))[:, None]
-        if over.any():
-            row, col = np.argwhere(over)[0]
-            raise ConstructionError(
-                f"ladder level {step}: eigenvalue {float(lam[row, col])!r} exceeds the"
-                f" row-sum bound {float(bound[row])!r}",
-                matrix=values[row] * pattern,
-            )
-        values = lam.ravel()
-        ladders = np.column_stack((np.repeat(ladders, eig.order, axis=0), values))
-        chosen = np.column_stack((np.repeat(chosen, eig.order, axis=0), picks.ravel()))
 
     # Dominance, once, in integers.  At depth m the mixing matrix is
     # delta (x) I + lam (F_1 (x) ... (x) F_m), and F_1 has a zero diagonal, so
     # row (i_1, ..., i_m) has the diagonal delta_{i_1} and the off-diagonal
     # sum |lam| r_1(i_1) r_2(i_2)...r_m(i_m) <= |lam| r_1(i_1) prod_{k=2..m}
-    # |F_k|_inf (r_k: row sums of F_k).  The checks above give |lam| <=
+    # |F_k|_inf (r_k: row sums of F_k).  The ladder's checks give |lam| <=
     # prod_{k>m} |F_k|_inf within _CHAIN_SLACK, so every mixing matrix is
     # dominant if delta_{i_1} >= r_1(i_1) prod_{k>=2} |F_k|_inf.  A conforming
     # graph meets this with equality: each F_k with k >= 2 is regular.
@@ -539,19 +588,15 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     if short:
         raise ConstructionError(f"mixing matrix not diagonally dominant (rows {short})")
 
-    # Factor 1 of every term in one broadcast: delta + lam F_1 for the last
-    # ladder value, normalised by the total layer degree.  Every other
-    # factor is the projector of one eigenvector of its axis: the terms are
-    # a grid, held as these arrays.  The axes in order are the levels in
-    # reverse; ``index`` runs over the ladder positions in lexicographic order.
-    top = np.diag(np.asarray(layer_degrees, dtype=float)) + values[:, None, None] * factors_float[0]
-    terms = TermGrid(
-        weight=1.0 / len(values),
-        firsts=top / sum(layer_degrees),
-        vectors=tuple(eig.eigenvectors.T for eig in spectra),
-        choice=chosen[:, ::-1],
-        index=np.indices(dims[:0:-1]).reshape(n - 1, -1).T + 1,
-        ladder=ladders,
+    patterns = [f.astype(float) for f in factors[1:]]
+    spectra = [spectral_decomposition(f) for f in patterns]
+    terms = _basis_grid(
+        1.0 / math.prod(profile.dims[1:]),
+        tuple(eig.eigenvalues for eig in spectra),
+        tuple(eig.eigenvectors.T for eig in spectra),
+        factors[0],
+        np.asarray(layer_degrees, dtype=np.int64),
+        patterns=patterns,
     )
 
     decomposition = SeparableDecomposition(
@@ -807,19 +852,18 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     """Serialise a decomposition as a stable, diffable text record.
 
     Header lines carry the profile, term count, reassembly residual and
-    certificate flags; every term lists its weight (plus ladder trace when
-    available) and its factors, all values at 17 significant digits.  A
-    factor with a vector v (``term.vectors``) is written as ``factor k vector
-    d`` and one row holding v, and is read back as ``projector(v)``; any
-    other factor as ``factor k order d`` and its d rows.  A :class:`TermGrid`
-    (every :func:`decompose` result) is written from its arrays, with no
-    term objects (:func:`_grid_lines`): its weight line and, per axis
-    k >= 2, its N_k ``factor k vector d`` blocks are built once, each term
-    takes the blocks it chose, and each distinct row (factor rows, vectors
-    and ladders) is formatted once per call, keyed by its float64 bytes.
-    Other terms are written one by one, each row array through the same
-    :func:`_row_texts`.  The text is the same as formatting every value of
-    every term on its own.
+    certificate flags, all values at 17 significant digits.  A
+    :class:`TermGrid` that carries its basis (every :func:`decompose`
+    result) is written in basis form (:func:`_basis_lines`): the weight
+    once, per axis k >= 2 its eigenvalues and eigenvectors, F_1 and delta,
+    O(sum_k N_k^2) values with no line per term.  Every other decomposition
+    is written term by term: each term lists its weight (plus ladder trace
+    when available) and its factors.  A factor with a vector v
+    (``term.vectors``) is written as ``factor k vector d`` and one row
+    holding v, and is read back as ``projector(v)``; any other factor as
+    ``factor k order d`` and its d rows.  Each row array goes through
+    :func:`_row_texts`, which formats each distinct row once per call; the
+    text is the same as formatting every value on its own.
     """
     terms = decomposition.terms
     lines = [_DECOMPOSITION_MAGIC]
@@ -833,8 +877,8 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
             for name, ok in decomposition.certificates
         )
         lines.append("certificates " + flags)
-    if isinstance(terms, TermGrid):
-        return "\n".join(lines + _grid_lines(terms)) + "\n"
+    if isinstance(terms, TermGrid) and terms.eigenvalues is not None:
+        return "\n".join(lines + _basis_lines(terms)) + "\n"
     for i, term in enumerate(terms, start=1):
         lines.append(f"term {i}")
         if term.index is not None:
@@ -855,24 +899,21 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid_lines(grid: TermGrid) -> list[str]:
-    """The term lines of ``grid``, as the per-term writer of
-    :func:`format_decomposition` would write its terms: one column of T
-    lines per line kind, interleaved at the end."""
-    count, order = grid.firsts.shape[:2]
-    columns = [[f"term {i}" for i in range(1, count + 1)]]
-    if grid.index is not None:
-        columns.append(["index " + " ".join(map(str, row)) for row in grid.index.tolist()])
-    columns.append(["weight " + format_float(float(grid.weight))] * count)
-    if grid.ladder is not None:
-        columns.append(["ladder " + text for text in _row_texts(grid.ladder)])
-    columns.append([f"factor 1 order {order}"] * count)
-    rows = _row_texts(grid.firsts.reshape(-1, order))
-    columns.extend(rows[r::order] for r in range(order))
-    for k, (vectors, choice) in enumerate(zip(grid.vectors, grid.choice.T.tolist()), start=2):
-        blocks = [f"factor {k} vector {len(vectors)}\n{text}" for text in _row_texts(vectors)]
-        columns.append(list(map(blocks.__getitem__, choice)))
-    return list(itertools.chain.from_iterable(zip(*columns)))
+def _basis_lines(grid: TermGrid) -> list[str]:
+    """The basis-form lines of a grid that carries its basis: ``weight w``;
+    per axis k >= 2, ``axis k basis N_k``, an ``eigenvalues`` line and the
+    N_k eigenvectors, one a row; ``pattern 1 order N_1`` and the rows of
+    F_1; ``degrees`` and delta.  The terms are the ones :func:`_basis_grid`
+    implies."""
+    lines = ["weight " + format_float(float(grid.weight))]
+    for k, (values, vectors) in enumerate(zip(grid.eigenvalues, grid.vectors), start=2):
+        lines.append(f"axis {k} basis {len(values)}")
+        lines.append("eigenvalues " + _row_texts(values[None])[0])
+        lines.extend(_row_texts(vectors))
+    lines.append(f"pattern 1 order {len(grid.top_pattern)}")
+    lines.extend(" ".join(map(str, row)) for row in grid.top_pattern.tolist())
+    lines.append("degrees " + " ".join(map(str, grid.layer_degrees.tolist())))
+    return lines
 
 
 def _row_texts(rows: np.ndarray) -> list[str]:
@@ -892,7 +933,12 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     One walk over the record's content lines (blank lines and ``#``
     comments skipped) reads each line in file order, with one reader per
     line kind, so an error is raised on its own line, the earliest first.
-    Each distinct row text (and ``ladder`` line) is split and converted by
+    A record whose header is followed by a ``weight`` line and an ``axis``
+    line is in basis form (:func:`_basis_record`); its ``terms`` count must
+    be N_2*...*N_n, and it reads back as the :class:`TermGrid` that
+    :func:`decompose` held, bit for bit but for the signs of zeros.
+
+    The rest describes the per-term form.  Each distinct row text (and ``ladder`` line) is split and converted by
     ``float`` once per call; a repeated row reuses those values, after its
     value count is checked against its own factor's order.  A row that
     fails is never kept, so the first bad line is the one reported.  The
@@ -904,9 +950,9 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     every other factor a vector, its weights are bit-equal, each axis
     k >= 2 has exactly N_k distinct vector row texts, those choices cover
     the product grid once, and ``index`` and ``ladder`` lines stand on every
-    term or on none.  It is returned as a :class:`TermGrid`, so a
-    ``decompose`` record reads back as one; equal rows spelt two ways are
-    two rows.  Any other record is returned as a tuple of terms, its
+    term or on none.  It is returned as a :class:`TermGrid`, so the
+    per-term form of a ``decompose`` result reads back as one; equal rows
+    spelt two ways are two rows.  Any other record is returned as a tuple of terms, its
     rank-one factors expanded by one :func:`projector` call per axis on that
     stack, every term holding the same vector row text on an axis sharing
     one vector array and one projector array there.
@@ -947,6 +993,7 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
         expected_terms = -1
     if expected_terms < 0:
         raise GraphFormatError(f"bad term count {tokens[1]!r}", line=lineno)
+    terms_lineno = lineno
 
     residual = None
     certificates = None
@@ -977,6 +1024,20 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
 
     dims = profile.dims
     n = profile.n
+    # A basis record: a weight line, then the first axis header.
+    if texts[pos].split()[:1] == ["weight"] and texts[pos + 1].split()[:1] == ["axis"]:
+        implied = math.prod(dims[1:])
+        if expected_terms != implied:
+            raise GraphFormatError(
+                f"terms {expected_terms} does not match the {implied} terms of the basis",
+                line=terms_lineno,
+            )
+        grid = _basis_record(take, dims)
+        if pos != count:
+            lineno, line = take()
+            raise GraphFormatError(f"trailing content {line!r}", line=lineno)
+        return SeparableDecomposition(profile, grid, residual=residual, certificates=certificates)
+
     # The factor headers format_decomposition writes, by axis: whether each
     # heads a vector.  Any other line is read by _factor_line.
     headers = [
@@ -999,14 +1060,7 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
         if texts[pos].startswith("index "):
             lineno, line = take()
             index = _index_line(line, dims, lineno)
-        lineno, line = take()
-        tokens = line.split()
-        if tokens[0] != "weight" or len(tokens) != 2:
-            raise GraphFormatError("expected 'weight x' line", line=lineno)
-        try:
-            weight = float(tokens[1])
-        except ValueError:
-            raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
+        weight = _weight_line(*take())
         if texts[pos].startswith("ladder "):
             lineno, line = take()
             ladder = ladders.get(line)
@@ -1096,6 +1150,56 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     return SeparableDecomposition(
         profile, terms, residual=residual, certificates=certificates
     )
+
+
+def _basis_record(take, dims: tuple[int, ...]) -> TermGrid:
+    """The grid of a basis record, read from the lines after its header
+    (``take()`` gives the next ``(lineno, line)``), each line in file order:
+    the weight, per axis k >= 2 its header, eigenvalues and N_k eigenvector
+    rows, F_1's header and rows of integers, and the degrees.  The terms are
+    expanded by :func:`_basis_grid`, as :func:`decompose` expands them."""
+    weight = _weight_line(*take())
+    eigenvalues, vectors = [], []
+    for k, d in enumerate(dims[1:], start=2):
+        lineno, line = take()
+        if line.split() != ["axis", str(k), "basis", str(d)]:
+            raise GraphFormatError(f"expected 'axis {k} basis {d}', got {line!r}", line=lineno)
+        eigenvalues.append(_basis_row(*take(), d, float, "eigenvalues"))
+        vectors.append(np.array([_basis_row(*take(), d, float) for _ in range(d)]))
+    lineno, line = take()
+    if line.split() != ["pattern", "1", "order", str(dims[0])]:
+        raise GraphFormatError(f"expected 'pattern 1 order {dims[0]}', got {line!r}", line=lineno)
+    top_pattern = np.array([_basis_row(*take(), dims[0], int) for _ in range(dims[0])])
+    degrees = _basis_row(*take(), dims[0], int, "degrees")
+    return _basis_grid(weight, tuple(eigenvalues), tuple(vectors), top_pattern, degrees)
+
+
+def _weight_line(lineno: int, line: str) -> float:
+    """The weight on a ``weight x`` line."""
+    tokens = line.split()
+    if tokens[0] != "weight" or len(tokens) != 2:
+        raise GraphFormatError("expected 'weight x' line", line=lineno)
+    try:
+        return float(tokens[1])
+    except ValueError:
+        raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
+
+
+def _basis_row(lineno: int, line: str, d: int, kind, keyword: str | None = None) -> np.ndarray:
+    """The d values of one basis line, after its ``keyword`` if it has one,
+    as float64 or (``kind`` int) int64."""
+    tokens = line.split()
+    if keyword is not None:
+        if tokens[0] != keyword:
+            raise GraphFormatError(f"expected '{keyword}' line, got {line!r}", line=lineno)
+        tokens = tokens[1:]
+    if len(tokens) != d:
+        raise GraphFormatError(f"expected {d} values, got {len(tokens)}", line=lineno)
+    try:
+        return np.array([*map(kind, tokens)], dtype=np.int64 if kind is int else float)
+    except (ValueError, OverflowError):
+        what = "integer" if kind is int else "numeric"
+        raise GraphFormatError(f"bad {what} value in {line!r}", line=lineno) from None
 
 
 def _factor_line(line: str, k: int, d: int, lineno: int) -> bool:

@@ -286,13 +286,13 @@ def test_criterion_8_negative_controls(tmp_path, profile222, m222, capsys):
     graph_path.write_text("dims 2 2 2\ne 1 5\ne 2 6\ne 3 7\ne 4 8\n")
     dec_path = tmp_path / "m222.dec"
     dec_path.write_text(format_decomposition(decompose(m222)))
-    tampered = dec_path.read_text().replace(
-        "5.0000000000000000e-01", "5.0100000000000000e-01", 1
-    )
+    # The record's first eigenvalue, 1, is raised by 0.1%.
+    original = dec_path.read_text()
+    tampered = original.replace("1.0000000000000000e+00", "1.0010000000000000e+00", 1)
     dec_path.write_text(tampered)
     code = main(["verify", str(graph_path), str(dec_path)])
     capsys.readouterr()
-    ok = ok and code == 1
+    ok = ok and tampered != original and code == 1
 
     # Missing degree symmetry fails the transfer precondition with deltas.
     lopsided = MultipartiteGraph(profile222, [(1, 6)])

@@ -19,6 +19,7 @@ from graphsep import (
     transforms,
 )
 from graphsep.cli import main
+from test_golden_records import per_term
 
 M222_TEXT = "dims 2 2 2\ne 1 5\ne 2 6\ne 3 7\ne 4 8\n"
 K2_TEXT = "dims 2 2\ne 1 2\n"
@@ -75,7 +76,8 @@ EXIT_CODES = {
     "gen-dims-over-cap": (["gen", "theorem", "--dims", "2,1024"], 4, "exceeds the cap"),
     "gen-negative-budget": (["gen", "psym", "--dims", "2,2,2", "--budget", "-1"], 4, "--budget"),
 }
-# Copies of m222.dec with the first term's factor-2 vector row (1 0) edited.
+# Copies of m222.dec, a basis record, with the first axis-2 eigenvector row
+# (1 0) edited.
 VECTOR_ROW_EDITS = {
     "short.dec": lambda row: row[:1],
     "token.dec": lambda row: ["x", row[1]],
@@ -86,7 +88,7 @@ VECTOR_ROW_EDITS = {
 
 def edit_vector_row(text, edit):
     lines = text.splitlines()
-    at = lines.index("factor 2 vector 2") + 1
+    at = lines.index("axis 2 basis 2") + 2  # after the eigenvalues line
     lines[at] = " ".join(edit(lines[at].split()))
     return "\n".join(lines) + "\n"
 
@@ -95,12 +97,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(EXIT_CODES))
     def test_exit_code(self, workdir, capsys, case):
         argv, code, err = EXIT_CODES[case]
-        record = format_decomposition(decompose(parse_graph(M222_TEXT)))
+        dec = decompose(parse_graph(M222_TEXT))
+        record = format_decomposition(dec)
         (workdir / "m222.dec").write_text(record)
         (workdir / "bad.dec").write_text("not-a-decomposition\n")
         (workdir / "negative.dec").write_text("graphsep-decomposition\ndims 2 2 2\nterms -1\n")
         (workdir / "zero.dec").write_text("graphsep-decomposition\ndims 2 2 2\nterms 0\n")
-        (workdir / "index.dec").write_text(record.replace("index 1 1\n", "index 1 1 1 1\n", 1))
+        terms = format_decomposition(per_term(dec))
+        (workdir / "index.dec").write_text(terms.replace("index 1 1\n", "index 1 1 1 1\n", 1))
         for name, edit in VECTOR_ROW_EDITS.items():
             (workdir / name).write_text(edit_vector_row(record, edit))
         assert main([arg.format(w=workdir) for arg in argv]) == code
@@ -387,7 +391,8 @@ class TestDecomposeVerify:
     def test_tampered_file_fails_verify(self, workdir, capsys):
         dec_path = workdir / "out.dec"
         graph = parse_graph(M222_TEXT)
-        dec_path.write_text(format_decomposition(decompose(graph)))
+        # A factor-1 entry of the per-term form.
+        dec_path.write_text(format_decomposition(per_term(decompose(graph))))
         text = dec_path.read_text()
         tampered = text.replace(
             "5.0000000000000000e-01", "5.0010000000000000e-01", 1
@@ -408,7 +413,7 @@ class TestDecomposeVerify:
         if field == "weight":
             lines = ["weight nan" if x.startswith("weight ") else x for x in lines]
         else:
-            row = lines.index("factor 2 vector 2") + 1
+            row = lines.index("axis 2 basis 2") + 2  # the first eigenvector
             lines[row] = "inf " + lines[row].split()[1]
         dec_path.write_text("\n".join(lines) + "\n")
         code = main(["verify", str(workdir / "m222.graph"), str(dec_path)])
@@ -450,6 +455,98 @@ class TestDecomposeVerify:
         code = main(["verify", str(workdir / "k2.graph"), str(dec_path)])
         assert code == 2
         assert "profile" in capsys.readouterr().err
+
+
+class TestBasisRecord:
+    """The basis form ``decompose`` writes: a malformed line is a parse
+    error naming that line (exit 4), and an edited value fails verification
+    (exit 1).  The record of the (2, 4, 4, 4) theorem graph of seed 1 has
+    the weight on line 6, axis 2 on lines 7-12, axis 3 on lines 13-18, axis
+    4 (eigenvalues 3, 1, 1, -1) on lines 19-24, F_1 = [[0, 1], [1, 0]] on
+    lines 25-27 and the degrees, 3 3, on line 28."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        graph = graphsep.gen_theorem_graph(graphsep.DimensionProfile((2, 4, 4, 4)), 1)
+        (tmp_path / "g.graph").write_text(graphsep.format_graph(graph))
+        record = format_decomposition(decompose(graph))
+        assert record.splitlines()[27] == "degrees 3 3"
+        return tmp_path, record.splitlines()
+
+    def verify(self, files, capsys, edit):
+        tmp_path, lines = files
+        lines = list(lines)
+        edit(lines)
+        (tmp_path / "edited.dec").write_text("\n".join(lines) + "\n")
+        code = main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "edited.dec")])
+        return code, capsys.readouterr()
+
+    @staticmethod
+    def retokened(at, edit):
+        def apply(lines):
+            lines[at - 1] = " ".join(edit(lines[at - 1].split()))
+
+        return apply
+
+    @pytest.mark.parametrize("edit, message", [
+        (retokened(22, lambda t: t[:-1]), "line 22: expected 4 values, got 3"),
+        (retokened(20, lambda t: t[:-1]), "line 20: expected 4 values, got 3"),
+        (retokened(21, lambda t: ["x", *t[1:]]), "line 21: bad numeric value in 'x 4.99"),
+        (retokened(20, lambda t: ["values", *t[1:]]), "line 20: expected 'eigenvalues' line, got 'values 3.0"),
+        (retokened(13, lambda t: t[:-1] + ["5"]), "line 13: expected 'axis 3 basis 4', got 'axis 3 basis 5'"),
+        (retokened(13, lambda t: ["axis", "2", *t[2:]]), "line 13: expected 'axis 3 basis 4', got 'axis 2 basis 4'"),
+        (retokened(25, lambda t: ["factor", *t[1:]]), "line 25: expected 'pattern 1 order 2', got 'factor 1 order 2'"),
+        (retokened(3, lambda t: ["terms", "63"]), "line 3: terms 63 does not match the 64 terms of the basis"),
+        (retokened(27, lambda t: ["1", "0.0"]), "line 27: bad integer value in '1 0.0'"),
+        (retokened(26, lambda t: ["0", "9" * 20]), f"line 26: bad integer value in '0 {'9' * 20}'"),
+        (retokened(28, lambda t: [*t[:-1], "3.0"]), "line 28: bad integer value in 'degrees 3 3.0'"),
+        (retokened(28, lambda t: t[:-1]), "line 28: expected 2 values, got 1"),
+        (lambda lines: lines.pop(13), "line 14: expected 'eigenvalues' line, got '1.0000000000000000e+00 0.0"),
+        (lambda lines: lines.append("degrees 3 3"), "line 29: trailing content 'degrees 3 3'"),
+    ], ids=[
+        "short-vector-row", "short-eigenvalues", "bad-float", "bad-eigenvalues-keyword",
+        "axis-header-order", "axis-header-axis", "pattern-header", "terms-count",
+        "non-integer-pattern", "pattern-out-of-range", "non-integer-degree", "short-degrees",
+        "missing-eigenvalues-line", "trailing-content",
+    ])
+    def test_malformed_line_is_named(self, files, capsys, edit, message):
+        code, captured = self.verify(files, capsys, edit)
+        assert code == 4 and captured.out == ""
+        assert f"edited.dec: {message}" in captured.err
+        lines = list(files[1])
+        edit(lines)
+        with pytest.raises(graphsep.GraphFormatError) as error:
+            graphsep.parse_decomposition("\n".join(lines) + "\n")
+        assert error.value.line == int(message.split(":")[0].split()[1])
+
+    @pytest.mark.parametrize("edit", [
+        # The first entry, 0.5, of axis 4's first eigenvector: trace 1 + 5e-10.
+        retokened(21, lambda t: [repr((1 + 1e-9) * float(t[0])), *t[1:]]),
+        retokened(20, lambda t: ["eigenvalues", "3.5", *t[2:]]),
+        retokened(26, lambda t: ["0", "0"]),
+        retokened(28, lambda t: ["degrees", "3", "4"]),
+        retokened(6, lambda t: ["weight", repr(1.5 * float(t[1]))]),
+        # inf times a zero eigenvalue: the expansion warns of nothing.
+        retokened(20, lambda t: ["eigenvalues", "inf", *t[2:4], "0"]),
+        retokened(28, lambda t: ["degrees", "0", "0"]),
+    ], ids=["eigenvector-entry", "eigenvalue", "pattern-entry", "degree", "weight-x1.5", "eigenvalue-inf", "degrees-0"])
+    @pytest.mark.filterwarnings("error")
+    def test_edited_value_fails_verification(self, files, capsys, edit):
+        code, captured = self.verify(files, capsys, edit)
+        assert code == 1
+        assert "verified=fail" in captured.out and "verified=pass" not in captured.out
+
+    def test_respelt_record_verifies(self, files, capsys):
+        # CRLF, a comment, a blank line, tabs and repr spellings read alike.
+        def respell(lines):
+            lines[5] = "weight\t" + repr(float(lines[5].split()[1]))
+            lines[20] = " ".join(repr(float(x)) for x in lines[20].split())
+            lines.insert(24, "# F_1 and the degrees")
+            lines.insert(7, "")
+            lines[:] = ["\r\n".join(lines)]
+
+        code, captured = self.verify(files, capsys, respell)
+        assert code == 0 and "verified=pass" in captured.out
 
 
 class TestDecomposeCertificates:

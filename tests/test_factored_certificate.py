@@ -38,7 +38,7 @@ from graphsep.certificates import _factored_certificate
 from graphsep.cli import main
 from graphsep.separability import TermGrid, certify_decomposition
 from test_acceptance import SEEDS_PER_PROFILE, SWEEP_PROFILES
-from test_golden_records import GOLDEN
+from test_golden_records import GOLDEN, per_term
 
 ROUNDOFF = 2.0**-53
 
@@ -129,6 +129,9 @@ def test_factored_verdict_matches_dense_on_sweep():
 
 
 # -- tampered grid records ---------------------------------------------------
+#
+# These edit the per-term form of a decomposition (a grid by row text); the
+# basis form's edits are in test_cli.
 
 
 def edit_row(lines, header, edit):
@@ -180,7 +183,7 @@ TAMPER_CASES = (
 def test_tampered_grid_record_fails_as_dense_does(dims, case):
     profile = DimensionProfile(dims)
     graph = gen_theorem_graph(profile, 1)
-    text = format_decomposition(decompose(graph))
+    text = format_decomposition(per_term(decompose(graph)))
     if case == "other-seed":
         # The record of graph 1, checked against a different conforming graph.
         graph = gen_theorem_graph(profile, 2)
@@ -204,7 +207,7 @@ def test_tampered_record_is_not_a_grid_and_fails_verify(tmp_path, capsys, case):
     # terms, and the CLI's verify exits 1 without verified=pass.
     dims = (2, 4, 4, 4)
     graph = gen_theorem_graph(DimensionProfile(dims), 1)
-    text = tamper(format_decomposition(decompose(graph)), case, dims)
+    text = tamper(format_decomposition(per_term(decompose(graph))), case, dims)
     record = parse_decomposition(text)
     assert isinstance(record.terms, tuple)
     assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
@@ -231,7 +234,7 @@ def test_grid_preserving_tamper_fails(tmp_path, capsys, dims, case):
     # 2 still has N_2 distinct row texts covering the grid, so the record is
     # read as a grid, and the factored path must refuse it by itself.
     graph = gen_theorem_graph(DimensionProfile(dims), 1)
-    lines = format_decomposition(decompose(graph)).split("\n")
+    lines = format_decomposition(per_term(decompose(graph))).split("\n")
     header = f"factor 2 vector {dims[1]}"
     row = lines[lines.index(header) + 1]
     held = [i + 1 for i, line in enumerate(lines) if line == header and lines[i + 1] == row]
@@ -272,7 +275,7 @@ def test_equal_rows_spelt_two_ways_take_the_dense_path_and_pass():
     # Term 1's factor-2 vector in repr form: the same values under another
     # row text, so axis 2 has N_2 + 1 row texts and the record is no grid.
     graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
-    lines = format_decomposition(decompose(graph)).split("\n")
+    lines = format_decomposition(per_term(decompose(graph))).split("\n")
     at = lines.index("factor 2 vector 4") + 1
     respelt = " ".join(repr(float(x)) for x in lines[at].split())
     assert respelt != lines[at]
@@ -313,7 +316,7 @@ def test_decomposition_of_no_terms_fails():
 
 def test_shuffled_and_renumbered_record_stays_on_the_factored_path():
     graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
-    lines = format_decomposition(decompose(graph)).rstrip("\n").split("\n")
+    lines = format_decomposition(per_term(decompose(graph))).rstrip("\n").split("\n")
     starts = [i for i, line in enumerate(lines) if line.startswith("term ")]
     blocks = [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
     order = np.random.default_rng(0).permutation(len(blocks))

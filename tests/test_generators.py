@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from graphsep import generators, linalg
 from graphsep import (
     DimensionProfile,
     MultipartiteGraph,
@@ -106,6 +107,18 @@ class TestTheoremFamily:
                 rho = density_matrix(g, "signless")
                 assert verify_decomposition(dec, rho).passed
                 assert len(dec.terms) == int(np.prod(dims[1:]))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2, 2), (2, 3, 5), (5, 2, 3), (2, 4, 4, 4), (2, 2, 2, 2, 2)])
+    def test_edges_are_the_upper_triangle_of_the_dense_product(self, dims):
+        # Oracle: the factors drawn as the generator draws them, their dense
+        # Kronecker product, and the nonzero entries above its diagonal.
+        profile = DimensionProfile(dims)
+        for seed in range(8):
+            rng = SplitMix64(seed)
+            factors = [generators._random_top_pattern(rng, dims[0])]
+            factors += [generators._random_regular_pattern(rng, d) for d in dims[1:]]
+            dense = np.argwhere(np.triu(linalg.kron(factors), k=1)) + 1
+            assert np.array_equal(gen_theorem_graph(profile, seed).edge_array(), dense), seed
 
     def test_matching_graph_is_reachable(self, profile222, m222):
         hits = [

@@ -1,5 +1,10 @@
 """Golden decomposition records: the sha256 of ``format_decomposition(decompose(g))``
-for theorem graphs, seeds 0-2.
+for theorem graphs, seeds 0-2, in both record forms.
+
+``GOLDEN_BASIS`` pins the basis form ``decompose`` writes; ``GOLDEN`` pins the
+per-term form of the same decompositions (:func:`per_term`), as ``decompose``
+wrote them before the basis form, which the per-term writer must still
+give byte for byte.
 
 The profiles are every theorem profile of the certify workloads in
 ``perfbench/workloads.py``, plus (2, 2, 128), whose terms reassemble in
@@ -17,10 +22,28 @@ move the last digits of a record, and with them a digest.
 """
 
 import hashlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from graphsep import DimensionProfile, decompose, format_decomposition, gen_theorem_graph
+from graphsep import (
+    DimensionProfile,
+    decompose,
+    format_decomposition,
+    format_graph,
+    gen_theorem_graph,
+    parse_decomposition,
+)
+from graphsep.cli import main
+from graphsep.separability import TermGrid
+
+
+def per_term(decomposition):
+    """The decomposition with its terms held one by one, which the writer
+    writes in per-term form."""
+    return replace(decomposition, terms=tuple(decomposition.terms))
+
 
 GOLDEN = {
     (3, 2, 2): (
@@ -76,9 +99,98 @@ GOLDEN = {
 }
 
 
+GOLDEN_BASIS = {
+    (3, 2, 2): (
+        "bfd2671987278e338ed29887cacb973eb520b481854c51882b2c4cd2b8a33076",
+        "8a2ba0d31e66c613f106f2a97c1d35c1a87bf0cbe979a4df6ecf9b5a9af1f35c",
+        "8f4383b43de7e50d866967300007a9c749a1bbe5caa1b4d839e14339d7f2d1c7",
+    ),
+    (2, 2, 64): (
+        "ff5138ae20acc663b4c637393aa12479098263a26789642d9e69457afa3ce5fc",
+        "df83ae7964add2c818e89d6b07d630d4c1adff0d7ddf395d07fa9a26b6d4b4e3",
+        "a26b43c82cdf8f8e46d758e101a9038d5f2340b076be1d54821b2be0916d44b5",
+    ),
+    (2, 4, 32): (
+        "2e5a2e76207b07435379bba93e84d98958cf141a27967088928fa7c2a992e6a4",
+        "7356bbb0f17b986c05f83b3332ecafc636e9956ff094038a3be9ec024226ba97",
+        "84689baecd2dd37bd54f86334f9d400552014b420f14e6df419c1bc66279ccbd",
+    ),
+    (4, 2, 32): (
+        "f4ee67b701256874eb4458de512af6c8a4374e1f84133f6c995b9a7bb815911f",
+        "fdcb8f0c9edb6806987c160713168a93215ca8b4b30a9a0a4121861301536d86",
+        "0f707cf8938e4302b057c598087edbf6cebb9539e20885db03c8b2479dd160a2",
+    ),
+    (2, 4, 4, 4, 4): (
+        "10233532a4cb10c74e86a498e35630e2b98936cd303b69a0ef3a292eef9b9b36",
+        "6dbadc31115aeeece64f94fd009c212c9e74a6b60373269d7785e13a2ae84f84",
+        "93874c5c6da1f338f641f69a6f6f72ebfd4c2184522dbfbedd4e4e25eda2e87b",
+    ),
+    (2, 2, 2, 2, 2, 2, 2, 2): (
+        "1a1527632d70c218147928274ac94a915f28217edc95b7ee6a6c9c7dc7be198e",
+        "f67c895e94bbf1e7937e37cdbfb62f831d4d4c8603373344fbea89213445f8cb",
+        "2a0b2106d1c08e4d6e18558cf841516965759c54f755446ae08a365328f14919",
+    ),
+    (4, 4, 4, 4): (
+        "70e8a490ca425f7f884b28e5ce3ce534c52a381443747bd73d1d4a705eba699a",
+        "c997a2d3cc028412b896d1c65b1fbe2848fba81cd6ef81f60b918da9b76197f8",
+        "b94f9e3b8c6e0ec6204d94f445ec2954cf8a1e9b15cb01c28ed47d81516618a0",
+    ),
+    (2, 4, 4, 4): (
+        "1e4a4a95e166251204ac9708537b0da5604d4edb4fd3efe70d2e77249c42eeb3",
+        "69e166c893109d5dd3cb7982bba45f3ad786bf8424d413f998341b0515b3c285",
+        "0adedfc5def5fe664df337bb524f30c1699bd8f8fc019333ad7d2324002e4e59",
+    ),
+    (2, 2, 128): (
+        "72f0e1095d134c327e338373077a19ee5d6d75393baf7ff0f65719a67d2a1b8a",
+        "745903def2c24450c3652d4cff3e289a3c99ad729cd7d84ea003f1febb89f52f",
+        "79c756faa950fe67784a4c55c8ec78e29c996c027dc2b82160bc095dba56e168",
+    ),
+    (4, 16, 16): (
+        "cf1f60480f6a97ca9c313f695cb0c7f261420a4eac4ddf4a8ea0bff10ef08c00",
+        "fb831ed8c7e54aeecc7894ae0f576f6f32c318112bb26cbff5f3324a3afe569b",
+        "f1741d412bfde01877a7dba22556a6e0ba807342fbf08102fa32ceae84603aec",
+    ),
+}
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("dims", list(GOLDEN), ids=lambda dims: "x".join(map(str, dims)))
 def test_record_bytes_match_golden_digest(dims):
-    for seed, expected in enumerate(GOLDEN[dims]):
+    for seed, (expected, expected_basis) in enumerate(zip(GOLDEN[dims], GOLDEN_BASIS[dims])):
+        dec = decompose(gen_theorem_graph(DimensionProfile(dims), seed))
+        assert digest(format_decomposition(per_term(dec))) == expected, f"seed {seed}"
+        assert digest(format_decomposition(dec)) == expected_basis, f"seed {seed}"
+
+
+GRID_ARRAYS = ("firsts", "choice", "index", "ladder", "top_pattern", "layer_degrees")
+
+
+def same_bits(a, b):
+    """Equal arrays, bit for bit once each zero is +0 (the record writes -0 as 0)."""
+    a, b = (np.ascontiguousarray(x) + 0.0 for x in (a, b))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dims", list(GOLDEN), ids=lambda dims: "x".join(map(str, dims)))
+def test_both_forms_read_and_verify_alike(dims, tmp_path, capsys):
+    # The basis record reads back as the grid in memory, and verify prints
+    # the same for it as for the per-term record of the same decomposition.
+    for seed in range(3):
         graph = gen_theorem_graph(DimensionProfile(dims), seed)
-        record = format_decomposition(decompose(graph))
-        assert hashlib.sha256(record.encode()).hexdigest() == expected, f"seed {seed}"
+        dec = decompose(graph)
+        grid = parse_decomposition(format_decomposition(dec)).terms
+        assert isinstance(grid, TermGrid) and grid.weight == dec.terms.weight
+        for name in GRID_ARRAYS:
+            assert same_bits(getattr(grid, name), getattr(dec.terms, name)), (seed, name)
+        for name in ("vectors", "eigenvalues"):
+            assert all(map(same_bits, getattr(grid, name), getattr(dec.terms, name))), (seed, name)
+        (tmp_path / "g.graph").write_text(format_graph(graph))
+        results = []
+        for text in (format_decomposition(dec), format_decomposition(per_term(dec))):
+            (tmp_path / "g.dec").write_text(text)
+            code = main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")])
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1] and results[0][0] == 0, seed

@@ -1,4 +1,4 @@
-"""The record writer against the row-memo writer it replaced.
+"""The per-term record writer against the row-memo writer it replaced.
 
 ``format_decomposition_row_memo`` is the writer as it stood before weights,
 ladders and rank-one factor blocks got memos of their own: one dict from a
@@ -25,7 +25,7 @@ from graphsep import (
 )
 from graphsep.separability import projector
 from graphsep.textio import format_float
-from test_golden_records import GOLDEN
+from test_golden_records import GOLDEN, per_term
 
 
 def format_decomposition_row_memo(decomposition):
@@ -82,7 +82,8 @@ GOLDEN_CASES = [(dims, seed) for dims in GOLDEN for seed in range(3)]
     "dims, seed", GOLDEN_CASES, ids=[f"{'x'.join(map(str, d))}-{s}" for d, s in GOLDEN_CASES]
 )
 def test_golden_records_and_their_round_trips_write_like_oracle(dims, seed):
-    text = assert_writes_like_oracle(decompose(gen_theorem_graph(DimensionProfile(dims), seed)))
+    # The per-term form of each decomposition, and of its per-term record read back.
+    text = assert_writes_like_oracle(per_term(decompose(gen_theorem_graph(DimensionProfile(dims), seed))))
     assert assert_writes_like_oracle(parse_decomposition(text)) == text
 
 

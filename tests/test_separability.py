@@ -46,7 +46,7 @@ from graphsep import (
     vertex_index,
 )
 from graphsep.textio import format_float
-from test_golden_records import GOLDEN
+from test_golden_records import GOLDEN, per_term
 
 
 def assemble_by_hand(decomposition):
@@ -1080,7 +1080,7 @@ class TestDecompositionFormat:
             assert term.vectors[0] is None
             for factor, vector in zip(term.factors[1:], term.vectors[1:]):
                 assert np.array_equal(factor, separability.projector(vector))
-        lines = format_decomposition(dec).splitlines()
+        lines = format_decomposition(per_term(dec)).splitlines()
         assert lines.count("factor 1 order 2") == 4
         assert lines.count("factor 2 vector 2") == lines.count("factor 3 vector 2") == 4
         assert not any(line.startswith(("factor 2 order", "factor 3 order")) for line in lines)
@@ -1112,7 +1112,7 @@ class TestDecompositionFormat:
          ([math.inf, 0.0], "term 1 factor 2: non-finite entries")],
     )
     def test_bad_vector_fails_verification(self, m222, vector, failure):
-        text = format_decomposition(decompose(m222))
+        text = format_decomposition(per_term(decompose(m222)))
         lines = text.splitlines()
         at = lines.index("factor 2 vector 2") + 1
         lines[at] = " ".join(repr(x) for x in vector)
@@ -1147,10 +1147,14 @@ RECORD_KEYWORDS = (
 BAD_TOKENS = ("x", "nan", "-inf", "-1", "0", "1e999", "9" * 40, "=pass", "reassembly=maybe")
 
 
-def theorem_record(dims, seed):
-    """Record text of a generated theorem graph, or None for an empty draw."""
+def theorem_record(dims, seed, basis=False):
+    """Record text of a generated theorem graph, per term unless ``basis``,
+    or None for an empty draw."""
     g = gen_theorem_graph(DimensionProfile(dims), seed)
-    return format_decomposition(decompose(g)) if g.num_edges else None
+    if not g.num_edges:
+        return None
+    dec = decompose(g)
+    return format_decomposition(dec if basis else per_term(dec))
 
 
 @functools.cache
@@ -1182,9 +1186,10 @@ def mutated_records(draw):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(RECORD_PROFILES), st.integers(0, 2**31 - 1))
 def test_theorem_record_round_trips(dims, seed):
-    text = theorem_record(dims, seed)
-    assume(text is not None)
-    assert format_decomposition(parse_decomposition(text)) == text
+    for basis in (False, True):
+        text = theorem_record(dims, seed, basis)
+        assume(text is not None)
+        assert format_decomposition(parse_decomposition(text)) == text
 
 
 def format_decomposition_by_values(decomposition):
@@ -1224,7 +1229,7 @@ def format_decomposition_by_values(decomposition):
 @pytest.mark.parametrize("dims", list(GOLDEN), ids=lambda dims: "x".join(map(str, dims)))
 def test_record_writer_matches_per_value_oracle_on_golden_graphs(dims):
     for seed in range(3):
-        dec = decompose(gen_theorem_graph(DimensionProfile(dims), seed))
+        dec = per_term(decompose(gen_theorem_graph(DimensionProfile(dims), seed)))
         assert format_decomposition(dec) == format_decomposition_by_values(dec), f"seed {seed}"
 
 
@@ -1281,7 +1286,7 @@ def test_dense_form_reads_and_verifies_like_vector_form(dims):
             continue
         rho = density_matrix(g, "signless")
         dec = decompose(g)
-        new, old = format_decomposition(dec), dense_form(dec)
+        new, old = format_decomposition(per_term(dec)), dense_form(dec)
         assert " vector " in new and " vector " not in old
         a, b = parse_decomposition(old), parse_decomposition(new)
         assert a.residual == b.residual and a.certificates == b.certificates
@@ -1331,7 +1336,7 @@ def test_rank_one_verification_matches_per_factor_reference(dims):
             continue
         rho = density_matrix(g, "signless")
         dec = decompose(g)
-        text = format_decomposition(dec)
+        text = format_decomposition(per_term(dec))
         for case in (dec, parse_decomposition(text)):
             assert assert_matches_reference(case, rho).passed
         # A doubled vector makes the record no grid: the dense path
