@@ -103,19 +103,22 @@ def _gamma(m: int) -> float:
     return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
 
 
-def _tree_sum(stack: np.ndarray) -> tuple[np.ndarray, int]:
-    """The sum of a stack along its first axis by pairwise halving, in
-    place (``stack`` is overwritten), and the depth of that tree: each
-    entry's error is at most gamma_depth times the sum of the absolute
-    values added into it."""
-    count, depth = len(stack), 0
-    while count > 1:
-        half, odd = divmod(count, 2)
-        stack[:half] += stack[half : 2 * half]
-        if odd:
-            stack[half] = stack[count - 1]
-        count, depth = half + odd, depth + 1
-    return stack[0], depth
+def _unit_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|v|^2 of each row of a (B, d) vector array, and whether the factor
+    ``projector(v)`` of that row surely passes :func:`_factor_failures`.
+
+    That factor is finite when v is finite with |v|^2 near 1, exactly
+    symmetric, and PSD within its tolerance (see :func:`_factored_certificate`),
+    so only its trace test is left.  The trace it takes and the |v|^2 here
+    are two roundings of the same d squares, each within gamma_d |v|^2 of
+    their exact sum (in any order, with or without a fused multiply-add),
+    so near 1 they differ by less than 3 gamma_d; this test is 4 gamma_d
+    inside 1e-10, so a row it accepts has a trace within 1e-10 of 1.
+    """
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ja,ja->j", vectors, vectors)
+    limit = 1e-10 - 4.0 * _gamma(vectors.shape[1])
+    return squares, np.isfinite(vectors).all(axis=1) & (np.abs(squares - 1.0) <= limit)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -150,10 +153,11 @@ def _factored_certificate(
                          + sum_t R_t (x) P_{2,t} (x) ... (x) P_{n,t}
 
     where U = (x)_k U_k, U_k = sum_j P_{k,j}; B = (x)_k B_k, B_k = sum_j
-    mu_{k,j} P_{k,j} with mu the Rayleigh quotients <P_{k,j}, F_k>; F =
-    (x)_{k>=2} F_k; and R_t = 2|E| w X_t - diag(delta) - lambda_t F_1 with
-    lambda_t the product of the term's mu.  The identity holds for any mu,
-    since the terms cover the grid once.  F_1 has a zero diagonal, so the
+    mu_{k,j} P_{k,j}; F = (x)_{k>=2} F_k; and R_t = 2|E| w X_t - diag(delta)
+    - lambda_t F_1 with lambda_t the product of the term's mu.  The identity
+    holds for any mu, since the terms cover the grid once; mu_{k,j} is the
+    Rayleigh quotient v^T F_k v of the axis's vector v = v_{k,j}, as
+    computed.  F_1 has a zero diagonal, so the
     first two parts are orthogonal; each is bounded by the telescoping sum
     (:func:`_telescoped`), the third by the triangle inequality.  Sums with
     cancellation get an absolute allowance of gamma_m times the sum of
@@ -163,18 +167,30 @@ def _factored_certificate(
     is an integer.  No V x V matrix, eigensolve or BLAS call is made, so the
     bound's bits depend only on numpy's CPU kernels.
 
+    Each axis k >= 2 is worked from its (N, N) array V of vectors, one a
+    row, in Gram form: U_k as V^T V and B_k as (V * mu)^T V, each entry one
+    dot product of length N, and |P_{k,j}|_F <= (1 + u) |v_j|^2, so no
+    (N, N, N) stack is formed.  ``np.einsum`` without ``optimize`` runs
+    numpy's own loops, never BLAS.  P_{k,j} is ``projector(v_j)``, with each
+    entry of v v^T rounded once (u = 2^-53), so entry (a, b) of U_k lies
+    within u sum_j |v_ja v_jb| of the same sum of exact products, and the
+    computed dot product within gamma_N of that; V * mu rounds once more.
+    As |(|v| |v|^T)|_F = |v|^2, the allowances are (gamma_N + u) sum_j
+    |v_j|^2 for U_k and (gamma_{N+1} + u) sum_j |mu_j| |v_j|^2 for B_k.
+
     The weight check and the check of the first factors are
-    :func:`separability.verify_decomposition`'s.  Each factor k >= 2 is
-    formed here as ``projector(v)``, each entry of v v^T rounded once: it is
-    exactly symmetric, as x y rounds like y x, and it is v v^T + E with
-    |E|_F <= 2^-53 |v|^2 (underflow adds at most d^2 2^-1074), so
-    lambda_min >= -2^-53 |v|^2 (Higham, ch. 3).  With unit trace, |v|^2 is
-    within about 1e-10 of 1, far inside that check's PSD tolerance of 1e-9:
-    a finite projector with |trace - 1| <= 1e-10 passes it, and no other
-    does, so that is its whole check and it needs no eigensolve.  The
-    ``ladder`` and ``index`` lines play no part.
+    :func:`separability.verify_decomposition`'s, which forms each factor
+    k >= 2 as ``projector(v)``: it is exactly symmetric, as x y rounds like
+    y x, and it is v v^T + E with |E|_F <= 2^-53 |v|^2 (underflow adds at
+    most d^2 2^-1074), so lambda_min >= -2^-53 |v|^2 (Higham, ch. 3).  With
+    unit trace, |v|^2 is within about 1e-10 of 1, far inside that check's
+    PSD tolerance of 1e-9: a finite projector with |trace - 1| <= 1e-10
+    passes it, and no other does.  :func:`_unit_rows` accepts only finite
+    vectors whose projector has such a trace, from |v|^2 alone, with no
+    projector or eigensolve.  The ``ladder`` and ``index`` lines play no
+    part.
     """
-    from .separability import TermGrid, projector  # separability imports this module
+    from .separability import TermGrid  # separability imports this module
 
     factors = report.adjacency_factors
     degrees = report.layer_degrees
@@ -189,13 +205,11 @@ def _factored_certificate(
     # With T equal weights, a sum within 1e-10 of 1 is also finite and
     # positive: the other two weight checks hold.
     weight_sum = float(sum(itertools.repeat(weight, len(grid))))
-    projectors = tuple(map(projector, grid.vectors))
-    with np.errstate(over="ignore"):
-        unit = all(
-            np.isfinite(p).all() and (np.abs(np.trace(p, axis1=1, axis2=2) - 1.0) <= 1e-10).all()
-            for p in projectors
-        )
-    if not abs(weight_sum - 1.0) <= 1e-10 or _factor_failures(firsts) or not unit:
+    # einsum's loop order, and so its order of summation, follows the
+    # strides: in C order the bound's bits do not depend on the layout.
+    vectors = [np.ascontiguousarray(v) for v in grid.vectors]
+    squares, unit = zip(*map(_unit_rows, vectors))
+    if not abs(weight_sum - 1.0) <= 1e-10 or _factor_failures(firsts) or not all(map(np.all, unit)):
         return None
 
     delta = np.asarray(degrees, dtype=np.int64)
@@ -215,23 +229,22 @@ def _factored_certificate(
     # Per axis: upper bounds on |U_k - I|, |U_k|, |I|, |B_k - F_k|, |B_k|, |F_k|.
     bounds = []
     mus = []  # per axis, each term's mu
-    norms = []  # per axis, each term's |P|_F
-    for k, (stack, pattern) in enumerate(zip(projectors, factors[1:])):
-        d = len(stack)
+    norms = []  # per axis, each term's bound on |P|_F
+    for k, (v, square, pattern) in enumerate(zip(vectors, squares, factors[1:])):
+        d = len(v)
         pattern = pattern.astype(float)
-        mu = np.einsum("jab,ab->j", stack, pattern)
-        size = np.sqrt(np.einsum("jab,jab->j", stack, stack))
-        weighted, _ = _tree_sum(mu[:, None, None] * stack)
-        summed, depth = _tree_sum(stack)  # in place: the stack's last use
-        u_slack = _gamma(depth) * float(size.sum())
-        b_slack = _gamma(depth + 1) * float((np.abs(mu) * size).sum())
+        mu = np.einsum("ja,ja->j", v, np.einsum("ab,jb->ja", pattern, v))
+        summed = np.einsum("ja,jb->ab", v, v)
+        weighted = np.einsum("ja,jb->ab", v * mu[:, None], v)
+        u_slack = (_gamma(d) + _UNIT_ROUNDOFF) * float(square.sum())
+        b_slack = (_gamma(d + 1) + _UNIT_ROUNDOFF) * float((np.abs(mu) * square).sum())
         bounds.append((
             _norm(summed - np.eye(d)) + u_slack, _norm(summed) + u_slack, math.sqrt(d),
             _norm(weighted - pattern) + b_slack, _norm(weighted) + b_slack,
             math.sqrt(float(pattern.sum())),
         ))
         mus.append(mu[choice[:, k]])
-        norms.append(size[choice[:, k]])
+        norms.append((1.0 + _UNIT_ROUNDOFF) * square[choice[:, k]])
     u_diff, u_norm, i_norm, b_diff, b_norm, f_norm = zip(*bounds)
     first = factors[0]
     degree_squares = int((delta * delta).sum())

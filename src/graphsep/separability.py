@@ -679,9 +679,12 @@ def verify_decomposition(
     if not abs(weight_sum - 1.0) <= 1e-10:
         failures.append(f"weights sum to {weight_sum:.17g}, expected 1")
     found: dict[tuple[int, int], list[str]] = {}
-    # Non-finite inputs fail their factor checks; their NaN residual fails too.
+    # Non-finite or huge inputs fail their factor checks; their NaN or inf
+    # residual fails too, with no warning.
     with np.errstate(invalid="ignore", over="ignore"):
         assembled = _reassemble(dims, decomposition.weights, _stacked_blocks(terms, dims, found))
+        residual = float(np.linalg.norm(assembled - rho.matrix))
+        norm = float(np.linalg.norm(rho.matrix))
     for i, term in enumerate(terms, start=1):
         if not math.isfinite(term.weight):
             failures.append(f"term {i}: non-finite weight {term.weight!r}")
@@ -689,8 +692,6 @@ def verify_decomposition(
             failures.append(f"term {i}: negative weight {term.weight:.17g}")
         for k in range(1, n + 1):
             failures.extend(f"term {i} factor {k}: {text}" for text in found.get((i, k), ()))
-    residual = float(np.linalg.norm(assembled - rho.matrix))
-    norm = float(np.linalg.norm(rho.matrix))
     relative = residual / norm
     if not relative <= tol:
         failures.append(
@@ -961,12 +962,13 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
     texts = [line for line in lines if line] + [""]  # "" stands for the end
     count = len(linenos)
+    end = (linenos[-1] if linenos else 0) + 1  # a cut record names the line after its last
     pos = 0
 
     def take():
         nonlocal pos
         if pos >= count:
-            raise GraphFormatError("unexpected end of decomposition record")
+            raise GraphFormatError("unexpected end of decomposition record", line=end)
         pos += 1
         return linenos[pos - 1], texts[pos - 1]
 

@@ -422,6 +422,23 @@ class TestDecomposeVerify:
         assert "verified=fail" in captured.out
         assert "non-finite" in captured.err
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entry_fails_on_the_dense_path_without_warning(self, tmp_path, capsys):
+        # The per-term record of (2, 4, 4, 4) seed 1 with one factor-1 entry
+        # at 1e308: that factor fails its trace test, so the dense path judges
+        # the record, and its reassembly residual overflows.
+        graph = graphsep.gen_theorem_graph(graphsep.DimensionProfile((2, 4, 4, 4)), 1)
+        lines = format_decomposition(per_term(decompose(graph))).splitlines()
+        at = lines.index("factor 1 order 2") + 1
+        lines[at] = " ".join(["1e308", *lines[at].split()[1:]])
+        (tmp_path / "g.graph").write_text(graphsep.format_graph(graph))
+        (tmp_path / "huge.dec").write_text("\n".join(lines) + "\n")
+        code = main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "huge.dec")])
+        captured = capsys.readouterr()
+        assert code == 1 and "Warning" not in captured.err
+        assert "failure: term 1 factor 1: trace 1e+308, expected 1" in captured.err
+        assert "verified=fail" in captured.out and "verified=pass" not in captured.out
+
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_exit_4(self, workdir, capsys, command, tol):
@@ -503,11 +520,13 @@ class TestBasisRecord:
         (retokened(28, lambda t: t[:-1]), "line 28: expected 2 values, got 1"),
         (lambda lines: lines.pop(13), "line 14: expected 'eigenvalues' line, got '1.0000000000000000e+00 0.0"),
         (lambda lines: lines.append("degrees 3 3"), "line 29: trailing content 'degrees 3 3'"),
+        # A cut record names the line after its last content line.
+        (lambda lines: lines.pop(27), "line 28: unexpected end of decomposition record"),
     ], ids=[
         "short-vector-row", "short-eigenvalues", "bad-float", "bad-eigenvalues-keyword",
         "axis-header-order", "axis-header-axis", "pattern-header", "terms-count",
         "non-integer-pattern", "pattern-out-of-range", "non-integer-degree", "short-degrees",
-        "missing-eigenvalues-line", "trailing-content",
+        "missing-eigenvalues-line", "trailing-content", "missing-degrees-line",
     ])
     def test_malformed_line_is_named(self, files, capsys, edit, message):
         code, captured = self.verify(files, capsys, edit)

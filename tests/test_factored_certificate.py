@@ -12,6 +12,7 @@ never pass a tampered record.
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from graphsep import (
     spectral_decomposition,
     verify_decomposition,
 )
-from graphsep.certificates import _factored_certificate
+from graphsep.certificates import _factor_failures, _factored_certificate, _unit_rows
 from graphsep.cli import main
 from graphsep.separability import TermGrid, certify_decomposition
 from test_acceptance import SEEDS_PER_PROFILE, SWEEP_PROFILES
@@ -435,3 +436,37 @@ def test_non_conforming_graph_takes_the_dense_path():
     got = certify_decomposition(record, other)
     dense = verify_decomposition(record, density_matrix(other, SIGNLESS))
     assert not got.passed and got == dense
+
+
+def test_certificate_forms_no_cube_per_axis():
+    # Each axis is worked from its (N, N) vectors: at (2, 2, 128) one
+    # (128, 128, 128) stack would be 16.8 MB.
+    graph = gen_theorem_graph(DimensionProfile((2, 2, 128)), 1)
+    record, report = decompose(graph), check_theorem_conditions(graph)
+    tracemalloc.start()
+    try:
+        certificate = _factored_certificate(record, report, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certificate is not None and certificate.passed
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("d", [2, 4, 16, 64, 128])
+def test_unit_check_refuses_every_vector_whose_projector_fails(d):
+    # Rows scaled so that |v|^2 lies within 8 ulps of 1 - 1e-10 and of
+    # 1 + 1e-10, where |v|^2 and the factor check's trace of projector(v)
+    # can fall on either side of the bound; and rows at |v|^2 = 1, which pass.
+    rng = np.random.default_rng(d)
+    targets = [1.0] + [edge + k * np.spacing(1.0) for edge in (1.0 - 1e-10, 1.0 + 1e-10) for k in range(-8, 9)]
+    stacks = []
+    for target in targets:
+        rows = rng.standard_normal((60, d))
+        stacks.append(rows * np.sqrt(target / np.einsum("ja,ja->j", rows, rows))[:, None])
+    vectors = np.concatenate(stacks)
+    _, unit = _unit_rows(vectors)
+    failed = np.zeros(len(vectors), dtype=bool)
+    failed[list(_factor_failures(separability.projector(vectors)))] = True
+    assert not (unit & failed).any()
+    assert unit[:60].all() and failed.any()

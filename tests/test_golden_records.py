@@ -13,7 +13,8 @@ output contract: a change that moves any of these digests changes the bytes
 of a record, and must be announced as a format change.
 
 The ``residual`` line holds the factored bound, which is computed with
-numpy's own elementwise operations and reductions, never a BLAS call, so
+numpy's own elementwise operations, reductions and ``einsum`` loops (the
+per-axis Gram forms, with no ``optimize`` path), never a BLAS call, so
 these digests hold under any ``OPENBLAS_NUM_THREADS`` (CI runs this file
 under 1 and 2 threads).  They still depend on the CPU kernels: LAPACK's
 ``eigh`` gives the factor rows and ladders, and numpy picks its SIMD
@@ -47,108 +48,108 @@ def per_term(decomposition):
 
 GOLDEN = {
     (3, 2, 2): (
-        "c2249f1a225b7916b131700c163d0a956d3c070762d956ee42da3d6531781f72",
-        "48b21615030539b54b1fc86f61e99773a07f1a3e91a10ead801c0b3f59d04d1d",
-        "acdfd935e16c314a5d360112826705216952d87f93096ea3dbc5734dc25a2c6a",
+        "b4cebc063681e30186afae4ccffbe452a53a8ea6746ae4b85ace3d57aa279cd7",
+        "c1b40eb249de1498c0ecfaa87b3008e975d566a476efa046ba6fd94fd28f2cde",
+        "80a1c0e74187677b29c67732f74416b6477bfc0457abf090882c470670a71854",
     ),
     (2, 2, 64): (
-        "85fbc4ceab32698d9c55f5a706f58540baee5129b71db86fbbf76b3a83deee84",
-        "961d67c851bc505d18c78da473e2a39f7b2b0ff371aa5ae51e9a9ec94b0a5fb4",
-        "7c6f6015a9df245c57084ff7cc1721a0ef031c8bf0d80be4727bf5404129873a",
+        "d33ed7327a9c7bf08cf5c7e80a43f54ea46c510716c7a13c37318dfbb62cd1d6",
+        "033201344c5c116601bcdf2eb9ed7fbdb14d84c47ae395ff56a47ec33e3d1b40",
+        "6b344979ae15c74a65ca78b98480c8452a8de4c2040ac247688bcf817ed36500",
     ),
     (2, 4, 32): (
-        "6444e387116ef9810a151000e7be1e5d29f7ab85cd7d8b7a7e5ae8923626b5c8",
-        "9d37beb67d39c5e1751e81eca79bf9064280aa2bfde267d4ae02bb91a717000f",
-        "0ebb11a962ffd48bbcc50775953f5388f27dbedf4f969f0f8599331dd2354795",
+        "91880e78edcb534d9cf214c13100b76e221318ce154022235661c754f4624f0a",
+        "b9fc59ff5b197bf4a4fafa23211662c91d3f8102ecb79907e3ec15f64e13e849",
+        "a7ff6d7d747ac60901fd85e36253f112e1f86541a321400490679aed73813ca2",
     ),
     (4, 2, 32): (
-        "ae44cabb15f2d5e84d70e92c842cca6b55e1d8110aee708f8edab3ea7657a22c",
-        "f1fdb9068ec6a6c4b552e9a2df923c3736253393e9ad335d3217407f61ff771f",
-        "8e1d624ff7dbbd6aae52de337d92fddb8fe918d80ddbde1fcd53f74cd88c63f8",
+        "4ec65f84041e7424654ae08dcb4124419fd03ae54616eaeeaa7943bf3f165a2a",
+        "f06fb78ec091f189676e88c992955d9b9159ae2b2c530826d8cbc37d9bb22cf5",
+        "0ee2044fcf4c7a83de9e1448acf49702143b0b03434eabd5825a8256286ca9bf",
     ),
     (2, 4, 4, 4, 4): (
-        "78dfe641338c89bee43e83ac5cc4c574c2863341e21a63bae90c53d1aed59d3c",
-        "84f953d95af34da47fd072fdc30faa949a98e8a43bc4c7af389964e28735af5b",
-        "e759f404189c2bc018c21c282d0837c879328f99c5f133218da0159d5447b5a4",
+        "075e3a121b2e95e7beb45d77b1e0c3977b1c40dceb4f26449465af55de44c5f4",
+        "76846952f445eb80c55d2a022478a8916c37706d276e569677efdf7b43e9606e",
+        "d9b4848942fcee737bc9718c67c9db4a4117ec4ee442b245152c32b39932ba80",
     ),
     (2, 2, 2, 2, 2, 2, 2, 2): (
-        "7f2d37f862e12d67829b508f34ca8bf897de892b1dc285668783bd7ccae39943",
-        "655ea3c953aa0cc575ce626ab7890733826099ffebcc93a5c86970118a71eb1b",
-        "db44e5e26452959f38f2d9d94ce98a0aef4e47a0937d259200e71b0955a09bd4",
+        "1786b48e608fc82e1f57bbedd7c3db6b0f7a7729ecaa807ff2fa22c95d59acd4",
+        "8b6a01c79719929892422b533435a979863fbb0c9dd394adb5372485851807ae",
+        "c367a1d83f83a9d2e1b88614481f6fe5e5d5798619be2034fe92405096ed79de",
     ),
     (4, 4, 4, 4): (
-        "d6df974a925fdbad0a2f352097bc90a31bd0e8208ff4befd4672845e0d2697cb",
-        "23679ba40b9a0a925b094a0fc977f79914f47ef0e01e76ea6268f82ba6920990",
-        "690981f1b6e3fff5cc409d9f58abfb78ce78cdb300be77bb3e439ae3a59bf6c5",
+        "2e1335f1c6d685dd9feb307814b5cf64f32806473f0400bb812e1075e434bc36",
+        "b6884d4e30e65e08a08711ee4478dd1ac30d56a5ffbaca6e15620eda34cf997a",
+        "6abbc10598b1fd653da89d1fb60326f2bfa3503244e41daf5730bb85bf88781e",
     ),
     (2, 4, 4, 4): (
-        "a0a29d0bd14f5a36b44c3c54700aa282604d57e6a5df69e92f6d767389449ef3",
-        "71ce32ae9781e56018b8d5693292db15f47e9054c0f0cfa4e6c43e2471f63917",
-        "bf308cc031547384c4c278bdc5fc378ac5e30ada39e47145455f7689fb1032a0",
+        "e1b4006bf3966f07b507c161a984f27e28c332d70e03ff47d331c767ede6de5c",
+        "87cd393df2f032d44d1a06456fb0d9262839cdb46c8aeceaa19831038e854918",
+        "64e237ae51e61c5fd8ae93e27904e78cb209f3c123c16f7024a0fbfb089d1805",
     ),
     (2, 2, 128): (
-        "bb269cb89d9a86b8580994edd80257b2bee43a7a231a27fa590e36ff920c78b8",
-        "4bf3834338a4d0dd90a6ae93729607d30ce8ffcefa388515a1027ab959d2000d",
-        "28f8d9843cf2e67cb1fea7e30f1fe8639dfbe30849b21d5b4b8b49ec7e327286",
+        "11cb593d58929c1265103c502f73dabd7ced49907bf06c2a96188faf174d7dfe",
+        "9122e6b612fe261824302a45a85949cdefdfbb55572ffd8a10388ff2b2a2a901",
+        "78a3a2421348ef27206b85269960f7475359f9279bc7f8b8577288106044389b",
     ),
     (4, 16, 16): (
-        "d5511afdb7b439ca8a2899f2a9e4a3dc5696cbbcfa5d0d8d4040ff316c864b51",
-        "b258d9485116931c060cd70c134dd1085ddcea414e19387312b5335d1d2073b3",
-        "2d04b95a9fda8b0f8ea1ba43979ca4d13398bdf1be6cc4c334e51400ae3e7829",
+        "145386389238b34b2b334880339e21bab8d9f14a22e89f3ac08fa7c8eafd84af",
+        "c33add923f2e19f92905583824fd41108f78a8351218e53cb5b688fef175f872",
+        "b6d54d74d888eecc6d1f3d804dd5d5da3c0adc517659d57915647c29edc07aa6",
     ),
 }
 
 
 GOLDEN_BASIS = {
     (3, 2, 2): (
-        "bfd2671987278e338ed29887cacb973eb520b481854c51882b2c4cd2b8a33076",
-        "8a2ba0d31e66c613f106f2a97c1d35c1a87bf0cbe979a4df6ecf9b5a9af1f35c",
-        "8f4383b43de7e50d866967300007a9c749a1bbe5caa1b4d839e14339d7f2d1c7",
+        "e0c1aa5770b4cde255c67e0e5342a521e5481314a70d31db08268d720cd922eb",
+        "bfc7a2aeab5a3bc2703e637181c48069facba7ec9ac1c582ec19ab513424ccce",
+        "cb333589befdee3b5e45c15ad57e5c23d3096356c63d1c2f08e6a974d2ae6bf4",
     ),
     (2, 2, 64): (
-        "ff5138ae20acc663b4c637393aa12479098263a26789642d9e69457afa3ce5fc",
-        "df83ae7964add2c818e89d6b07d630d4c1adff0d7ddf395d07fa9a26b6d4b4e3",
-        "a26b43c82cdf8f8e46d758e101a9038d5f2340b076be1d54821b2be0916d44b5",
+        "4eb649bf9c184c1e15845f5f50b1045308c24912eee4be88f50362fe825cb436",
+        "484e09fe63a0c92979e98d1399d71bd452c425c5f308559b1911eb93fa9e6f0a",
+        "aeb9318c9a867d371d1c7bcadbe6c957f76bbaf5f5ac1954615bdc0add1606a2",
     ),
     (2, 4, 32): (
-        "2e5a2e76207b07435379bba93e84d98958cf141a27967088928fa7c2a992e6a4",
-        "7356bbb0f17b986c05f83b3332ecafc636e9956ff094038a3be9ec024226ba97",
-        "84689baecd2dd37bd54f86334f9d400552014b420f14e6df419c1bc66279ccbd",
+        "4cf1279c9a09baaecb28b8ac9f01152f2fa25f09d9ec55cbc519d2b98d8c8c81",
+        "e197558f6e55795e8f23c678298c2553d3a790bfa0806bd441ee1f8d26632adb",
+        "3797caef51b46a486a33459c46d2556a7d87c758c5632efbe306c300b4903ae3",
     ),
     (4, 2, 32): (
-        "f4ee67b701256874eb4458de512af6c8a4374e1f84133f6c995b9a7bb815911f",
-        "fdcb8f0c9edb6806987c160713168a93215ca8b4b30a9a0a4121861301536d86",
-        "0f707cf8938e4302b057c598087edbf6cebb9539e20885db03c8b2479dd160a2",
+        "767dd437e27aab2c5315e815e0f68a8996c8301a41d1e3cc3ba4e06da11d3f9c",
+        "3657235a47e2ccc7b7eac987d14f039d8d6d304864da2b75212765524aefec86",
+        "ef6d73e90333dd94ad5eabb728d8d7aa408e06ee2a1e9b1eeff3ca72c8e4fb68",
     ),
     (2, 4, 4, 4, 4): (
-        "10233532a4cb10c74e86a498e35630e2b98936cd303b69a0ef3a292eef9b9b36",
-        "6dbadc31115aeeece64f94fd009c212c9e74a6b60373269d7785e13a2ae84f84",
-        "93874c5c6da1f338f641f69a6f6f72ebfd4c2184522dbfbedd4e4e25eda2e87b",
+        "a0c9530a837bc136e9aa1a9d8a743bdb9b7a7992264cea2edd98bb89b082d0fe",
+        "84f466f96372664d4ca0e024a53f1385ceddbdbc107c334485c4c2c769b06a47",
+        "58c096caeae5b5f40d07ea3d785e2f9716181ec43c66db86d6bac1ec07401e63",
     ),
     (2, 2, 2, 2, 2, 2, 2, 2): (
-        "1a1527632d70c218147928274ac94a915f28217edc95b7ee6a6c9c7dc7be198e",
-        "f67c895e94bbf1e7937e37cdbfb62f831d4d4c8603373344fbea89213445f8cb",
-        "2a0b2106d1c08e4d6e18558cf841516965759c54f755446ae08a365328f14919",
+        "86804546675c3a0a97ff1ea035ecc7b691e81d7d59b400bf95bbe6bedcfc41f4",
+        "4be4531808c621e4e60721a7fc06c425deaa1fb3877e1e698cafd4a3c8c740b3",
+        "74ef08901e76e58b616e79067fc0bf17ef38ce6b75a310490324c9aea2e27c2c",
     ),
     (4, 4, 4, 4): (
-        "70e8a490ca425f7f884b28e5ce3ce534c52a381443747bd73d1d4a705eba699a",
-        "c997a2d3cc028412b896d1c65b1fbe2848fba81cd6ef81f60b918da9b76197f8",
-        "b94f9e3b8c6e0ec6204d94f445ec2954cf8a1e9b15cb01c28ed47d81516618a0",
+        "9f13ebd566c06ceeaff39ddd5dafc921a14e4ceae52e9224d833de55b32bb40a",
+        "03bb49b29706ed7e0ecd84ceb5ed5140eb92f941102250fe485246c4822880d5",
+        "61dedf2658e0b6c8df14a6b8a2de8088f79c91195f02bf9b7772433f9d652070",
     ),
     (2, 4, 4, 4): (
-        "1e4a4a95e166251204ac9708537b0da5604d4edb4fd3efe70d2e77249c42eeb3",
-        "69e166c893109d5dd3cb7982bba45f3ad786bf8424d413f998341b0515b3c285",
-        "0adedfc5def5fe664df337bb524f30c1699bd8f8fc019333ad7d2324002e4e59",
+        "dc3980e190231244c1f745610000661b2719ee5ea0e9a9a4a48e148c72695865",
+        "e0f9a86e2c9ab8599c944a3f77f104804a281045911158bb84a00ee2bd1d8a31",
+        "f2e56bccff4bcf7c5e820ade7e0c85bb89b3265304c67e1c1a442c77742a0771",
     ),
     (2, 2, 128): (
-        "72f0e1095d134c327e338373077a19ee5d6d75393baf7ff0f65719a67d2a1b8a",
-        "745903def2c24450c3652d4cff3e289a3c99ad729cd7d84ea003f1febb89f52f",
-        "79c756faa950fe67784a4c55c8ec78e29c996c027dc2b82160bc095dba56e168",
+        "edb915cec5cfb7194946b69fe867d8c83b702215cef81bdb035c3d69c46c160c",
+        "2fe2de5e870dfe9bc83d76ec7b550403cfa2d321c2396ee3fc3f44407f1f1c5c",
+        "35feab67788d54176e8d27522dba5f9ccee7ca4a27eb235acf7e30264be7b4a7",
     ),
     (4, 16, 16): (
-        "cf1f60480f6a97ca9c313f695cb0c7f261420a4eac4ddf4a8ea0bff10ef08c00",
-        "fb831ed8c7e54aeecc7894ae0f576f6f32c318112bb26cbff5f3324a3afe569b",
-        "f1741d412bfde01877a7dba22556a6e0ba807342fbf08102fa32ceae84603aec",
+        "f11a42a0ba66305514d8ce291d3e3ef59c876f07b7eab765d105bca4fdeba991",
+        "2c518948b98ba66de14f135489212e819c7078cadcabfde0cdd73047141a8248",
+        "b96ba28aa9d97c944706c89f3b588ce8e4a1f26b3329e5ca03712ba6c18c31aa",
     ),
 }
 

@@ -44,7 +44,8 @@ def parse_decomposition_by_lines(text):
     def take():
         nonlocal pos
         if pos >= len(lines):
-            raise GraphFormatError("unexpected end of decomposition record")
+            end = lines[-1][0] + 1 if lines else 1
+            raise GraphFormatError("unexpected end of decomposition record", line=end)
         item = lines[pos]
         pos += 1
         return item
@@ -508,7 +509,7 @@ TWO_FAULTS = {
     ),
     "row-count-and-token": ({7: "x 0.5 0.5"}, "line 7: expected 2 values, got 3"),
     "ladder-token-and-count": ({5: "weight 0.5\nladder x 1.0"}, "line 6: bad ladder line"),
-    "last-row-missing": ({17: None}, "unexpected end of decomposition record"),
+    "last-row-missing": ({17: None}, "line 17: unexpected end of decomposition record"),
     # A row that fails is not kept, so its first line is the one named.
     "same-bad-row-twice": ({10: "x 1.0", 17: "x 1.0"}, "line 10: bad numeric value in 'x 1.0'"),
 }
@@ -523,6 +524,17 @@ def test_two_faults_give_the_pinned_message(name):
     with pytest.raises(GraphFormatError) as got:
         parse_decomposition(text)
     assert str(got.value) == message
+
+
+def test_cut_per_term_record_names_the_line_after_its_last():
+    # Cut after every complete line, with a comment and a blank line after
+    # the cut: the error names the line after the last content line.
+    lines = theorem_record((2, 4, 4, 4), 1).splitlines()
+    for cut in range(len(lines)):
+        text = "\n".join(lines[:cut] + ["# cut here", ""]) + "\n"
+        with pytest.raises(GraphFormatError, match="unexpected end of decomposition record") as got:
+            parse_decomposition(text)
+        assert got.value.line == cut + 1, cut
 
 
 # -- repeated rows: each distinct row text is converted once a record ----------
