@@ -2,25 +2,23 @@
 
 ``_factor_failures`` checks one per-axis stack of factors: finite,
 symmetric, unit trace and PSD, by one batched eigenvalue call.
-:func:`separability.verify_decomposition` runs it on its blocks, and the
-factored certificate on its stack of first factors.
+:func:`separability.verify_decomposition` runs it on its blocks.
 
-``_factored_certificate`` bounds |S - rho|_F for a decomposition held as a
-grid (:class:`separability.TermGrid`: one common weight, the N_k vectors
-of each axis k >= 2, the terms covering the product grid once, as
-:func:`_covers_grid` checks) of a graph with A = F_1 (x) ... (x) F_n, from
-the grid's per-axis arrays and the graph's factors alone, with no
-V x V matrix or eigensolve and no BLAS call, so the bound's bits do not
-depend on the BLAS thread count (C. F. Van Loan, "The ubiquitous Kronecker
-product", J. Comput. Appl. Math. 123 (2000); N. J. Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., ch. 3, for the gamma_m
-rounding bounds).  It only ever passes;
+``_factored_certificate`` bounds |S - rho|_F for a decomposition held as its
+basis (:class:`separability.TermGrid`: one common weight, per axis k >= 2
+the eigenvalues and vectors of F_k, F_1 and the layer degrees) of a graph
+with A = F_1 (x) ... (x) F_n, from that basis and the graph's factors
+alone: no V x V matrix, no array that grows with the number of terms T, no
+eigensolve and no BLAS call, so the bound's bits do not depend on the BLAS
+thread count (C. F. Van Loan, "The ubiquitous Kronecker product",
+J. Comput. Appl. Math. 123 (2000); S. Gershgorin (1931) for the first
+factors; N. J. Higham, *Accuracy and Stability of Numerical Algorithms*,
+2nd ed., ch. 3, for the gamma_m rounding bounds).  It only ever passes;
 :func:`separability.certify_decomposition` falls back to the dense path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -84,16 +82,6 @@ def _factor_failures(stack: np.ndarray) -> dict[int, list[str]]:
     return found
 
 
-def _covers_grid(choice: np.ndarray, dims) -> bool:
-    """Whether the (T, n - 1) eigenvector choices of a grid's terms are in
-    range and take every cell of the product grid of axes 2..n once."""
-    count = math.prod(dims[1:])
-    if choice.shape != (count, len(dims) - 1) or (choice < 0).any() or (choice >= dims[1:]).any():
-        return False
-    cells = np.ravel_multi_index(tuple(choice.T), dims[1:])
-    return bool((np.bincount(cells, minlength=count) == 1).all())
-
-
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -137,17 +125,48 @@ def _telescoped(diffs, lefts, rights) -> float:
     )
 
 
+# The least eigenvalue the Gershgorin test lets a first factor have: a tenth
+# of the dense check's PSD tolerance, the rest left for its eigensolve's error.
+_DISC_SLACK = 1e-10
+
+
+def _axis_sums(vectors: np.ndarray, pattern: np.ndarray):
+    """Per-axis quantities of the factored bound, from the (N, N) array of
+    an axis's vectors (one a row) and its 0/1 pattern F_k: the computed
+    |v_j|^2, whether each row passes :func:`_unit_rows`, the Rayleigh
+    quotients mu_j, and upper bounds on |U_k - I|, |U_k|, |I|, |B_k - F_k|,
+    |B_k| and |F_k| (see :func:`_factored_certificate`)."""
+    # einsum's loop order, and so its order of summation, follows the
+    # strides: in C order the bound's bits do not depend on the layout.
+    v = np.ascontiguousarray(vectors)
+    d = len(v)
+    square, unit = _unit_rows(v)
+    pattern = pattern.astype(float)
+    mu = np.einsum("ja,ja->j", v, np.einsum("ab,jb->ja", pattern, v))
+    summed = np.einsum("ja,jb->ab", v, v)
+    weighted = np.einsum("ja,jb->ab", v * mu[:, None], v)
+    u_slack = (_gamma(d) + _UNIT_ROUNDOFF) * float(square.sum())
+    b_slack = (_gamma(d + 1) + _UNIT_ROUNDOFF) * float((np.abs(mu) * square).sum())
+    bounds = (
+        _norm(summed - np.eye(d)) + u_slack, _norm(summed) + u_slack, math.sqrt(d),
+        _norm(weighted - pattern) + b_slack, _norm(weighted) + b_slack,
+        math.sqrt(float(pattern.sum())),
+    )
+    return square, bool(unit.all()), mu, bounds
+
+
 def _factored_certificate(
     decomposition: SeparableDecomposition, report: ConditionReport, tol: float
 ) -> VerificationCertificate | None:
     """A passing certificate for a decomposition whose terms are a
-    :class:`separability.TermGrid`, from its per-axis arrays; None whenever
-    it cannot pass, and for terms held any other way.
+    :class:`separability.TermGrid`, from its basis; None whenever it cannot
+    pass, and for terms held any other way.
 
     With the graph's exact 0/1 factors (A = F_1 (x) ... (x) F_n), layer
     degrees delta (each F_k, k >= 2, regular and delta = r_1 prod_k |F_k|_inf
-    in integers, so D = diag(delta) (x) I) and 2|E|, and with the record's
-    common weight w, first factors X_t and distinct projectors P_{k,j}:
+    in integers, so D = diag(delta) (x) I), 2|E| = T sum(delta), and a grid
+    whose F_1 and delta are the graph's, with common weight w, first factors
+    X_t and projectors P_{k,j} = ``projector(v_{k,j})``:
 
         2|E| (S - rho) = diag(delta) (x) (U - I) + F_1 (x) (B - F)
                          + sum_t R_t (x) P_{2,t} (x) ... (x) P_{n,t}
@@ -155,115 +174,145 @@ def _factored_certificate(
     where U = (x)_k U_k, U_k = sum_j P_{k,j}; B = (x)_k B_k, B_k = sum_j
     mu_{k,j} P_{k,j}; F = (x)_{k>=2} F_k; and R_t = 2|E| w X_t - diag(delta)
     - lambda_t F_1 with lambda_t the product of the term's mu.  The identity
-    holds for any mu, since the terms cover the grid once; mu_{k,j} is the
-    Rayleigh quotient v^T F_k v of the axis's vector v = v_{k,j}, as
-    computed.  F_1 has a zero diagonal, so the
+    holds for any mu, since the terms are the full product grid of the
+    axes' vectors, each cell once; mu_{k,j} is the Rayleigh quotient
+    v^T F_k v of v = v_{k,j}, as computed.  F_1 has a zero diagonal, so the
     first two parts are orthogonal; each is bounded by the telescoping sum
     (:func:`_telescoped`), the third by the triangle inequality.  Sums with
     cancellation get an absolute allowance of gamma_m times the sum of
     absolute values (Higham, ch. 3); every other computed quantity is a sum
     or product of non-negative numbers, whose relative rounding is covered
     by one factor 1 + gamma_K at the end.  |2|E| rho|_F^2 = sum deg^2 + 2|E|
-    is an integer.  No V x V matrix, eigensolve or BLAS call is made, so the
-    bound's bits depend only on numpy's CPU kernels.
+    is an integer.
 
     Each axis k >= 2 is worked from its (N, N) array V of vectors, one a
-    row, in Gram form: U_k as V^T V and B_k as (V * mu)^T V, each entry one
-    dot product of length N, and |P_{k,j}|_F <= (1 + u) |v_j|^2, so no
-    (N, N, N) stack is formed.  ``np.einsum`` without ``optimize`` runs
-    numpy's own loops, never BLAS.  P_{k,j} is ``projector(v_j)``, with each
-    entry of v v^T rounded once (u = 2^-53), so entry (a, b) of U_k lies
-    within u sum_j |v_ja v_jb| of the same sum of exact products, and the
-    computed dot product within gamma_N of that; V * mu rounds once more.
-    As |(|v| |v|^T)|_F = |v|^2, the allowances are (gamma_N + u) sum_j
-    |v_j|^2 for U_k and (gamma_{N+1} + u) sum_j |mu_j| |v_j|^2 for B_k.
+    row, in Gram form (:func:`_axis_sums`), once per distinct (V, F_k) pair
+    by their bytes: U_k as V^T V and B_k as (V * mu)^T V, each entry one dot
+    product of length N, and |P_{k,j}|_F <= s_{k,j} = (1 + u) |v_j|^2.
+    ``np.einsum`` without ``optimize`` runs numpy's own loops, never BLAS.
+    Each entry of v v^T is rounded once (u = 2^-53), so entry (a, b) of U_k
+    lies within u sum_j |v_ja v_jb| of the same sum of exact products, and
+    the computed dot product within gamma_N of that; V * mu rounds once
+    more.  As |(|v| |v|^T)|_F = |v|^2, the allowances are (gamma_N + u)
+    sum_j |v_j|^2 for U_k and (gamma_{N+1} + u) sum_j |mu_j| |v_j|^2 for B_k.
 
-    The weight check and the check of the first factors are
-    :func:`separability.verify_decomposition`'s, which forms each factor
-    k >= 2 as ``projector(v)``: it is exactly symmetric, as x y rounds like
-    y x, and it is v v^T + E with |E|_F <= 2^-53 |v|^2 (underflow adds at
-    most d^2 2^-1074), so lambda_min >= -2^-53 |v|^2 (Higham, ch. 3).  With
-    unit trace, |v|^2 is within about 1e-10 of 1, far inside that check's
-    PSD tolerance of 1e-9: a finite projector with |trace - 1| <= 1e-10
-    passes it, and no other does.  :func:`_unit_rows` accepts only finite
-    vectors whose projector has such a trace, from |v|^2 alone, with no
-    projector or eigensolve.  The ``ladder`` and ``index`` lines play no
-    part.
+    The third part has a closed form over the axes.  Term t's first factor,
+    as the grid builds it, has the entries fl(delta_i / s) on its diagonal
+    and fl(lam_t / s) where F_1 has a 1, with s = sum(delta) and lam_t the
+    computed product of the recorded eigenvalues a_{k,j} the term chooses,
+    within gamma_{n-2} of the exact product.  With p = fl(T w) and e =
+    |p - 1| + 2 u p >= |T w (1 + eps) - 1| for |eps| <= u, R_t has the
+    diagonal delta_i (T w (1 + eps_i) - 1) and the off-diagonal entries
+    T w (1 + eps_t) lam_t - lambda_t, so
+
+        |R_t|_F <= |delta| e + sqrt(nnz F_1) (|prod a - prod mu|
+                   + (gamma_{n-2} + e (1 + gamma_{n-2})) prod |a|).
+
+    Over the full grid, sum_t prod_k s_{k,t} = prod_k sum_j s_{k,j}, and
+    likewise with |a| s, while the telescoped differences factorise:
+    sum_t |prod_k a - prod_k mu| prod_k s <= sum_k (prod_{i<k} sum_j |a_ij|
+    s_ij) (sum_j |a_kj - mu_kj| s_kj) (prod_{i>k} sum_j |mu_ij| s_ij).  So
+    the whole bound takes O(sum_k N_k^3) time and O(sum_k N_k^2) memory.
+
+    The checks are those of :func:`separability.verify_decomposition`, each
+    shown to pass from the basis:
+
+    - Weights: the T equal weights sum, in any order, to within gamma_{T-1}
+      T w of T w, and p is within u T w of it, so |p - 1| + gamma_{T+1} p
+      <= 1e-10 puts that sum within 1e-10 of 1 (and so finite and positive).
+    - Factors k >= 2: ``projector(v)`` is exactly symmetric, as x y rounds
+      like y x, and it is v v^T + E with |E|_F <= 2^-53 |v|^2 (underflow
+      adds at most d^2 2^-1074), so lambda_min >= -2^-53 |v|^2 (Higham,
+      ch. 3).  With unit trace, |v|^2 is within about 1e-10 of 1, far inside
+      the PSD tolerance of 1e-9: a finite projector with |trace - 1| <=
+      1e-10 passes, and no other does.  :func:`_unit_rows` accepts only
+      finite vectors whose projector has such a trace, from |v|^2 alone.
+    - First factors: exactly symmetric, as F_1 is.  Their trace is the
+      rounded sum of fl(delta_i / s), whose exact sum is 1: within
+      gamma_{N_1 + 1} of 1, which must be at most 1e-10.  By Gershgorin,
+      lambda_min(X_t) >= min_i (fl(delta_i / s) - r_1(i) |fl(lam_t / s)|),
+      and |lam_t| <= M (1 + gamma_{n-2}) with M = prod_k max_j |a_kj|, one
+      product for all T terms.  So r_1(i) M kappa <= delta_i + 1e-10 s for
+      every top row i, kappa = 1 + gamma_{2n+8} covering the roundings of
+      lam_t, M, the division by s and the test's own two sides, puts
+      lambda_min(X_t) >= -1e-10 (``_DISC_SLACK``) for every t.  The
+      recorded eigenvalues must be finite, and so must every product of the
+      largest |a_kj| over axes n..m (each bounds a partial ladder value),
+      with room for its roundings: then every first factor is finite.
+
+    The ``ladder`` and ``index`` lines play no part.
     """
     from .separability import TermGrid  # separability imports this module
 
-    factors = report.adjacency_factors
-    degrees = report.layer_degrees
+    factors, degrees, grid = report.adjacency_factors, report.layer_degrees, decomposition.terms
     dims = decomposition.profile.dims
     n = len(dims)
     if factors is None or degrees is None or report.profile != decomposition.profile:
         return None
-    grid = decomposition.terms
-    if not isinstance(grid, TermGrid) or not _covers_grid(grid.choice, dims):
-        return None
-    weight, firsts, choice = grid.weight, grid.firsts, grid.choice
-    # With T equal weights, a sum within 1e-10 of 1 is also finite and
-    # positive: the other two weight checks hold.
-    weight_sum = float(sum(itertools.repeat(weight, len(grid))))
-    # einsum's loop order, and so its order of summation, follows the
-    # strides: in C order the bound's bits do not depend on the layout.
-    vectors = [np.ascontiguousarray(v) for v in grid.vectors]
-    squares, unit = zip(*map(_unit_rows, vectors))
-    if not abs(weight_sum - 1.0) <= 1e-10 or _factor_failures(firsts) or not all(map(np.all, unit)):
-        return None
-
     delta = np.asarray(degrees, dtype=np.int64)
+    first = factors[0]
     rows = [f.sum(axis=1) for f in factors]
-    regular = all(r.min() == r.max() for r in rows[1:])
+    count = len(grid)  # T = prod_{k>=2} N_k
     twice_edges = 2 * report.num_edges
-    count = len(firsts)  # T = prod_{k>=2} N_k
+    total_degree = int(delta.sum())
     if not (
-        regular
+        isinstance(grid, TermGrid)
+        and all(r.min() == r.max() for r in rows[1:])
         and all(((f == 0) | (f == 1)).all() for f in factors)
-        and not factors[0].diagonal().any()
+        and not first.diagonal().any()
         and np.array_equal(delta, rows[0] * math.prod(int(r[0]) for r in rows[1:]))
-        and count * int(delta.sum()) == twice_edges
+        and count * total_degree == twice_edges
+        and np.array_equal(grid.top_pattern, first)
+        and np.array_equal(grid.layer_degrees, delta)
+        and _gamma(dims[0] + 1) <= 1e-10
     ):
         return None
 
-    # Per axis: upper bounds on |U_k - I|, |U_k|, |I|, |B_k - F_k|, |B_k|, |F_k|.
-    bounds = []
-    mus = []  # per axis, each term's mu
-    norms = []  # per axis, each term's bound on |P|_F
-    for k, (v, square, pattern) in enumerate(zip(vectors, squares, factors[1:])):
-        d = len(v)
-        pattern = pattern.astype(float)
-        mu = np.einsum("ja,ja->j", v, np.einsum("ab,jb->ja", pattern, v))
-        summed = np.einsum("ja,jb->ab", v, v)
-        weighted = np.einsum("ja,jb->ab", v * mu[:, None], v)
-        u_slack = (_gamma(d) + _UNIT_ROUNDOFF) * float(square.sum())
-        b_slack = (_gamma(d + 1) + _UNIT_ROUNDOFF) * float((np.abs(mu) * square).sum())
-        bounds.append((
-            _norm(summed - np.eye(d)) + u_slack, _norm(summed) + u_slack, math.sqrt(d),
-            _norm(weighted - pattern) + b_slack, _norm(weighted) + b_slack,
-            math.sqrt(float(pattern.sum())),
-        ))
-        mus.append(mu[choice[:, k]])
-        norms.append((1.0 + _UNIT_ROUNDOFF) * square[choice[:, k]])
-    u_diff, u_norm, i_norm, b_diff, b_norm, f_norm = zip(*bounds)
-    first = factors[0]
-    degree_squares = int((delta * delta).sum())
-    diagonal = math.sqrt(degree_squares) * _telescoped(u_diff, u_norm, i_norm)
-    off_diagonal = math.sqrt(float(first.sum())) * _telescoped(b_diff, b_norm, f_norm)
+    weight_sum = count * float(grid.weight)  # p = fl(T w)
+    if not abs(weight_sum - 1.0) + _gamma(count + 1) * weight_sum <= 1e-10:
+        return None
+    eigenvalues = grid.eigenvalues
+    if not all(np.isfinite(a).all() for a in eigenvalues):
+        return None
+    largest = [float(np.abs(a).max()) for a in eigenvalues]
+    partial = [math.prod(largest[m:]) for m in range(len(largest))]  # partial[0] = M
+    if not (
+        max(partial) <= 1e300
+        and (rows[0] * (partial[0] * (1.0 + _gamma(2 * n + 8))) <= delta + _DISC_SLACK * total_degree).all()
+    ):
+        return None
 
-    lam = np.prod(mus, axis=0)  # gamma_{n-2} from the exact product of the mu
-    top = first.astype(float)
-    scaled = (twice_edges * weight) * firsts
-    target = np.diag(delta.astype(float)) + lam[:, None, None] * top  # exact
-    deviation = np.abs(scaled - target)
-    deviation += (
-        _gamma(3) * (np.abs(scaled) + deviation) + _gamma(n) * np.abs(lam)[:, None, None] * top
+    # Per axis: upper bounds on |U_k - I|, |U_k|, |I|, |B_k - F_k|, |B_k|,
+    # |F_k|, and the sums over j of s, |a| s, |mu| s and |a - mu| s.
+    distinct = {}
+    bounds, sizes, a_sums, mu_sums, a_diffs = [], [], [], [], []
+    for a, v, pattern in zip(eigenvalues, grid.vectors, factors[1:]):
+        key = (v.tobytes(), pattern.tobytes())
+        if key not in distinct:
+            distinct[key] = _axis_sums(v, pattern)
+        square, unit, mu, axis_bounds = distinct[key]
+        if not unit:
+            return None
+        s = (1.0 + _UNIT_ROUNDOFF) * square
+        bounds.append(axis_bounds)
+        sizes.append(float(s.sum()))
+        a_sums.append(float((np.abs(a) * s).sum()))
+        mu_sums.append(float((np.abs(mu) * s).sum()))
+        a_diffs.append(float((np.abs(a - mu) * s).sum()))
+    u_diff, u_norm, i_norm, b_diff, b_norm, f_norm = zip(*bounds)
+    degree_squares = int((delta * delta).sum())
+    top_norm = math.sqrt(float(first.sum()))
+    diagonal = math.sqrt(degree_squares) * _telescoped(u_diff, u_norm, i_norm)
+    off_diagonal = top_norm * _telescoped(b_diff, b_norm, f_norm)
+
+    slack = abs(weight_sum - 1.0) + 2.0 * _UNIT_ROUNDOFF * weight_sum  # e
+    ladder = _gamma(n - 2)
+    deviations = math.sqrt(degree_squares) * slack * math.prod(sizes) + top_norm * (
+        _telescoped(a_diffs, a_sums, mu_sums) + (ladder + slack * (1.0 + ladder)) * math.prod(a_sums)
     )
-    per_term = np.sqrt(np.einsum("tab,tab->t", deviation, deviation)) * np.prod(norms, axis=0)
-    deviations = float(per_term.sum())
 
     # The longest chain of roundings on non-negative values, with slack.
-    chain = count + sum(d * d for d in dims) + 8 * n + 32
+    chain = sum(d * d for d in dims) + 8 * n + 32
     total = (math.hypot(diagonal, off_diagonal) + deviations) * (1.0 + _gamma(chain))
     residual = total / twice_edges
     relative = total / math.sqrt(count * degree_squares + twice_edges)

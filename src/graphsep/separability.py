@@ -31,27 +31,22 @@ Kronecker products is reassembled from the same stacks as one matrix
 product of two per-term Kronecker tables per block (:func:`_reassemble`),
 so no V x V matrix is built per term.
 
-A ``decompose`` result holds its terms as the grid they are
-(:class:`TermGrid`): the common weight, the stack of first factors, per axis
-k >= 2 the N_k vectors, and each term's choice of one per axis.  It also
-carries the basis that implies them (each axis's eigenvalues, F_1 and the
-layer degrees), and ``format_decomposition`` writes it in that basis form,
-with no line per term; ``parse_decomposition`` expands a basis record by
-the same function as ``decompose`` (:func:`_basis_grid`).  A per-term record
-reads back as a grid when it is one by row text (bit-equal weights, and on
-each axis k >= 2 exactly N_k distinct vector row texts, covering the product
-grid once), and as a tuple of terms otherwise.  Term objects are built only
-on demand.
+A ``decompose`` result holds its terms as the basis that implies them
+(:class:`TermGrid`): the common weight, per axis k >= 2 the eigenvalues and
+eigenvectors of F_k, F_1 and the layer degrees.  ``format_decomposition``
+writes it in that basis form, with no line per term, and
+``parse_decomposition`` reads a basis record back as the same grid.  The
+first factors, the ladder and the term objects are built only on demand.  A
+per-term record reads back as a tuple of terms.
 
 ``certify_decomposition`` is what ``decompose`` and the CLI's ``verify``
 run.  It compares profiles, then, when the graph's conditions give its
 factors F_k and the terms are a :class:`TermGrid`, it bounds |S - rho|_F
-from the grid's per-axis arrays (:func:`certificates._factored_certificate`),
-which forms each vector's projector and certifies it by the rounding of
-v v^T alone.  The factored path only passes; any other record, a graph
-whose conditions fail, or a bound above ``tol`` goes to
-``verify_decomposition`` against rho, the unchanged reference, whose
-verdict and failure texts are returned.
+from the basis alone (:func:`certificates._factored_certificate`), in time
+and memory that do not grow with the number of terms.  The factored path
+only passes; any other record, a graph whose conditions fail, or a bound
+above ``tol`` goes to ``verify_decomposition`` against rho, the unchanged
+reference, whose verdict and failure texts are returned.
 """
 
 from __future__ import annotations
@@ -59,16 +54,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .certificates import (
-    VerificationCertificate,
-    _covers_grid,
-    _factor_failures,
-    _factored_certificate,
-)
+from .certificates import VerificationCertificate, _factor_failures, _factored_certificate
 from .errors import ConstructionError, GraphFormatError, PreconditionError
 from .graphs import (
     COMBINATORIAL,
@@ -319,68 +310,102 @@ def projector(vector: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class TermGrid(Sequence):
-    """The terms of a grid decomposition, held as the grid of arrays it is.
+    """The terms of a grid decomposition, held as the basis that implies them.
 
-    The construction has one term per choice of eigenvector on axes 2..n.
-    Term t has the common ``weight``, the first factor ``firsts[t]`` and, on
-    each axis k >= 2, the projector of the vector ``vectors[k - 2][j]`` for
-    j = ``choice[t, k - 2]``; the choices cover the grid once.  ``index`` and
-    ``ladder`` are (T, n - 1) arrays, or None when no term has them.  ``len``
-    needs no term object; the :class:`DecompositionTerm` objects, and the
-    projectors, are built on first iteration or indexing, once, and share
-    one array per (axis, eigenvector).
+    The construction has one term per choice of eigenvector on axes 2..n, so
+    a grid is fixed by its common ``weight``, per axis k >= 2 the
+    eigenvalues of F_k and its eigenvectors (one a row, in the same order),
+    the 0/1 top pattern F_1 and the layer degrees delta; ``len`` is
+    N_2*...*N_n.  Term t has the first factor ``firsts[t]`` and, on each axis
+    k >= 2, the projector of ``vectors[k - 2][j]`` for j = ``choice[t, k - 2]``.
+    The (T, n - 1) arrays ``ladder``, ``choice`` and ``index``, the
+    (T, N_1, N_1) stack ``firsts`` and the term objects are built on first
+    access, once; the terms share one array per (axis, eigenvector).
 
-    A grid built from its basis (:func:`_basis_grid`: every :func:`decompose`
-    result and every basis record) also carries that basis: per axis k >= 2
-    the eigenvalues of F_k, in the order of its vectors, the 0/1 top pattern
-    F_1 and the layer degrees delta, all other arrays following from them.
-    Those three are None for a grid read from per-term text.
+    Level s of the ladder expands every row (a ladder value so far) into one
+    child per eigenvalue of F_{n-s+1}, so the rows stay in lexicographic
+    ``index`` order.  A value times F_k has F_k's eigenvectors and that value
+    times F_k's eigenvalues; a negative value reverses their order, so
+    siblings always descend.  Factor 1 of every term is delta + lam F_1 for
+    its last ladder value lam, normalised by the total layer degree.
     """
 
     weight: float
-    firsts: np.ndarray  # (T, N_1, N_1)
+    eigenvalues: tuple[np.ndarray, ...]  # per axis k >= 2, (N_k,)
     vectors: tuple[np.ndarray, ...]  # per axis k >= 2, (N_k, N_k): one vector a row
-    choice: np.ndarray  # (T, n - 1)
-    index: np.ndarray | None = None
-    ladder: np.ndarray | None = None
-    eigenvalues: tuple[np.ndarray, ...] | None = None  # per axis k >= 2, (N_k,)
-    top_pattern: np.ndarray | None = None  # F_1, (N_1, N_1) integers
-    layer_degrees: np.ndarray | None = None  # delta, (N_1,) integers
-    _terms: tuple[DecompositionTerm, ...] | None = field(default=None, init=False, repr=False)
+    top_pattern: np.ndarray  # F_1, (N_1, N_1) integers
+    layer_degrees: np.ndarray  # delta, (N_1,) integers
 
     def __len__(self) -> int:
-        return len(self.firsts)
+        return math.prod(len(values) for values in self.eigenvalues)
 
     def __getitem__(self, position):
-        return self._built()[position]
+        return self._terms[position]
 
     def __iter__(self):
-        return iter(self._built())
+        return iter(self._terms)
 
-    def _built(self) -> tuple[DecompositionTerm, ...]:
-        if self._terms is None:
-            vectors = [list(v) for v in self.vectors]
-            projectors = [list(projector(v)) for v in self.vectors]
-            index = itertools.repeat(None) if self.index is None else map(tuple, self.index.tolist())
-            ladder = itertools.repeat(None) if self.ladder is None else map(tuple, self.ladder.tolist())
-            self._terms = tuple(
-                DecompositionTerm(
-                    weight=self.weight,
-                    factors=(first,) + tuple(p[j] for p, j in zip(projectors, row)),
-                    index=position,
-                    ladder=values,
-                    vectors=(None,) + tuple(v[j] for v, j in zip(vectors, row)),
-                )
-                for first, row, position, values in zip(self.firsts, self.choice.tolist(), index, ladder)
+    @cached_property
+    def _walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ladder and the eigenvector chosen per level, row by row."""
+        # A record's values may be non-finite or overflow: its first factors
+        # then fail their check, with no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.ones(1)
+            ladders = np.empty((1, 0))  # per row, the value after each level
+            chosen = np.empty((1, 0), dtype=np.int64)  # per row, the eigenvector per level
+            for eig in reversed(self.eigenvalues):
+                order = np.arange(len(eig))
+                picks = np.where(values[:, None] < 0.0, len(eig) - 1 - order, order)
+                values = (values[:, None] * eig[picks]).ravel()
+                ladders = np.column_stack((np.repeat(ladders, len(eig), axis=0), values))
+                chosen = np.column_stack((np.repeat(chosen, len(eig), axis=0), picks.ravel()))
+        return ladders, chosen
+
+    @property
+    def ladder(self) -> np.ndarray:
+        return self._walk[0]
+
+    @property
+    def choice(self) -> np.ndarray:
+        """Per term, the eigenvector on each axis k >= 2, in axis order."""
+        return self._walk[1][:, ::-1]
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        sizes = [len(values) for values in self.eigenvalues[::-1]]
+        return np.indices(sizes).reshape(len(sizes), -1).T + 1
+
+    @cached_property
+    def firsts(self) -> np.ndarray:
+        # Degrees that sum to 0 give non-finite factors, which fail their check.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            top = np.diag(self.layer_degrees.astype(float))
+            top = top + self.ladder[:, -1, None, None] * self.top_pattern.astype(float)
+            return top / sum(self.layer_degrees.tolist())
+
+    @cached_property
+    def _terms(self) -> tuple[DecompositionTerm, ...]:
+        vectors = [list(v) for v in self.vectors]
+        projectors = [list(projector(v)) for v in self.vectors]
+        index, ladder = map(tuple, self.index.tolist()), map(tuple, self.ladder.tolist())
+        return tuple(
+            DecompositionTerm(
+                weight=self.weight,
+                factors=(first,) + tuple(p[j] for p, j in zip(projectors, row)),
+                index=position,
+                ladder=values,
+                vectors=(None,) + tuple(v[j] for v, j in zip(vectors, row)),
             )
-        return self._terms
+            for first, row, position, values in zip(self.firsts, self.choice.tolist(), index, ladder)
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class SeparableDecomposition:
     """A convex combination of Kronecker products of per-subsystem factors.
 
-    ``terms`` is a :class:`TermGrid` for :func:`decompose` results and grid
+    ``terms`` is a :class:`TermGrid` for :func:`decompose` results and basis
     records, and a tuple of :class:`DecompositionTerm` otherwise.
     """
 
@@ -473,70 +498,6 @@ def _stacked_blocks(terms, dims, found: dict | None = None):
         yield start, stacks
 
 
-def _basis_grid(
-    weight: float,
-    eigenvalues: tuple[np.ndarray, ...],
-    vectors: tuple[np.ndarray, ...],
-    top_pattern: np.ndarray,
-    layer_degrees: np.ndarray,
-    patterns=None,
-) -> TermGrid:
-    """The grid of terms a basis implies: the eigenvalues and eigenvectors of
-    F_2..F_n, F_1 and the layer degrees delta, with the common ``weight``.
-
-    Level s expands every row (a ladder value so far) in place into one
-    child per eigenvalue of F_{n-s+1}, so the rows stay in lexicographic
-    ``index`` order.  A value times F_k has F_k's eigenvectors and that value
-    times F_k's eigenvalues; a negative value reverses their order, so
-    siblings always descend.  With the float patterns F_2..F_n
-    (``patterns``), every level is checked against its row-sum bound and a
-    value above it raises :class:`ConstructionError`; a record read back
-    has no patterns and is not checked here.  Factor 1 of every term is
-    delta + lam F_1 for its last ladder value, normalised by the total layer
-    degree; every other factor is the projector of one eigenvector of its
-    axis.  The axes in order are the levels in reverse.
-    """
-    # A record's values may be non-finite or overflow, and its degrees may
-    # sum to 0: its first factors then fail their check, with no warning.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.ones(1)
-        ladders = np.empty((1, 0))  # per row, the value after each level
-        chosen = np.empty((1, 0), dtype=np.int64)  # per row, the eigenvector per level
-        for step in range(1, len(eigenvalues) + 1):
-            eig = eigenvalues[-step]
-            order = np.arange(len(eig))
-            picks = np.where(values[:, None] < 0.0, len(eig) - 1 - order, order)
-            lam = values[:, None] * eig[picks]
-            if patterns is not None:
-                pattern = patterns[-step]
-                bound = np.abs(values) * inf_norm(pattern)
-                over = np.abs(lam) > (bound + _CHAIN_SLACK * np.maximum(1.0, bound))[:, None]
-                if over.any():
-                    row, col = np.argwhere(over)[0]
-                    raise ConstructionError(
-                        f"ladder level {step}: eigenvalue {float(lam[row, col])!r} exceeds the"
-                        f" row-sum bound {float(bound[row])!r}",
-                        matrix=values[row] * pattern,
-                    )
-            values = lam.ravel()
-            ladders = np.column_stack((np.repeat(ladders, len(eig), axis=0), values))
-            chosen = np.column_stack((np.repeat(chosen, len(eig), axis=0), picks.ravel()))
-
-        top = np.diag(layer_degrees.astype(float)) + values[:, None, None] * top_pattern.astype(float)
-        firsts = top / sum(layer_degrees.tolist())
-    return TermGrid(
-        weight=weight,
-        firsts=firsts,
-        vectors=vectors,
-        choice=chosen[:, ::-1],
-        index=np.indices([len(eig) for eig in eigenvalues[::-1]]).reshape(len(eigenvalues), -1).T + 1,
-        ladder=ladders,
-        eigenvalues=eigenvalues,
-        top_pattern=top_pattern,
-        layer_degrees=layer_degrees,
-    )
-
-
 def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposition:
     """Produce a certified fully separable decomposition of the signless
     density matrix of ``graph``.
@@ -549,8 +510,9 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     eigendecomposition per axis pattern F_2..F_n: level s of a term holds the
     product of the eigenvalues chosen for F_n, ..., F_{n-s+1}, and siblings
     run in descending order of that product.  Dominance is one integer
-    comparison per top layer; then each level expands all terms at once
-    (:func:`_basis_grid`, which the record parser shares).
+    comparison per top layer, and the row-sum bound one check per axis; the
+    terms are held as the :class:`TermGrid` of that basis, expanded only on
+    demand.
 
     The terms are returned as a :class:`TermGrid` carrying its basis and
     verified once, by :func:`certify_decomposition` with the relative
@@ -578,25 +540,39 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-8) -> SeparableDecomposi
     # delta (x) I + lam (F_1 (x) ... (x) F_m), and F_1 has a zero diagonal, so
     # row (i_1, ..., i_m) has the diagonal delta_{i_1} and the off-diagonal
     # sum |lam| r_1(i_1) r_2(i_2)...r_m(i_m) <= |lam| r_1(i_1) prod_{k=2..m}
-    # |F_k|_inf (r_k: row sums of F_k).  The ladder's checks give |lam| <=
-    # prod_{k>m} |F_k|_inf within _CHAIN_SLACK, so every mixing matrix is
-    # dominant if delta_{i_1} >= r_1(i_1) prod_{k>=2} |F_k|_inf.  A conforming
-    # graph meets this with equality: each F_k with k >= 2 is regular.
+    # |F_k|_inf (r_k: row sums of F_k).  The ladder's checks below give each
+    # eigenvalue of F_k at most |F_k|_inf within _CHAIN_SLACK, so |lam| <=
+    # prod_{k>m} |F_k|_inf as nearly, and every mixing matrix is dominant if
+    # delta_{i_1} >= r_1(i_1) prod_{k>=2} |F_k|_inf.  A conforming graph
+    # meets this with equality: each F_k with k >= 2 is regular.
     rest = math.prod(int(np.abs(f).sum(axis=1).max()) for f in factors[1:])
     need = np.abs(factors[0]).sum(axis=1) * rest
     short = tuple(np.flatnonzero(np.asarray(layer_degrees) < need).tolist())
     if short:
         raise ConstructionError(f"mixing matrix not diagonally dominant (rows {short})")
 
+    # Each distinct pattern is eigendecomposed once; equal axes share it.
     patterns = [f.astype(float) for f in factors[1:]]
-    spectra = [spectral_decomposition(f) for f in patterns]
-    terms = _basis_grid(
+    shared = {key: spectral_decomposition(p) for key, p in {p.tobytes(): p for p in patterns}.items()}
+    spectra = [shared[p.tobytes()] for p in patterns]
+    # The row-sum bound, once per axis, level s being axis n - s + 1: every
+    # ladder value is a product of one eigenvalue per axis, so this bounds
+    # each level's values by the product of the row sums of its axes.
+    for step, (pattern, eig) in enumerate(zip(patterns[::-1], spectra[::-1]), start=1):
+        bound = inf_norm(pattern)
+        over = np.flatnonzero(~(np.abs(eig.eigenvalues) <= bound * (1.0 + _CHAIN_SLACK)))
+        if over.size:
+            raise ConstructionError(
+                f"ladder level {step}: eigenvalue {float(eig.eigenvalues[over[0]])!r} exceeds the"
+                f" row-sum bound {bound!r}",
+                matrix=pattern,
+            )
+    terms = TermGrid(
         1.0 / math.prod(profile.dims[1:]),
         tuple(eig.eigenvalues for eig in spectra),
         tuple(eig.eigenvectors.T for eig in spectra),
         factors[0],
         np.asarray(layer_degrees, dtype=np.int64),
-        patterns=patterns,
     )
 
     decomposition = SeparableDecomposition(
@@ -716,7 +692,7 @@ def certify_decomposition(
     (``report``, from :func:`check_theorem_conditions` unless passed in) and
     its terms are a :class:`TermGrid`, the factored bound of
     :func:`certificates._factored_certificate` is tried first; it only ever
-    passes.  Every other record, and every grid record that bound does not
+    passes.  Every other record, and every basis record that bound does not
     pass, goes to :func:`verify_decomposition` against rho, whose verdict
     and failure texts are returned unchanged.
     """
@@ -854,8 +830,8 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
 
     Header lines carry the profile, term count, reassembly residual and
     certificate flags, all values at 17 significant digits.  A
-    :class:`TermGrid` that carries its basis (every :func:`decompose`
-    result) is written in basis form (:func:`_basis_lines`): the weight
+    :class:`TermGrid` (every :func:`decompose` result) is written in basis
+    form (:func:`_basis_lines`): the weight
     once, per axis k >= 2 its eigenvalues and eigenvectors, F_1 and delta,
     O(sum_k N_k^2) values with no line per term.  Every other decomposition
     is written term by term: each term lists its weight (plus ladder trace
@@ -863,8 +839,9 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     (``term.vectors``) is written as ``factor k vector d`` and one row
     holding v, and is read back as ``projector(v)``; any other factor as
     ``factor k order d`` and its d rows.  Each row array goes through
-    :func:`_row_texts`, which formats each distinct row once per call; the
-    text is the same as formatting every value on its own.
+    :func:`_row_texts`, which formats each distinct row once per call, by
+    one ``%`` format; the text is the same as formatting every value on its
+    own with :func:`textio.format_float`.
     """
     terms = decomposition.terms
     lines = [_DECOMPOSITION_MAGIC]
@@ -878,7 +855,7 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
             for name, ok in decomposition.certificates
         )
         lines.append("certificates " + flags)
-    if isinstance(terms, TermGrid) and terms.eigenvalues is not None:
+    if isinstance(terms, TermGrid):
         return "\n".join(lines + _basis_lines(terms)) + "\n"
     for i, term in enumerate(terms, start=1):
         lines.append(f"term {i}")
@@ -901,11 +878,10 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
 
 
 def _basis_lines(grid: TermGrid) -> list[str]:
-    """The basis-form lines of a grid that carries its basis: ``weight w``;
+    """The basis-form lines of a grid: ``weight w``;
     per axis k >= 2, ``axis k basis N_k``, an ``eigenvalues`` line and the
     N_k eigenvectors, one a row; ``pattern 1 order N_1`` and the rows of
-    F_1; ``degrees`` and delta.  The terms are the ones :func:`_basis_grid`
-    implies."""
+    F_1; ``degrees`` and delta, from which the grid implies its terms."""
     lines = ["weight " + format_float(float(grid.weight))]
     for k, (values, vectors) in enumerate(zip(grid.eigenvalues, grid.vectors), start=2):
         lines.append(f"axis {k} basis {len(values)}")
@@ -919,12 +895,17 @@ def _basis_lines(grid: TermGrid) -> list[str]:
 
 def _row_texts(rows: np.ndarray) -> list[str]:
     """The text of each row of a 2-d float array, 17 significant digits a
-    value; each distinct row (by its float64 bytes) is formatted once."""
+    value as :func:`textio.format_float` writes it; each distinct row (by its
+    float64 bytes) is formatted once, by one ``%`` format."""
     raw = np.ascontiguousarray(rows, dtype=float).tobytes()
     width = 8 * rows.shape[1]
     # Rows of no values (a hand-built empty ladder) are all one empty key.
     keys = [raw[i : i + width] for i in range(0, len(raw), width)] if width else [b""] * len(rows)
-    texts = {key: " ".join(map(format_float, np.frombuffer(key).tolist())) for key in dict.fromkeys(keys)}
+    form = " ".join(["%.16e"] * rows.shape[1])
+    # Adding 0.0 turns -0.0 into 0.0, as format_float does; a signalling
+    # NaN's payload needs no warning.
+    with np.errstate(invalid="ignore"):
+        texts = {key: form % tuple((np.frombuffer(key) + 0.0).tolist()) for key in dict.fromkeys(keys)}
     return list(map(texts.__getitem__, keys))
 
 
@@ -939,24 +920,17 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     be N_2*...*N_n, and it reads back as the :class:`TermGrid` that
     :func:`decompose` held, bit for bit but for the signs of zeros.
 
-    The rest describes the per-term form.  Each distinct row text (and ``ladder`` line) is split and converted by
-    ``float`` once per call; a repeated row reuses those values, after its
-    value count is checked against its own factor's order.  A row that
-    fails is never kept, so the first bad line is the one reported.  The
-    row values go into one flat list, each distinct vector row text once;
-    after the walk that list becomes one array, and the distinct vectors of
-    each axis one stack, numbered in order of first use.
-
-    A record is a grid by row text when its first factors are matrices and
-    every other factor a vector, its weights are bit-equal, each axis
-    k >= 2 has exactly N_k distinct vector row texts, those choices cover
-    the product grid once, and ``index`` and ``ladder`` lines stand on every
-    term or on none.  It is returned as a :class:`TermGrid`, so the
-    per-term form of a ``decompose`` result reads back as one; equal rows
-    spelt two ways are two rows.  Any other record is returned as a tuple of terms, its
-    rank-one factors expanded by one :func:`projector` call per axis on that
-    stack, every term holding the same vector row text on an axis sharing
-    one vector array and one projector array there.
+    A per-term record reads back as a tuple of terms.  Each distinct row
+    text (and ``ladder`` line) is split and converted by ``float`` once per
+    call; a repeated row reuses those values, after its value count is
+    checked against its own factor's order.  A row that fails is never
+    kept, so the first bad line is the one reported.  The row values go into
+    one flat list, each distinct vector row text once; after the walk that
+    list becomes one array, the distinct vectors of each axis one stack,
+    numbered in order of first use, and their rank-one factors one
+    :func:`projector` call per axis on that stack: every term holding the
+    same vector row text on an axis shares one vector array and one
+    projector array there.
     """
     lines = ByteLines(text).texts()
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
@@ -1103,41 +1077,14 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     flat = np.array(values, dtype=float)
     offsets = np.array(offsets, dtype=np.int64).reshape(-1, n)
     is_vector = np.array(is_vector, dtype=bool).reshape(-1, n)
-    weights, indexes, ladders = zip(*heads) if heads else ((), (), ())
-    axes = []  # per axis: the terms with a vector, the distinct vectors, each one's choice
+    factors = [[None] * len(heads) for _ in dims]  # by axis, then term
+    vectors = [[None] * len(heads) for _ in dims]
     for k, d in enumerate(dims):
         # One vector and one projector array per distinct row text, numbered
         # in order of first use, shared by every term that holds it.
         held = np.flatnonzero(is_vector[:, k])
         distinct, choice = np.unique(offsets[held, k], return_inverse=True)
-        axes.append((held, flat[distinct[:, None] + np.arange(d)], choice))
-    bits = np.array(weights, dtype=float).view(np.int64)
-    # A grid by row text: a matrix first factor and a vector on every other
-    # axis, bit-equal weights, N_k distinct rows on axis k covering the grid
-    # once, and index and ladder lines on every term or on none.
-    if (
-        len(heads) == math.prod(dims[1:])
-        and not is_vector[:, 0].any()
-        and is_vector[:, 1:].all()
-        and (bits == bits[0]).all()
-        and all(len(stack) == d for (_, stack, _), d in zip(axes[1:], dims[1:]))
-        and indexes.count(None) in (0, len(heads))
-        and ladders.count(None) in (0, len(heads))
-    ):
-        choice = np.column_stack([choice for _, _, choice in axes[1:]])
-        if _covers_grid(choice, dims):
-            terms = TermGrid(
-                weight=weights[0],
-                firsts=flat[offsets[:, 0, None] + np.arange(dims[0] ** 2)].reshape(-1, dims[0], dims[0]),
-                vectors=tuple(stack for _, stack, _ in axes[1:]),
-                choice=choice,
-                index=None if indexes[0] is None else np.array(indexes),
-                ladder=None if ladders[0] is None else np.array(ladders),
-            )
-            return SeparableDecomposition(profile, terms, residual=residual, certificates=certificates)
-    factors = [[None] * len(heads) for _ in dims]  # by axis, then term
-    vectors = [[None] * len(heads) for _ in dims]
-    for k, ((held, stack, choice), d) in enumerate(zip(axes, dims)):
+        stack = flat[distinct[:, None] + np.arange(d)]
         shared = list(zip(stack, projector(stack)))
         for t, j in zip(held.tolist(), choice.tolist()):
             vectors[k][t], factors[k][t] = shared[j]
@@ -1158,22 +1105,21 @@ def _basis_record(take, dims: tuple[int, ...]) -> TermGrid:
     """The grid of a basis record, read from the lines after its header
     (``take()`` gives the next ``(lineno, line)``), each line in file order:
     the weight, per axis k >= 2 its header, eigenvalues and N_k eigenvector
-    rows, F_1's header and rows of integers, and the degrees.  The terms are
-    expanded by :func:`_basis_grid`, as :func:`decompose` expands them."""
+    rows, F_1's header and rows of integers, and the degrees."""
     weight = _weight_line(*take())
     eigenvalues, vectors = [], []
     for k, d in enumerate(dims[1:], start=2):
         lineno, line = take()
         if line.split() != ["axis", str(k), "basis", str(d)]:
             raise GraphFormatError(f"expected 'axis {k} basis {d}', got {line!r}", line=lineno)
-        eigenvalues.append(_basis_row(*take(), d, float, "eigenvalues"))
-        vectors.append(np.array([_basis_row(*take(), d, float) for _ in range(d)]))
+        eigenvalues.append(_basis_rows(take, 1, d, float, "eigenvalues")[0])
+        vectors.append(_basis_rows(take, d, d, float))
     lineno, line = take()
     if line.split() != ["pattern", "1", "order", str(dims[0])]:
         raise GraphFormatError(f"expected 'pattern 1 order {dims[0]}', got {line!r}", line=lineno)
-    top_pattern = np.array([_basis_row(*take(), dims[0], int) for _ in range(dims[0])])
-    degrees = _basis_row(*take(), dims[0], int, "degrees")
-    return _basis_grid(weight, tuple(eigenvalues), tuple(vectors), top_pattern, degrees)
+    top_pattern = _basis_rows(take, dims[0], dims[0], int)
+    degrees = _basis_rows(take, 1, dims[0], int, "degrees")[0]
+    return TermGrid(weight, tuple(eigenvalues), tuple(vectors), top_pattern, degrees)
 
 
 def _weight_line(lineno: int, line: str) -> float:
@@ -1187,21 +1133,40 @@ def _weight_line(lineno: int, line: str) -> float:
         raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
 
 
-def _basis_row(lineno: int, line: str, d: int, kind, keyword: str | None = None) -> np.ndarray:
-    """The d values of one basis line, after its ``keyword`` if it has one,
-    as float64 or (``kind`` int) int64."""
-    tokens = line.split()
-    if keyword is not None:
-        if tokens[0] != keyword:
-            raise GraphFormatError(f"expected '{keyword}' line, got {line!r}", line=lineno)
-        tokens = tokens[1:]
-    if len(tokens) != d:
-        raise GraphFormatError(f"expected {d} values, got {len(tokens)}", line=lineno)
+def _basis_rows(take, count: int, d: int, kind, keyword: str | None = None) -> np.ndarray:
+    """The (count, d) values of the next ``count`` basis lines, each after
+    its ``keyword`` if it has one, as float64 or (``kind`` int) int64, by one
+    ``kind`` map over the tokens of every line taken.  The first line that
+    fails is named: a bad value before a line whose count, keyword or the
+    record's end failed comes first."""
+    dtype = np.int64 if kind is int else float
+    taken, failure = [], None
     try:
-        return np.array([*map(kind, tokens)], dtype=np.int64 if kind is int else float)
+        for _ in range(count):
+            lineno, line = take()
+            tokens = line.split()
+            if keyword is not None:
+                if tokens[0] != keyword:
+                    raise GraphFormatError(f"expected '{keyword}' line, got {line!r}", line=lineno)
+                tokens = tokens[1:]
+            if len(tokens) != d:
+                raise GraphFormatError(f"expected {d} values, got {len(tokens)}", line=lineno)
+            taken.append((lineno, line, tokens))
+    except GraphFormatError as exc:
+        failure = exc
+    try:
+        values = np.array([*map(kind, itertools.chain.from_iterable(t for _, _, t in taken))], dtype=dtype)
     except (ValueError, OverflowError):
-        what = "integer" if kind is int else "numeric"
-        raise GraphFormatError(f"bad {what} value in {line!r}", line=lineno) from None
+        # Only to name the line: the first whose values do not convert.
+        for lineno, line, tokens in taken:
+            try:
+                np.array([*map(kind, tokens)], dtype=dtype)
+            except (ValueError, OverflowError):
+                what = "integer" if kind is int else "numeric"
+                raise GraphFormatError(f"bad {what} value in {line!r}", line=lineno) from None
+    if failure is not None:
+        raise failure
+    return values.reshape(count, d)
 
 
 def _factor_line(line: str, k: int, d: int, lineno: int) -> bool:

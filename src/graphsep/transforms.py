@@ -118,13 +118,16 @@ def is_partially_symmetric(graph: MultipartiteGraph, axis: int = 1) -> PartialSy
     edges = graph.edge_array()
     partners = swap_edges(graph.profile, edges, axis)
     # Edge rows as scalar keys a*(V+1)+b: the stored edge array is sorted, so
-    # its keys ascend and membership is one binary search per partner.
+    # its keys ascend.  The rewrite is an involution on vertex pairs, so the
+    # partners of distinct edges are distinct: every partner is an edge
+    # exactly when the sorted partner keys are the edge keys.
     stride = graph.num_vertices + 1
     keys = edges[:, 0] * stride + edges[:, 1]
     wanted = partners[:, 0] * stride + partners[:, 1]
-    missing = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] != wanted
-    if not missing.any():
+    if np.array_equal(np.sort(wanted), keys):
         return PartialSymmetryReport(True, axis)
+    # Only a failing graph looks up each partner, to name the first edge.
+    missing = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] != wanted
     first = int(np.argmax(missing))
     return PartialSymmetryReport(
         False, axis, tuple(edges[first].tolist()), tuple(partners[first].tolist())

@@ -274,8 +274,9 @@ class TestDecomposeVerify:
 
     def test_rank_one_factors_skip_the_eigensolve(self, tmp_path, monkeypatch, capsys):
         # A grid record of 128 terms: each verification takes the factored
-        # path, which eigensolves the factor-1 stack only and certifies every
-        # factor k >= 2 from the rounding of its vector's product.
+        # path, which certifies the first factors by Gershgorin discs and
+        # every factor k >= 2 from the rounding of its vector's product, so
+        # neither decompose nor verify eigensolves any factor.
         graph_path = tmp_path / "g.graph"
         argv = ["gen", "theorem", "--dims", "2,2,64", "--seed", "1", "-o", str(graph_path)]
         assert main(argv) == 0
@@ -291,7 +292,7 @@ class TestDecomposeVerify:
         assert main(["decompose", str(graph_path), str(dec_path)]) == 0
         assert main(["verify", str(graph_path), str(dec_path)]) == 0
         assert "verified=pass" in capsys.readouterr().out
-        assert sorted(shapes) == [(128, 2, 2), (128, 2, 2)]
+        assert shapes == []
 
     def test_decompose_builds_rho_once(self, tmp_path, monkeypatch):
         # decompose certifies its grid record from the per-axis factors and
@@ -522,11 +523,30 @@ class TestBasisRecord:
         (lambda lines: lines.append("degrees 3 3"), "line 29: trailing content 'degrees 3 3'"),
         # A cut record names the line after its last content line.
         (lambda lines: lines.pop(27), "line 28: unexpected end of decomposition record"),
+        # A block is converted at once: its first failing line is named.
+        (lambda lines: (
+            TestBasisRecord.retokened(21, lambda t: ["x", *t[1:]])(lines),
+            TestBasisRecord.retokened(23, lambda t: t[:-1])(lines),
+        ), "line 21: bad numeric value in 'x 4.99"),
+        (lambda lines: (
+            TestBasisRecord.retokened(23, lambda t: ["x", *t[1:]])(lines),
+            TestBasisRecord.retokened(22, lambda t: t[:-1])(lines),
+        ), "line 22: expected 4 values, got 3"),
+        (lambda lines: (
+            TestBasisRecord.retokened(22, lambda t: ["nan", "1e999", "-inf", "x"])(lines),
+            lines.__delitem__(slice(23, None)),
+        ), "line 22: bad numeric value in 'nan 1e999 -inf x'"),
+        (lambda lines: (
+            TestBasisRecord.retokened(22, lambda t: ["nan", "1e999", "-inf", "-0"])(lines),
+            lines.__delitem__(slice(23, None)),
+        ), "line 24: unexpected end of decomposition record"),
     ], ids=[
         "short-vector-row", "short-eigenvalues", "bad-float", "bad-eigenvalues-keyword",
         "axis-header-order", "axis-header-axis", "pattern-header", "terms-count",
         "non-integer-pattern", "pattern-out-of-range", "non-integer-degree", "short-degrees",
         "missing-eigenvalues-line", "trailing-content", "missing-degrees-line",
+        "bad-float-before-short-row", "short-row-before-bad-float", "bad-float-before-the-end",
+        "special-floats-before-the-end",
     ])
     def test_malformed_line_is_named(self, files, capsys, edit, message):
         code, captured = self.verify(files, capsys, edit)

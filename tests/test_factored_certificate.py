@@ -1,8 +1,8 @@
-"""The factored certificate of grid records against the dense verification.
+"""The factored certificate of basis records against the dense verification.
 
-``certify_decomposition`` passes a grid record from its per-axis factors
-when the factored bound allows it, and otherwise returns the verdict of
-``verify_decomposition`` against rho.  These tests hold the two paths to the
+``certify_decomposition`` passes a grid (a ``decompose`` result or a basis
+record) from its basis when the factored bound allows it, and otherwise
+returns the verdict of ``verify_decomposition`` against rho.  These tests hold the two paths to the
 same verdicts: the bound must pass every record the dense path passes on
 the golden corpus and the 105-graph sweep, must be an upper bound on the
 residual (checked against a long double reassembly with its own rounding
@@ -14,6 +14,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,10 +130,10 @@ def test_factored_verdict_matches_dense_on_sweep():
             assert_bound_covers_residual(record_of(graph), graph, reference=True)
 
 
-# -- tampered grid records ---------------------------------------------------
+# -- tampered records ----------------------------------------------------------
 #
-# These edit the per-term form of a decomposition (a grid by row text); the
-# basis form's edits are in test_cli.
+# These edit the per-term form of a decomposition, which reads back as a
+# tuple of terms and so takes the dense path; the basis form's edits follow.
 
 
 def edit_row(lines, header, edit):
@@ -231,17 +232,12 @@ GRID_TAMPERS = {
 @pytest.mark.parametrize("case", list(GRID_TAMPERS))
 @pytest.mark.parametrize("dims", [(2, 4, 32), (2, 4, 4, 4), (4, 2, 2)], ids=lambda d: "x".join(map(str, d)))
 def test_grid_preserving_tamper_fails(tmp_path, capsys, dims, case):
-    # One factor-2 vector row text changed in every term that holds it: axis
-    # 2 still has N_2 distinct row texts covering the grid, so the record is
-    # read as a grid, and the factored path must refuse it by itself.
+    # The first axis-2 eigenvector of a basis record changed: the record is
+    # still read as a grid, so the factored path must refuse it by itself.
     graph = gen_theorem_graph(DimensionProfile(dims), 1)
-    lines = format_decomposition(per_term(decompose(graph))).split("\n")
-    header = f"factor 2 vector {dims[1]}"
-    row = lines[lines.index(header) + 1]
-    held = [i + 1 for i, line in enumerate(lines) if line == header and lines[i + 1] == row]
-    assert len(held) == math.prod(dims[2:])
-    for at in held:
-        lines[at] = " ".join(GRID_TAMPERS[case](row.split()))
+    lines = format_decomposition(decompose(graph)).split("\n")
+    at = lines.index(f"axis 2 basis {dims[1]}") + 2
+    lines[at] = " ".join(GRID_TAMPERS[case](lines[at].split()))
     text = "\n".join(lines)
     record = parse_decomposition(text)
     assert isinstance(record.terms, TermGrid)
@@ -254,6 +250,92 @@ def test_grid_preserving_tamper_fails(tmp_path, capsys, dims, case):
     (tmp_path / "g.dec").write_text(text)
     assert main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")]) == 1
     assert "verified=pass" not in capsys.readouterr().out
+
+
+def eigenvalue_line(lines, k):
+    """The position of axis k's eigenvalues line, and its values."""
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"axis {k} basis ")) + 1
+    return at, [float(x) for x in lines[at].split()[1:]]
+
+
+def push_largest(lines, graph, margins):
+    """Scale the largest |eigenvalue| of axis 2 so that the Gershgorin test
+    misses (or, below 1, keeps) its 1e-10 allowance by ``margins`` times,
+    on the top row where that allowance is smallest."""
+    degrees = check_theorem_conditions(graph).layer_degrees
+    at, values = eigenvalue_line(lines, 2)
+    j = max(range(len(values)), key=lambda j: abs(values[j]))
+    values[j] *= 1 + margins * 1e-10 * sum(degrees) / max(degrees)
+    lines[at] = "eigenvalues " + " ".join(map(repr, values))
+
+
+def basis_tamper(lines, graph, case):
+    dims = graph.profile.dims
+    if case in ("eigenvalue-nan", "eigenvalue-inf"):
+        at, values = eigenvalue_line(lines, 2)
+        lines[at] = " ".join(["eigenvalues", case[11:], *lines[at].split()[2:]])
+    elif case == "eigenvalue-past-margin":
+        push_largest(lines, graph, 3.0)
+    elif case == "eigenvalue-far-past-margin":
+        push_largest(lines, graph, 1e7)
+    elif case == "degrees-entry":
+        at = next(i for i, line in enumerate(lines) if line.startswith("degrees "))
+        degrees = lines[at].split()
+        degrees[1] = str(int(degrees[1]) + 1)
+        lines[at] = " ".join(degrees)
+    elif case == "pattern-row":
+        at = lines.index(f"pattern 1 order {dims[0]}") + 1
+        row = lines[at].split()
+        row[-1] = str(1 - int(row[-1]))
+        lines[at] = " ".join(row)
+    elif case == "vector-norm-2e-10":
+        # |v|^2 = 1 + 2e-10, twice the unit-trace tolerance.
+        at = lines.index(f"axis 2 basis {dims[1]}") + 2
+        lines[at] = " ".join(repr(float(x) * math.sqrt(1 + 2e-10)) for x in lines[at].split())
+
+
+BASIS_TAMPERS = (
+    "eigenvalue-nan", "eigenvalue-inf", "eigenvalue-past-margin", "eigenvalue-far-past-margin",
+    "degrees-entry", "pattern-row", "vector-norm-2e-10",
+)
+
+
+@pytest.mark.parametrize("case", BASIS_TAMPERS)
+@pytest.mark.parametrize("dims", [(2, 4, 32), (2, 4, 4, 4), (4, 2, 2)], ids=lambda d: "x".join(map(str, d)))
+def test_basis_tamper_gets_the_dense_verdict(tmp_path, capsys, dims, case):
+    # The factored path refuses each of these by itself, and verify then
+    # gives the dense path's verdict, failures and exit code.  An eigenvalue
+    # just past the Gershgorin allowance leaves every first factor within the
+    # dense check's PSD tolerance, so the dense path passes that record.
+    graph = gen_theorem_graph(DimensionProfile(dims), 1)
+    lines = format_decomposition(decompose(graph)).split("\n")
+    basis_tamper(lines, graph, case)
+    text = "\n".join(lines)
+    record = parse_decomposition(text)
+    assert isinstance(record.terms, TermGrid)
+    assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
+    dense = verify_decomposition(record, density_matrix(graph, SIGNLESS))
+    assert dense.passed == (case == "eigenvalue-past-margin")
+    got = certify_decomposition(record, graph)
+    assert (got.passed, got.failures) == (dense.passed, dense.failures)
+    assert np.array_equal(got.residual, dense.residual, equal_nan=True)
+    (tmp_path / "g.graph").write_text(format_graph(graph))
+    (tmp_path / "g.dec").write_text(text)
+    code = main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")])
+    out = capsys.readouterr().out.splitlines()
+    assert code == (0 if dense.passed else 1)
+    assert ("verified=pass" in out) == dense.passed
+
+
+@pytest.mark.parametrize("dims", [(2, 4, 32), (2, 4, 4, 4), (4, 2, 2)], ids=lambda d: "x".join(map(str, d)))
+def test_eigenvalue_inside_the_gershgorin_allowance_stays_on_the_factored_path(dims):
+    graph = gen_theorem_graph(DimensionProfile(dims), 1)
+    lines = format_decomposition(decompose(graph)).split("\n")
+    push_largest(lines, graph, 0.5)
+    record = parse_decomposition("\n".join(lines))
+    factored = _factored_certificate(record, check_theorem_conditions(graph), 1e-8)
+    assert factored is not None and factored.passed
+    assert verify_decomposition(record, density_matrix(graph, SIGNLESS)).passed
 
 
 def test_terms_replaced_in_a_grid_decomposition_are_judged_as_terms(tmp_path, capsys):
@@ -289,22 +371,40 @@ def test_equal_rows_spelt_two_ways_take_the_dense_path_and_pass():
     assert got.passed and got == dense
 
 
-@pytest.mark.parametrize("case", ["negative", "past-the-axis", "wrong-shape"])
-def test_choices_off_the_grid_are_refused(case):
-    # _covers_grid refuses the grid before any vector is indexed.  The
-    # factored path is called directly: the dense fallback would index past
-    # the vectors.
-    graph = gen_theorem_graph(DimensionProfile((2, 2, 2)), 1)
-    record = record_of(graph)
-    grid = record.terms
-    assert isinstance(grid, TermGrid)
-    choice = grid.choice.copy()
-    if case == "wrong-shape":
-        choice = choice[:, :1]
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3, 2), (2, 4, 4, 4)], ids=lambda d: "x".join(map(str, d)))
+def test_grid_choices_cover_the_product_grid_once(dims):
+    # The factored bound sums over the full product grid of the axes'
+    # vectors; a grid's terms, built from its basis, are that grid, each
+    # cell once, and each term's first factor uses the eigenvalues it chose.
+    grid = record_of(gen_theorem_graph(DimensionProfile(dims), 1)).terms
+    assert len(grid) == math.prod(dims[1:]) == len(grid.choice) == len(grid.firsts)
+    cells = np.ravel_multi_index(tuple(grid.choice.T), dims[1:])
+    assert np.array_equal(np.sort(cells), np.arange(len(grid)))
+    chosen = [values[grid.choice[:, k]] for k, values in enumerate(grid.eigenvalues)]
+    assert np.allclose(grid.ladder[:, -1], np.prod(chosen, axis=0), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("case", ["collided-cell", "dropped-term"])
+def test_per_term_records_off_the_grid_take_the_dense_path(case):
+    # Per-term text never reaches the factored path, whatever cells its
+    # terms take: a collided cell (term 2's factor-2 vector replaced by term
+    # 1's) and a record missing its last term both fail as the dense path
+    # fails them.
+    dims = (2, 2, 2)
+    graph = gen_theorem_graph(DimensionProfile(dims), 1)
+    text = format_decomposition(per_term(decompose(graph)))
+    if case == "collided-cell":
+        text = tamper(text, "sibling-factor-2", dims)
     else:
-        choice[0, 0] = -1 if case == "negative" else graph.profile.dims[1]
-    off_grid = replace(record, terms=TermGrid(grid.weight, grid.firsts, grid.vectors, choice))
-    assert _factored_certificate(off_grid, check_theorem_conditions(graph), 1e-8) is None
+        lines = text.split("\n")
+        lines = lines[: lines.index("term 4")] + [""]
+        lines[lines.index("terms 4")] = "terms 3"
+        text = "\n".join(lines)
+    record = parse_decomposition(text)
+    assert isinstance(record.terms, tuple)
+    assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
+    dense = verify_decomposition(record, density_matrix(graph, SIGNLESS))
+    assert not dense.passed and certify_decomposition(record, graph) == dense
 
 
 def test_decomposition_of_no_terms_fails():
@@ -315,7 +415,7 @@ def test_decomposition_of_no_terms_fails():
     assert certify_decomposition(empty, graph) == certificate
 
 
-def test_shuffled_and_renumbered_record_stays_on_the_factored_path():
+def test_shuffled_and_renumbered_per_term_record_passes_on_the_dense_path():
     graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
     lines = format_decomposition(per_term(decompose(graph))).rstrip("\n").split("\n")
     starts = [i for i, line in enumerate(lines) if line.startswith("term ")]
@@ -325,13 +425,11 @@ def test_shuffled_and_renumbered_record_stays_on_the_factored_path():
     for i, j in enumerate(order.tolist(), start=1):
         shuffled += [f"term {i}", *blocks[j][1:]]
     record = parse_decomposition("\n".join(shuffled) + "\n")
-    original = record_of(graph)
-    assert isinstance(record.terms, TermGrid)
-    assert not np.array_equal(record.terms.choice, original.terms.choice)
-    factored = _factored_certificate(record, check_theorem_conditions(graph), 1e-8)
-    assert factored is not None and factored.passed
-    assert certify_decomposition(record, graph) == factored
-    assert verify_decomposition(record, density_matrix(graph, SIGNLESS)).passed
+    assert isinstance(record.terms, tuple)
+    assert [t.index for t in record.terms] != [t.index for t in record_of(graph).terms]
+    assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
+    dense = verify_decomposition(record, density_matrix(graph, SIGNLESS))
+    assert dense.passed and certify_decomposition(record, graph) == dense
 
 
 def terms_one_by_one(graph):
@@ -470,3 +568,47 @@ def test_unit_check_refuses_every_vector_whose_projector_fails(d):
     failed[list(_factor_failures(separability.projector(vectors)))] = True
     assert not (unit & failed).any()
     assert unit[:60].all() and failed.any()
+
+
+def report_from_factors(dims):
+    """A conforming ConditionReport built from 0/1 factors, with no graph:
+    F_1 a path on N_1 vertices, each F_k (k >= 2) the circulant that joins
+    j to j +- 1, so the profile may lie far past the vertex cap."""
+    profile = DimensionProfile(dims)
+    top = np.eye(dims[0], k=1, dtype=np.int64)
+    factors = [top + top.T]
+    for d in dims[1:]:
+        shift = np.roll(np.eye(d, dtype=np.int64), 1, axis=1)
+        factors.append(np.minimum(shift + shift.T, 1))
+    rest = math.prod(int(f[0].sum()) for f in factors[1:])
+    degrees = factors[0].sum(axis=1) * rest
+    edges = math.prod(int(f.sum()) for f in factors) // 2
+    return separability.ConditionReport(
+        profile, edges, None, (), (), tuple((int(d),) for d in degrees), tuple(factors)
+    )
+
+
+def traced_peak(report, monkeypatch):
+    """Peak traced memory of decompose -> format -> parse -> certify."""
+    graph = SimpleNamespace(profile=report.profile, num_edges=report.num_edges)
+    monkeypatch.setattr(separability, "check_theorem_conditions", lambda g: report)
+    tracemalloc.start()
+    try:
+        dec = decompose(graph)
+        record = parse_decomposition(format_decomposition(dec))
+        certificate = certify_decomposition(record, graph, report=report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certificate.passed and certificate.residual == dec.residual
+    assert isinstance(record.terms, TermGrid) and len(record.terms) == math.prod(report.profile.dims[1:])
+    return peak
+
+
+def test_pipeline_peak_does_not_grow_with_the_term_count(monkeypatch):
+    # T = 8^2 and T = 8^6 = 262,144 terms on axes of order 8: one float per
+    # term alone would be 2.1 MB, the first-factor stack 8.4 MB.
+    monkeypatch.setenv("GRAPHSEP_MAX_VERTICES", str(2 * 8**6))
+    small = traced_peak(report_from_factors((2, 8, 8)), monkeypatch)
+    large = traced_peak(report_from_factors((2,) + (8,) * 6), monkeypatch)
+    assert large < 1_000_000 and large < 4 * small

@@ -29,12 +29,15 @@ import numpy as np
 import pytest
 
 from graphsep import (
+    SIGNLESS,
     DimensionProfile,
     decompose,
+    density_matrix,
     format_decomposition,
     format_graph,
     gen_theorem_graph,
     parse_decomposition,
+    verify_decomposition,
 )
 from graphsep.cli import main
 from graphsep.separability import TermGrid
@@ -48,108 +51,108 @@ def per_term(decomposition):
 
 GOLDEN = {
     (3, 2, 2): (
-        "b4cebc063681e30186afae4ccffbe452a53a8ea6746ae4b85ace3d57aa279cd7",
-        "c1b40eb249de1498c0ecfaa87b3008e975d566a476efa046ba6fd94fd28f2cde",
-        "80a1c0e74187677b29c67732f74416b6477bfc0457abf090882c470670a71854",
+        "ceec9cb25d11c4ab8528e3202d8b6149d26772e0c436e47aa54e154e360957bb",
+        "afe286083b3854a2a9e619b8086ecdb7cdc5fea3a6cea0f6b91ed17f21633669",
+        "76ec314a5a78bedf10c588661cd5631e65d523acd01c674675640b845809c2a9",
     ),
     (2, 2, 64): (
-        "d33ed7327a9c7bf08cf5c7e80a43f54ea46c510716c7a13c37318dfbb62cd1d6",
-        "033201344c5c116601bcdf2eb9ed7fbdb14d84c47ae395ff56a47ec33e3d1b40",
-        "6b344979ae15c74a65ca78b98480c8452a8de4c2040ac247688bcf817ed36500",
+        "a678c524722968f4f08d49ced03d7ba29220f30f491ef391abeb69fc5ef487bb",
+        "0e9b30d39fc5473b5c5f1589e221600b19745d8e88d6df1a25e99e7397f9030c",
+        "1be8089cf64d4dd8ab5df4f05667c1e39e16c7b48b4d448674e32c0066294fd8",
     ),
     (2, 4, 32): (
-        "91880e78edcb534d9cf214c13100b76e221318ce154022235661c754f4624f0a",
-        "b9fc59ff5b197bf4a4fafa23211662c91d3f8102ecb79907e3ec15f64e13e849",
-        "a7ff6d7d747ac60901fd85e36253f112e1f86541a321400490679aed73813ca2",
+        "81c95d0dfd77417b1b10c0f0968bbdc31b510a775de39d8ac9db3b2a81936621",
+        "7da3effc89eb78c6912d983291336b1b43be19a31f2f65b9cea5c90d3c698ccf",
+        "654a9ed5ee960d8fb93df47480c59e837641415d04575f61c173f5bdafdab72e",
     ),
     (4, 2, 32): (
-        "4ec65f84041e7424654ae08dcb4124419fd03ae54616eaeeaa7943bf3f165a2a",
-        "f06fb78ec091f189676e88c992955d9b9159ae2b2c530826d8cbc37d9bb22cf5",
-        "0ee2044fcf4c7a83de9e1448acf49702143b0b03434eabd5825a8256286ca9bf",
+        "11ccfe8f3dd37650809fb929e9eb095ac8f6683bbb34c925174bcf194580b596",
+        "355153df09a2246679651cd5bd9b909fc88bd20c2850176c7041446afb47decc",
+        "9eb273c4b77477aa91d98f55b60b21df1841dc2518ceff88cf9ce790c6538b5c",
     ),
     (2, 4, 4, 4, 4): (
-        "075e3a121b2e95e7beb45d77b1e0c3977b1c40dceb4f26449465af55de44c5f4",
-        "76846952f445eb80c55d2a022478a8916c37706d276e569677efdf7b43e9606e",
-        "d9b4848942fcee737bc9718c67c9db4a4117ec4ee442b245152c32b39932ba80",
+        "6c15826053c3471e5121011aa328c126dad9e39d1361f992b9d159eba01f26ae",
+        "9fea9402570a51d0e5a9fc1b8481abd3a510f3cc20dae5eac96dbcc8253b8fd6",
+        "f3f6bfc468a8554c289201fb191fa07d2d00bd0fc6aa0df15c276cf78aa231cf",
     ),
     (2, 2, 2, 2, 2, 2, 2, 2): (
-        "1786b48e608fc82e1f57bbedd7c3db6b0f7a7729ecaa807ff2fa22c95d59acd4",
-        "8b6a01c79719929892422b533435a979863fbb0c9dd394adb5372485851807ae",
-        "c367a1d83f83a9d2e1b88614481f6fe5e5d5798619be2034fe92405096ed79de",
+        "1285c6fad13d7f9ee94362f6a52a8052d6138d465a5632f15f637d02ccceb1a3",
+        "2e08d106a54d36b2319994cea841c4a501bf424b2d47a58bf29af5241d0600ef",
+        "5ca46d933489e893445c79e6108d99c555e0ed59193fa33e8f30b9ad1b7a64db",
     ),
     (4, 4, 4, 4): (
-        "2e1335f1c6d685dd9feb307814b5cf64f32806473f0400bb812e1075e434bc36",
-        "b6884d4e30e65e08a08711ee4478dd1ac30d56a5ffbaca6e15620eda34cf997a",
-        "6abbc10598b1fd653da89d1fb60326f2bfa3503244e41daf5730bb85bf88781e",
+        "64a8e508577a65c3081bdc062b7ec6960c0b8b329c6fa8a9272a14740ff1bdf4",
+        "87fd18ae569772ae548eaa0394587d2e1a2020404cc7134bce135d58c5ee6338",
+        "c766f7c87f537b3a0eaedb27e5efe3158f3a1f6c6c1d2aed152344e40165346d",
     ),
     (2, 4, 4, 4): (
-        "e1b4006bf3966f07b507c161a984f27e28c332d70e03ff47d331c767ede6de5c",
-        "87cd393df2f032d44d1a06456fb0d9262839cdb46c8aeceaa19831038e854918",
-        "64e237ae51e61c5fd8ae93e27904e78cb209f3c123c16f7024a0fbfb089d1805",
+        "88a0e5301572cca64996a5c554c169e035f2cb260e6426880ecfe1ef5a7ab50d",
+        "f9da05ab146bb2867abab986bc5ec16a47bc3bef1900988fc801e4d4fc3e13e5",
+        "1c0ad3c95518e040db9939ce90e7ffda80c84a7a4c870c1083aaac4287b165b4",
     ),
     (2, 2, 128): (
-        "11cb593d58929c1265103c502f73dabd7ced49907bf06c2a96188faf174d7dfe",
-        "9122e6b612fe261824302a45a85949cdefdfbb55572ffd8a10388ff2b2a2a901",
-        "78a3a2421348ef27206b85269960f7475359f9279bc7f8b8577288106044389b",
+        "4f170c0e0c545a0962d4f67ed5555b807478b1447ba01144b1f5ab5840f905a4",
+        "d778b9b4422ae60b0c92536ea605e0e663be6a42a771027d19dc6f2f37624289",
+        "32546e79c0b1f1549295a1dc4d749eee2bac71c1f27f50f4d1d786de3cc0fbc7",
     ),
     (4, 16, 16): (
-        "145386389238b34b2b334880339e21bab8d9f14a22e89f3ac08fa7c8eafd84af",
-        "c33add923f2e19f92905583824fd41108f78a8351218e53cb5b688fef175f872",
-        "b6d54d74d888eecc6d1f3d804dd5d5da3c0adc517659d57915647c29edc07aa6",
+        "eaba0c3eed6f67ba0ca5ca2b350be00ffc755f2ec9dbcb667f438f038485c179",
+        "4d2e6742b6c38ca92c09bb10f208f6db3d4bd3a90355aa32b0c9ea1314bca400",
+        "061e2984836c674e71f1e7530dfffa0e3a9d2710a47d469fef5d587e5d36a24e",
     ),
 }
 
 
 GOLDEN_BASIS = {
     (3, 2, 2): (
-        "e0c1aa5770b4cde255c67e0e5342a521e5481314a70d31db08268d720cd922eb",
-        "bfc7a2aeab5a3bc2703e637181c48069facba7ec9ac1c582ec19ab513424ccce",
-        "cb333589befdee3b5e45c15ad57e5c23d3096356c63d1c2f08e6a974d2ae6bf4",
+        "0155b7e0e2a9624c75c3d99be7c55aa1ec72f3b5823ea8017dbbc7f6438968f9",
+        "bea9348f5f87b2a0e35735414f37d8d1e002bb67d00459c21c5fa994e2aeef34",
+        "1e4aee932c7f9e82b7c7c02fc57b21ecd9ab8d269826fe78e6f487ef2c325700",
     ),
     (2, 2, 64): (
-        "4eb649bf9c184c1e15845f5f50b1045308c24912eee4be88f50362fe825cb436",
-        "484e09fe63a0c92979e98d1399d71bd452c425c5f308559b1911eb93fa9e6f0a",
-        "aeb9318c9a867d371d1c7bcadbe6c957f76bbaf5f5ac1954615bdc0add1606a2",
+        "f29fee7042d004b522549213c2904c429cae909b171dddecd77a1e19a496ea60",
+        "8f5fa964558c2182cdbed601a291777930857a88960914c04075626bdec067f6",
+        "51dfa9218d44b2a9e4b02009bb6bfbc44ae6561c6109a9eb272b556996b10694",
     ),
     (2, 4, 32): (
-        "4cf1279c9a09baaecb28b8ac9f01152f2fa25f09d9ec55cbc519d2b98d8c8c81",
-        "e197558f6e55795e8f23c678298c2553d3a790bfa0806bd441ee1f8d26632adb",
-        "3797caef51b46a486a33459c46d2556a7d87c758c5632efbe306c300b4903ae3",
+        "f384e9d60ecad8ceafae24065ce0e243117548473dc4e0252e5bb610cddb67f3",
+        "608ea1e50fee962c34039760e67b6c3d329fee112858e0631f19581734a85bfc",
+        "ec1c2d67cfbb692baffa842b2ad6bb4deb25c226e92b278c3c22f5cd4ef41641",
     ),
     (4, 2, 32): (
-        "767dd437e27aab2c5315e815e0f68a8996c8301a41d1e3cc3ba4e06da11d3f9c",
-        "3657235a47e2ccc7b7eac987d14f039d8d6d304864da2b75212765524aefec86",
-        "ef6d73e90333dd94ad5eabb728d8d7aa408e06ee2a1e9b1eeff3ca72c8e4fb68",
+        "a4bf206fe451f5ccb75d85db6aad3fab8d67e037eeef59072636de1291dff45a",
+        "04f883ae55c0f6a7b34acebe385be9b8e8add43d32aba9fcd7a1d11beb80558e",
+        "b3f4b7c09951acb9e1f67f1e3ef103a548af388ff5027f50f40c9d14857b4f15",
     ),
     (2, 4, 4, 4, 4): (
-        "a0c9530a837bc136e9aa1a9d8a743bdb9b7a7992264cea2edd98bb89b082d0fe",
-        "84f466f96372664d4ca0e024a53f1385ceddbdbc107c334485c4c2c769b06a47",
-        "58c096caeae5b5f40d07ea3d785e2f9716181ec43c66db86d6bac1ec07401e63",
+        "126d687828051bc902fc3b9bb04ab2322395c726dd9a660e07d749e64f9331b7",
+        "ae0ccc177cedf2277ea38913ef133a402c84d71db18817259f8066ba925facb4",
+        "ec1969c8f15280c8a81eafc360c4afb4840d29a80046ec1af2932bc17259b02c",
     ),
     (2, 2, 2, 2, 2, 2, 2, 2): (
-        "86804546675c3a0a97ff1ea035ecc7b691e81d7d59b400bf95bbe6bedcfc41f4",
-        "4be4531808c621e4e60721a7fc06c425deaa1fb3877e1e698cafd4a3c8c740b3",
-        "74ef08901e76e58b616e79067fc0bf17ef38ce6b75a310490324c9aea2e27c2c",
+        "39d7aaccc5e99f6d27958d3b4fa3c09b78f431eb181b7a70fbadbfcb9dbf52f2",
+        "d4ce560dc7089b200b485b84744fbfc47dac39278969308036ef5661cbf12510",
+        "37a0ba1b77911b874c27fe3f56082eafd94dab32ae21c9a495c238aa633cd430",
     ),
     (4, 4, 4, 4): (
-        "9f13ebd566c06ceeaff39ddd5dafc921a14e4ceae52e9224d833de55b32bb40a",
-        "03bb49b29706ed7e0ecd84ceb5ed5140eb92f941102250fe485246c4822880d5",
-        "61dedf2658e0b6c8df14a6b8a2de8088f79c91195f02bf9b7772433f9d652070",
+        "d9d42e42acad91e675aa67ad7101daf562abaeb073f569b6173c261b659044f3",
+        "fca4cd640d0bdc9d7af2b9efef7d55f987728ca18b26e7ceec6e3db3d380062d",
+        "ba483920243967c08c3f10c0fc99bcca3f74b33eca8890330ba1796e8b2fc48a",
     ),
     (2, 4, 4, 4): (
-        "dc3980e190231244c1f745610000661b2719ee5ea0e9a9a4a48e148c72695865",
-        "e0f9a86e2c9ab8599c944a3f77f104804a281045911158bb84a00ee2bd1d8a31",
-        "f2e56bccff4bcf7c5e820ade7e0c85bb89b3265304c67e1c1a442c77742a0771",
+        "af77859852df77e66f7c4c6785eb35bd142e062d190730164d2763656a3071b8",
+        "25a3d83aa825fbdd005b56a61f8d41d14041288fda74d5f26b2d13e8aa229ad2",
+        "1c2814e9cf03a7c49de9f1599da8c7cb918337b78e905804b3ca8c5542ca2e2c",
     ),
     (2, 2, 128): (
-        "edb915cec5cfb7194946b69fe867d8c83b702215cef81bdb035c3d69c46c160c",
-        "2fe2de5e870dfe9bc83d76ec7b550403cfa2d321c2396ee3fc3f44407f1f1c5c",
-        "35feab67788d54176e8d27522dba5f9ccee7ca4a27eb235acf7e30264be7b4a7",
+        "56e33eb4661ca4b40b1eff6eb08879624cad0987d72109144b50c9f13744b46c",
+        "336309e23f56597778e7a006e74bc13c91942214f6449f1171fb5a2587c8e25b",
+        "5031e1d1288de3fe590b962d5f044f600a813f0d6b9d5d72f88072dd6b53aef5",
     ),
     (4, 16, 16): (
-        "f11a42a0ba66305514d8ce291d3e3ef59c876f07b7eab765d105bca4fdeba991",
-        "2c518948b98ba66de14f135489212e819c7078cadcabfde0cdd73047141a8248",
-        "b96ba28aa9d97c944706c89f3b588ce8e4a1f26b3329e5ca03712ba6c18c31aa",
+        "e5598de465da15b7862b04d0a5f9e5393eaa2e9a24b0f3b300a67b0529322e8f",
+        "6d77b1705f3fe0a2eb9b686795260dafcf0e5a8ecbe3796189442802c0b314da",
+        "5af8e13c509906fe059a958946d98f74c8db2477674cbcf88b98f6034169e357",
     ),
 }
 
@@ -175,10 +178,17 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def without_residuals(out):
+    return [line for line in out.splitlines() if not line.startswith(("residual=", "relative_residual="))]
+
+
 @pytest.mark.parametrize("dims", list(GOLDEN), ids=lambda dims: "x".join(map(str, dims)))
 def test_both_forms_read_and_verify_alike(dims, tmp_path, capsys):
-    # The basis record reads back as the grid in memory, and verify prints
-    # the same for it as for the per-term record of the same decomposition.
+    # The basis record reads back as the grid in memory.  Both forms verify
+    # with exit 0: the basis record on the factored path, which prints the
+    # recorded bound, and the per-term record, a tuple of terms, on the
+    # dense path, which prints the reassembly residual.  Nothing else in
+    # their output differs.
     for seed in range(3):
         graph = gen_theorem_graph(DimensionProfile(dims), seed)
         dec = decompose(graph)
@@ -188,10 +198,18 @@ def test_both_forms_read_and_verify_alike(dims, tmp_path, capsys):
             assert same_bits(getattr(grid, name), getattr(dec.terms, name)), (seed, name)
         for name in ("vectors", "eigenvalues"):
             assert all(map(same_bits, getattr(grid, name), getattr(dec.terms, name))), (seed, name)
+        terms = parse_decomposition(format_decomposition(per_term(dec)))
+        assert isinstance(terms.terms, tuple)
+        dense = verify_decomposition(terms, density_matrix(graph, SIGNLESS))
         (tmp_path / "g.graph").write_text(format_graph(graph))
         results = []
         for text in (format_decomposition(dec), format_decomposition(per_term(dec))):
             (tmp_path / "g.dec").write_text(text)
             code = main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")])
             results.append((code, capsys.readouterr()))
-        assert results[0] == results[1] and results[0][0] == 0, seed
+        (basis_code, basis), (terms_code, per_term_out) = results
+        assert basis_code == terms_code == 0, seed
+        assert "verified=pass" in per_term_out.out.splitlines() and per_term_out.err == basis.err == ""
+        assert f"residual={dec.residual:.3e}" in basis.out.splitlines()
+        assert f"residual={dense.residual:.3e}" in per_term_out.out.splitlines()
+        assert without_residuals(basis.out) == without_residuals(per_term_out.out)

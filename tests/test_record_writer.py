@@ -1,4 +1,7 @@
-"""The per-term record writer against the row-memo writer it replaced.
+"""The record writers against per-value oracles.
+
+The per-term writer is checked against the row-memo writer it replaced, and
+the basis writer against one that formats every value on its own.
 
 ``format_decomposition_row_memo`` is the writer as it stood before weights,
 ladders and rank-one factor blocks got memos of their own: one dict from a
@@ -23,7 +26,7 @@ from graphsep import (
     gen_theorem_graph,
     parse_decomposition,
 )
-from graphsep.separability import projector
+from graphsep.separability import TermGrid, projector
 from graphsep.textio import format_float
 from test_golden_records import GOLDEN, per_term
 
@@ -185,3 +188,64 @@ def test_empty_ladder_writes_like_oracle():
     # A hand-built ladder of no values is a row of no bytes: "ladder ".
     text = assert_writes_like_oracle(record([rank_one(1.0, ladder=())]))
     assert "\nladder \n" in text
+
+
+def format_basis_oracle(decomposition):
+    """Oracle: the basis-form record, every value through ``format_float``."""
+    grid = decomposition.terms
+
+    def text_of(row):
+        return " ".join(map(format_float, np.asarray(row, dtype=float).tolist()))
+
+    lines = ["graphsep-decomposition"]
+    lines.append("dims " + " ".join(str(d) for d in decomposition.profile.dims))
+    lines.append(f"terms {len(grid)}")
+    if decomposition.residual is not None:
+        lines.append("residual " + format_float(decomposition.residual))
+    if decomposition.certificates is not None:
+        flags = " ".join(
+            f"{name}={'pass' if ok else 'fail'}" for name, ok in decomposition.certificates
+        )
+        lines.append("certificates " + flags)
+    lines.append("weight " + format_float(grid.weight))
+    for k, (values, vectors) in enumerate(zip(grid.eigenvalues, grid.vectors), start=2):
+        lines.append(f"axis {k} basis {len(values)}")
+        lines.append("eigenvalues " + text_of(values))
+        lines.extend(map(text_of, vectors))
+    lines.append(f"pattern 1 order {len(grid.top_pattern)}")
+    lines.extend(" ".join(map(str, row)) for row in grid.top_pattern.tolist())
+    lines.append("degrees " + " ".join(map(str, grid.layer_degrees.tolist())))
+    return "\n".join(lines) + "\n"
+
+
+SUBNORMALS = [5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 2.2250738585072014e-308]
+
+
+@pytest.mark.parametrize(
+    "dims, seed", GOLDEN_CASES, ids=[f"{'x'.join(map(str, d))}-{s}" for d, s in GOLDEN_CASES]
+)
+def test_golden_basis_records_write_like_oracle(dims, seed):
+    dec = decompose(gen_theorem_graph(DimensionProfile(dims), seed))
+    assert format_decomposition(dec) == format_basis_oracle(dec)
+
+
+def test_special_values_in_a_basis_write_like_oracle():
+    # -0.0, NaNs of any payload and sign, +-inf and subnormals, in the
+    # eigenvalues and in repeated and distinct vector rows: one % format per
+    # row gives the text of format_float on each value.
+    values = np.array([-0.0, math.nan, math.inf, -math.inf, *SUBNORMALS, *NAN_PAYLOADS, 1 / 3, -1e300, 0.0, -math.nan])
+    vectors = values[: 4 * 4].reshape(4, 4).copy()
+    vectors[3] = vectors[0]
+    grid = TermGrid(
+        -0.0,
+        (values[:4].copy(), values[4:8].copy()),
+        (vectors, np.roll(values, 3)[:16].reshape(4, 4).copy()),
+        np.array([[0, 1], [1, 0]]),
+        np.array([16, 16]),
+    )
+    dec = SeparableDecomposition(DimensionProfile((2, 4, 4)), grid, residual=-0.0)
+    text = format_decomposition(dec)
+    assert text == format_basis_oracle(dec)
+    assert "eigenvalues 0.0000000000000000e+00 nan inf -inf" in text.splitlines()
+    assert "4.9406564584124654e-324" in text and "nan" in text
+
