@@ -839,9 +839,8 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     (``term.vectors``) is written as ``factor k vector d`` and one row
     holding v, and is read back as ``projector(v)``; any other factor as
     ``factor k order d`` and its d rows.  Each row array goes through
-    :func:`_row_texts`, which formats each distinct row once per call, by
-    one ``%`` format; the text is the same as formatting every value on its
-    own with :func:`textio.format_float`.
+    :func:`_row_texts`, one ``%`` format a row; the text is the same as
+    formatting every value on its own with :func:`textio.format_float`.
     """
     terms = decomposition.terms
     lines = [_DECOMPOSITION_MAGIC]
@@ -895,18 +894,13 @@ def _basis_lines(grid: TermGrid) -> list[str]:
 
 def _row_texts(rows: np.ndarray) -> list[str]:
     """The text of each row of a 2-d float array, 17 significant digits a
-    value as :func:`textio.format_float` writes it; each distinct row (by its
-    float64 bytes) is formatted once, by one ``%`` format."""
-    raw = np.ascontiguousarray(rows, dtype=float).tobytes()
-    width = 8 * rows.shape[1]
-    # Rows of no values (a hand-built empty ladder) are all one empty key.
-    keys = [raw[i : i + width] for i in range(0, len(raw), width)] if width else [b""] * len(rows)
+    value as :func:`textio.format_float` writes it, by one ``%`` format a
+    row."""
     form = " ".join(["%.16e"] * rows.shape[1])
     # Adding 0.0 turns -0.0 into 0.0, as format_float does; a signalling
     # NaN's payload needs no warning.
     with np.errstate(invalid="ignore"):
-        texts = {key: form % tuple((np.frombuffer(key) + 0.0).tolist()) for key in dict.fromkeys(keys)}
-    return list(map(texts.__getitem__, keys))
+        return [form % tuple(row) for row in (rows + 0.0).tolist()]
 
 
 def parse_decomposition(text: str) -> SeparableDecomposition:
@@ -920,17 +914,14 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     be N_2*...*N_n, and it reads back as the :class:`TermGrid` that
     :func:`decompose` held, bit for bit but for the signs of zeros.
 
-    A per-term record reads back as a tuple of terms.  Each distinct row
-    text (and ``ladder`` line) is split and converted by ``float`` once per
-    call; a repeated row reuses those values, after its value count is
-    checked against its own factor's order.  A row that fails is never
-    kept, so the first bad line is the one reported.  The row values go into
-    one flat list, each distinct vector row text once; after the walk that
-    list becomes one array, the distinct vectors of each axis one stack,
-    numbered in order of first use, and their rank-one factors one
-    :func:`projector` call per axis on that stack: every term holding the
-    same vector row text on an axis shares one vector array and one
-    projector array there.
+    A per-term record reads back as a tuple of terms, read the same way:
+    each term's ``term``, ``index``, ``weight`` and ``ladder`` lines, then
+    per axis a factor header and its rows, every block of rows converted by
+    the basis reader :func:`_basis_rows`.  A vector row's values and
+    ``projector`` are kept by (axis, row text), so a repeated text is taken
+    without conversion and every term holding it on that axis shares one
+    vector array and one projector array there; a row that fails is never
+    kept, so the first bad line is the one reported.
     """
     lines = ByteLines(text).texts()
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
@@ -1014,90 +1005,34 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
             raise GraphFormatError(f"trailing content {line!r}", line=lineno)
         return SeparableDecomposition(profile, grid, residual=residual, certificates=certificates)
 
-    # The factor headers format_decomposition writes, by axis: whether each
-    # heads a vector.  Any other line is read by _factor_line.
-    headers = [
-        {f"factor {k} vector {d}": True, f"factor {k} order {d}": False}
-        for k, d in enumerate(dims, start=1)
-    ]
-    heads = []  # per term: weight, index, ladder
-    rows = {}  # a valid row's text -> its values, for this call
-    ladders = {}  # a valid ladder line -> its values
-    values = []  # every matrix row value and each distinct vector row's, in reading order
-    placed = {}  # a vector row's text -> the offset of its values
-    offsets = []  # per factor, in reading order: the offset of its values
-    is_vector = []
+    shared = {}  # (axis, vector row text) -> (vector, projector), one pair per distinct row
+    terms = []
     for i in range(1, expected_terms + 1):
         lineno, line = take()
         if line.split() != ["term", str(i)]:
             raise GraphFormatError(f"expected 'term {i}', got {line!r}", line=lineno)
-        index = None
-        ladder = None
-        if texts[pos].startswith("index "):
-            lineno, line = take()
-            index = _index_line(line, dims, lineno)
+        index = _index_line(*take(), dims) if texts[pos].startswith("index ") else None
         weight = _weight_line(*take())
-        if texts[pos].startswith("ladder "):
-            lineno, line = take()
-            ladder = ladders.get(line)
-            if ladder is None:
-                ladder = ladders[line] = _ladder_line(line, n, lineno)
-        heads.append((weight, index, ladder))
+        ladder = _ladder_line(*take(), n) if texts[pos].startswith("ladder ") else None
+        pairs = []  # per axis: (vector or None, factor)
         for k, d in enumerate(dims, start=1):
-            lineno, line = take()
-            vector = headers[k - 1].get(line)
-            if vector is None:
-                vector = _factor_line(line, k, d, lineno)
-            is_vector.append(vector)
-            offsets.append(len(values))
-            for _ in range(1 if vector else d):  # the rows
-                lineno, line = take()
-                row = rows.get(line)
-                if row is None:
-                    row = line.split()
-                    if len(row) == d:
-                        try:
-                            row = rows[line] = [*map(float, row)]
-                        except ValueError:
-                            raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
-                # A row read before under another order is checked again here.
-                if len(row) != d:
-                    raise GraphFormatError(f"expected {d} values, got {len(row)}", line=lineno)
-                if vector:
-                    # A vector row's text is placed once; later ones point at it.
-                    at = placed.setdefault(line, offsets[-1])
-                    if at != offsets[-1]:
-                        offsets[-1] = at
-                        continue
-                values.extend(row)
+            if not _factor_line(*take(), k, d):
+                pairs.append((None, _basis_rows(take, d, d, float)))
+                continue
+            key = k, texts[pos]
+            if key in shared:
+                take()
+            else:
+                vector = _basis_rows(take, 1, d, float)[0]
+                shared[key] = vector, projector(vector)
+            pairs.append(shared[key])
+        vectors, factors = zip(*pairs)
+        terms.append(DecompositionTerm(weight, factors, index, ladder, vectors=vectors))
     if pos != count:
         lineno, line = take()
         raise GraphFormatError(f"trailing content {line!r}", line=lineno)
-
-    flat = np.array(values, dtype=float)
-    offsets = np.array(offsets, dtype=np.int64).reshape(-1, n)
-    is_vector = np.array(is_vector, dtype=bool).reshape(-1, n)
-    factors = [[None] * len(heads) for _ in dims]  # by axis, then term
-    vectors = [[None] * len(heads) for _ in dims]
-    for k, d in enumerate(dims):
-        # One vector and one projector array per distinct row text, numbered
-        # in order of first use, shared by every term that holds it.
-        held = np.flatnonzero(is_vector[:, k])
-        distinct, choice = np.unique(offsets[held, k], return_inverse=True)
-        stack = flat[distinct[:, None] + np.arange(d)]
-        shared = list(zip(stack, projector(stack)))
-        for t, j in zip(held.tolist(), choice.tolist()):
-            vectors[k][t], factors[k][t] = shared[j]
-        dense = np.flatnonzero(~is_vector[:, k])
-        matrices = flat[offsets[dense, k, None] + np.arange(d * d)].reshape(-1, d, d)
-        for t, matrix in zip(dense.tolist(), matrices):
-            factors[k][t] = matrix
-    terms = tuple(
-        DecompositionTerm(weight, f, index, ladder, vectors=v)
-        for (weight, index, ladder), f, v in zip(heads, zip(*factors), zip(*vectors))
-    )
     return SeparableDecomposition(
-        profile, terms, residual=residual, certificates=certificates
+        profile, tuple(terms), residual=residual, certificates=certificates
     )
 
 
@@ -1134,8 +1069,9 @@ def _weight_line(lineno: int, line: str) -> float:
 
 
 def _basis_rows(take, count: int, d: int, kind, keyword: str | None = None) -> np.ndarray:
-    """The (count, d) values of the next ``count`` basis lines, each after
-    its ``keyword`` if it has one, as float64 or (``kind`` int) int64, by one
+    """The (count, d) values of the next ``count`` record lines (basis rows
+    or a per-term factor's), each after its ``keyword`` if it has one, as
+    float64 or (``kind`` int) int64, by one
     ``kind`` map over the tokens of every line taken.  The first line that
     fails is named: a bad value before a line whose count, keyword or the
     record's end failed comes first."""
@@ -1169,7 +1105,7 @@ def _basis_rows(take, count: int, d: int, kind, keyword: str | None = None) -> n
     return values.reshape(count, d)
 
 
-def _factor_line(line: str, k: int, d: int, lineno: int) -> bool:
+def _factor_line(lineno: int, line: str, k: int, d: int) -> bool:
     """Whether the line for factor k (of order d) heads a vector, not a matrix."""
     tokens = line.split()
     if (
@@ -1194,7 +1130,7 @@ def _factor_line(line: str, k: int, d: int, lineno: int) -> bool:
     return form == "vector"
 
 
-def _index_line(line: str, dims: tuple[int, ...], lineno: int) -> tuple[int, ...]:
+def _index_line(lineno: int, line: str, dims: tuple[int, ...]) -> tuple[int, ...]:
     """The ladder position on an ``index`` line: n - 1 integers, entry s in
     1..N_{n-s+1}, in the order :func:`decompose` chooses them."""
     try:
@@ -1213,7 +1149,7 @@ def _index_line(line: str, dims: tuple[int, ...], lineno: int) -> tuple[int, ...
     return index
 
 
-def _ladder_line(line: str, n: int, lineno: int) -> tuple[float, ...]:
+def _ladder_line(lineno: int, line: str, n: int) -> tuple[float, ...]:
     """The eigenvalues on a ``ladder`` line: n - 1 floats."""
     try:
         ladder = tuple(map(float, line.split()[1:]))

@@ -184,11 +184,12 @@ def without_residuals(out):
 
 @pytest.mark.parametrize("dims", list(GOLDEN), ids=lambda dims: "x".join(map(str, dims)))
 def test_both_forms_read_and_verify_alike(dims, tmp_path, capsys):
-    # The basis record reads back as the grid in memory.  Both forms verify
-    # with exit 0: the basis record on the factored path, which prints the
-    # recorded bound, and the per-term record, a tuple of terms, on the
-    # dense path, which prints the reassembly residual.  Nothing else in
-    # their output differs.
+    # The basis record reads back as the grid in memory, and the per-term
+    # record as the grid's terms, one by one: weight, index, ladder, every
+    # factor and every vector.  Both forms verify with exit 0: the basis
+    # record on the factored path, which prints the recorded bound, and the
+    # per-term record, a tuple of terms, on the dense path, which prints the
+    # reassembly residual.  Nothing else in their output differs.
     for seed in range(3):
         graph = gen_theorem_graph(DimensionProfile(dims), seed)
         dec = decompose(graph)
@@ -200,6 +201,12 @@ def test_both_forms_read_and_verify_alike(dims, tmp_path, capsys):
             assert all(map(same_bits, getattr(grid, name), getattr(dec.terms, name))), (seed, name)
         terms = parse_decomposition(format_decomposition(per_term(dec)))
         assert isinstance(terms.terms, tuple)
+        for t, (got, held) in enumerate(zip(terms.terms, dec.terms, strict=True)):
+            assert same_bits(got.weight, held.weight) and got.index == held.index, (seed, t)
+            assert same_bits(got.ladder, held.ladder), (seed, t)
+            assert all(map(same_bits, got.factors, held.factors)), (seed, t)
+            vectors = zip(got.vectors, held.vectors, strict=True)
+            assert all(a is b is None or same_bits(a, b) for a, b in vectors), (seed, t)
         dense = verify_decomposition(terms, density_matrix(graph, SIGNLESS))
         (tmp_path / "g.graph").write_text(format_graph(graph))
         results = []

@@ -2,12 +2,13 @@
 
 ``parse_graph`` classifies each line once and converts the edge lines
 ``format_graph`` writes in bulk.  ``parse_decomposition`` walks the record's
-content lines once, one reader per line kind, converts each distinct row
-text once, and turns its row values into one array after the walk.  The oracles here read every line on its own
-and build each factor as they go: ``parse_graph_by_lines`` (in
-``test_graphs``) and ``parse_decomposition_by_lines`` below.  Every case
-must give an equal graph or record (factors bit for bit, signs of zeros
-included) or the same message on the same line.
+content lines once, one reader per line kind, converts each factor's block
+of rows through one reader, and takes a vector row text it has read before
+on the same axis without converting it again.  The oracles here read every
+line on its own and build each factor as they go: ``parse_graph_by_lines``
+(in ``test_graphs``) and ``parse_decomposition_by_lines`` below.  Every
+case must give an equal graph or record (factors bit for bit, signs of
+zeros included) or the same message on the same line.
 """
 
 import math
@@ -537,7 +538,7 @@ def test_cut_per_term_record_names_the_line_after_its_last():
         assert got.value.line == cut + 1, cut
 
 
-# -- repeated rows: each distinct row text is converted once a record ----------
+# -- repeated rows: a vector row text is converted once per axis ---------------
 
 M42_RECORD = [
     "graphsep-decomposition",
@@ -572,6 +573,13 @@ def test_respelt_second_occurrence_of_a_row_keeps_its_bits():
     text = "\n".join(lines) + "\n"
     assert_record_matches_oracle(text)
     assert_same_record(parse_decomposition(text), parse_decomposition(original))
+    # A bad value in the second occurrence is its own text, never the first's.
+    lines[second] = original.splitlines()[second] + "x"
+    text = "\n".join(lines) + "\n"
+    assert_record_matches_oracle(text)
+    with pytest.raises(GraphFormatError, match="bad numeric value") as got:
+        parse_decomposition(text)
+    assert got.value.line == second + 1
 
 
 # -- graphs: the existing mutations on more texts ---------------------------------

@@ -1,15 +1,16 @@
 """The record writers against per-value oracles.
 
-The per-term writer is checked against the row-memo writer it replaced, and
-the basis writer against one that formats every value on its own.
+Both writers format every row by one ``%`` format, with no memo.  The
+per-term writer is checked against an earlier row-memo writer, and the basis
+writer against one that formats every value on its own.
 
-``format_decomposition_row_memo`` is the writer as it stood before weights,
-ladders and rank-one factor blocks got memos of their own: one dict from a
-row's float64 bytes to its text, every other line built per term.  The
-current writer must give the same bytes on every record, generated or hand
-built, including values whose text does not follow from their bits alone
-(-0.0, NaNs of any payload) and keys that share one object across terms and
-axes.
+``format_decomposition_row_memo`` is the per-term writer as it stood before
+weights, ladders and rank-one factor blocks got memos of their own: one dict
+from a row's float64 bytes to its text, every other line built per term.
+The current writer must give the same bytes on every record, generated or
+hand built, including values whose text does not follow from their bits
+alone (-0.0, NaNs of any payload) and rows that share one object across
+terms and axes.
 """
 
 import math
