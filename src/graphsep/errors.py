@@ -35,10 +35,9 @@ class ConstructionError(RuntimeError):
 
     This is never a normal rejection of unsuitable input; it signals either
     a gap in the hypotheses the construction relies on or a bug, and the
-    offending matrix / residual are attached for inspection.
+    residual, when one was computed, is attached for inspection.
     """
 
-    def __init__(self, message: str, matrix=None, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
-        self.matrix = matrix
         self.residual = residual

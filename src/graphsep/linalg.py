@@ -40,10 +40,6 @@ class Eigendecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
     def reconstruct(self) -> np.ndarray:
         """Sum of rank-one terms; should reproduce the input matrix."""
         v = self.eigenvectors

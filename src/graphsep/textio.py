@@ -2,12 +2,12 @@
 
 All floating-point output uses 17 significant digits (round-trippable
 doubles) with negative zero normalised to zero, so dumps diff stably
-across platforms.  Both parsers read their text as a :class:`ByteLines`:
+across platforms.  ``parse_graph`` reads its text as a :class:`ByteLines`:
 one byte array and the offsets of its lines, numbered as
-``str.splitlines()`` numbers them.  ``parse_graph`` finds the edge lines
-``format_graph`` writes with array operations and converts them together;
-``parse_decomposition`` walks :meth:`ByteLines.texts`, the lines stripped
-of comments, one line at a time.
+``str.splitlines()`` numbers them; it finds the edge lines ``format_graph``
+writes with array operations and converts them together.
+``parse_decomposition`` walks ``str.splitlines()`` one line at a time, each
+line stripped of its comment by :func:`strip_comment`.
 """
 
 from __future__ import annotations
@@ -70,21 +70,6 @@ class ByteLines:
         at = np.flatnonzero(chosen)
         for index, start, end in zip(at.tolist(), self.starts[at].tolist(), self.ends[at].tolist()):
             yield index, self.raw[start:end].decode("utf-8", "surrogatepass")
-
-    def texts(self) -> list[str]:
-        """Every line, in order, without its ``#`` comment and surrounding
-        whitespace."""
-        texts = self.raw[1:-1].decode("utf-8", "surrogatepass").split("\n")
-        data, starts, ends = self.data, self.starts, self.ends
-        # Only a line with a "#", or with a byte at either end that may be
-        # whitespace (a control byte, a space or part of a non-ASCII
-        # character), needs stripping; an empty line has newlines there.
-        rough = (data[starts] <= 0x20) | (data[starts] >= 0x80)
-        rough |= (data[ends - 1] <= 0x20) | (data[ends - 1] >= 0x80)
-        rough[np.searchsorted(ends, np.flatnonzero(data == ord("#")))] = True
-        for at in np.flatnonzero(rough).tolist():
-            texts[at] = strip_comment(texts[at])
-        return texts
 
     def select(self, chosen: np.ndarray) -> bytes:
         """The bytes of the chosen lines (a boolean per line), each followed

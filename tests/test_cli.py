@@ -589,9 +589,10 @@ class TestBasisRecord:
 
 
 class TestDecomposeCertificates:
-    """decompose keeps two certificates of its own: the eigenvalue row-sum
-    bound at each ladder level and the integer dominance identity.  Each
-    fails closed: exit 3, no record, nothing on stdout."""
+    """decompose certifies once, by certify_decomposition.  A forged
+    eigenvalue or layer degree makes the factored certificate decline, and
+    the dense reference path refuses the grid: exit 3, no record, nothing on
+    stdout, and the dense path's witness on stderr."""
 
     @pytest.fixture
     def theorem_graph(self, tmp_path):
@@ -599,17 +600,28 @@ class TestDecomposeCertificates:
         assert main(["gen", "theorem", "--dims", "4,2,2", "--seed", "0", "-o", str(path)]) == 0
         return path
 
-    def refuse(self, graph_path, capsys):
+    def refuse(self, graph_path, monkeypatch, capsys):
+        dense = []
+        original = separability.verify_decomposition
+
+        def counting(*args, **kwargs):
+            dense.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(separability, "verify_decomposition", counting)
         capsys.readouterr()
         dec_path = graph_path.with_suffix(".dec")
         assert main(["decompose", str(graph_path), str(dec_path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert not dec_path.exists()
+        assert len(dense) == 1
+        assert captured.err.startswith("construction failed: decomposition failed verification: ")
         return captured.err
 
     def test_eigenvalue_above_row_sum_exit_3(self, workdir, monkeypatch, capsys):
-        # m222 has F_3 = I: row sum 1, here given an eigenvalue of 2.
+        # m222 has F_3 = I: row sum 1, here given an eigenvalue of 2, which
+        # leaves the first factors of its terms indefinite.
         original = separability.spectral_decomposition
 
         def inflated(matrix):
@@ -619,17 +631,17 @@ class TestDecomposeCertificates:
             return Eigendecomposition(values, eig.eigenvectors)
 
         monkeypatch.setattr(separability, "spectral_decomposition", inflated)
-        err = self.refuse(workdir / "m222.graph", capsys)
-        assert "ladder level 1: eigenvalue 2.0 exceeds the row-sum bound 1.0" in err
+        err = self.refuse(workdir / "m222.graph", monkeypatch, capsys)
+        assert "term 1 factor 1: not PSD (min eigenvalue -1.500e+00)" in err
 
-    @pytest.mark.parametrize("change, expected", [
-        (-1, "construction failed: mixing matrix not diagonally dominant (rows (2,))"),
-        (+1, "construction failed: decomposition failed verification"),
+    @pytest.mark.parametrize("change, witness", [
+        (-1, "factor 1: not PSD"),
+        (+1, "reassembly residual"),
     ])
-    def test_patched_layer_degree_exit_3(self, theorem_graph, monkeypatch, capsys, change, expected):
-        # One layer degree below r_1(i_1) prod_k |F_k|_inf breaks dominance
-        # in top layer 2 (0-based); one above keeps dominance, and the
-        # decomposition then misses rho.
+    def test_patched_layer_degree_exit_3(self, theorem_graph, monkeypatch, capsys, change, witness):
+        # One layer degree below r_1(i_1) prod_k |F_k|_inf leaves a mixing
+        # matrix in top layer 2 (0-based) indefinite; one above keeps them
+        # dominant, and the decomposition then misses rho.
         original = separability.check_theorem_conditions
 
         def patched(graph):
@@ -639,11 +651,11 @@ class TestDecomposeCertificates:
             return replace(report, layer_degree_sets=tuple((d,) for d in degrees))
 
         monkeypatch.setattr(separability, "check_theorem_conditions", patched)
-        assert expected in self.refuse(theorem_graph, capsys)
+        assert witness in self.refuse(theorem_graph, monkeypatch, capsys)
 
     def test_no_dense_dominance_check(self, theorem_graph, monkeypatch, capsys):
-        # Dominance is one integer comparison per top layer, not a check of
-        # each mixing matrix.
+        # Dominance is the factored certificate's Gershgorin test, one
+        # comparison per top row, not a check of each mixing matrix.
         calls = []
         original = linalg.is_diagonally_dominant
 

@@ -450,7 +450,7 @@ def terms_one_by_one(graph):
             # Level s chooses on axis n - s + 1; a negative value reverses
             # the descending order.
             eig = spectra[-s]
-            j = eig.order - r if value < 0 else r - 1
+            j = len(eig.eigenvalues) - r if value < 0 else r - 1
             value = value * eig.eigenvalues[j]
             ladder.append(float(value))
             picks[-s] = j

@@ -354,6 +354,31 @@ def test_conditions_imply_partial_symmetry_on_every_axis(dims, seed, family, tog
         assert all(is_partially_symmetric(graph, k) for k in range(1, profile.n + 1))
 
 
+def test_holding_conditions_force_regular_factors():
+    # decompose runs no dominance check of its own: a graph that passes has
+    # delta = r_1 prod_k |F_k|_inf exactly, because every F_k (k >= 2) is
+    # regular.  F_1 is drawn with a zero diagonal, the other factors with
+    # any diagonal and no regularity, so the draws fall on both sides.
+    rng = np.random.default_rng(29)
+    outcomes = []
+    for _ in range(50):
+        for dims in FACTOR_PROFILES[:6]:
+            factors = []
+            for k, d in enumerate(dims):
+                pattern = np.triu(rng.integers(0, 2, (d, d)), int(k == 0))
+                factors.append(pattern | pattern.T)
+            edges = np.argwhere(np.triu(kron(factors), 1)) + 1
+            report = check_theorem_conditions(MultipartiteGraph(DimensionProfile(dims), edges))
+            outcomes.append(report.holds)
+            if report.holds:
+                assert all(map(np.array_equal, report.adjacency_factors, factors))
+                rows = [f.sum(axis=1) for f in factors]
+                assert all(r.min() == r.max() for r in rows[1:])
+                bound = rows[0] * math.prod(int(r.max()) for r in rows[1:])
+                assert report.layer_degrees == tuple(bound.tolist())
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
 def test_intra_layer_graph_first_mismatches_at_level_2():
     graph = intra_layer_mismatch_at_level_2()
     report = check_theorem_conditions(graph)
