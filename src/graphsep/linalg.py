@@ -18,18 +18,19 @@ from .graphs import DimensionProfile, max_asymmetry
 SYMMETRY_ATOL = 1e-12
 
 
-def require_symmetric(matrix, atol: float = SYMMETRY_ATOL, name: str = "matrix") -> np.ndarray:
-    """Return ``matrix`` as a float array, or raise if it is not square symmetric.
+def require_symmetric(matrix) -> np.ndarray:
+    """Return ``matrix`` as a float array, or raise if it is not square and
+    symmetric within ``SYMMETRY_ATOL``.
 
     Symmetry is checked tile by tile (:func:`graphs.max_asymmetry`), so a
     float input is neither copied nor shadowed by a V x V temporary.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    # Phrased as not (x <= atol), so a NaN or inf entry fails as well.
-    if not max_asymmetry(mat) <= atol:
-        raise ValueError(f"{name} is not finite and symmetric within {atol}")
+        raise ValueError(f"matrix must be square, got shape {mat.shape}")
+    # Phrased as not (x <= tol), so a NaN or inf entry fails as well.
+    if not max_asymmetry(mat) <= SYMMETRY_ATOL:
+        raise ValueError(f"matrix is not finite and symmetric within {SYMMETRY_ATOL}")
     return mat
 
 

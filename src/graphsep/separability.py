@@ -50,7 +50,6 @@ reference, whose verdict and failure texts are returned.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -309,14 +308,13 @@ class TermGrid(Sequence):
     a grid is fixed by its common ``weight``, per axis k >= 2 the
     eigenvalues of F_k and its eigenvectors (one a row, in the same order),
     the 0/1 top pattern F_1 and the layer degrees delta; ``len`` is
-    N_2*...*N_n.  Term t has the first factor ``firsts[t]`` and, on each axis
-    k >= 2, the projector of ``vectors[k - 2][j]`` for j = ``choice[t, k - 2]``.
-    The (T, n - 1) arrays ``ladder``, ``choice`` and ``index``, the
-    (T, N_1, N_1) stack ``firsts`` and the term objects are built on first
-    access, once; the terms share one array per (axis, eigenvector).
+    N_2*...*N_n.  The term objects are built on first access, once, in one
+    walk down the ladder; on each axis k >= 2 a term holds the projector of
+    its chosen row of ``vectors[k - 2]``, and the terms share one array per
+    (axis, eigenvector).
 
-    Level s of the ladder expands every row (a ladder value so far) into one
-    child per eigenvalue of F_{n-s+1}, so the rows stay in lexicographic
+    Level s of the ladder expands every term so far (a ladder value) into one
+    child per eigenvalue of F_{n-s+1}, so the terms stay in lexicographic
     ``index`` order.  A value times F_k has F_k's eigenvectors and that value
     times F_k's eigenvalues; a negative value reverses their order, so
     siblings always descend.  Factor 1 of every term is delta + lam F_1 for
@@ -339,58 +337,38 @@ class TermGrid(Sequence):
         return iter(self._terms)
 
     @cached_property
-    def _walk(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ladder and the eigenvector chosen per level, row by row."""
-        # A record's values may be non-finite or overflow: its first factors
-        # then fail their check, with no warning.
-        with np.errstate(over="ignore", invalid="ignore"):
+    def _terms(self) -> tuple[DecompositionTerm, ...]:
+        # A record's values may be non-finite or overflow, and its degrees
+        # may sum to 0: its first factors then fail their check, with no
+        # warning.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = np.ones(1)
-            ladders = np.empty((1, 0))  # per row, the value after each level
-            chosen = np.empty((1, 0), dtype=np.int64)  # per row, the eigenvector per level
+            ladders = np.empty((1, 0))  # per term, the value after each level
+            chosen = np.empty((1, 0), dtype=np.int64)  # per term, the eigenvector per level
             for eig in reversed(self.eigenvalues):
                 order = np.arange(len(eig))
                 picks = np.where(values[:, None] < 0.0, len(eig) - 1 - order, order)
                 values = (values[:, None] * eig[picks]).ravel()
                 ladders = np.column_stack((np.repeat(ladders, len(eig), axis=0), values))
                 chosen = np.column_stack((np.repeat(chosen, len(eig), axis=0), picks.ravel()))
-        return ladders, chosen
-
-    @property
-    def ladder(self) -> np.ndarray:
-        return self._walk[0]
-
-    @property
-    def choice(self) -> np.ndarray:
-        """Per term, the eigenvector on each axis k >= 2, in axis order."""
-        return self._walk[1][:, ::-1]
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        sizes = [len(values) for values in self.eigenvalues[::-1]]
-        return np.indices(sizes).reshape(len(sizes), -1).T + 1
-
-    @cached_property
-    def firsts(self) -> np.ndarray:
-        # Degrees that sum to 0 give non-finite factors, which fail their check.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             top = np.diag(self.layer_degrees.astype(float))
-            top = top + self.ladder[:, -1, None, None] * self.top_pattern.astype(float)
-            return top / sum(self.layer_degrees.tolist())
-
-    @cached_property
-    def _terms(self) -> tuple[DecompositionTerm, ...]:
+            top = top + values[:, None, None] * self.top_pattern.astype(float)
+            firsts = top / sum(self.layer_degrees.tolist())
+        sizes = [len(eig) for eig in self.eigenvalues[::-1]]
+        index = np.indices(sizes).reshape(len(sizes), -1).T + 1
         vectors = [list(v) for v in self.vectors]
         projectors = [list(projector(v)) for v in self.vectors]
-        index, ladder = map(tuple, self.index.tolist()), map(tuple, self.ladder.tolist())
         return tuple(
             DecompositionTerm(
                 weight=self.weight,
                 factors=(first,) + tuple(p[j] for p, j in zip(projectors, row)),
                 index=position,
-                ladder=values,
+                ladder=ladder,
                 vectors=(None,) + tuple(v[j] for v, j in zip(vectors, row)),
             )
-            for first, row, position, values in zip(self.firsts, self.choice.tolist(), index, ladder)
+            for first, row, position, ladder in zip(
+                firsts, chosen[:, ::-1].tolist(), map(tuple, index.tolist()), map(tuple, ladders.tolist())
+            )
         )
 
 
@@ -869,17 +847,21 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
     """Parse the decomposition record format; errors carry line numbers.
 
     One walk over the record's content lines (blank lines and ``#``
-    comments skipped) reads each line in file order, with one reader per
-    line kind, so an error is raised on its own line, the earliest first.
-    A record whose header is followed by a ``weight`` line and an ``axis``
-    line is in basis form (:func:`_basis_record`); its ``terms`` count must
-    be N_2*...*N_n, and it reads back as the :class:`TermGrid` that
-    :func:`decompose` held, bit for bit but for the signs of zeros.
+    comments skipped) reads each line in file order, so an error is raised
+    on its own line, the earliest first.  Header lines (``dims``, ``terms``,
+    ``residual``, ``certificates``, ``term``, ``factor``, ``axis``,
+    ``pattern``) have a reader each; every line of values, with a keyword
+    (``weight``, ``index``, ``ladder``, ``eigenvalues``, ``degrees``) or
+    without (a row), is read by :func:`_basis_rows`.  A record whose header
+    is followed by a ``weight`` line and an ``axis`` line is in basis form
+    (:func:`_basis_record`); its ``terms`` count must be N_2*...*N_n, and it
+    reads back as the :class:`TermGrid` that :func:`decompose` held, bit for
+    bit but for the signs of zeros.
 
     A per-term record reads back as a tuple of terms, read the same way:
-    each term's ``term``, ``index``, ``weight`` and ``ladder`` lines, then
-    per axis a factor header and its rows, every block of rows converted by
-    the basis reader :func:`_basis_rows`.  A vector row's values and
+    each term's ``term``, ``index`` (entry s then checked to lie in
+    1..N_{n-s+1}), ``weight`` and ``ladder`` lines, then per axis a factor
+    header and its rows.  A vector row's values and
     ``projector`` are kept by (axis, row text), so a repeated text is taken
     without conversion and every term holding it on that axis shares one
     vector array and one projector array there; a row that fails is never
@@ -973,9 +955,17 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
         lineno, line = take()
         if line.split() != ["term", str(i)]:
             raise GraphFormatError(f"expected 'term {i}', got {line!r}", line=lineno)
-        index = _index_line(*take(), dims) if texts[pos].startswith("index ") else None
-        weight = _weight_line(*take())
-        ladder = _ladder_line(*take(), n) if texts[pos].startswith("ladder ") else None
+        index = ladder = None
+        if texts[pos].startswith("index "):
+            # n - 1 integers, entry s in 1..N_{n-s+1}, as decompose chooses them.
+            lineno = linenos[pos]
+            index = tuple(_basis_rows(take, 1, n - 1, int, "index")[0].tolist())
+            for s, (r, size) in enumerate(zip(index, dims[:0:-1]), start=1):
+                if not 1 <= r <= size:
+                    raise GraphFormatError(f"index entry {s} is {r}, outside 1..{size}", line=lineno)
+        weight = float(_basis_rows(take, 1, 1, float, "weight")[0, 0])
+        if texts[pos].startswith("ladder "):
+            ladder = tuple(_basis_rows(take, 1, n - 1, float, "ladder")[0].tolist())
         pairs = []  # per axis: (vector or None, factor)
         for k, d in enumerate(dims, start=1):
             if not _factor_line(*take(), k, d):
@@ -1003,7 +993,7 @@ def _basis_record(take, dims: tuple[int, ...]) -> TermGrid:
     (``take()`` gives the next ``(lineno, line)``), each line in file order:
     the weight, per axis k >= 2 its header, eigenvalues and N_k eigenvector
     rows, F_1's header and rows of integers, and the degrees."""
-    weight = _weight_line(*take())
+    weight = float(_basis_rows(take, 1, 1, float, "weight")[0, 0])
     eigenvalues, vectors = [], []
     for k, d in enumerate(dims[1:], start=2):
         lineno, line = take()
@@ -1019,52 +1009,28 @@ def _basis_record(take, dims: tuple[int, ...]) -> TermGrid:
     return TermGrid(weight, tuple(eigenvalues), tuple(vectors), top_pattern, degrees)
 
 
-def _weight_line(lineno: int, line: str) -> float:
-    """The weight on a ``weight x`` line."""
-    tokens = line.split()
-    if tokens[0] != "weight" or len(tokens) != 2:
-        raise GraphFormatError("expected 'weight x' line", line=lineno)
-    try:
-        return float(tokens[1])
-    except ValueError:
-        raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
-
-
 def _basis_rows(take, count: int, d: int, kind, keyword: str | None = None) -> np.ndarray:
-    """The (count, d) values of the next ``count`` record lines (basis rows
-    or a per-term factor's), each after its ``keyword`` if it has one, as
-    float64 or (``kind`` int) int64, by one
-    ``kind`` map over the tokens of every line taken.  The first line that
-    fails is named: a bad value before a line whose count, keyword or the
-    record's end failed comes first."""
-    dtype = np.int64 if kind is int else float
-    taken, failure = [], None
-    try:
-        for _ in range(count):
-            lineno, line = take()
-            tokens = line.split()
-            if keyword is not None:
-                if tokens[0] != keyword:
-                    raise GraphFormatError(f"expected '{keyword}' line, got {line!r}", line=lineno)
-                tokens = tokens[1:]
-            if len(tokens) != d:
-                raise GraphFormatError(f"expected {d} values, got {len(tokens)}", line=lineno)
-            taken.append((lineno, line, tokens))
-    except GraphFormatError as exc:
-        failure = exc
-    try:
-        values = np.array([*map(kind, itertools.chain.from_iterable(t for _, _, t in taken))], dtype=dtype)
-    except (ValueError, OverflowError):
-        # Only to name the line: the first whose values do not convert.
-        for lineno, line, tokens in taken:
-            try:
-                np.array([*map(kind, tokens)], dtype=dtype)
-            except (ValueError, OverflowError):
-                what = "integer" if kind is int else "numeric"
-                raise GraphFormatError(f"bad {what} value in {line!r}", line=lineno) from None
-    if failure is not None:
-        raise failure
-    return values.reshape(count, d)
+    """The (count, d) values of the next ``count`` record lines, each after
+    its ``keyword`` if it has one, as float64 or (``kind`` int) int64: every
+    keyword line of values, basis row and per-term factor row.  Each line is
+    judged as it is taken (keyword, then value count, then one ``kind`` map
+    over its values), so the first line that fails is the one named."""
+    rows = np.empty((count, d), dtype=np.int64 if kind is int else float)
+    for row in rows:
+        lineno, line = take()
+        tokens = line.split()
+        if keyword is not None:
+            if tokens[0] != keyword:
+                raise GraphFormatError(f"expected '{keyword}' line, got {line!r}", line=lineno)
+            tokens = tokens[1:]
+        if len(tokens) != d:
+            raise GraphFormatError(f"expected {d} values, got {len(tokens)}", line=lineno)
+        try:
+            row[:] = [*map(kind, tokens)]
+        except (ValueError, OverflowError):
+            what = "integer" if kind is int else "numeric"
+            raise GraphFormatError(f"bad {what} value in {line!r}", line=lineno) from None
+    return rows
 
 
 def _factor_line(lineno: int, line: str, k: int, d: int) -> bool:
@@ -1090,35 +1056,3 @@ def _factor_line(lineno: int, line: str, k: int, d: int) -> bool:
             f"factor {k} {form} {order} does not match dimension {d}", line=lineno
         )
     return form == "vector"
-
-
-def _index_line(lineno: int, line: str, dims: tuple[int, ...]) -> tuple[int, ...]:
-    """The ladder position on an ``index`` line: n - 1 integers, entry s in
-    1..N_{n-s+1}, in the order :func:`decompose` chooses them."""
-    try:
-        index = tuple(map(int, line.split()[1:]))
-    except ValueError:
-        raise GraphFormatError("bad index line", line=lineno) from None
-    if len(index) != len(dims) - 1:
-        raise GraphFormatError(
-            f"index line needs {len(dims) - 1} entries, got {len(index)}", line=lineno
-        )
-    for s, r in enumerate(index, start=1):
-        if not 1 <= r <= dims[-s]:
-            raise GraphFormatError(
-                f"index entry {s} is {r}, outside 1..{dims[-s]}", line=lineno
-            )
-    return index
-
-
-def _ladder_line(lineno: int, line: str, n: int) -> tuple[float, ...]:
-    """The eigenvalues on a ``ladder`` line: n - 1 floats."""
-    try:
-        ladder = tuple(map(float, line.split()[1:]))
-    except ValueError:
-        raise GraphFormatError("bad ladder line", line=lineno) from None
-    if len(ladder) != n - 1:
-        raise GraphFormatError(
-            f"ladder line needs {n - 1} values, got {len(ladder)}", line=lineno
-        )
-    return ladder

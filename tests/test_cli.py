@@ -70,7 +70,7 @@ EXIT_CODES = {
     "verify-non-unit-vector": (["verify", "{w}/m222.graph", "{w}/nonunit.dec"], 1, "trace 4"),
     "verify-nan-vector": (["verify", "{w}/m222.graph", "{w}/nan.dec"], 1, "non-finite"),
     "verify-long-index": (
-        ["verify", "{w}/m222.graph", "{w}/index.dec"], 4, "line 7: index line needs 2 entries, got 4"
+        ["verify", "{w}/m222.graph", "{w}/index.dec"], 4, "line 7: expected 2 values, got 4"
     ),
     "gen-bad-dims": (["gen", "psym", "--dims", "2", "--seed", "0"], 4, "at least 2"),
     "gen-dims-over-cap": (["gen", "theorem", "--dims", "2,1024"], 4, "exceeds the cap"),
@@ -519,11 +519,15 @@ class TestBasisRecord:
         (retokened(26, lambda t: ["0", "9" * 20]), f"line 26: bad integer value in '0 {'9' * 20}'"),
         (retokened(28, lambda t: [*t[:-1], "3.0"]), "line 28: bad integer value in 'degrees 3 3.0'"),
         (retokened(28, lambda t: t[:-1]), "line 28: expected 2 values, got 1"),
+        (retokened(6, lambda t: ["weight", "x"]), "line 6: bad numeric value in 'weight x'"),
+        (retokened(6, lambda t: [*t, "0.5"]), "line 6: expected 1 values, got 2"),
+        # Not a weight line, so not a basis record: the first term is due.
+        (retokened(6, lambda t: ["weights", *t[1:]]), "line 6: expected 'term 1', got 'weights 1.5625"),
         (lambda lines: lines.pop(13), "line 14: expected 'eigenvalues' line, got '1.0000000000000000e+00 0.0"),
         (lambda lines: lines.append("degrees 3 3"), "line 29: trailing content 'degrees 3 3'"),
         # A cut record names the line after its last content line.
         (lambda lines: lines.pop(27), "line 28: unexpected end of decomposition record"),
-        # A block is converted at once: its first failing line is named.
+        # Each line is judged as it is taken: a block's first failing line is named.
         (lambda lines: (
             TestBasisRecord.retokened(21, lambda t: ["x", *t[1:]])(lines),
             TestBasisRecord.retokened(23, lambda t: t[:-1])(lines),
@@ -544,6 +548,7 @@ class TestBasisRecord:
         "short-vector-row", "short-eigenvalues", "bad-float", "bad-eigenvalues-keyword",
         "axis-header-order", "axis-header-axis", "pattern-header", "terms-count",
         "non-integer-pattern", "pattern-out-of-range", "non-integer-degree", "short-degrees",
+        "bad-weight", "two-weights", "weight-keyword",
         "missing-eigenvalues-line", "trailing-content", "missing-degrees-line",
         "bad-float-before-short-row", "short-row-before-bad-float", "bad-float-before-the-end",
         "special-floats-before-the-end",

@@ -152,8 +152,8 @@ def test_symmetry_messages_are_unchanged(dims, value):
         DensityMatrix(mat, profile, "signless")
     assert str(info.value) == "density matrix must be finite and symmetric within 1e-12"
     with pytest.raises(ValueError) as info:
-        require_symmetric(mat, name="rho")
-    assert str(info.value) == "rho is not finite and symmetric within 1e-12"
+        require_symmetric(mat)
+    assert str(info.value) == "matrix is not finite and symmetric within 1e-12"
 
 
 # -- rewrite identity against the dense comparison -----------------------------

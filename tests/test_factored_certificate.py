@@ -375,13 +375,22 @@ def test_equal_rows_spelt_two_ways_take_the_dense_path_and_pass():
 def test_grid_choices_cover_the_product_grid_once(dims):
     # The factored bound sums over the full product grid of the axes'
     # vectors; a grid's terms, built from its basis, are that grid, each
-    # cell once, and each term's first factor uses the eigenvalues it chose.
+    # cell once, and each term's ladder ends in the product of the
+    # eigenvalues it chose.
     grid = record_of(gen_theorem_graph(DimensionProfile(dims), 1)).terms
-    assert len(grid) == math.prod(dims[1:]) == len(grid.choice) == len(grid.firsts)
-    cells = np.ravel_multi_index(tuple(grid.choice.T), dims[1:])
+    assert len(grid) == math.prod(dims[1:]) == len(list(grid))
+    # On each axis a term's vector is one row of the basis: its cell.
+    matches = [
+        [np.flatnonzero((vectors == v).all(axis=1)) for v, vectors in zip(term.vectors[1:], grid.vectors)]
+        for term in grid
+    ]
+    assert all(len(rows) == 1 for term in matches for rows in term)
+    choice = np.array(matches)[:, :, 0]
+    cells = np.ravel_multi_index(tuple(choice.T), dims[1:])
     assert np.array_equal(np.sort(cells), np.arange(len(grid)))
-    chosen = [values[grid.choice[:, k]] for k, values in enumerate(grid.eigenvalues)]
-    assert np.allclose(grid.ladder[:, -1], np.prod(chosen, axis=0), rtol=1e-14, atol=0)
+    chosen = [values[choice[:, k]] for k, values in enumerate(grid.eigenvalues)]
+    last = [term.ladder[-1] for term in grid]
+    assert np.allclose(last, np.prod(chosen, axis=0), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("case", ["collided-cell", "dropped-term"])

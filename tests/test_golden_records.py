@@ -169,7 +169,7 @@ def test_record_bytes_match_golden_digest(dims):
         assert digest(format_decomposition(dec)) == expected_basis, f"seed {seed}"
 
 
-GRID_ARRAYS = ("firsts", "choice", "index", "ladder", "top_pattern", "layer_degrees")
+GRID_ARRAYS = ("top_pattern", "layer_degrees")
 
 
 def same_bits(a, b):
@@ -184,9 +184,9 @@ def without_residuals(out):
 
 @pytest.mark.parametrize("dims", list(GOLDEN), ids=lambda dims: "x".join(map(str, dims)))
 def test_both_forms_read_and_verify_alike(dims, tmp_path, capsys):
-    # The basis record reads back as the grid in memory, and the per-term
-    # record as the grid's terms, one by one: weight, index, ladder, every
-    # factor and every vector.  Both forms verify with exit 0: the basis
+    # The basis record reads back as the grid in memory, and both it and
+    # the per-term record as the grid's terms, one by one: weight, index,
+    # ladder, every factor and every vector.  Both forms verify with exit 0: the basis
     # record on the factored path, which prints the recorded bound, and the
     # per-term record, a tuple of terms, on the dense path, which prints the
     # reassembly residual.  Nothing else in their output differs.
@@ -201,12 +201,13 @@ def test_both_forms_read_and_verify_alike(dims, tmp_path, capsys):
             assert all(map(same_bits, getattr(grid, name), getattr(dec.terms, name))), (seed, name)
         terms = parse_decomposition(format_decomposition(per_term(dec)))
         assert isinstance(terms.terms, tuple)
-        for t, (got, held) in enumerate(zip(terms.terms, dec.terms, strict=True)):
-            assert same_bits(got.weight, held.weight) and got.index == held.index, (seed, t)
-            assert same_bits(got.ladder, held.ladder), (seed, t)
-            assert all(map(same_bits, got.factors, held.factors)), (seed, t)
-            vectors = zip(got.vectors, held.vectors, strict=True)
-            assert all(a is b is None or same_bits(a, b) for a, b in vectors), (seed, t)
+        for form, read in (("basis", grid), ("per-term", terms.terms)):
+            for t, (got, held) in enumerate(zip(read, dec.terms, strict=True)):
+                assert same_bits(got.weight, held.weight) and got.index == held.index, (seed, form, t)
+                assert same_bits(got.ladder, held.ladder), (seed, form, t)
+                assert all(map(same_bits, got.factors, held.factors)), (seed, form, t)
+                vectors = zip(got.vectors, held.vectors, strict=True)
+                assert all(a is b is None or same_bits(a, b) for a, b in vectors), (seed, form, t)
         dense = verify_decomposition(terms, density_matrix(graph, SIGNLESS))
         (tmp_path / "g.graph").write_text(format_graph(graph))
         results = []

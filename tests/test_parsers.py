@@ -2,9 +2,9 @@
 
 ``parse_graph`` classifies each line once and converts the edge lines
 ``format_graph`` writes in bulk.  ``parse_decomposition`` walks the record's
-content lines once, one reader per line kind, converts each factor's block
-of rows through one reader, and takes a vector row text it has read before
-on the same axis without converting it again.  The oracles here read every
+content lines once, reads every line of values (a row, or a ``weight``,
+``index`` or ``ladder`` line) through one reader, and takes a vector row
+text it has read before on the same axis without converting it again.  The oracles here read every
 line on its own and build each factor as they go: ``parse_graph_by_lines``
 (in ``test_graphs``) and ``parse_decomposition_by_lines`` below.  Every
 case must give an equal graph or record (factors bit for bit, signs of
@@ -118,14 +118,15 @@ def parse_decomposition_by_lines(text):
         ladder = None
         if pos < len(lines) and lines[pos][1].startswith("index "):
             lineno, line = take()
+            tokens = line.split()[1:]
+            if len(tokens) != n - 1:
+                raise GraphFormatError(f"expected {n - 1} values, got {len(tokens)}", line=lineno)
             try:
-                index = tuple(int(t) for t in line.split()[1:])
+                index = tuple(int(t) for t in tokens)
             except ValueError:
-                raise GraphFormatError("bad index line", line=lineno) from None
-            if len(index) != n - 1:
-                raise GraphFormatError(
-                    f"index line needs {n - 1} entries, got {len(index)}", line=lineno
-                )
+                index = None
+            if index is None or not all(-(2**63) <= r < 2**63 for r in index):
+                raise GraphFormatError(f"bad integer value in {line!r}", line=lineno)
             for s, r in enumerate(index, start=1):
                 if not 1 <= r <= dims[n - s]:
                     raise GraphFormatError(
@@ -133,22 +134,23 @@ def parse_decomposition_by_lines(text):
                     )
         lineno, line = take()
         tokens = line.split()
-        if tokens[0] != "weight" or len(tokens) != 2:
-            raise GraphFormatError("expected 'weight x' line", line=lineno)
+        if tokens[0] != "weight":
+            raise GraphFormatError(f"expected 'weight' line, got {line!r}", line=lineno)
+        if len(tokens) != 2:
+            raise GraphFormatError(f"expected 1 values, got {len(tokens) - 1}", line=lineno)
         try:
             weight = float(tokens[1])
         except ValueError:
-            raise GraphFormatError(f"bad weight {tokens[1]!r}", line=lineno) from None
+            raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
         if pos < len(lines) and lines[pos][1].startswith("ladder "):
             lineno, line = take()
+            tokens = line.split()[1:]
+            if len(tokens) != n - 1:
+                raise GraphFormatError(f"expected {n - 1} values, got {len(tokens)}", line=lineno)
             try:
-                ladder = tuple(float(t) for t in line.split()[1:])
+                ladder = tuple(float(t) for t in tokens)
             except ValueError:
-                raise GraphFormatError("bad ladder line", line=lineno) from None
-            if len(ladder) != n - 1:
-                raise GraphFormatError(
-                    f"ladder line needs {n - 1} values, got {len(ladder)}", line=lineno
-                )
+                raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
         factors = []
         vectors = []
         for k in range(1, n + 1):
@@ -445,13 +447,20 @@ M22_RECORD = (
 @pytest.mark.parametrize(
     "index, ladder, message",
     [
-        ("index 1 1 1 1\n", "", "line 5: index line needs 1 entries, got 4"),
+        ("index 1 1 1 1\n", "", "line 5: expected 1 values, got 4"),
         ("index\n", "", None),  # no "index " prefix: not an index line
         ("index 3\n", "", "line 5: index entry 1 is 3, outside 1..2"),
         ("index 0\n", "", "line 5: index entry 1 is 0, outside 1..2"),
-        ("index x\n", "", "line 5: bad index line"),
-        ("", "ladder 1.0 2.0\n", "line 6: ladder line needs 1 values, got 2"),
-        ("", "ladder x\n", "line 6: bad ladder line"),
+        ("index x\n", "", "line 5: bad integer value in 'index x'"),
+        ("index 1.0\n", "", "line 5: bad integer value in 'index 1.0'"),
+        # Past int64: not a value the reader holds, so not a range error.
+        ("index 9223372036854775808\n", "", "line 5: bad integer value in 'index 9223372036854775808'"),
+        ("index -9223372036854775809\n", "", "line 5: bad integer value in 'index -9223372036854775809'"),
+        ("index 9223372036854775807\n", "", "line 5: index entry 1 is 9223372036854775807, outside 1..2"),
+        # A bad token and a wrong count: the count is checked first.
+        ("index x 1\n", "", "line 5: expected 1 values, got 2"),
+        ("", "ladder 1.0 2.0\n", "line 6: expected 1 values, got 2"),
+        ("", "ladder x\n", "line 6: bad numeric value in 'ladder x'"),
         ("index 2\n", "ladder 1.0\n", ""),
         ("", "", ""),
     ],
@@ -459,7 +468,7 @@ M22_RECORD = (
 def test_index_and_ladder_lines_are_checked(index, ladder, message):
     text = M22_RECORD.format(index=index, ladder=ladder)
     if message is None:
-        with pytest.raises(GraphFormatError, match="^line 5: expected 'weight x' line$"):
+        with pytest.raises(GraphFormatError, match="^line 5: expected 'weight' line, got 'index'$"):
             parse_decomposition(text)
     elif message:
         with pytest.raises(GraphFormatError) as got:
@@ -509,7 +518,8 @@ TWO_FAULTS = {
         "line 7: bad numeric value in '0.5 x'",
     ),
     "row-count-and-token": ({7: "x 0.5 0.5"}, "line 7: expected 2 values, got 3"),
-    "ladder-token-and-count": ({5: "weight 0.5\nladder x 1.0"}, "line 6: bad ladder line"),
+    "ladder-token-and-count": ({5: "weight 0.5\nladder x 1.0"}, "line 6: expected 1 values, got 2"),
+    "index-token-and-count": ({5: "index x 1\nweight 0.5"}, "line 5: expected 1 values, got 2"),
     "last-row-missing": ({17: None}, "line 17: unexpected end of decomposition record"),
     # A row that fails is not kept, so its first line is the one named.
     "same-bad-row-twice": ({10: "x 1.0", 17: "x 1.0"}, "line 10: bad numeric value in 'x 1.0'"),
