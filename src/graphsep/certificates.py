@@ -240,7 +240,7 @@ def _factored_certificate(
       largest |a_kj| over axes n..m (each bounds a partial ladder value),
       with room for its roundings: then every first factor is finite.
 
-    The ``ladder`` and ``index`` lines play no part.
+    The terms' ladders, which the grid implies, play no part.
     """
     from .separability import TermGrid  # separability imports this module
 

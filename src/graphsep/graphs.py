@@ -375,9 +375,9 @@ def _edge_line(line: str, profile: DimensionProfile, lineno: int) -> Edge:
                 line=lineno,
             )
         try:
-            u = tuple(int(t) for t in tokens[1].split(","))
-            v = tuple(int(t) for t in tokens[2].split(","))
-            return vertex_index(u, profile), vertex_index(v, profile)
+            # The first label is checked in full before the second is read.
+            a = vertex_index(tuple(int(t) for t in tokens[1].split(",")), profile)
+            return a, vertex_index(tuple(int(t) for t in tokens[2].split(",")), profile)
         except ValueError as exc:
             raise GraphFormatError(str(exc), line=lineno) from None
     raise GraphFormatError(

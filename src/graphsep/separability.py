@@ -32,18 +32,19 @@ so no V x V matrix is built per term.
 
 A ``decompose`` result holds its terms as the basis that implies them
 (:class:`TermGrid`): the common weight, per axis k >= 2 the eigenvalues and
-eigenvectors of F_k, F_1 and the layer degrees.  ``format_decomposition``
-writes it in that basis form, with no line per term, and
-``parse_decomposition`` reads a basis record back as the same grid.  The
-first factors, the ladder and the term objects are built only on demand.  A
-per-term record reads back as a tuple of terms.
+eigenvectors of F_k, F_1 and the layer degrees.  That basis is the one record
+form: ``format_decomposition`` writes it, with no line per term, and
+``parse_decomposition`` reads it back as the same grid.  The first factors,
+the ladder and the term objects are built only on demand.  Library callers
+may still hold terms one by one, as a tuple, for :func:`verify_decomposition`
+and :func:`theorem1_transfer`; such a decomposition has no record.
 
 ``certify_decomposition`` is what ``decompose`` and the CLI's ``verify``
 run.  It compares profiles, then, when the graph's conditions give its
 factors F_k and the terms are a :class:`TermGrid`, it bounds |S - rho|_F
 from the basis alone (:func:`certificates._factored_certificate`), in time
 and memory that do not grow with the number of terms.  The factored path
-only passes; any other record, a graph whose conditions fail, or a bound
+only passes; a tuple of terms, a graph whose conditions fail, or a bound
 above ``tol`` goes to ``verify_decomposition`` against rho, the unchanged
 reference, whose verdict and failure texts are returned.
 """
@@ -274,21 +275,13 @@ def check_theorem_conditions(graph: MultipartiteGraph) -> ConditionReport:
 class DecompositionTerm:
     """One product term: a weight and one unit-trace PSD factor per subsystem.
 
-    Terms produced by :func:`decompose` also carry their position in the
-    eigenvalue ladder (``index``) and the eigenvalue at each ladder level
-    (``ladder``).
-    ``vectors`` holds, per factor, the vector v of a rank-one factor that
-    equals ``projector(v)``, or ``None`` for a factor held only as a matrix
-    (``vectors=None``: every factor).  It decides only the record form: a
-    factor with a vector is written as that vector alone.  Verification
-    judges ``factors``.
+    Terms of a :class:`TermGrid` also carry the eigenvalue at each ladder
+    level (``ladder``).  Verification judges ``weight`` and ``factors``.
     """
 
     weight: float
     factors: tuple[np.ndarray, ...]
-    index: tuple[int, ...] | None = None
     ladder: tuple[float, ...] | None = None
-    vectors: tuple[np.ndarray | None, ...] | None = None
 
 
 def projector(vector: np.ndarray) -> np.ndarray:
@@ -315,10 +308,11 @@ class TermGrid(Sequence):
 
     Level s of the ladder expands every term so far (a ladder value) into one
     child per eigenvalue of F_{n-s+1}, so the terms stay in lexicographic
-    ``index`` order.  A value times F_k has F_k's eigenvectors and that value
-    times F_k's eigenvalues; a negative value reverses their order, so
-    siblings always descend.  Factor 1 of every term is delta + lam F_1 for
-    its last ladder value lam, normalised by the total layer degree.
+    order of their positions among siblings.  A value times F_k has F_k's
+    eigenvectors and that value times F_k's eigenvalues; a negative value
+    reverses their order, so siblings always descend.  Factor 1 of every
+    term is delta + lam F_1 for its last ladder value lam, normalised by the
+    total layer degree.
     """
 
     weight: float
@@ -354,21 +348,14 @@ class TermGrid(Sequence):
             top = np.diag(self.layer_degrees.astype(float))
             top = top + values[:, None, None] * self.top_pattern.astype(float)
             firsts = top / sum(self.layer_degrees.tolist())
-        sizes = [len(eig) for eig in self.eigenvalues[::-1]]
-        index = np.indices(sizes).reshape(len(sizes), -1).T + 1
-        vectors = [list(v) for v in self.vectors]
         projectors = [list(projector(v)) for v in self.vectors]
         return tuple(
             DecompositionTerm(
                 weight=self.weight,
                 factors=(first,) + tuple(p[j] for p, j in zip(projectors, row)),
-                index=position,
                 ladder=ladder,
-                vectors=(None,) + tuple(v[j] for v, j in zip(vectors, row)),
             )
-            for first, row, position, ladder in zip(
-                firsts, chosen[:, ::-1].tolist(), map(tuple, index.tolist()), map(tuple, ladders.tolist())
-            )
+            for first, row, ladder in zip(firsts, chosen[:, ::-1].tolist(), map(tuple, ladders.tolist()))
         )
 
 
@@ -567,9 +554,8 @@ def verify_decomposition(
     The factor checks run on per-axis stacks of shape (B, d_k, d_k), for
     blocks of B terms (one block for all but the largest factors), with one
     batched symmetric eigenvalue call per axis and block
-    (:func:`certificates._factor_failures`); a factor's vector, if it has
-    one, plays no part.  The residual is reassembled from the same stacks
-    (:func:`_reassemble`).
+    (:func:`certificates._factor_failures`).  The residual is reassembled
+    from the same stacks (:func:`_reassemble`).
     Failures are listed term by term, factors in axis order.
     """
     _require_profile(decomposition, rho.profile)
@@ -769,23 +755,23 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     """Serialise a decomposition as a stable, diffable text record.
 
     Header lines carry the profile, term count, reassembly residual and
-    certificate flags, all values at 17 significant digits.  A
-    :class:`TermGrid` (every :func:`decompose` result) is written in basis
-    form (:func:`_basis_lines`): the weight
-    once, per axis k >= 2 its eigenvalues and eigenvectors, F_1 and delta,
-    O(sum_k N_k^2) values with no line per term.  Every other decomposition
-    is written term by term: each term lists its weight (plus ladder trace
-    when available) and its factors.  A factor with a vector v
-    (``term.vectors``) is written as ``factor k vector d`` and one row
-    holding v, and is read back as ``projector(v)``; any other factor as
-    ``factor k order d`` and its d rows.  Each row array goes through
-    :func:`_row_texts`, one ``%`` format a row; the text is the same as
-    formatting every value on its own with :func:`textio.format_float`.
+    certificate flags, all values at 17 significant digits.  The terms,
+    which must be a :class:`TermGrid` (every :func:`decompose` result and
+    parsed record), follow in basis form: ``weight w``; per axis k >= 2,
+    ``axis k basis N_k``, an ``eigenvalues`` line and the N_k eigenvectors,
+    one a row; ``pattern 1 order N_1`` and the rows of F_1; ``degrees`` and
+    delta.  That is O(sum_k N_k^2) values, with no line per term.  Each row
+    array goes through :func:`_row_texts`, one ``%`` format a row; the text
+    is the same as formatting every value on its own with
+    :func:`textio.format_float`.  Terms held one by one have no record, and
+    raise ``ValueError``.
     """
-    terms = decomposition.terms
+    grid = decomposition.terms
+    if not isinstance(grid, TermGrid):
+        raise ValueError(f"only a TermGrid has a record, not a {type(grid).__name__} of terms")
     lines = [_DECOMPOSITION_MAGIC]
     lines.append("dims " + " ".join(str(d) for d in decomposition.profile.dims))
-    lines.append(f"terms {len(terms)}")
+    lines.append(f"terms {len(grid)}")
     if decomposition.residual is not None:
         lines.append("residual " + format_float(decomposition.residual))
     if decomposition.certificates is not None:
@@ -794,34 +780,7 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
             for name, ok in decomposition.certificates
         )
         lines.append("certificates " + flags)
-    if isinstance(terms, TermGrid):
-        return "\n".join(lines + _basis_lines(terms)) + "\n"
-    for i, term in enumerate(terms, start=1):
-        lines.append(f"term {i}")
-        if term.index is not None:
-            lines.append("index " + " ".join(map(str, term.index)))
-        lines.append("weight " + format_float(float(term.weight)))
-        if term.ladder is not None:
-            lines.append("ladder " + _row_texts(np.asarray(term.ladder, dtype=float)[None])[0])
-        vectors = term.vectors or (None,) * len(term.factors)
-        pairs = zip(term.factors, vectors, strict=True)
-        for k, (factor, vector) in enumerate(pairs, start=1):
-            if vector is None:
-                rows = np.asarray(factor, dtype=float)
-                lines.append(f"factor {k} order {len(rows)}")
-            else:
-                rows = np.asarray(vector, dtype=float)[None]
-                lines.append(f"factor {k} vector {rows.shape[1]}")
-            lines.extend(_row_texts(rows))
-    return "\n".join(lines) + "\n"
-
-
-def _basis_lines(grid: TermGrid) -> list[str]:
-    """The basis-form lines of a grid: ``weight w``;
-    per axis k >= 2, ``axis k basis N_k``, an ``eigenvalues`` line and the
-    N_k eigenvectors, one a row; ``pattern 1 order N_1`` and the rows of
-    F_1; ``degrees`` and delta, from which the grid implies its terms."""
-    lines = ["weight " + format_float(float(grid.weight))]
+    lines.append("weight " + format_float(float(grid.weight)))
     for k, (values, vectors) in enumerate(zip(grid.eigenvalues, grid.vectors), start=2):
         lines.append(f"axis {k} basis {len(values)}")
         lines.append("eigenvalues " + _row_texts(values[None])[0])
@@ -829,7 +788,7 @@ def _basis_lines(grid: TermGrid) -> list[str]:
     lines.append(f"pattern 1 order {len(grid.top_pattern)}")
     lines.extend(" ".join(map(str, row)) for row in grid.top_pattern.tolist())
     lines.append("degrees " + " ".join(map(str, grid.layer_degrees.tolist())))
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def _row_texts(rows: np.ndarray) -> list[str]:
@@ -848,24 +807,18 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
 
     One walk over the record's content lines (blank lines and ``#``
     comments skipped) reads each line in file order, so an error is raised
-    on its own line, the earliest first.  Header lines (``dims``, ``terms``,
-    ``residual``, ``certificates``, ``term``, ``factor``, ``axis``,
-    ``pattern``) have a reader each; every line of values, with a keyword
-    (``weight``, ``index``, ``ladder``, ``eigenvalues``, ``degrees``) or
-    without (a row), is read by :func:`_basis_rows`.  A record whose header
-    is followed by a ``weight`` line and an ``axis`` line is in basis form
-    (:func:`_basis_record`); its ``terms`` count must be N_2*...*N_n, and it
-    reads back as the :class:`TermGrid` that :func:`decompose` held, bit for
-    bit but for the signs of zeros.
+    on its own line, the earliest first.  The header (``dims``, ``terms``,
+    then any ``residual`` and ``certificates`` lines) is followed by the
+    lines :func:`format_decomposition` writes, each checked as it is taken:
+    the weight, per axis k >= 2 its header, eigenvalues and N_k eigenvector
+    rows, F_1's header and rows of integers, and the degrees.  Every line of
+    values, with a keyword (``weight``, ``eigenvalues``, ``degrees``) or
+    without (a row), is read by :func:`_basis_rows`.  The ``terms`` count
+    must be N_2*...*N_n, and the record reads back as the :class:`TermGrid`
+    that :func:`decompose` held, bit for bit but for the signs of zeros.
 
-    A per-term record reads back as a tuple of terms, read the same way:
-    each term's ``term``, ``index`` (entry s then checked to lie in
-    1..N_{n-s+1}), ``weight`` and ``ladder`` lines, then per axis a factor
-    header and its rows.  A vector row's values and
-    ``projector`` are kept by (axis, row text), so a repeated text is taken
-    without conversion and every term holding it on that axis shares one
-    vector array and one projector array there; a row that fails is never
-    kept, so the first bad line is the one reported.
+    A ``term`` line after the header starts a per-term record, a form that
+    earlier versions wrote and that is no longer read: that line is named.
     """
     lines = [strip_comment(line) for line in text.splitlines()]
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
@@ -933,66 +886,20 @@ def parse_decomposition(text: str) -> SeparableDecomposition:
                 flags.append((name, value == "pass"))
             certificates = tuple(flags)
 
+    if texts[pos].split()[:1] == ["term"]:
+        lineno, line = take()
+        raise GraphFormatError(
+            f"{line!r} starts a per-term record, a form no longer read;"
+            " re-run 'graphsep decompose' to write the record in basis form",
+            line=lineno,
+        )
     dims = profile.dims
-    n = profile.n
-    # A basis record: a weight line, then the first axis header.
-    if texts[pos].split()[:1] == ["weight"] and texts[pos + 1].split()[:1] == ["axis"]:
-        implied = math.prod(dims[1:])
-        if expected_terms != implied:
-            raise GraphFormatError(
-                f"terms {expected_terms} does not match the {implied} terms of the basis",
-                line=terms_lineno,
-            )
-        grid = _basis_record(take, dims)
-        if pos != count:
-            lineno, line = take()
-            raise GraphFormatError(f"trailing content {line!r}", line=lineno)
-        return SeparableDecomposition(profile, grid, residual=residual, certificates=certificates)
-
-    shared = {}  # (axis, vector row text) -> (vector, projector), one pair per distinct row
-    terms = []
-    for i in range(1, expected_terms + 1):
-        lineno, line = take()
-        if line.split() != ["term", str(i)]:
-            raise GraphFormatError(f"expected 'term {i}', got {line!r}", line=lineno)
-        index = ladder = None
-        if texts[pos].startswith("index "):
-            # n - 1 integers, entry s in 1..N_{n-s+1}, as decompose chooses them.
-            lineno = linenos[pos]
-            index = tuple(_basis_rows(take, 1, n - 1, int, "index")[0].tolist())
-            for s, (r, size) in enumerate(zip(index, dims[:0:-1]), start=1):
-                if not 1 <= r <= size:
-                    raise GraphFormatError(f"index entry {s} is {r}, outside 1..{size}", line=lineno)
-        weight = float(_basis_rows(take, 1, 1, float, "weight")[0, 0])
-        if texts[pos].startswith("ladder "):
-            ladder = tuple(_basis_rows(take, 1, n - 1, float, "ladder")[0].tolist())
-        pairs = []  # per axis: (vector or None, factor)
-        for k, d in enumerate(dims, start=1):
-            if not _factor_line(*take(), k, d):
-                pairs.append((None, _basis_rows(take, d, d, float)))
-                continue
-            key = k, texts[pos]
-            if key in shared:
-                take()
-            else:
-                vector = _basis_rows(take, 1, d, float)[0]
-                shared[key] = vector, projector(vector)
-            pairs.append(shared[key])
-        vectors, factors = zip(*pairs)
-        terms.append(DecompositionTerm(weight, factors, index, ladder, vectors=vectors))
-    if pos != count:
-        lineno, line = take()
-        raise GraphFormatError(f"trailing content {line!r}", line=lineno)
-    return SeparableDecomposition(
-        profile, tuple(terms), residual=residual, certificates=certificates
-    )
-
-
-def _basis_record(take, dims: tuple[int, ...]) -> TermGrid:
-    """The grid of a basis record, read from the lines after its header
-    (``take()`` gives the next ``(lineno, line)``), each line in file order:
-    the weight, per axis k >= 2 its header, eigenvalues and N_k eigenvector
-    rows, F_1's header and rows of integers, and the degrees."""
+    implied = math.prod(dims[1:])
+    if expected_terms != implied:
+        raise GraphFormatError(
+            f"terms {expected_terms} does not match the {implied} terms of the basis",
+            line=terms_lineno,
+        )
     weight = float(_basis_rows(take, 1, 1, float, "weight")[0, 0])
     eigenvalues, vectors = [], []
     for k, d in enumerate(dims[1:], start=2):
@@ -1006,15 +913,19 @@ def _basis_record(take, dims: tuple[int, ...]) -> TermGrid:
         raise GraphFormatError(f"expected 'pattern 1 order {dims[0]}', got {line!r}", line=lineno)
     top_pattern = _basis_rows(take, dims[0], dims[0], int)
     degrees = _basis_rows(take, 1, dims[0], int, "degrees")[0]
-    return TermGrid(weight, tuple(eigenvalues), tuple(vectors), top_pattern, degrees)
+    if pos != count:
+        lineno, line = take()
+        raise GraphFormatError(f"trailing content {line!r}", line=lineno)
+    grid = TermGrid(weight, tuple(eigenvalues), tuple(vectors), top_pattern, degrees)
+    return SeparableDecomposition(profile, grid, residual=residual, certificates=certificates)
 
 
 def _basis_rows(take, count: int, d: int, kind, keyword: str | None = None) -> np.ndarray:
     """The (count, d) values of the next ``count`` record lines, each after
     its ``keyword`` if it has one, as float64 or (``kind`` int) int64: every
-    keyword line of values, basis row and per-term factor row.  Each line is
-    judged as it is taken (keyword, then value count, then one ``kind`` map
-    over its values), so the first line that fails is the one named."""
+    keyword line of values and every row.  Each line is judged as it is
+    taken (keyword, then value count, then one ``kind`` map over its
+    values), so the first line that fails is the one named."""
     rows = np.empty((count, d), dtype=np.int64 if kind is int else float)
     for row in rows:
         lineno, line = take()
@@ -1031,28 +942,3 @@ def _basis_rows(take, count: int, d: int, kind, keyword: str | None = None) -> n
             what = "integer" if kind is int else "numeric"
             raise GraphFormatError(f"bad {what} value in {line!r}", line=lineno) from None
     return rows
-
-
-def _factor_line(lineno: int, line: str, k: int, d: int) -> bool:
-    """Whether the line for factor k (of order d) heads a vector, not a matrix."""
-    tokens = line.split()
-    if (
-        tokens[:2] != ["factor", str(k)]
-        or len(tokens) != 4
-        or tokens[2] not in ("order", "vector")
-    ):
-        raise GraphFormatError(
-            f"expected 'factor {k} order d' or 'factor {k} vector d',"
-            f" got {line!r}",
-            line=lineno,
-        )
-    form = tokens[2]
-    try:
-        order = int(tokens[3])
-    except ValueError:
-        raise GraphFormatError(f"bad order {tokens[3]!r}", line=lineno) from None
-    if order != d:
-        raise GraphFormatError(
-            f"factor {k} {form} {order} does not match dimension {d}", line=lineno
-        )
-    return form == "vector"

@@ -19,7 +19,7 @@ from graphsep import (
     transforms,
 )
 from graphsep.cli import main
-from test_golden_records import per_term
+from test_golden_records import per_term_text
 
 M222_TEXT = "dims 2 2 2\ne 1 5\ne 2 6\ne 3 7\ne 4 8\n"
 K2_TEXT = "dims 2 2\ne 1 2\n"
@@ -59,7 +59,9 @@ EXIT_CODES = {
         ["decompose", "{w}/intra.graph", "{w}/x.dec"], 2, "precondition unmet: decomposition hypotheses fail"
     ),
     "verify-other-profile": (["verify", "{w}/k2.graph", "{w}/m222.dec"], 2, "does not match"),
-    "verify-no-terms": (["verify", "{w}/m222.graph", "{w}/zero.dec"], 1, "decomposition has no terms"),
+    "verify-no-terms": (
+        ["verify", "{w}/m222.graph", "{w}/zero.dec"], 4, "line 3: terms 0 does not match the 4 terms of the basis"
+    ),
     "verify-empty": (["verify", "{w}/empty.graph", "{w}/m222.dec"], 2, "zero trace"),
     "verify-unreadable-record": (["verify", "{w}/m222.graph", "{w}/bad.dec"], 4, "header"),
     "verify-negative-term-count": (
@@ -69,8 +71,11 @@ EXIT_CODES = {
     "verify-bad-vector-token": (["verify", "{w}/m222.graph", "{w}/token.dec"], 4, "bad numeric value"),
     "verify-non-unit-vector": (["verify", "{w}/m222.graph", "{w}/nonunit.dec"], 1, "trace 4"),
     "verify-nan-vector": (["verify", "{w}/m222.graph", "{w}/nan.dec"], 1, "non-finite"),
-    "verify-long-index": (
-        ["verify", "{w}/m222.graph", "{w}/index.dec"], 4, "line 7: expected 2 values, got 4"
+    "verify-per-term-record": (
+        ["verify", "{w}/m222.graph", "{w}/per-term.dec"],
+        4,
+        "per-term.dec: line 6: 'term 1' starts a per-term record, a form no longer read;"
+        " re-run 'graphsep decompose' to write the record in basis form",
     ),
     "gen-bad-dims": (["gen", "psym", "--dims", "2", "--seed", "0"], 4, "at least 2"),
     "gen-dims-over-cap": (["gen", "theorem", "--dims", "2,1024"], 4, "exceeds the cap"),
@@ -103,8 +108,7 @@ class TestExitCodes:
         (workdir / "bad.dec").write_text("not-a-decomposition\n")
         (workdir / "negative.dec").write_text("graphsep-decomposition\ndims 2 2 2\nterms -1\n")
         (workdir / "zero.dec").write_text("graphsep-decomposition\ndims 2 2 2\nterms 0\n")
-        terms = format_decomposition(per_term(dec))
-        (workdir / "index.dec").write_text(terms.replace("index 1 1\n", "index 1 1 1 1\n", 1))
+        (workdir / "per-term.dec").write_text(per_term_text(dec))
         for name, edit in VECTOR_ROW_EDITS.items():
             (workdir / name).write_text(edit_vector_row(record, edit))
         assert main([arg.format(w=workdir) for arg in argv]) == code
@@ -389,21 +393,18 @@ class TestDecomposeVerify:
             assert "terms=256" in capsys.readouterr().out.splitlines()
             assert built == [], command
 
-    def test_tampered_file_fails_verify(self, workdir, capsys):
-        dec_path = workdir / "out.dec"
+    def test_tampered_factor_fails_certify(self):
+        # Term 1's first factor, 0.5 everywhere, with one entry made 0.5001,
+        # among the terms held one by one: the dense path fails it.
         graph = parse_graph(M222_TEXT)
-        # A factor-1 entry of the per-term form.
-        dec_path.write_text(format_decomposition(per_term(decompose(graph))))
-        text = dec_path.read_text()
-        tampered = text.replace(
-            "5.0000000000000000e-01", "5.0010000000000000e-01", 1
-        )
-        assert tampered != text
-        dec_path.write_text(tampered)
-        code = main(["verify", str(workdir / "m222.graph"), str(dec_path)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "verified=fail" in captured.out
+        dec = decompose(graph)
+        first, *rest = dec.terms
+        factor = first.factors[0].copy()
+        factor[0, 0] = 0.5001
+        tampered = replace(dec, terms=(replace(first, factors=(factor, *first.factors[1:])), *rest))
+        certificate = separability.certify_decomposition(tampered, graph)
+        assert not certificate.passed
+        assert certificate.failures[0].startswith("term 1 factor 1: trace 1.0001")
 
     @pytest.mark.parametrize("field", ["weight", "factor entry"])
     def test_non_finite_record_fails_verify(self, workdir, capsys, field):
@@ -424,21 +425,19 @@ class TestDecomposeVerify:
         assert "non-finite" in captured.err
 
     @pytest.mark.filterwarnings("error")
-    def test_huge_entry_fails_on_the_dense_path_without_warning(self, tmp_path, capsys):
-        # The per-term record of (2, 4, 4, 4) seed 1 with one factor-1 entry
-        # at 1e308: that factor fails its trace test, so the dense path judges
-        # the record, and its reassembly residual overflows.
+    def test_huge_entry_fails_on_the_dense_path_without_warning(self):
+        # The terms of (2, 4, 4, 4) seed 1 held one by one, with one factor-1
+        # entry at 1e308: that factor fails its trace test on the dense
+        # path, and the reassembly residual overflows, with no warning.
         graph = graphsep.gen_theorem_graph(graphsep.DimensionProfile((2, 4, 4, 4)), 1)
-        lines = format_decomposition(per_term(decompose(graph))).splitlines()
-        at = lines.index("factor 1 order 2") + 1
-        lines[at] = " ".join(["1e308", *lines[at].split()[1:]])
-        (tmp_path / "g.graph").write_text(graphsep.format_graph(graph))
-        (tmp_path / "huge.dec").write_text("\n".join(lines) + "\n")
-        code = main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "huge.dec")])
-        captured = capsys.readouterr()
-        assert code == 1 and "Warning" not in captured.err
-        assert "failure: term 1 factor 1: trace 1e+308, expected 1" in captured.err
-        assert "verified=fail" in captured.out and "verified=pass" not in captured.out
+        dec = decompose(graph)
+        first, *rest = dec.terms
+        factor = first.factors[0].copy()
+        factor[0, 0] = 1e308
+        huge = replace(dec, terms=(replace(first, factors=(factor, *first.factors[1:])), *rest))
+        certificate = separability.certify_decomposition(huge, graph)
+        assert not certificate.passed
+        assert "term 1 factor 1: trace 1e+308, expected 1" in certificate.failures
 
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
@@ -521,8 +520,7 @@ class TestBasisRecord:
         (retokened(28, lambda t: t[:-1]), "line 28: expected 2 values, got 1"),
         (retokened(6, lambda t: ["weight", "x"]), "line 6: bad numeric value in 'weight x'"),
         (retokened(6, lambda t: [*t, "0.5"]), "line 6: expected 1 values, got 2"),
-        # Not a weight line, so not a basis record: the first term is due.
-        (retokened(6, lambda t: ["weights", *t[1:]]), "line 6: expected 'term 1', got 'weights 1.5625"),
+        (retokened(6, lambda t: ["weights", *t[1:]]), "line 6: expected 'weight' line, got 'weights 1.5625"),
         (lambda lines: lines.pop(13), "line 14: expected 'eigenvalues' line, got '1.0000000000000000e+00 0.0"),
         (lambda lines: lines.append("degrees 3 3"), "line 29: trailing content 'degrees 3 3'"),
         # A cut record names the line after its last content line.

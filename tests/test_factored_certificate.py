@@ -40,7 +40,7 @@ from graphsep.certificates import _factor_failures, _factored_certificate, _unit
 from graphsep.cli import main
 from graphsep.separability import TermGrid, certify_decomposition
 from test_acceptance import SEEDS_PER_PROFILE, SWEEP_PROFILES
-from test_golden_records import GOLDEN, per_term
+from test_golden_records import GOLDEN, chosen_rows, per_term
 
 ROUNDOFF = 2.0**-53
 
@@ -130,48 +130,45 @@ def test_factored_verdict_matches_dense_on_sweep():
             assert_bound_covers_residual(record_of(graph), graph, reference=True)
 
 
-# -- tampered records ----------------------------------------------------------
+# -- tampered terms ------------------------------------------------------------
 #
-# These edit the per-term form of a decomposition, which reads back as a
-# tuple of terms and so takes the dense path; the basis form's edits follow.
+# These edit the terms of a decomposition held one by one, as a tuple, which
+# only the dense path judges; the basis record's edits follow.
 
 
-def edit_row(lines, header, edit):
-    """Apply ``edit`` to the token list of the first row under ``header``."""
-    at = lines.index(header) + 1
-    lines[at] = " ".join(edit(lines[at].split()))
-
-
-def tamper(text, case, dims):
-    lines = text.split("\n")
+def tamper(dec, case):
+    """The terms of grid decomposition ``dec`` as a tuple, with one edited."""
+    terms = list(dec.terms)
+    grid, first = dec.terms, terms[0]
     if case == "vector-entry-x2":
-        edit_row(lines, f"factor 2 vector {dims[1]}", lambda row: [repr(2 * float(row[0]))] + row[1:])
+        # Term 1's axis-2 eigenvector with its first entry doubled.
+        vector = grid.vectors[0][chosen_rows(grid)[0][0]].copy()
+        vector[0] *= 2
+        terms[0] = replace(first, factors=(first.factors[0], separability.projector(vector), *first.factors[2:]))
     elif case == "weight-x1.5":
-        at = next(i for i, line in enumerate(lines) if line.startswith("weight "))
-        lines[at] = "weight " + repr(1.5 * float(lines[at].split()[1]))
+        terms[0] = replace(first, weight=1.5 * first.weight)
     elif case == "sibling-factor-2":
-        # Terms run in lexicographic index order, and the last index entry
-        # picks the axis-2 eigenvector: term 2 is term 1's axis-2 sibling.
-        header = f"factor 2 vector {dims[1]}"
-        sibling = lines[lines.index(header, lines.index("term 2")) + 1]
-        assert sibling != lines[lines.index(header) + 1]
-        edit_row(lines, header, lambda row: sibling.split())
+        # Terms run in lexicographic order of their ladder positions, and the
+        # last level picks the axis-2 eigenvector: term 2 is term 1's axis-2
+        # sibling, and term 1 takes its factor 2.
+        assert chosen_rows(grid)[1][0] != chosen_rows(grid)[0][0]
+        terms[0] = replace(first, factors=(first.factors[0], terms[1].factors[1], *first.factors[2:]))
     elif case == "factor-1-entry":
-        edit_row(lines, f"factor 1 order {dims[0]}", lambda row: [row[0], repr(float(row[1]) + 1e-6)] + row[2:])
+        factor = first.factors[0].copy()
+        factor[0, 1] += 1e-6
+        terms[0] = replace(first, factors=(factor, *first.factors[1:]))
     elif case == "factor-1-diagonal-pair":
         # Symmetric, unit trace and PSD still: only the residual can tell.
         # The term with the smallest last ladder value has the most definite
         # first factor; its largest diagonal entry gives 1e-6 to another.
-        ladders = [abs(float(line.split()[-1])) for line in lines if line.startswith("ladder ")]
-        term = lines.index(f"term {1 + ladders.index(min(ladders))}")
-        at = lines.index(f"factor 1 order {dims[0]}", term) + 1
-        rows = [[float(x) for x in lines[at + i].split()] for i in range(dims[0])]
-        big = max(range(dims[0]), key=lambda i: rows[i][i])
-        rows[big][big] -= 1e-6
-        rows[1 - big if big < 2 else 0][1 - big if big < 2 else 0] += 1e-6
-        for i, row in enumerate(rows):
-            lines[at + i] = " ".join(map(repr, row))
-    return "\n".join(lines)
+        t = min(range(len(terms)), key=lambda t: abs(terms[t].ladder[-1]))
+        factor = terms[t].factors[0].copy()
+        big = int(np.argmax(factor.diagonal()))
+        other = 1 - big if big < 2 else 0
+        factor[big, big] -= 1e-6
+        factor[other, other] += 1e-6
+        terms[t] = replace(terms[t], factors=(factor, *terms[t].factors[1:]))
+    return replace(dec, terms=tuple(terms))
 
 
 TAMPER_CASES = (
@@ -185,39 +182,20 @@ TAMPER_CASES = (
 def test_tampered_grid_record_fails_as_dense_does(dims, case):
     profile = DimensionProfile(dims)
     graph = gen_theorem_graph(profile, 1)
-    text = format_decomposition(per_term(decompose(graph)))
+    dec = record_of(graph)
     if case == "other-seed":
-        # The record of graph 1, checked against a different conforming graph.
+        # The terms of graph 1, checked against a different conforming graph.
+        record = per_term(dec)
         graph = gen_theorem_graph(profile, 2)
         assert check_theorem_conditions(graph).holds
         assert not np.array_equal(graph.edge_array(), gen_theorem_graph(profile, 1).edge_array())
     else:
-        text = tamper(text, case, dims)
-    record = parse_decomposition(text)
+        record = tamper(dec, case)
     dense = verify_decomposition(record, density_matrix(graph, SIGNLESS))
     factored = _factored_certificate(record, check_theorem_conditions(graph), 1e-8)
-    assert factored is None or dense.passed
     assert not dense.passed and factored is None
     got = certify_decomposition(record, graph)
     assert (got.passed, got.failures, got.residual) == (dense.passed, dense.failures, dense.residual)
-
-
-@pytest.mark.parametrize("case", ["vector-entry-x2", "weight-x1.5", "sibling-factor-2"])
-def test_tampered_record_is_not_a_grid_and_fails_verify(tmp_path, capsys, case):
-    # A vector row respelt to a new value, one weight x1.5, and a collided
-    # cell (term 2's factor-2 row replaced by term 1's): each is read as
-    # terms, and the CLI's verify exits 1 without verified=pass.
-    dims = (2, 4, 4, 4)
-    graph = gen_theorem_graph(DimensionProfile(dims), 1)
-    text = tamper(format_decomposition(per_term(decompose(graph))), case, dims)
-    record = parse_decomposition(text)
-    assert isinstance(record.terms, tuple)
-    assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
-    (tmp_path / "g.graph").write_text(format_graph(graph))
-    (tmp_path / "g.dec").write_text(text)
-    assert main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")]) == 1
-    out = capsys.readouterr().out
-    assert "verified=fail" in out and "verified=pass" not in out
 
 
 GRID_TAMPERS = {
@@ -338,9 +316,9 @@ def test_eigenvalue_inside_the_gershgorin_allowance_stays_on_the_factored_path(d
     assert verify_decomposition(record, density_matrix(graph, SIGNLESS)).passed
 
 
-def test_terms_replaced_in_a_grid_decomposition_are_judged_as_terms(tmp_path, capsys):
+def test_terms_replaced_in_a_grid_decomposition_are_judged_as_terms():
     # replace() swaps the grid for a tuple of terms, so nothing of the
-    # untampered grid is left to certify.
+    # untampered grid is left to certify, and there is no record to write.
     graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
     dec = decompose(graph)
     assert isinstance(dec.terms, TermGrid)
@@ -348,27 +326,8 @@ def test_terms_replaced_in_a_grid_decomposition_are_judged_as_terms(tmp_path, ca
     tampered = replace(dec, terms=(replace(first, weight=1.5 * first.weight), *rest))
     assert _factored_certificate(tampered, check_theorem_conditions(graph), 1e-8) is None
     assert not certify_decomposition(tampered, graph).passed
-    (tmp_path / "g.graph").write_text(format_graph(graph))
-    (tmp_path / "g.dec").write_text(format_decomposition(tampered))
-    assert main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")]) == 1
-    assert "verified=pass" not in capsys.readouterr().out
-
-
-def test_equal_rows_spelt_two_ways_take_the_dense_path_and_pass():
-    # Term 1's factor-2 vector in repr form: the same values under another
-    # row text, so axis 2 has N_2 + 1 row texts and the record is no grid.
-    graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
-    lines = format_decomposition(per_term(decompose(graph))).split("\n")
-    at = lines.index("factor 2 vector 4") + 1
-    respelt = " ".join(repr(float(x)) for x in lines[at].split())
-    assert respelt != lines[at]
-    lines[at] = respelt
-    record = parse_decomposition("\n".join(lines))
-    assert isinstance(record.terms, tuple)
-    assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
-    got = certify_decomposition(record, graph)
-    dense = verify_decomposition(record, density_matrix(graph, SIGNLESS))
-    assert got.passed and got == dense
+    with pytest.raises(ValueError, match="only a TermGrid has a record"):
+        format_decomposition(tampered)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3, 2), (2, 4, 4, 4)], ids=lambda d: "x".join(map(str, d)))
@@ -379,13 +338,9 @@ def test_grid_choices_cover_the_product_grid_once(dims):
     # eigenvalues it chose.
     grid = record_of(gen_theorem_graph(DimensionProfile(dims), 1)).terms
     assert len(grid) == math.prod(dims[1:]) == len(list(grid))
-    # On each axis a term's vector is one row of the basis: its cell.
-    matches = [
-        [np.flatnonzero((vectors == v).all(axis=1)) for v, vectors in zip(term.vectors[1:], grid.vectors)]
-        for term in grid
-    ]
-    assert all(len(rows) == 1 for term in matches for rows in term)
-    choice = np.array(matches)[:, :, 0]
+    # On each axis a term's factor is the projector of one row of the
+    # basis: its cell.
+    choice = np.array(chosen_rows(grid))
     cells = np.ravel_multi_index(tuple(choice.T), dims[1:])
     assert np.array_equal(np.sort(cells), np.arange(len(grid)))
     chosen = [values[choice[:, k]] for k, values in enumerate(grid.eigenvalues)]
@@ -394,23 +349,17 @@ def test_grid_choices_cover_the_product_grid_once(dims):
 
 
 @pytest.mark.parametrize("case", ["collided-cell", "dropped-term"])
-def test_per_term_records_off_the_grid_take_the_dense_path(case):
-    # Per-term text never reaches the factored path, whatever cells its
-    # terms take: a collided cell (term 2's factor-2 vector replaced by term
-    # 1's) and a record missing its last term both fail as the dense path
-    # fails them.
+def test_terms_off_the_grid_take_the_dense_path(case):
+    # Terms held one by one never reach the factored path, whatever cells
+    # they take: a collided cell (term 1's factor 2 replaced by term 2's)
+    # and terms missing the last one both fail as the dense path fails them.
     dims = (2, 2, 2)
     graph = gen_theorem_graph(DimensionProfile(dims), 1)
-    text = format_decomposition(per_term(decompose(graph)))
+    dec = record_of(graph)
     if case == "collided-cell":
-        text = tamper(text, "sibling-factor-2", dims)
+        record = tamper(dec, "sibling-factor-2")
     else:
-        lines = text.split("\n")
-        lines = lines[: lines.index("term 4")] + [""]
-        lines[lines.index("terms 4")] = "terms 3"
-        text = "\n".join(lines)
-    record = parse_decomposition(text)
-    assert isinstance(record.terms, tuple)
+        record = replace(dec, terms=tuple(dec.terms)[:3])
     assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
     dense = verify_decomposition(record, density_matrix(graph, SIGNLESS))
     assert not dense.passed and certify_decomposition(record, graph) == dense
@@ -424,18 +373,12 @@ def test_decomposition_of_no_terms_fails():
     assert certify_decomposition(empty, graph) == certificate
 
 
-def test_shuffled_and_renumbered_per_term_record_passes_on_the_dense_path():
+def test_shuffled_terms_pass_on_the_dense_path():
     graph = gen_theorem_graph(DimensionProfile((2, 4, 4, 4)), 1)
-    lines = format_decomposition(per_term(decompose(graph))).rstrip("\n").split("\n")
-    starts = [i for i, line in enumerate(lines) if line.startswith("term ")]
-    blocks = [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
-    order = np.random.default_rng(0).permutation(len(blocks))
-    shuffled = lines[: starts[0]]
-    for i, j in enumerate(order.tolist(), start=1):
-        shuffled += [f"term {i}", *blocks[j][1:]]
-    record = parse_decomposition("\n".join(shuffled) + "\n")
-    assert isinstance(record.terms, tuple)
-    assert [t.index for t in record.terms] != [t.index for t in record_of(graph).terms]
+    dec = record_of(graph)
+    order = np.random.default_rng(0).permutation(len(dec.terms))
+    record = replace(dec, terms=tuple(dec.terms[int(i)] for i in order))
+    assert chosen_rows(dec.terms, record.terms) != chosen_rows(dec.terms)
     assert _factored_certificate(record, check_theorem_conditions(graph), 1e-8) is None
     dense = verify_decomposition(record, density_matrix(graph, SIGNLESS))
     assert dense.passed and certify_decomposition(record, graph) == dense
@@ -463,10 +406,9 @@ def terms_one_by_one(graph):
             value = value * eig.eigenvalues[j]
             ladder.append(float(value))
             picks[-s] = j
-        vectors = tuple(eig.eigenvectors[:, j] for eig, j in zip(spectra, picks))
         first = (np.diag(np.asarray(degrees, dtype=float)) + value * top) / sum(degrees)
-        factors = (first, *(separability.projector(v) for v in vectors))
-        terms.append(DecompositionTerm(1.0 / count, factors, index, tuple(ladder), (None, *vectors)))
+        factors = (first, *(separability.projector(eig.eigenvectors[:, j]) for eig, j in zip(spectra, picks)))
+        terms.append(DecompositionTerm(1.0 / count, factors, tuple(ladder)))
     return terms
 
 
@@ -489,24 +431,22 @@ def test_grid_terms_equal_the_terms_built_one_by_one(dims, monkeypatch):
     terms = list(dec.terms)
     assert len(built) == len(terms) and list(dec.terms)[0] is terms[0]  # built once
     for got, want in zip(terms, terms_one_by_one(graph), strict=True):
-        assert (got.weight, got.index, got.ladder) == (want.weight, want.index, want.ladder)
-        assert all(type(x) is type(y) for x, y in zip(got.index + got.ladder, want.index + want.ladder))
-        assert got.vectors[0] is None
-        for a, b in zip(got.factors + got.vectors[1:], want.factors + want.vectors[1:]):
+        assert (got.weight, got.ladder) == (want.weight, want.ladder)
+        assert all(type(x) is type(y) for x, y in zip(got.ladder, want.ladder))
+        for a, b in zip(got.factors, want.factors, strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
     for k, d in enumerate(dims[1:], start=1):
         assert len({id(t.factors[k]) for t in terms}) == d
-        assert len({id(t.vectors[k]) for t in terms}) == d
 
 
 def test_parse_shares_one_projector_per_distinct_vector_row():
     dims = (2, 4, 4, 4)
-    record = record_of(gen_theorem_graph(DimensionProfile(dims), 1))
+    grid = record_of(gen_theorem_graph(DimensionProfile(dims), 1)).terms
     for k, d in enumerate(dims[1:], start=1):
-        assert len({id(t.factors[k]) for t in record.terms}) == d
-        assert len({id(t.vectors[k]) for t in record.terms}) == d
-        for t in record.terms:
-            assert np.array_equal(t.factors[k], np.outer(t.vectors[k], t.vectors[k]))
+        assert len({id(t.factors[k]) for t in grid}) == d
+        for t, rows in zip(grid, chosen_rows(grid)):
+            vector = grid.vectors[k - 1][rows[k - 1]]
+            assert np.array_equal(t.factors[k], np.outer(vector, vector))
 
 
 def test_report_whose_degrees_disagree_with_its_factors_is_not_trusted(monkeypatch):

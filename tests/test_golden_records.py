@@ -1,10 +1,12 @@
 """Golden decomposition records: the sha256 of ``format_decomposition(decompose(g))``
-for theorem graphs, seeds 0-2, in both record forms.
+for theorem graphs, seeds 0-2, and of the grid's terms written one by one.
 
-``GOLDEN_BASIS`` pins the basis form ``decompose`` writes; ``GOLDEN`` pins the
-per-term form of the same decompositions (:func:`per_term`), as ``decompose``
-wrote them before the basis form, which the per-term writer must still
-give byte for byte.
+``GOLDEN_BASIS`` pins the basis form ``decompose`` writes, the one record
+form.  ``GOLDEN`` pins :func:`per_term_text` of the same decompositions: the
+per-term form ``decompose`` wrote before the basis form, which no program
+writes or reads any more.  Its bytes are those of the terms a grid expands
+to (weights, ladders, first factors and the eigenvector each term picks on
+each axis), so these digests pin that expansion bit for bit.
 
 The profiles are every theorem profile of the certify workloads in
 ``perfbench/workloads.py``, plus (2, 2, 128), whose terms reassemble in
@@ -23,6 +25,7 @@ move the last digits of a record, and with them a digest.
 """
 
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -40,13 +43,48 @@ from graphsep import (
     verify_decomposition,
 )
 from graphsep.cli import main
-from graphsep.separability import TermGrid
+from graphsep.separability import TermGrid, projector
+from graphsep.textio import format_float
 
 
 def per_term(decomposition):
-    """The decomposition with its terms held one by one, which the writer
-    writes in per-term form."""
+    """The decomposition with its terms held one by one: a tuple of terms,
+    which only the dense path judges."""
     return replace(decomposition, terms=tuple(decomposition.terms))
+
+
+def chosen_rows(grid, terms=None):
+    """Per term of ``terms`` (the grid's own by default), for each axis
+    k >= 2, the row of ``grid.vectors[k - 2]`` whose projector is the term's
+    factor k, bit for bit (a KeyError when no row's is)."""
+    lookups = [{projector(v).tobytes(): j for j, v in enumerate(vectors)} for vectors in grid.vectors]
+    assert [len(lookup) for lookup in lookups] == [len(vectors) for vectors in grid.vectors]
+    terms = grid if terms is None else terms
+    return [tuple(lookup[f.tobytes()] for lookup, f in zip(lookups, term.factors[1:])) for term in terms]
+
+
+def row_text(row):
+    return " ".join(map(format_float, np.asarray(row, dtype=float).tolist()))
+
+
+def per_term_text(decomposition):
+    """The record of a grid decomposition in per-term form: the header, then
+    per term ``term i``, its ``index`` (its position among siblings at each
+    ladder level), ``weight`` and ``ladder`` lines, ``factor 1 order N_1``
+    and the rows of its first factor, and per axis k >= 2 ``factor k vector
+    N_k`` and the eigenvector whose projector is its factor k."""
+    grid = decomposition.terms
+    text = format_decomposition(decomposition)
+    lines = text[: text.index("\nweight ")].split("\n")
+    positions = itertools.product(*(range(1, len(values) + 1) for values in grid.eigenvalues[::-1]))
+    for i, (term, index, rows) in enumerate(zip(grid, positions, chosen_rows(grid)), start=1):
+        lines += [f"term {i}", "index " + " ".join(map(str, index))]
+        lines += ["weight " + row_text([term.weight]), "ladder " + row_text(term.ladder)]
+        lines.append(f"factor 1 order {len(term.factors[0])}")
+        lines += map(row_text, term.factors[0])
+        for k, (vectors, j) in enumerate(zip(grid.vectors, rows), start=2):
+            lines += [f"factor {k} vector {len(vectors)}", row_text(vectors[j])]
+    return "\n".join(lines) + "\n"
 
 
 GOLDEN = {
@@ -165,7 +203,7 @@ def digest(text):
 def test_record_bytes_match_golden_digest(dims):
     for seed, (expected, expected_basis) in enumerate(zip(GOLDEN[dims], GOLDEN_BASIS[dims])):
         dec = decompose(gen_theorem_graph(DimensionProfile(dims), seed))
-        assert digest(format_decomposition(per_term(dec))) == expected, f"seed {seed}"
+        assert digest(per_term_text(dec)) == expected, f"seed {seed}"
         assert digest(format_decomposition(dec)) == expected_basis, f"seed {seed}"
 
 
@@ -178,46 +216,29 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def without_residuals(out):
-    return [line for line in out.splitlines() if not line.startswith(("residual=", "relative_residual="))]
-
-
 @pytest.mark.parametrize("dims", list(GOLDEN), ids=lambda dims: "x".join(map(str, dims)))
-def test_both_forms_read_and_verify_alike(dims, tmp_path, capsys):
-    # The basis record reads back as the grid in memory, and both it and
-    # the per-term record as the grid's terms, one by one: weight, index,
-    # ladder, every factor and every vector.  Both forms verify with exit 0: the basis
-    # record on the factored path, which prints the recorded bound, and the
-    # per-term record, a tuple of terms, on the dense path, which prints the
-    # reassembly residual.  Nothing else in their output differs.
+def test_basis_record_reads_back_as_the_grid_and_verifies(dims, tmp_path, capsys):
+    # The basis record reads back as the grid in memory, and its terms as
+    # the grid's terms, one by one: weight, ladder and every factor.  It
+    # verifies with exit 0 on the factored path, which prints the recorded
+    # bound, and its terms held one by one pass the dense path.
     for seed in range(3):
         graph = gen_theorem_graph(DimensionProfile(dims), seed)
         dec = decompose(graph)
-        grid = parse_decomposition(format_decomposition(dec)).terms
+        record = parse_decomposition(format_decomposition(dec))
+        grid = record.terms
         assert isinstance(grid, TermGrid) and grid.weight == dec.terms.weight
         for name in GRID_ARRAYS:
             assert same_bits(getattr(grid, name), getattr(dec.terms, name)), (seed, name)
         for name in ("vectors", "eigenvalues"):
             assert all(map(same_bits, getattr(grid, name), getattr(dec.terms, name))), (seed, name)
-        terms = parse_decomposition(format_decomposition(per_term(dec)))
-        assert isinstance(terms.terms, tuple)
-        for form, read in (("basis", grid), ("per-term", terms.terms)):
-            for t, (got, held) in enumerate(zip(read, dec.terms, strict=True)):
-                assert same_bits(got.weight, held.weight) and got.index == held.index, (seed, form, t)
-                assert same_bits(got.ladder, held.ladder), (seed, form, t)
-                assert all(map(same_bits, got.factors, held.factors)), (seed, form, t)
-                vectors = zip(got.vectors, held.vectors, strict=True)
-                assert all(a is b is None or same_bits(a, b) for a, b in vectors), (seed, form, t)
-        dense = verify_decomposition(terms, density_matrix(graph, SIGNLESS))
+        for t, (got, held) in enumerate(zip(grid, dec.terms, strict=True)):
+            assert same_bits(got.weight, held.weight) and same_bits(got.ladder, held.ladder), (seed, t)
+            assert all(map(same_bits, got.factors, held.factors)), (seed, t)
+        assert verify_decomposition(per_term(record), density_matrix(graph, SIGNLESS)).passed
         (tmp_path / "g.graph").write_text(format_graph(graph))
-        results = []
-        for text in (format_decomposition(dec), format_decomposition(per_term(dec))):
-            (tmp_path / "g.dec").write_text(text)
-            code = main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")])
-            results.append((code, capsys.readouterr()))
-        (basis_code, basis), (terms_code, per_term_out) = results
-        assert basis_code == terms_code == 0, seed
-        assert "verified=pass" in per_term_out.out.splitlines() and per_term_out.err == basis.err == ""
-        assert f"residual={dec.residual:.3e}" in basis.out.splitlines()
-        assert f"residual={dense.residual:.3e}" in per_term_out.out.splitlines()
-        assert without_residuals(basis.out) == without_residuals(per_term_out.out)
+        (tmp_path / "g.dec").write_text(format_decomposition(dec))
+        assert main(["verify", str(tmp_path / "g.graph"), str(tmp_path / "g.dec")]) == 0, seed
+        captured = capsys.readouterr()
+        assert "verified=pass" in captured.out.splitlines() and captured.err == ""
+        assert f"residual={dec.residual:.3e}" in captured.out.splitlines()

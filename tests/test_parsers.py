@@ -2,24 +2,23 @@
 
 ``parse_graph`` classifies each line once and converts the edge lines
 ``format_graph`` writes in bulk.  ``parse_decomposition`` walks the record's
-content lines once, reads every line of values (a row, or a ``weight``,
-``index`` or ``ladder`` line) through one reader, and takes a vector row
-text it has read before on the same axis without converting it again.  The oracles here read every
-line on its own and build each factor as they go: ``parse_graph_by_lines``
-(in ``test_graphs``) and ``parse_decomposition_by_lines`` below.  Every
-case must give an equal graph or record (factors bit for bit, signs of
-zeros included) or the same message on the same line.
+content lines once and reads every line of values (a row, or a ``weight``,
+``eigenvalues`` or ``degrees`` line) through one reader.  The oracles here
+read every line on its own and build each array as they go:
+``parse_graph_by_lines`` (in ``test_graphs``) and
+``parse_decomposition_by_lines`` below.  Every case must give an equal graph
+or record (arrays bit for bit, signs of zeros included) or the same message
+on the same line.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphsep import (
-    DecompositionTerm,
     DimensionProfile,
     GraphFormatError,
     SeparableDecomposition,
@@ -28,7 +27,7 @@ from graphsep import (
     parse_graph,
     vertex_label,
 )
-from graphsep.separability import projector
+from graphsep.separability import TermGrid
 from test_graphs import assert_parse_matches_oracle, content_lines, mutated_graph_texts, small_graphs
 from test_separability import mutated_records, sample_records, theorem_record
 
@@ -37,8 +36,8 @@ from test_separability import mutated_records, sample_records, theorem_record
 
 def parse_decomposition_by_lines(text):
     """Oracle: the record parser that reads every line on its own, with the
-    checks on ``index`` (n - 1 integers, entry s in 1..N_{n-s+1}) and
-    ``ladder`` (n - 1 floats) lines."""
+    checks on the ``axis``, ``pattern``, ``eigenvalues`` and ``degrees``
+    lines, and the refusal of a per-term record."""
     lines = list(content_lines(text))
     pos = 0
 
@@ -51,15 +50,23 @@ def parse_decomposition_by_lines(text):
         pos += 1
         return item
 
-    def take_row(size):
+    def take_values(size, convert, keyword=None):
         lineno, line = take()
         values = line.split()
+        if keyword is not None:
+            if values[0] != keyword:
+                raise GraphFormatError(f"expected '{keyword}' line, got {line!r}", line=lineno)
+            values = values[1:]
         if len(values) != size:
             raise GraphFormatError(f"expected {size} values, got {len(values)}", line=lineno)
         try:
-            return [float(v) for v in values]
+            row = [convert(v) for v in values]
         except ValueError:
-            raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
+            row = None
+        if row is None or (convert is int and not all(-(2**63) <= x < 2**63 for x in row)):
+            what = "integer" if convert is int else "numeric"
+            raise GraphFormatError(f"bad {what} value in {line!r}", line=lineno)
+        return row
 
     lineno, line = take()
     if line != "graphsep-decomposition":
@@ -72,16 +79,16 @@ def parse_decomposition_by_lines(text):
         profile = DimensionProfile(tuple(int(t) for t in tokens[1:]))
     except ValueError as exc:
         raise GraphFormatError(str(exc), line=lineno) from None
-    lineno, line = take()
+    terms_lineno, line = take()
     tokens = line.split()
     if tokens[0] != "terms" or len(tokens) != 2:
-        raise GraphFormatError("expected 'terms N' line", line=lineno)
+        raise GraphFormatError("expected 'terms N' line", line=terms_lineno)
     try:
         expected_terms = int(tokens[1])
     except ValueError:
         expected_terms = -1
     if expected_terms < 0:
-        raise GraphFormatError(f"bad term count {tokens[1]!r}", line=lineno)
+        raise GraphFormatError(f"bad term count {tokens[1]!r}", line=terms_lineno)
 
     residual = None
     certificates = None
@@ -107,81 +114,37 @@ def parse_decomposition_by_lines(text):
                 flags.append((name, value == "pass"))
             certificates = tuple(flags)
 
+    if pos < len(lines) and lines[pos][1].split()[0] == "term":
+        lineno, line = take()
+        raise GraphFormatError(
+            f"{line!r} starts a per-term record, a form no longer read;"
+            " re-run 'graphsep decompose' to write the record in basis form",
+            line=lineno,
+        )
     dims = profile.dims
-    n = profile.n
-    terms = []
-    for i in range(1, expected_terms + 1):
+    if expected_terms != math.prod(dims[1:]):
+        raise GraphFormatError(
+            f"terms {expected_terms} does not match the {math.prod(dims[1:])} terms of the basis",
+            line=terms_lineno,
+        )
+    weight = take_values(1, float, "weight")[0]
+    eigenvalues, vectors = [], []
+    for k, d in enumerate(dims[1:], start=2):
         lineno, line = take()
-        if line.split() != ["term", str(i)]:
-            raise GraphFormatError(f"expected 'term {i}', got {line!r}", line=lineno)
-        index = None
-        ladder = None
-        if pos < len(lines) and lines[pos][1].startswith("index "):
-            lineno, line = take()
-            tokens = line.split()[1:]
-            if len(tokens) != n - 1:
-                raise GraphFormatError(f"expected {n - 1} values, got {len(tokens)}", line=lineno)
-            try:
-                index = tuple(int(t) for t in tokens)
-            except ValueError:
-                index = None
-            if index is None or not all(-(2**63) <= r < 2**63 for r in index):
-                raise GraphFormatError(f"bad integer value in {line!r}", line=lineno)
-            for s, r in enumerate(index, start=1):
-                if not 1 <= r <= dims[n - s]:
-                    raise GraphFormatError(
-                        f"index entry {s} is {r}, outside 1..{dims[n - s]}", line=lineno
-                    )
-        lineno, line = take()
-        tokens = line.split()
-        if tokens[0] != "weight":
-            raise GraphFormatError(f"expected 'weight' line, got {line!r}", line=lineno)
-        if len(tokens) != 2:
-            raise GraphFormatError(f"expected 1 values, got {len(tokens) - 1}", line=lineno)
-        try:
-            weight = float(tokens[1])
-        except ValueError:
-            raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
-        if pos < len(lines) and lines[pos][1].startswith("ladder "):
-            lineno, line = take()
-            tokens = line.split()[1:]
-            if len(tokens) != n - 1:
-                raise GraphFormatError(f"expected {n - 1} values, got {len(tokens)}", line=lineno)
-            try:
-                ladder = tuple(float(t) for t in tokens)
-            except ValueError:
-                raise GraphFormatError(f"bad numeric value in {line!r}", line=lineno) from None
-        factors = []
-        vectors = []
-        for k in range(1, n + 1):
-            lineno, line = take()
-            tokens = line.split()
-            if tokens[:2] != ["factor", str(k)] or len(tokens) != 4 or tokens[2] not in ("order", "vector"):
-                raise GraphFormatError(
-                    f"expected 'factor {k} order d' or 'factor {k} vector d', got {line!r}",
-                    line=lineno,
-                )
-            form = tokens[2]
-            try:
-                order = int(tokens[3])
-            except ValueError:
-                raise GraphFormatError(f"bad order {tokens[3]!r}", line=lineno) from None
-            if order != dims[k - 1]:
-                raise GraphFormatError(
-                    f"factor {k} {form} {order} does not match dimension {dims[k - 1]}",
-                    line=lineno,
-                )
-            if form == "vector":
-                vectors.append(np.array(take_row(order)))
-                factors.append(projector(vectors[-1]))
-            else:
-                vectors.append(None)
-                factors.append(np.array([take_row(order) for _ in range(order)]))
-        terms.append(DecompositionTerm(weight, tuple(factors), index, ladder, vectors=tuple(vectors)))
+        if line.split() != ["axis", str(k), "basis", str(d)]:
+            raise GraphFormatError(f"expected 'axis {k} basis {d}', got {line!r}", line=lineno)
+        eigenvalues.append(np.array(take_values(d, float, "eigenvalues")))
+        vectors.append(np.array([take_values(d, float) for _ in range(d)]))
+    lineno, line = take()
+    if line.split() != ["pattern", "1", "order", str(dims[0])]:
+        raise GraphFormatError(f"expected 'pattern 1 order {dims[0]}', got {line!r}", line=lineno)
+    top = np.array([take_values(dims[0], int) for _ in range(dims[0])], dtype=np.int64)
+    degrees = np.array(take_values(dims[0], int, "degrees"), dtype=np.int64)
     if pos != len(lines):
         lineno, line = lines[pos]
         raise GraphFormatError(f"trailing content {line!r}", line=lineno)
-    return SeparableDecomposition(profile, tuple(terms), residual=residual, certificates=certificates)
+    grid = TermGrid(weight, tuple(eigenvalues), tuple(vectors), top, degrees)
+    return SeparableDecomposition(profile, grid, residual=residual, certificates=certificates)
 
 
 def same_bits(a, b):
@@ -196,18 +159,15 @@ def assert_same_record(got, expected):
     assert got.profile == expected.profile
     assert same_bits(got.residual, expected.residual)
     assert got.certificates == expected.certificates
-    assert len(got.terms) == len(expected.terms)
-    for a, b in zip(got.terms, expected.terms):
-        assert same_bits(a.weight, b.weight)
-        assert a.index == b.index
-        assert same_bits(a.ladder, b.ladder)
-        assert len(a.factors) == len(b.factors) == len(a.vectors) == len(b.vectors)
-        for fa, fb in zip(a.factors, b.factors):
-            assert np.array_equal(fa, fb, equal_nan=True)
-            assert np.array_equal(np.signbit(fa), np.signbit(fb))
-            assert same_bits(fa, fb)
-        for va, vb in zip(a.vectors, b.vectors):
-            assert same_bits(va, vb)
+    a, b = got.terms, expected.terms
+    assert isinstance(a, TermGrid) and isinstance(b, TermGrid)
+    assert same_bits(a.weight, b.weight)
+    for name in ("eigenvalues", "vectors"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert len(x) == len(y) and all(map(same_bits, x, y)), name
+    for name in ("top_pattern", "layer_degrees"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.int64 and x.shape == y.shape and np.array_equal(x, y), name
 
 
 def assert_record_matches_oracle(text):
@@ -280,13 +240,13 @@ def test_graph_error_matches_line_oracle(text):
     assert_parse_matches_oracle(text)
 
 
-RECORD_ERRORS = ("bad-float", "short-row", "long-row", "bad-token", "directive", "index", "ladder")
+RECORD_ERRORS = ("bad-float", "short-row", "long-row", "bad-token", "directive", "eigenvalues", "degrees")
 
 
 @st.composite
 def records_with_one_error(draw):
     """A valid record with one line spoilt: a row value, a row length, a
-    keyword token, an unknown line, or an index or ladder line."""
+    keyword token, an unknown line, or an eigenvalues or degrees line."""
     lines = draw(st.sampled_from(sample_records())).splitlines()
     kind = draw(st.sampled_from(RECORD_ERRORS))
     rows = [i for i, line in enumerate(lines) if line[:1].isdigit() or line[:1] == "-"]
@@ -379,28 +339,28 @@ def test_graph_forms_match_line_oracle(name):
 
 
 def record_text():
-    """A sample record with at least two terms."""
-    return next(text for text in sample_records() if text.count("\nterm ") >= 2)
+    """A sample record with at least two axes after the first."""
+    return next(text for text in sample_records() if text.count("\naxis ") >= 2)
 
 
 def record_forms():
     text = record_text()
     lines = text.split("\n")
-    row = next(i for i, line in enumerate(lines) if line.startswith("factor 2 vector")) + 1
-    dense = next(i for i, line in enumerate(lines) if line.startswith("factor 1 order")) + 1
+    row = next(i for i, line in enumerate(lines) if line.startswith("axis 2 ")) + 2
+    pattern = next(i for i, line in enumerate(lines) if line.startswith("pattern 1 ")) + 1
     first = lines[row].split()[0]
     forms = {
         "crlf": text.replace("\n", "\r\n"),
-        "form-feed": text.replace("\nterm 2", "\x0cterm 2"),
+        "form-feed": text.replace("\naxis 3", "\x0caxis 3"),
         "nel": text.replace("\nweight", "\x85weight", 1),
         "tab-row": respell(text, row, " ", "\t"),
-        "tab-header": respell(text, row - 1, " ", "\t"),
-        "comment-mid-file": respell(text, dense, lines[dense], lines[dense] + " # note").replace(
-            "\nterm 2", "\n# between terms\n\nterm 2"
+        "tab-header": respell(text, row - 2, " ", "\t"),
+        "comment-mid-file": respell(text, pattern, lines[pattern], lines[pattern] + " # note").replace(
+            "\naxis 3", "\n# between axes\n\naxis 3"
         ),
         "leading-space-row": respell(text, row, lines[row], " " + lines[row]),
-        "double-space-row": respell(text, dense, " ", "  "),
-        "ladder-comment": text.replace("\nladder", "\n# l\nladder", 1),
+        "double-space-row": respell(text, pattern, " ", "  "),
+        "eigenvalues-comment": text.replace("\neigenvalues", "\n# l\neigenvalues", 1),
         "no-final-newline": text.rstrip("\n"),
     }
     for name, value in {
@@ -421,10 +381,10 @@ def record_forms():
         "upper-exponent": "1.0000000000000000E+00",
     }.items():
         forms["row-" + name] = respell(text, row, first, value)
-        forms["dense-" + name] = respell(text, dense, lines[dense].split()[-1], value)
+        forms["pattern-" + name] = respell(text, pattern, lines[pattern].split()[-1], value)
         forms["weight-" + name] = text.replace("\nweight ", "\nweight " + value + " #", 1)
-    forms["index-arabic-indic"] = text.replace("\nindex 1", "\nindex \u0661", 1)
-    forms["index-plus"] = text.replace("\nindex 1", "\nindex +1", 1)
+    forms["degrees-arabic-indic"] = text.replace("\ndegrees ", "\ndegrees \u0661", 1)
+    forms["degrees-plus"] = text.replace("\ndegrees ", "\ndegrees +", 1)
     return forms
 
 
@@ -436,100 +396,42 @@ def test_record_forms_match_line_oracle(name):
     assert_record_matches_oracle(RECORD_FORMS[name])
 
 
-# -- index and ladder lines are checked ------------------------------------------
-
-M22_RECORD = (
-    "graphsep-decomposition\ndims 2 2\nterms 1\nterm 1\n{index}weight 1.0\n{ladder}"
-    "factor 1 order 2\n0.5 0.5\n0.5 0.5\nfactor 2 vector 2\n1.0 0.0\n"
-)
-
-
-@pytest.mark.parametrize(
-    "index, ladder, message",
-    [
-        ("index 1 1 1 1\n", "", "line 5: expected 1 values, got 4"),
-        ("index\n", "", None),  # no "index " prefix: not an index line
-        ("index 3\n", "", "line 5: index entry 1 is 3, outside 1..2"),
-        ("index 0\n", "", "line 5: index entry 1 is 0, outside 1..2"),
-        ("index x\n", "", "line 5: bad integer value in 'index x'"),
-        ("index 1.0\n", "", "line 5: bad integer value in 'index 1.0'"),
-        # Past int64: not a value the reader holds, so not a range error.
-        ("index 9223372036854775808\n", "", "line 5: bad integer value in 'index 9223372036854775808'"),
-        ("index -9223372036854775809\n", "", "line 5: bad integer value in 'index -9223372036854775809'"),
-        ("index 9223372036854775807\n", "", "line 5: index entry 1 is 9223372036854775807, outside 1..2"),
-        # A bad token and a wrong count: the count is checked first.
-        ("index x 1\n", "", "line 5: expected 1 values, got 2"),
-        ("", "ladder 1.0 2.0\n", "line 6: expected 1 values, got 2"),
-        ("", "ladder x\n", "line 6: bad numeric value in 'ladder x'"),
-        ("index 2\n", "ladder 1.0\n", ""),
-        ("", "", ""),
-    ],
-)
-def test_index_and_ladder_lines_are_checked(index, ladder, message):
-    text = M22_RECORD.format(index=index, ladder=ladder)
-    if message is None:
-        with pytest.raises(GraphFormatError, match="^line 5: expected 'weight' line, got 'index'$"):
-            parse_decomposition(text)
-    elif message:
-        with pytest.raises(GraphFormatError) as got:
-            parse_decomposition(text)
-        assert str(got.value) == message
-    else:
-        parse_decomposition(text)
-    assert_record_matches_oracle(text)
-
-
-def test_index_bounds_follow_the_ladder_order():
-    # Entry 1 ranges over the last axis, entry 2 over the one before.
-    text = M22_RECORD.replace("dims 2 2", "dims 2 2 3").replace(
-        "1.0 0.0\n", "1.0 0.0\nfactor 3 vector 3\n1.0 0.0 0.0\n"
-    )
-    parse_decomposition(text.format(index="index 3 2\n", ladder=""))
-    with pytest.raises(GraphFormatError, match="^line 5: index entry 2 is 3, outside 1..2$"):
-        parse_decomposition(text.format(index="index 3 3\n", ladder=""))
-
-
 # -- two faults in one record: the earlier line, and on one line the first check --
 
-TWO_TERM_RECORD = [
+M22_RECORD = [
     "graphsep-decomposition",
     "dims 2 2",
     "terms 2",
-    "term 1",
     "weight 0.5",
-    "factor 1 order 2",
-    "0.5 0.5",  # line 7
-    "0.5 0.5",
-    "factor 2 vector 2",
-    "1.0 0.0",
-    "term 2",
-    "weight 0.5",
-    "factor 1 order 2",  # line 13
-    "0.5 -0.5",
-    "-0.5 0.5",
-    "factor 2 vector 2",
-    "0.0 1.0",  # line 17
+    "axis 2 basis 2",
+    "eigenvalues 1.0 -1.0",  # line 6
+    "0.6 0.8",  # line 7
+    "0.8 -0.6",
+    "pattern 1 order 2",  # line 9
+    "0 1",
+    "1 0",
+    "degrees 1 1",  # line 12
 ]
 
 TWO_FAULTS = {
     # line number -> its new text (None drops the line), and the message.
     "bad-row-then-bad-header": (
-        {7: "0.5 x", 13: "factor 1 oder 2"},
-        "line 7: bad numeric value in '0.5 x'",
+        {7: "0.6 x", 9: "pattern 1 oder 2"},
+        "line 7: bad numeric value in '0.6 x'",
     ),
-    "row-count-and-token": ({7: "x 0.5 0.5"}, "line 7: expected 2 values, got 3"),
-    "ladder-token-and-count": ({5: "weight 0.5\nladder x 1.0"}, "line 6: expected 1 values, got 2"),
-    "index-token-and-count": ({5: "index x 1\nweight 0.5"}, "line 5: expected 1 values, got 2"),
-    "last-row-missing": ({17: None}, "line 17: unexpected end of decomposition record"),
-    # A row that fails is not kept, so its first line is the one named.
-    "same-bad-row-twice": ({10: "x 1.0", 17: "x 1.0"}, "line 10: bad numeric value in 'x 1.0'"),
+    "row-count-and-token": ({7: "x 0.6 0.8"}, "line 7: expected 2 values, got 3"),
+    "eigenvalues-token-and-count": ({6: "eigenvalues x 1.0 -1.0"}, "line 6: expected 2 values, got 3"),
+    "degrees-token-and-count": ({12: "degrees x 1 1"}, "line 12: expected 2 values, got 3"),
+    "pattern-row-then-degrees": ({10: "0 x", 12: "degrees x"}, "line 10: bad integer value in '0 x'"),
+    "last-line-missing": ({12: None}, "line 12: unexpected end of decomposition record"),
+    "same-bad-row-twice": ({7: "x 1.0", 8: "x 1.0"}, "line 7: bad numeric value in 'x 1.0'"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TWO_FAULTS))
 def test_two_faults_give_the_pinned_message(name):
     edits, message = TWO_FAULTS[name]
-    lines = [edits.get(lineno, line) for lineno, line in enumerate(TWO_TERM_RECORD, start=1)]
+    lines = [edits.get(lineno, line) for lineno, line in enumerate(M22_RECORD, start=1)]
     text = "\n".join(line for line in lines if line is not None) + "\n"
     assert_record_matches_oracle(text)
     with pytest.raises(GraphFormatError) as got:
@@ -537,7 +439,13 @@ def test_two_faults_give_the_pinned_message(name):
     assert str(got.value) == message
 
 
-def test_cut_per_term_record_names_the_line_after_its_last():
+def test_untouched_record_reads_back():
+    text = "\n".join(M22_RECORD) + "\n"
+    assert_record_matches_oracle(text)
+    assert len(parse_decomposition(text).terms) == 2
+
+
+def test_cut_record_names_the_line_after_its_last():
     # Cut after every complete line, with a comment and a blank line after
     # the cut: the error names the line after the last content line.
     lines = theorem_record((2, 4, 4, 4), 1).splitlines()
@@ -546,50 +454,6 @@ def test_cut_per_term_record_names_the_line_after_its_last():
         with pytest.raises(GraphFormatError, match="unexpected end of decomposition record") as got:
             parse_decomposition(text)
         assert got.value.line == cut + 1, cut
-
-
-# -- repeated rows: a vector row text is converted once per axis ---------------
-
-M42_RECORD = [
-    "graphsep-decomposition",
-    "dims 4 2",
-    "terms 1",
-    "term 1",
-    "weight 1.0",
-    "factor 1 order 4",
-    *["0.25 0.25 0.25 0.25"] * 4,  # lines 7-10
-    "factor 2 vector 2",
-    "0.25 0.25 0.25 0.25",  # line 12: a row read before, now under order 2
-]
-
-
-def test_row_read_before_is_checked_against_its_new_order():
-    text = "\n".join(M42_RECORD) + "\n"
-    assert_record_matches_oracle(text)
-    with pytest.raises(GraphFormatError) as got:
-        parse_decomposition(text)
-    assert str(got.value) == "line 12: expected 2 values, got 4"
-
-
-def test_respelt_second_occurrence_of_a_row_keeps_its_bits():
-    original = theorem_record((2, 4, 4), 1)
-    lines = original.splitlines()
-    rows = [i + 1 for i, line in enumerate(lines) if " vector " in line]
-    first = next(i for i in rows if [lines[j] for j in rows].count(lines[i]) > 1)
-    second = next(i for i in rows if i > first and lines[i] == lines[first])
-    respelt = " ".join(repr(float(x)) for x in lines[second].split())
-    assert respelt != lines[second]
-    lines[second] = respelt
-    text = "\n".join(lines) + "\n"
-    assert_record_matches_oracle(text)
-    assert_same_record(parse_decomposition(text), parse_decomposition(original))
-    # A bad value in the second occurrence is its own text, never the first's.
-    lines[second] = original.splitlines()[second] + "x"
-    text = "\n".join(lines) + "\n"
-    assert_record_matches_oracle(text)
-    with pytest.raises(GraphFormatError, match="bad numeric value") as got:
-        parse_decomposition(text)
-    assert got.value.line == second + 1
 
 
 # -- graphs: the existing mutations on more texts ---------------------------------
@@ -605,12 +469,14 @@ def test_graph_breaks_match_line_oracle(text, newline):
 
 SPLICES = st.sampled_from(
     list("eE0123456789.,+-#_ax\t\n\r\x0c\x85\u0661 ")
-    + ["e ", "dims 2 2 2\n", "1.0000000000000000e+00", " 5.0000000000000000e-01", "weight ", "ladder "]
+    + ["e ", "dims 2 2 2\n", "1.0000000000000000e+00", " 5.0000000000000000e-01", "weight ", "eigenvalues ", "term "]
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(SPLICES, max_size=60))
+# Both labels are bad; the first one is named, as the oracle names it.
+@example(["E", " ", "0", "\t", "e"])
 def test_spliced_graph_text_matches_line_oracle(pieces):
     assert_parse_matches_oracle("dims 2 2 2\n" + "".join(pieces))
 
