@@ -428,15 +428,136 @@ TWO_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TWO_FAULTS))
-def test_two_faults_give_the_pinned_message(name):
-    edits, message = TWO_FAULTS[name]
+def m22_text(edits):
+    """``M22_RECORD`` with the lines ``edits`` names replaced by its texts
+    (None drops a line, a text with line breaks puts in several)."""
     lines = [edits.get(lineno, line) for lineno, line in enumerate(M22_RECORD, start=1)]
-    text = "\n".join(line for line in lines if line is not None) + "\n"
+    return "\n".join(line for line in lines if line is not None) + "\n"
+
+
+def assert_pinned(text, message):
+    """The parser and the line oracle agree on ``text``; it fails with
+    ``message``, or with None reads."""
     assert_record_matches_oracle(text)
+    if message is None:
+        parse_decomposition(text)
+        return
     with pytest.raises(GraphFormatError) as got:
         parse_decomposition(text)
     assert str(got.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+def test_two_faults_give_the_pinned_message(name):
+    edits, message = TWO_FAULTS[name]
+    assert_pinned(m22_text(edits), message)
+
+
+# -- each line of the basis checked as it is taken -----------------------------------
+
+EIGENVALUES_AND_DEGREES = {
+    "eigenvalues-long": ({6: "eigenvalues 1.0 -1.0 0.0"}, "line 6: expected 2 values, got 3"),
+    "eigenvalues-bare": ({6: "eigenvalues"}, "line 6: expected 2 values, got 0"),
+    "eigenvalues-token": ({6: "eigenvalues x -1.0"}, "line 6: bad numeric value in 'eigenvalues x -1.0'"),
+    "eigenvalues-keyword": (
+        {6: "eigenvalue 1.0 -1.0"},
+        "line 6: expected 'eigenvalues' line, got 'eigenvalue 1.0 -1.0'",
+    ),
+    "eigenvalues-missing": ({6: None}, "line 6: expected 'eigenvalues' line, got '0.6 0.8'"),
+    # Non-finite values are read; verification judges them.
+    "eigenvalues-non-finite": ({6: "eigenvalues nan -inf"}, None),
+    "degrees-float": ({12: "degrees 1 1.0"}, "line 12: bad integer value in 'degrees 1 1.0'"),
+    "degrees-hex": ({12: "degrees 0x1 1"}, "line 12: bad integer value in 'degrees 0x1 1'"),
+    # Past int64: not a value the reader holds.
+    "degrees-past-int64": (
+        {12: "degrees 9223372036854775808 1"},
+        "line 12: bad integer value in 'degrees 9223372036854775808 1'",
+    ),
+    "degrees-below-int64": (
+        {12: "degrees -9223372036854775809 1"},
+        "line 12: bad integer value in 'degrees -9223372036854775809 1'",
+    ),
+    "degrees-int64-bounds": ({12: "degrees 9223372036854775807 -9223372036854775808"}, None),
+    "degrees-short": ({12: "degrees 1"}, "line 12: expected 2 values, got 1"),
+    "degrees-keyword": ({12: "degree 1 1"}, "line 12: expected 'degrees' line, got 'degree 1 1'"),
+    # A negative degree is read; verification judges it.
+    "degrees-negative": ({12: "degrees -1 0"}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EIGENVALUES_AND_DEGREES))
+def test_eigenvalues_and_degrees_lines_are_checked(name):
+    edits, message = EIGENVALUES_AND_DEGREES[name]
+    assert_pinned(m22_text(edits), message)
+
+
+AXIS_AND_PATTERN = {
+    "axis-keyword": ({5: "axis 2 bases 2"}, "line 5: expected 'axis 2 basis 2', got 'axis 2 bases 2'"),
+    "axis-order-token": ({5: "axis 2 basis x"}, "line 5: expected 'axis 2 basis 2', got 'axis 2 basis x'"),
+    "axis-extra-token": ({5: "axis 2 basis 2 2"}, "line 5: expected 'axis 2 basis 2', got 'axis 2 basis 2 2'"),
+    "axis-wrong-axis": ({5: "axis 3 basis 2"}, "line 5: expected 'axis 2 basis 2', got 'axis 3 basis 2'"),
+    # Headers are compared token by token: any run of blanks separates them.
+    "axis-spacing": ({5: "axis\t2  basis 2"}, None),
+    "eigenvalues-before-axis": (
+        {5: "eigenvalues 1.0 -1.0", 6: "axis 2 basis 2"},
+        "line 5: expected 'axis 2 basis 2', got 'eigenvalues 1.0 -1.0'",
+    ),
+    # One eigenvector too many: it stands where F_1's header must.
+    "extra-vector-row": ({8: "0.8 -0.6\n1.0 0.0"}, "line 9: expected 'pattern 1 order 2', got '1.0 0.0'"),
+    "pattern-order": ({9: "pattern 1 order 3"}, "line 9: expected 'pattern 1 order 2', got 'pattern 1 order 3'"),
+    "pattern-axis": ({9: "pattern 2 order 2"}, "line 9: expected 'pattern 1 order 2', got 'pattern 2 order 2'"),
+    "pattern-header-missing": ({9: None}, "line 9: expected 'pattern 1 order 2', got '0 1'"),
+    "pattern-short-row": ({10: "0"}, "line 10: expected 2 values, got 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_AND_PATTERN))
+def test_axis_and_pattern_headers_are_checked(name):
+    edits, message = AXIS_AND_PATTERN[name]
+    assert_pinned(m22_text(edits), message)
+
+
+HEADER_LINES = {
+    "dims-keyword": ({2: "dim 2 2"}, "line 2: expected 'dims' line"),
+    "dims-one-axis": ({2: "dims 2"}, "line 2: need at least 2 subsystems, got 1"),
+    "dims-order-one": ({2: "dims 2 1"}, "line 2: axis 2: dimension must be >= 2, got 1"),
+    "dims-token": ({2: "dims 2 x"}, "line 2: invalid literal for int() with base 10: 'x'"),
+    "terms-bare": ({3: "terms"}, "line 3: expected 'terms N' line"),
+    "terms-two-counts": ({3: "terms 2 2"}, "line 3: expected 'terms N' line"),
+    "terms-keyword": ({3: "term 2"}, "line 3: expected 'terms N' line"),
+    "terms-too-many": ({3: "terms 3"}, "line 3: terms 3 does not match the 2 terms of the basis"),
+    # The residual and certificates lines come in either order; a second
+    # residual line replaces the first.
+    "certificates-then-residual": ({3: "terms 2\ncertificates reassembly=pass ppt=fail\nresidual 1e-17"}, None),
+    "residual-twice": ({3: "terms 2\nresidual 1.0\nresidual 0.0"}, None),
+    "certificate-value": ({3: "terms 2\ncertificates ppt=maybe"}, "line 4: bad certificate flag 'ppt=maybe'"),
+    # Header lines are read only before the weight.
+    "residual-after-weight": ({4: "weight 0.5\nresidual 0.0"}, "line 5: expected 'axis 2 basis 2', got 'residual 0.0'"),
+    # Comments and blank lines before the magic line count in line numbers.
+    "comment-before-magic": (
+        {1: "# a note\n\ngraphsep-decomposition", 12: "degrees 1"},
+        "line 14: expected 2 values, got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADER_LINES))
+def test_header_lines_are_checked(name):
+    edits, message = HEADER_LINES[name]
+    assert_pinned(m22_text(edits), message)
+
+
+def test_header_lines_read_in_either_order_and_the_last_residual_holds():
+    for edits in (HEADER_LINES["certificates-then-residual"][0], HEADER_LINES["residual-twice"][0]):
+        record = parse_decomposition(m22_text(edits))
+        assert record.residual == (1e-17 if record.certificates else 0.0)
+    record = parse_decomposition(m22_text(HEADER_LINES["certificates-then-residual"][0]))
+    assert record.certificates == (("reassembly", True), ("ppt", False))
+
+
+def test_int64_degrees_are_held_exactly():
+    record = parse_decomposition(m22_text(EIGENVALUES_AND_DEGREES["degrees-int64-bounds"][0]))
+    assert record.terms.layer_degrees.tolist() == [2**63 - 1, -(2**63)]
 
 
 def test_untouched_record_reads_back():

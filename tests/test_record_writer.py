@@ -4,7 +4,9 @@ The writer formats every row by one ``%`` format, with no memo; the oracle
 formats every value on its own with ``format_float``.  They must give the
 same bytes on every record, generated or hand built, including values whose
 text does not follow from their bits alone (-0.0, NaNs of any payload).
-Only a grid has a record: terms held one by one are refused.
+Only a grid has a record: terms held one by one are refused.  A record
+read back is the grid it was written from: it writes the same bytes, and its
+terms expand as the written grid's do.
 """
 
 import math
@@ -19,10 +21,11 @@ from graphsep import (
     decompose,
     format_decomposition,
     gen_theorem_graph,
+    parse_decomposition,
 )
 from graphsep.separability import TermGrid, projector
 from graphsep.textio import format_float
-from test_golden_records import GOLDEN, per_term
+from test_golden_records import GOLDEN, per_term, per_term_text
 
 GOLDEN_CASES = [(dims, seed) for dims in GOLDEN for seed in range(3)]
 
@@ -70,6 +73,19 @@ def test_golden_basis_records_write_like_oracle(dims, seed):
     assert format_decomposition(dec) == format_basis_oracle(dec)
 
 
+@pytest.mark.parametrize(
+    "dims, seed", GOLDEN_CASES, ids=[f"{'x'.join(map(str, d))}-{s}" for d, s in GOLDEN_CASES]
+)
+def test_golden_records_and_their_round_trips_write_like_oracle(dims, seed):
+    # Each golden record read back writes the same bytes, as the oracle
+    # writes them, and its terms expand to the written grid's, bit for bit.
+    dec = decompose(gen_theorem_graph(DimensionProfile(dims), seed))
+    text = format_decomposition(dec)
+    back = parse_decomposition(text)
+    assert format_decomposition(back) == format_basis_oracle(back) == text
+    assert per_term_text(back) == per_term_text(dec)
+
+
 def test_special_values_in_a_basis_write_like_oracle():
     # -0.0, NaNs of any payload and sign, +-inf and subnormals, in the
     # eigenvalues and in repeated and distinct vector rows: one % format per
@@ -112,6 +128,27 @@ def test_int_and_numpy_scalar_weights_write_like_oracle(weight):
     text = format_decomposition(dec)
     assert text == format_basis_oracle(dec)
     assert "weight " + format_float(weight) in text.splitlines()
+
+
+@pytest.mark.parametrize(
+    "residual, certificates",
+    [(None, None), (1e-17, None), (None, (("reassembly", True), ("ppt", False))), (0.0, (("dominance", True),))],
+    ids=["bare", "residual", "certificates", "both"],
+)
+def test_optional_header_lines_write_like_oracle_and_read_back(residual, certificates):
+    # A grid without a residual or certificates has no line for it, and
+    # reads back without it.
+    dec = SeparableDecomposition(
+        DimensionProfile((2, 2, 3)), small_grid(0.25), residual=residual, certificates=certificates
+    )
+    text = format_decomposition(dec)
+    assert text == format_basis_oracle(dec)
+    lines = text.splitlines()
+    assert any(line.startswith("residual ") for line in lines) == (residual is not None)
+    assert any(line.startswith("certificates ") for line in lines) == (certificates is not None)
+    back = parse_decomposition(text)
+    assert (back.residual, back.certificates) == (residual, certificates)
+    assert format_decomposition(back) == text
 
 
 def test_terms_held_one_by_one_have_no_record():

@@ -1194,6 +1194,28 @@ def test_mutated_record_parses_or_raises_format_error(text):
         pass
 
 
+@pytest.mark.parametrize("dims", RECORD_PROFILES)
+def test_grid_and_its_terms_held_one_by_one_get_one_verdict(dims):
+    # A grid record is certified from its basis and its terms held one by one
+    # on the dense path: both pass.  With the grid's weight scaled by 1.5 the
+    # factored bound declines, and the grid fails with the failures and the
+    # residual its terms held one by one get.
+    certify = separability.certify_decomposition
+    for seed in range(3):
+        g = gen_theorem_graph(DimensionProfile(dims), seed)
+        if not g.num_edges:
+            continue
+        record = parse_decomposition(format_decomposition(decompose(g)))
+        heavy = replace(record, terms=replace(record.terms, weight=1.5 * record.terms.weight))
+        assert isinstance(heavy.terms, separability.TermGrid)
+        for case, passes in ((record, True), (heavy, False)):
+            grid, terms = certify(case, g), certify(per_term(case), g)
+            assert grid.passed is terms.passed is passes, seed
+            if not passes:
+                assert (grid.failures, grid.residual) == (terms.failures, terms.residual), seed
+                assert grid.failures[0].startswith("weights sum to 1.5"), seed
+
+
 # -- rank-one factors: vectors in the record, projectors in the checks -------
 
 
@@ -1258,11 +1280,14 @@ class TestRankOneCannotBeFooled:
     PROFILE = DimensionProfile((2, 3, 4))
     V, W = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.0, 0.8, 0.0])
 
-    def verify(self, factor_2):
+    def verify(self, factor_2, target_2=None):
+        """Verify the one term with ``factor_2`` on axis 2 against the state
+        whose factor 2 is ``target_2`` (``factor_2`` itself by default)."""
         factors = (np.full((2, 2), 0.5), factor_2, separability.projector(self.W))
         term = DecompositionTerm(1.0, factors)
         dec = SeparableDecomposition(self.PROFILE, (term,))
-        return verify_decomposition(dec, DensityMatrix(kron(factors), self.PROFILE, "signless"))
+        target = factors if target_2 is None else (factors[0], target_2, factors[2])
+        return verify_decomposition(dec, DensityMatrix(kron(target), self.PROFILE, "signless"))
 
     def test_indefinite_factor_fails(self):
         indefinite = np.diag([1.5, -0.5, 0.0])  # symmetric, unit trace
@@ -1274,3 +1299,25 @@ class TestRankOneCannotBeFooled:
         factor = separability.projector(self.V)
         factor[entry] = np.nextafter(factor[entry], math.inf)
         assert self.verify(factor).passed
+
+    @pytest.mark.parametrize(
+        "edit, failures",
+        [
+            (lambda p: np.diag([0.5, 0.5, 0.0]), ()),
+            (lambda p: 2.0 * p, ("trace 2, expected 1",)),
+            (lambda p: -p, ("trace -1, expected 1", "not PSD (min eigenvalue -1.000e+00)")),
+            (lambda p: p + np.triu(np.full((3, 3), 1e-6), 1), ("not symmetric",)),
+            (lambda p: p + np.diag([0.0, math.nan, 0.0]), ("non-finite entries",)),
+        ],
+        ids=["mixed", "doubled", "negated", "asymmetric", "nan-entry"],
+    )
+    def test_factor_in_place_of_a_projector_is_judged_on_its_own(self, edit, failures):
+        # Each factor against the state it describes: only its own checks
+        # can fail.  A mixed state is a factor like any other.
+        factor = edit(separability.projector(self.V))
+        if not failures:
+            assert self.verify(factor).passed
+            return
+        cert = self.verify(factor, separability.projector(self.V))
+        assert cert.failures[:-1] == tuple(f"term 1 factor 2: {text}" for text in failures)
+        assert cert.failures[-1].startswith("reassembly residual ")
