@@ -301,13 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("-o", "--out", help="output file (default stdout)")
     p_gen.set_defaults(handler=cmd_gen)
+    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:  # help, or a missing or unknown command
+            args = parser.parse_args(argv)
+        else:
+            # What the full parser does with a known command: its own parser
+            # reads the rest, and leftovers are refused at the top level.
+            args, extras = command.parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0])
+            )
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -338,17 +338,13 @@ def _canonical_edge_lines(lines: ByteLines) -> np.ndarray:
     # which is exact for a line of at most 21 bytes and its newline.  With
     # "e " in front and digits at both ends, a line weighs 10 with its
     # newline exactly when one space and digits make up the rest.
-    weight = (data - ord("0") > 9).view(np.uint8) * np.uint8(3) - (data == ord(" ")).view(np.uint8)
+    other = data - ord("0") > 9  # uint8: bytes below "0" wrap past 9
+    weight = other.view(np.uint8) * np.uint8(3) - (data == ord(" ")).view(np.uint8)
     weights = np.add.reduceat(weight, starts - 1)
     lengths = ends - starts
-    at = np.flatnonzero((weights == 10) & (lengths >= 5) & (lengths <= _EDGE_LINE_MAX))
+    at = ((weights == 10) & (lengths >= 5) & (lengths <= _EDGE_LINE_MAX)).nonzero()[0]
     s, e = starts[at], ends[at]
-    fits = (
-        (data[s] == ord("e"))
-        & (data[s + 1] == ord(" "))
-        & (data[s + 2] - ord("0") < 10)  # uint8: bytes below "0" wrap past 9
-        & (data[e - 1] - ord("0") < 10)
-    )
+    fits = (data[s] == ord("e")) & (data[s + 1] == ord(" ")) & ~(other[s + 2] | other[e - 1])
     canonical = np.zeros(len(lines), dtype=bool)
     canonical[at[fits]] = True
     return canonical
@@ -405,7 +401,7 @@ def parse_graph(text: str) -> MultipartiteGraph:
     """
     lines = ByteLines(text)
     canonical = _canonical_edge_lines(lines)
-    first_edge = int(np.argmax(canonical)) if canonical.any() else len(lines)
+    first_edge = int(canonical.argmax()) if canonical.any() else len(lines)
     profile = None
     token_error = None
     pairs: list[Edge] = []  # edges of the lines read on their own
@@ -451,11 +447,13 @@ def parse_graph(text: str) -> MultipartiteGraph:
     edges = np.fromstring(
         lines.select(canonical).replace(b"e", b" "), dtype=np.int64, sep=" "
     ).reshape(-1, 2)
-    linenos = np.flatnonzero(canonical) + 1
+    # The line number of each edge row, built only when a row needs naming
+    # or the rows read on their own must be merged in line order.
+    linenos = None
     if pairs:
         edges = np.concatenate([edges, np.array(pairs, dtype=np.int64).reshape(-1, 2)])
-        linenos = np.concatenate([linenos, pair_lines])
-        order = np.argsort(linenos, kind="stable")
+        linenos = np.concatenate([canonical.nonzero()[0] + 1, pair_lines])
+        order = linenos.argsort(kind="stable")
         edges, linenos = edges[order], linenos[order]
     # The first failing line of each kind; all have distinct lines.
     errors = [] if token_error is None else [token_error]
@@ -463,7 +461,9 @@ def parse_graph(text: str) -> MultipartiteGraph:
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     bad = (lo == hi) | (lo < 1) | (hi > total)
     if bad.any():
-        row = int(np.argmax(bad))
+        if linenos is None:
+            linenos = canonical.nonzero()[0] + 1
+        row = int(bad.argmax())
         errors.append(GraphFormatError(
             _edge_error(*edges[row].tolist(), total), line=int(linenos[row])
         ))
@@ -473,7 +473,9 @@ def parse_graph(text: str) -> MultipartiteGraph:
     if (ordered[1:] == ordered[:-1]).any():
         # A stable sort keeps repeated keys in line order: the first row of
         # each run is where that edge was first seen.
-        order = np.argsort(keys, kind="stable")
+        if linenos is None:
+            linenos = canonical.nonzero()[0] + 1
+        order = keys.argsort(kind="stable")
         ordered = keys[order]
         row = int(order[1:][ordered[1:] == ordered[:-1]].min())
         first = int(order[np.searchsorted(ordered, keys[row])])

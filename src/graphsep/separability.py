@@ -198,9 +198,9 @@ def _block_level_report(rows, cols, dims: tuple[int, ...], level: int) -> BlockL
     # cells, so it equals the first block exactly when it holds as many
     # cells and all of them lie in the first block.
     blocks, counts = np.unique(keys, return_counts=True)
-    first = np.zeros(size * size, dtype=np.int64)
-    first[cells[keys == blocks[0]]] = 1
-    failing = np.concatenate((blocks[counts != counts[0]], keys[first[cells] == 0]))
+    first = np.zeros(size * size, dtype=bool)
+    first[cells[keys == blocks[0]]] = True
+    failing = np.concatenate((blocks[counts != counts[0]], keys[~first[cells]]))
     if failing.size == 0:
         return BlockLevelReport(level)
 

@@ -56,7 +56,7 @@ class ByteLines:
             text = "\n".join(text.splitlines())
         raw = ("\n" + text + "\n").encode("utf-8", "surrogatepass")
         data = np.frombuffer(raw, np.uint8)
-        breaks = np.flatnonzero(data == 0x0A)
+        breaks = (data == 0x0A).nonzero()[0]
         self.raw = raw
         self.data = data
         self.starts = breaks[:-1] + 1
@@ -67,14 +67,16 @@ class ByteLines:
 
     def each(self, chosen: np.ndarray) -> Iterator[tuple[int, str]]:
         """``(index, text)`` of the chosen lines (a boolean per line), in order."""
-        at = np.flatnonzero(chosen)
+        at = chosen.nonzero()[0]
         for index, start, end in zip(at.tolist(), self.starts[at].tolist(), self.ends[at].tolist()):
             yield index, self.raw[start:end].decode("utf-8", "surrogatepass")
 
     def select(self, chosen: np.ndarray) -> bytes:
         """The bytes of the chosen lines (a boolean per line), each followed
         by its newline, copied a run of consecutive chosen lines at a time."""
-        edges = np.flatnonzero(np.diff(chosen, prepend=False, append=False))
+        padded = np.zeros(len(chosen) + 2, dtype=bool)
+        padded[1:-1] = chosen
+        edges = (padded[1:] != padded[:-1]).nonzero()[0]
         starts, ends = self.starts, self.ends
         return b"".join(
             self.raw[starts[first] : ends[last - 1] + 1]

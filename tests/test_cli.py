@@ -753,3 +753,89 @@ class TestParserReuse:
         assert "axis=2" in rounds[0][0][0].splitlines()
         assert "axis=1" in rounds[0][1][0].splitlines()
         assert "invalid choice" in rounds[0][2][1]
+
+
+# argv lists for the dispatch test: those that parse, then those that end in
+# help or a usage error.
+PARSED_ARGV = [
+    ["build", "g.graph"],
+    ["build", "g.graph", "--matrix", "rho_q"],
+    ["check", "g.graph", "theorem-conditions"],
+    ["check", "g.graph", "partial-sym", "--axis", "2", "--format", "kv"],
+    ["check", "--format=kv", "g.graph", "degree-sym", "--axis", "-1"],
+    ["check", "--", "g.graph", "gtpt-identity"],
+    ["decompose", "g.graph", "g.dec"],
+    ["decompose", "g.graph", "g.dec", "--tol", "1e-6"],
+    ["verify", "g.graph", "g.dec", "--tol", "2.5e-7"],
+    ["gen", "theorem", "--dims", "2,2,2"],
+    ["gen", "psym", "--dims", "2,4", "--budget", "3", "--seed", "7", "-o", "x.graph"],
+]
+REFUSED_ARGV = [
+    ["--help"],
+    ["-h"],
+    *([command, "-h"] for command in ("build", "check", "decompose", "verify", "gen")),
+    ["check", "g.graph", "partial-sym", "--help"],
+    [],
+    ["no-such-command", "g.graph"],
+    ["check", "g.graph", "no-such-property"],
+    ["check", "g.graph"],
+    ["decompose", "g.graph", "g.dec", "--tol", "0"],
+    ["verify", "g.graph", "g.dec", "--tol", "nan"],
+    ["verify", "g.graph", "g.dec", "--tol", "x"],
+    ["gen", "psym", "--dims", "2,2", "--budget", "-1"],
+    ["gen", "psym", "--dims", "2,2", "--budget", "1.5"],
+    ["gen", "theorem"],
+    ["check", "g.graph", "partial-sym", "--axis", "one"],
+    ["check", "g.graph", "partial-sym", "--axis"],
+    ["verify", "g.graph", "g.dec", "extra"],
+    ["build", "g.graph", "--no-such-option"],
+    ["check", "g.graph", "partial-sym", "extra", "--no-such-option", "--axis", "3"],
+]
+
+
+class TestDispatch:
+    """``main`` parses a known command with that command's parser; every
+    argv must end as the full parser's ``parse_args`` ends it."""
+
+    @pytest.fixture
+    def recording(self, monkeypatch):
+        # A parser of its own whose handlers keep the Namespace they get.
+        parser = cli.build_parser.__wrapped__()
+        seen = []
+
+        def record(args):
+            seen.append(args)
+            return 0
+
+        for command in parser.commands.values():
+            command.set_defaults(handler=record)
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        return seen
+
+    @staticmethod
+    def captured(call, capsys):
+        """(exit code, stdout, stderr, result) of a call that may exit."""
+        try:
+            result, code = call(), 0
+        except SystemExit as exc:
+            result, code = None, int(exc.code or 0)
+        out, err = capsys.readouterr()
+        return code, out, err, result
+
+    @pytest.mark.parametrize("argv", PARSED_ARGV, ids=" ".join)
+    def test_parsed_argv(self, argv, recording, capsys):
+        code, out, err, expected = self.captured(
+            lambda: cli.build_parser().parse_args(argv), capsys
+        )
+        assert (code, out, err) == (0, "", "")
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        assert recording == [expected]
+        assert recording[0].command == argv[0]
+
+    @pytest.mark.parametrize("argv", REFUSED_ARGV, ids=" ".join)
+    def test_refused_argv(self, argv, recording, capsys):
+        expected = self.captured(lambda: cli.build_parser().parse_args(argv), capsys)
+        assert expected[0] in (0, 4) and expected[3] is None
+        assert (main(argv), *capsys.readouterr()) == expected[:3]
+        assert recording == []

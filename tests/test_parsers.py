@@ -28,6 +28,7 @@ from graphsep import (
     vertex_label,
 )
 from graphsep.separability import TermGrid
+from graphsep.textio import ByteLines
 from test_graphs import assert_parse_matches_oracle, content_lines, mutated_graph_texts, small_graphs
 from test_separability import mutated_records, sample_records, theorem_record
 
@@ -584,6 +585,73 @@ def test_cut_record_names_the_line_after_its_last():
 @given(mutated_graph_texts(), st.sampled_from(["\n", "\r\n", "\x0c", "\x85"]))
 def test_graph_breaks_match_line_oracle(text, newline):
     assert_parse_matches_oracle(text.replace("\n", newline))
+
+
+# -- graphs: runs of chosen lines, and line numbers built only on an error ------------
+
+SELECT_TEXTS = ["", "e 1 2", "dims 2 2\ne 1 3\n\n# note\ne 2 4\nE 1,1 2,2", "a\nb\u00e9\n\nc"]
+
+
+def select_masks(count):
+    rng = np.random.default_rng(count)
+    masks = {
+        "empty": np.zeros(count, dtype=bool),
+        "full": np.ones(count, dtype=bool),
+        "first-only": np.arange(count) == 0,
+        "last-only": np.arange(count) == count - 1,
+        "alternating": np.arange(count) % 2 == 0,
+        "alternating-from-second": np.arange(count) % 2 == 1,
+    }
+    masks.update((f"random-{i}", rng.random(count) < 0.5) for i in range(4))
+    return masks
+
+
+@pytest.mark.parametrize("text", SELECT_TEXTS)
+def test_select_joins_the_chosen_lines(text):
+    lines = ByteLines(text)
+    split = (text + "\n").splitlines()  # a final break starts one more, empty line
+    assert len(lines) == len(split)
+    for name, mask in select_masks(len(split)).items():
+        expected = b"".join(line.encode() + b"\n" for line, chosen in zip(split, mask) if chosen)
+        assert lines.select(mask) == expected, name
+
+
+# One text per way an edge row gets its line number: a bad row among the
+# canonical lines, a duplicate among them, a duplicate of an 'E' line (whose
+# rows are merged in line order), and an earlier duplicate behind a bad row.
+LAZY_LINE_NUMBERS = {
+    "loop": ("dims 2 2\ne 1 3\ne 3 3\ne 2 4\n", "line 3: loop at vertex 3"),
+    "out-of-range": ("dims 2 2\ne 1 3\n# note\ne 2 9\n", "line 4: edge (2,9) leaves the range 1..4"),
+    "duplicate-canonical": (
+        "dims 2 2\ne 1 3\ne 2 4\n\ne 3 1\n",
+        "line 5: duplicate edge (1,3), first seen on line 2",
+    ),
+    "duplicate-of-label-line": (
+        "dims 2 2\ne 2 4\nE 1,1 2,1\ne 3 1\n",
+        "line 4: duplicate edge (1,3), first seen on line 3",
+    ),
+    "label-line-duplicate": (
+        "dims 2 2\ne 1 3\ne 2 4\nE 2,2 1,2\n",
+        "line 4: duplicate edge (2,4), first seen on line 3",
+    ),
+    "duplicate-before-loop": (
+        "dims 2 2\ne 1 3\ne 1 3\ne 2 2\n",
+        "line 3: duplicate edge (1,3), first seen on line 2",
+    ),
+    "loop-before-duplicate": (
+        "dims 2 2\ne 4 4\ne 1 3\ne 1 3\n",
+        "line 2: loop at vertex 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_LINE_NUMBERS))
+def test_edge_errors_name_their_line(name):
+    text, message = LAZY_LINE_NUMBERS[name]
+    assert_parse_matches_oracle(text)
+    with pytest.raises(GraphFormatError) as got:
+        parse_graph(text)
+    assert str(got.value) == message
 
 
 # -- splices of keywords, values, digits and breaks ---------------------------------

@@ -4,6 +4,8 @@ import functools
 import gc
 import itertools
 import math
+import re
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -788,29 +790,21 @@ def damage(factor, kind, rng):
     return f
 
 
-@st.composite
-def damaged_decompositions(draw):
-    """(decomposition, target): random product terms, a few damaged factors
-    and weights, against either the undamaged sum or the maximally mixed state."""
-    n = draw(st.integers(2, 5))
-    dims = []
-    for k in range(n):
-        # V <= 256 keeps the reference's dense per-term products small.
-        room = 256 // (math.prod(dims) * 2 ** (n - k - 1))
-        dims.append(draw(st.integers(2, min(5, room))))
+def damaged_decomposition(dims, count, seed, factor_defects, weight_defects, clean_target):
+    """(decomposition, target): ``count`` random product terms drawn from
+    ``seed``, the factor defects ``(term, axis, kind)`` applied in order and
+    the weight defects ``(term, kind)``, against the undamaged sum
+    (``clean_target``) or the maximally mixed state."""
     profile = DimensionProfile(tuple(dims))
-    count = draw(st.integers(1, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     clean = [tuple(random_state(rng, d) for d in dims) for _ in range(count)]
     factors = [list(f) for f in clean]
     weights = [1.0 / count] * count
-    for _ in range(draw(st.integers(0, 4))):
-        t, k = draw(st.integers(0, count - 1)), draw(st.integers(0, n - 1))
-        factors[t][k] = damage(factors[t][k], draw(st.sampled_from(FACTOR_DEFECTS)), rng)
-    for _ in range(draw(st.integers(0, 2))):
-        t = draw(st.integers(0, count - 1))
-        weights[t] = WEIGHT_DEFECTS[draw(st.sampled_from(sorted(WEIGHT_DEFECTS)))](weights[t])
-    if draw(st.booleans()):
+    for t, k, kind in factor_defects:
+        factors[t][k] = damage(factors[t][k], kind, rng)
+    for t, kind in weight_defects:
+        weights[t] = WEIGHT_DEFECTS[kind](weights[t])
+    if clean_target:
         clean_dec = SeparableDecomposition(
             profile, tuple(DecompositionTerm(1.0 / count, f) for f in clean)
         )
@@ -823,14 +817,68 @@ def damaged_decompositions(draw):
     return dec, DensityMatrix(target, profile, "signless")
 
 
+@st.composite
+def damaged_decompositions(draw):
+    """:func:`damaged_decomposition` of random terms and defects."""
+    n = draw(st.integers(2, 5))
+    dims = []
+    for k in range(n):
+        # V <= 256 keeps the reference's dense per-term products small.
+        room = 256 // (math.prod(dims) * 2 ** (n - k - 1))
+        dims.append(draw(st.integers(2, min(5, room))))
+    count = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    factor_defects = [
+        (draw(st.integers(0, count - 1)), draw(st.integers(0, n - 1)),
+         draw(st.sampled_from(FACTOR_DEFECTS)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    weight_defects = [
+        (draw(st.integers(0, count - 1)), draw(st.sampled_from(sorted(WEIGHT_DEFECTS))))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return damaged_decomposition(
+        dims, count, seed, factor_defects, weight_defects, draw(st.booleans())
+    )
+
+
+RESIDUAL_FAILURE = re.compile(
+    r"reassembly residual (\S+) is (\S+) of the target norm \(tolerance (\S+)\)"
+)
+
+
+def near_in_print(got, expected, allowance):
+    """Can two ``.3e`` texts print values at most ``allowance`` apart?  Each
+    text is its value to within half a unit in its last digit."""
+    if not (math.isfinite(float(got)) and math.isfinite(float(expected))):
+        return got == expected
+    half = sum(0.5 * 10.0 ** (int(text.split("e")[1]) - 3) for text in (got, expected))
+    return abs(float(got) - float(expected)) <= allowance + half
+
+
+def assert_same_failures(got, expected, norm):
+    """Failure texts equal, but for the reassembly residual's line, whose two
+    values may differ by 1e-12 of the target norm (before printing)."""
+    assert len(got) == len(expected), (got, expected)
+    for line, reference in zip(got, expected):
+        printed, wanted = RESIDUAL_FAILURE.fullmatch(line), RESIDUAL_FAILURE.fullmatch(reference)
+        if printed is None or wanted is None:
+            assert line == reference
+            continue
+        assert printed[3] == wanted[3], (line, reference)
+        assert near_in_print(printed[1], wanted[1], 1e-12 * norm), (line, reference)
+        assert near_in_print(printed[2], wanted[2], 1e-12), (line, reference)
+
+
 def assert_matches_reference(dec, rho):
     passed, residual, relative, weight_sum, failures = verify_by_terms(dec, rho)
     cert = verify_decomposition(dec, rho)
-    assert cert.failures == failures
+    norm = np.linalg.norm(rho.matrix)
+    assert_same_failures(cert.failures, failures, norm)
     assert cert.passed == passed
     assert repr(cert.weight_sum) == repr(weight_sum)  # identical, nan included
     if math.isfinite(residual):
-        assert abs(cert.residual - residual) <= 1e-12 * np.linalg.norm(rho.matrix)
+        assert abs(cert.residual - residual) <= 1e-12 * norm
     else:  # nan or inf
         assert repr(cert.residual) == repr(residual)
     return cert
@@ -902,6 +950,55 @@ def test_blocked_verification_matches_per_term_reference(case, block_entries):
         assert_matches_reference(dec, rho)
         if is_finite(dec):
             assert_assembles_like_by_hand(dec)
+
+
+def test_blocked_verification_matches_reference_next_to_a_printing_boundary():
+    # Both residuals lie next to 1.5625e-02, and the blocked and the per-term
+    # sums round to either side of it: 1.563e-02 against 1.562e-02.
+    dec, rho = damaged_decomposition((2, 2), 32, 2, [(17, 0, "off-trace")], [], True)
+    with mock.patch.object(separability, "_BLOCK_ENTRIES", 64):
+        cert = assert_matches_reference(dec, rho)
+    assert any(RESIDUAL_FAILURE.fullmatch(line) for line in cert.failures)
+
+
+@pytest.mark.parametrize(
+    "got, expected, same",
+    [
+        ("1.563e-02", "1.562e-02", True),  # neighbours in print
+        ("1.562e-02", "1.562e-02", True),
+        ("1.564e-02", "1.562e-02", False),
+        ("1.000e-02", "9.999e-03", True),  # across a power of ten
+        ("1.001e-02", "9.999e-03", False),
+        ("nan", "nan", True),
+        ("nan", "1.562e-02", False),
+    ],
+)
+def test_residual_texts_compare_by_their_values(got, expected, same):
+    line = "reassembly residual {} is {} of the target norm (tolerance 1.0e-08)"
+    check = functools.partial(assert_same_failures, norm=0.5)
+    if same:
+        check((line.format(got, got),), (line.format(expected, expected),))
+    else:
+        with pytest.raises(AssertionError):
+            check((line.format(got, got),), (line.format(expected, expected),))
+    with pytest.raises(AssertionError):  # any other difference in the line
+        check((line.format(got, got).replace("1.0e-08", "1.0e-09"),),
+              (line.format(expected, expected),))
+
+
+def test_reference_comparison_fails_past_the_allowance():
+    dec, rho = damaged_decomposition((2, 2), 32, 2, [(17, 0, "off-trace")], [], True)
+    cert = verify_decomposition(dec, rho)
+    shifted = cert.residual + 1e-3 * np.linalg.norm(rho.matrix)
+    off = replace(cert, residual=shifted, failures=tuple(
+        RESIDUAL_FAILURE.sub(lambda m: f"reassembly residual {shifted:.3e} is"
+                             f" {shifted / np.linalg.norm(rho.matrix):.3e} of the"
+                             f" target norm (tolerance {m[3]})", line)
+        for line in cert.failures
+    ))
+    with mock.patch.object(sys.modules[__name__], "verify_decomposition", return_value=off):
+        with pytest.raises(AssertionError):
+            assert_matches_reference(dec, rho)
 
 
 @pytest.mark.parametrize("dims", [(2, 4, 16), (2, 16, 4)])
