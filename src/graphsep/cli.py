@@ -123,7 +123,9 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     graph = _load(args.graph, parse_graph)
-    axis = args.axis
+    axis, n = args.axis, graph.profile.n
+    if not 1 <= axis <= n:  # for theorem-conditions too, which reads every axis
+        raise ValueError(f"axis {axis} out of range 1..{n}")
     if args.what == "theorem-conditions":
         report = check_theorem_conditions(graph)
         holds = report.holds

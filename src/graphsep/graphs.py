@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphFormatError
-from .textio import ByteLines, format_value, strip_comment
+from .textio import ByteLines, format_rows, strip_comment
 
 DEFAULT_MAX_VERTICES = 1024
 MAX_VERTICES_ENV = "GRAPHSEP_MAX_VERTICES"
@@ -496,8 +496,6 @@ def format_graph(graph: MultipartiteGraph) -> str:
 
 
 def format_matrix(matrix: np.ndarray) -> str:
-    """Rows of space-separated values; integers plain, floats at 17 digits."""
-    matrix = np.asarray(matrix)
-    return "\n".join(
-        " ".join(format_value(x) for x in row) for row in matrix
-    ) + "\n"
+    """Rows of space-separated values, integers plain and floats at 17 digits,
+    by :func:`textio.format_rows`, which writes a record's rows too."""
+    return "\n".join(format_rows(np.asarray(matrix))) + "\n"

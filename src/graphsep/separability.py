@@ -77,7 +77,7 @@ from .linalg import (
     partial_transpose_matrix,
     spectral_decomposition,
 )
-from .textio import format_float, strip_comment
+from .textio import format_float, format_rows, strip_comment
 from .transforms import _adjacency_positions, gtpt, is_degree_symmetric, is_partially_symmetric
 
 
@@ -760,11 +760,11 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     parsed record), follow in basis form: ``weight w``; per axis k >= 2,
     ``axis k basis N_k``, an ``eigenvalues`` line and the N_k eigenvectors,
     one a row; ``pattern 1 order N_1`` and the rows of F_1; ``degrees`` and
-    delta.  That is O(sum_k N_k^2) values, with no line per term.  Each row
-    array goes through :func:`_row_texts`, one ``%`` format a row; the text
-    is the same as formatting every value on its own with
-    :func:`textio.format_float`.  Terms held one by one have no record, and
-    raise ``ValueError``.
+    delta.  That is O(sum_k N_k^2) values, with no line per term.  Every
+    row of numbers is written by :func:`textio.format_rows`, the writer
+    ``graphsep build`` uses too; its text is the same as formatting every
+    float on its own with :func:`textio.format_float`.  Terms held one by
+    one have no record, and raise ``ValueError``.
     """
     grid = decomposition.terms
     if not isinstance(grid, TermGrid):
@@ -783,23 +783,12 @@ def format_decomposition(decomposition: SeparableDecomposition) -> str:
     lines.append("weight " + format_float(float(grid.weight)))
     for k, (values, vectors) in enumerate(zip(grid.eigenvalues, grid.vectors), start=2):
         lines.append(f"axis {k} basis {len(values)}")
-        lines.append("eigenvalues " + _row_texts(values[None])[0])
-        lines.extend(_row_texts(vectors))
+        lines.append("eigenvalues " + format_rows(values[None])[0])
+        lines.extend(format_rows(vectors))
     lines.append(f"pattern 1 order {len(grid.top_pattern)}")
-    lines.extend(" ".join(map(str, row)) for row in grid.top_pattern.tolist())
-    lines.append("degrees " + " ".join(map(str, grid.layer_degrees.tolist())))
+    lines.extend(format_rows(grid.top_pattern))
+    lines.append("degrees " + format_rows(grid.layer_degrees[None])[0])
     return "\n".join(lines) + "\n"
-
-
-def _row_texts(rows: np.ndarray) -> list[str]:
-    """The text of each row of a 2-d float array, 17 significant digits a
-    value as :func:`textio.format_float` writes it, by one ``%`` format a
-    row."""
-    form = " ".join(["%.16e"] * rows.shape[1])
-    # Adding 0.0 turns -0.0 into 0.0, as format_float does; a signalling
-    # NaN's payload needs no warning.
-    with np.errstate(invalid="ignore"):
-        return [form % tuple(row) for row in (rows + 0.0).tolist()]
 
 
 def parse_decomposition(text: str) -> SeparableDecomposition:

@@ -2,10 +2,12 @@
 
 All floating-point output uses 17 significant digits (round-trippable
 doubles) with negative zero normalised to zero, so dumps diff stably
-across platforms.  ``parse_graph`` reads its text as a :class:`ByteLines`:
-one byte array and the offsets of its lines, numbered as
-``str.splitlines()`` numbers them; it finds the edge lines ``format_graph``
-writes with array operations and converts them together.
+across platforms.  :func:`format_rows` writes every row of numbers, of a
+``graphsep build`` matrix and of a record alike, and :func:`format_float`
+one value.  ``parse_graph`` reads its text as a :class:`ByteLines`: one byte
+array and the offsets of its lines, numbered as ``str.splitlines()`` numbers
+them; it finds the edge lines ``format_graph`` writes with array operations
+and converts them together.
 ``parse_decomposition`` walks ``str.splitlines()`` one line at a time, each
 line stripped of its comment by :func:`strip_comment`.
 """
@@ -22,11 +24,18 @@ def format_float(x: float) -> str:
     return f"{float(x) + 0.0:.16e}"
 
 
-def format_value(x) -> str:
-    """Integers verbatim, everything else through :func:`format_float`."""
-    if isinstance(x, (int,)) or (hasattr(x, "dtype") and x.dtype.kind in "iu"):
-        return str(int(x))
-    return format_float(x)
+def format_rows(rows: np.ndarray) -> list[str]:
+    """The text of each row of a 2-d array: integers as ``str`` writes them,
+    other values as :func:`format_float` does, by one ``%`` format a row.
+    Rows are converted one at a time; no nested list of the array is held."""
+    if rows.dtype.kind in "iu":
+        return [" ".join(map(str, row.tolist())) for row in rows]
+    form = " ".join(["%.16e"] * rows.shape[1])
+    # Adding 0.0 turns -0.0 into 0.0, as format_float does; a signalling
+    # NaN's payload needs no warning.
+    with np.errstate(invalid="ignore"):
+        rows = rows + 0.0
+    return [form % tuple(row.tolist()) for row in rows]
 
 
 def strip_comment(raw: str) -> str:

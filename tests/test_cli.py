@@ -20,6 +20,7 @@ from graphsep import (
 )
 from graphsep.cli import main
 from test_golden_records import per_term_text
+from test_record_writer import format_rows_oracle
 
 M222_TEXT = "dims 2 2 2\ne 1 5\ne 2 6\ne 3 7\ne 4 8\n"
 K2_TEXT = "dims 2 2\ne 1 2\n"
@@ -52,6 +53,11 @@ EXIT_CODES = {
     "check-usage-error": (["check", "{w}/m222.graph", "no-such-property"], 4, "invalid choice"),
     "check-axis-out-of-range": (
         ["check", "{w}/m222.graph", "partial-sym", "--axis", "9"], 2, "axis 9 out of range"
+    ),
+    "check-conditions-axis-out-of-range": (
+        ["check", "{w}/m222.graph", "theorem-conditions", "--axis", "99"],
+        2,
+        "precondition unmet: axis 99 out of range 1..3",
     ),
     "check-partial-sym-fails": (["check", "{w}/notpsym.graph", "partial-sym"], 1, ""),
     "decompose-empty": (["decompose", "{w}/empty.graph", "{w}/x.dec"], 2, "empty graph"),
@@ -119,6 +125,17 @@ class TestExitCodes:
         assert not (workdir / "x.dec").exists()
 
 
+# Each build --matrix kind, from the library functions it prints.
+BUILDERS = {
+    "A": graphs.adjacency_matrix,
+    "D": graphs.degree_matrix,
+    "L": graphs.laplacian,
+    "Q": graphs.signless_laplacian,
+    "rho_l": lambda graph: graphs.density_matrix(graph, "combinatorial").matrix,
+    "rho_q": lambda graph: graphs.density_matrix(graph, "signless").matrix,
+}
+
+
 class TestBuild:
     def test_q_matrix_golden(self, workdir, capsys):
         assert main(["build", str(workdir / "m222.graph"), "--matrix", "Q"]) == 0
@@ -138,6 +155,21 @@ class TestBuild:
         out = capsys.readouterr().out
         assert "1.2500000000000000e-01" in out
         assert "-0." not in out
+
+    @pytest.mark.parametrize("family", ["theorem-3x2x2", "psym-4x4x4"])
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_matrix_writes_like_oracle(self, tmp_path, capsys, family, kind):
+        # Every kind, byte for byte, against the matrix written one value at
+        # a time: integers by str, floats by format_float.
+        if family == "theorem-3x2x2":
+            graph = graphsep.gen_theorem_graph(graphsep.DimensionProfile((3, 2, 2)), 1)
+        else:
+            graph = graphsep.gen_partially_symmetric(graphsep.DimensionProfile((4, 4, 4)), 40, 2)
+        path = tmp_path / "g.graph"
+        path.write_text(graphsep.format_graph(graph))
+        assert main(["build", str(path), "--matrix", kind]) == 0
+        expected = "".join(row + "\n" for row in format_rows_oracle(BUILDERS[kind](graph)))
+        assert capsys.readouterr().out == expected
 
     def test_zero_trace_exit_2(self, workdir, capsys):
         code = main(["build", str(workdir / "empty.graph"), "--matrix", "rho_l"])
@@ -189,6 +221,18 @@ class TestCheck:
         assert "holds=false" in out
         assert main(["check", str(workdir / "empty.graph"), "theorem-conditions"]) == 1
         assert "empty graph" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["human", "kv"])
+    @pytest.mark.parametrize("graph", ["m222", "notpsym"])
+    def test_theorem_conditions_read_every_axis(self, workdir, capsys, graph, fmt):
+        # An in-range --axis changes nothing: the conditions span all axes.
+        argv = ["check", str(workdir / f"{graph}.graph"), "theorem-conditions", "--format", fmt]
+        code = main(argv)
+        out = capsys.readouterr().out
+        n = 3 if graph == "m222" else 2
+        for axis in range(1, n + 1):
+            assert main(argv + ["--axis", str(axis)]) == code
+            assert capsys.readouterr().out == out
 
     def test_gtpt_identity(self, workdir):
         assert main(["check", str(workdir / "edge16.graph"), "gtpt-identity"]) == 0

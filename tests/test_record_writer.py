@@ -1,9 +1,11 @@
-"""The record writer against a per-value oracle.
+"""The row writer and the record writer against a per-value oracle.
 
-The writer formats every row by one ``%`` format, with no memo; the oracle
-formats every value on its own with ``format_float``.  They must give the
-same bytes on every record, generated or hand built, including values whose
-text does not follow from their bits alone (-0.0, NaNs of any payload).
+``format_rows``, the one writer of rows of numbers (records and ``graphsep
+build`` alike), formats every float row by one ``%`` format, with no memo;
+the oracle formats every integer with ``str`` and every other value on its
+own with ``format_float``.  They must give the same bytes on every record,
+generated or hand built, including values whose text does not follow from
+their bits alone (-0.0, NaNs of any payload).
 Only a grid has a record: terms held one by one are refused.  A record
 read back is the grid it was written from: it writes the same bytes, and its
 terms expand as the written grid's do.
@@ -24,7 +26,7 @@ from graphsep import (
     parse_decomposition,
 )
 from graphsep.separability import TermGrid, projector
-from graphsep.textio import format_float
+from graphsep.textio import format_float, format_rows
 from test_golden_records import GOLDEN, per_term, per_term_text
 
 GOLDEN_CASES = [(dims, seed) for dims in GOLDEN for seed in range(3)]
@@ -32,6 +34,12 @@ GOLDEN_CASES = [(dims, seed) for dims in GOLDEN for seed in range(3)]
 NAN_PAYLOADS = np.array(
     [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000002], dtype=np.uint64
 ).view(float)
+
+
+def format_rows_oracle(rows):
+    """Oracle: each row of a 2-d array, one value at a time."""
+    text_of = (lambda x: str(int(x))) if rows.dtype.kind in "iu" else format_float
+    return [" ".join(text_of(x) for x in row) for row in rows]
 
 
 def format_basis_oracle(decomposition):
@@ -63,6 +71,25 @@ def format_basis_oracle(decomposition):
 
 
 SUBNORMALS = [5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 2.2250738585072014e-308]
+
+INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+SPECIALS = [-0.0, math.nan, math.inf, -math.inf, *SUBNORMALS, *NAN_PAYLOADS, 1 / 3, -1e300, 0.0]
+WIDE = np.random.default_rng(0).integers(-(10**6), 10**6, size=(1, 1024))
+ROWS = {
+    "int64-extremes": np.array([[INT64_MIN, INT64_MAX, -1], [0, -7, 12], [-(2**40), 2**40, 3]]),
+    "int64-1x1": np.array([[INT64_MIN]]),
+    "int64-1x1024": np.concatenate([[[INT64_MIN, INT64_MAX]], WIDE[:, 2:]], axis=1),
+    "float-specials": np.array(SPECIALS).reshape(3, 5),
+    "float-1x1": np.array([[-0.0]]),
+    "float-1x1024": np.concatenate([[SPECIALS], WIDE[:, len(SPECIALS):] / 7.0], axis=1),
+    "float-no-columns": np.empty((2, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_format_rows_writes_like_oracle(name):
+    rows = ROWS[name]
+    assert format_rows(rows) == format_rows_oracle(rows)
 
 
 @pytest.mark.parametrize(
